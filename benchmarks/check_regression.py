@@ -114,8 +114,8 @@ def main(argv=None) -> int:
                              "baseline (default: dense only)")
     parser.add_argument("--max-sparse-slowdown", type=float, default=5.0,
                         help="max allowed sparse/dense numpy runtime ratio "
-                             "(default: 5.0; the sparse path pays blockwise "
-                             "densification on an instance that fits in RAM)")
+                             "(default: 5.0; the sparse path pays CSR "
+                             "gathers on an instance that fits in RAM)")
     parser.add_argument("--shards", type=int, default=None,
                         help="also gate the sharded path (bit-identical on this "
                              "integer-rated instance) with this many shards")

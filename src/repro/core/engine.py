@@ -28,8 +28,9 @@ Rating data reaches the engine through the
 :class:`~repro.recsys.store.RatingStore` interface (a raw complete array or
 :class:`~repro.recsys.matrix.RatingMatrix` is wrapped in a
 :class:`~repro.recsys.store.DenseStore`; a
-:class:`~repro.recsys.store.SparseStore` is consumed blockwise without ever
-densifying the full matrix), and each user's ranked prefix comes from a
+:class:`~repro.recsys.store.SparseStore` is ranked and scored straight from
+its CSR arrays without ever densifying the full matrix), and each user's
+ranked prefix comes from a
 :class:`~repro.core.topk_index.TopKIndex` — built on demand, or passed in to
 be shared across runs.  :meth:`FormationEngine.run_many` builds **one** index
 at the sweep's largest ``k`` and slices it per configuration, so a
@@ -179,6 +180,18 @@ class FormationBackend(ABC):
         callers that want a raw table without an index object.
         """
 
+    @property
+    def index_kernel(
+        self,
+    ) -> "Callable[[np.ndarray, int], tuple[np.ndarray, np.ndarray]] | None":
+        """The ``table_fn`` the engine builds indexes with.
+
+        :meth:`top_k_table` itself by default; ``None`` lets the store rank
+        itself (:meth:`~repro.recsys.store.RatingStore.top_k` — the CSR
+        kernel on a sparse store), which is bit-identical.
+        """
+        return self.top_k_table
+
     @abstractmethod
     def form(
         self,
@@ -300,6 +313,11 @@ class NumpyBackend(FormationBackend):
         # The engine already rejected non-finite ratings, so the kernel can
         # skip its -inf sentinel scan.
         return kernels.top_k_table(values, k, assume_finite=True)
+
+    @property
+    def index_kernel(self) -> None:
+        """``None``: indexes are ranked by the store's own exact kernels."""
+        return None
 
     @staticmethod
     def _pack_keys(
@@ -516,7 +534,8 @@ def finalise_plan(
     ----------
     store:
         Rating storage used to score groups (only ``(members, items)``
-        sub-matrices are densified).
+        sub-matrices of the selected groups are densified; the left-over
+        group is scored by :meth:`~repro.recsys.store.RatingStore.item_scores`).
     plan:
         The backend's selection outcome.
     selected_items_rows:
@@ -778,11 +797,11 @@ class FormationEngine:
             k_sweep = max(int(config.k) for config in configs)
             if cache is not None:
                 topk, _ = cache.get_or_build_index(
-                    store, k_sweep, table_fn=self.backend.top_k_table
+                    store, k_sweep, table_fn=self.backend.index_kernel
                 )
             else:
                 topk = TopKIndex.build(
-                    store, k_sweep, table_fn=self.backend.top_k_table
+                    store, k_sweep, table_fn=self.backend.index_kernel
                 )
         if executor is not None:
             from repro.execution.executor import executor_scope
@@ -832,7 +851,7 @@ class FormationEngine:
                 # Build with the backend's own top-k kernel so the reference
                 # backend remains the naive end-to-end specification (all
                 # kernels are bit-identical; only the build time differs).
-                topk = TopKIndex.build(store, k, table_fn=self.backend.top_k_table)
+                topk = TopKIndex.build(store, k, table_fn=self.backend.index_kernel)
             else:
                 _validate_index(topk, store, k)
             items_table, scores_table = topk.top_k(k)

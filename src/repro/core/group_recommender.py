@@ -7,6 +7,18 @@ a chosen aggregation.  The group-formation algorithms call into this module
 to evaluate the groups they build (most importantly the left-over ℓ-th
 group), and the experiment harness uses it to score groupings produced by the
 baselines and the exact solvers.
+
+Ratings may be a dense array or a :class:`~repro.recsys.store.RatingStore`,
+which scores a group itself (``store.item_scores(members, semantics)``).  A
+sparse CSR store never densifies the left-over group: it gathers the
+members' stored entries and reduces them per item with ``bincount`` —
+LM-min is the minimum of the stored values, folded with the fill where a
+member lacks the item; AV-sum is the stored sum plus ``fill x`` the members
+lacking it.  The result is bit-identical to the dense reduction because of
+an exactness gate checked on every call: AV takes the sparse path only on
+integer values and fill (integer ``float64`` sums are exact in any order),
+LM only without ``-0.0`` (signed zeros make ``min`` order-dependent); any
+other input keeps the dense streaming reduction.
 """
 
 from __future__ import annotations
@@ -32,38 +44,9 @@ __all__ = [
 ]
 
 
-#: Target dense working-set (in float64 elements, ~256 MB) of one chunk of
-#: the streaming reduction over a :class:`~repro.recsys.store.RatingStore`.
-#: Groups that fit one chunk keep the floating-point summation order of the
-#: AV semantics identical to the dense path; larger groups fold chunk
-#: partials together (exact for LM — min is associative — and for the
-#: integer-valued ratings all bundled datasets produce).
-_STREAM_TARGET_ELEMENTS = 1 << 25
-
-
 def _is_store(ratings: object) -> bool:
     """Whether ``ratings`` is a RatingStore rather than a dense array."""
     return not isinstance(ratings, np.ndarray) and hasattr(ratings, "iter_blocks")
-
-
-def _store_item_scores(
-    store: "RatingStore", members: np.ndarray, semantics: Semantics
-) -> np.ndarray:
-    """Streaming equivalent of :meth:`Semantics.item_scores` over a store."""
-    accumulated: np.ndarray | None = None
-    block = max(1, _STREAM_TARGET_ELEMENTS // store.shape[1])
-    for start in range(0, members.size, block):
-        rows = store.rows(members[start:start + block])
-        if semantics is Semantics.LEAST_MISERY:
-            partial = rows.min(axis=0)
-            accumulated = (
-                partial if accumulated is None else np.minimum(accumulated, partial)
-            )
-        else:
-            partial = rows.sum(axis=0)
-            accumulated = partial if accumulated is None else accumulated + partial
-    assert accumulated is not None
-    return accumulated
 
 
 def group_item_scores(
@@ -74,17 +57,17 @@ def group_item_scores(
     """Group preference score of every item for the group ``members``.
 
     Thin wrapper over :meth:`Semantics.item_scores` accepting semantics
-    names.  ``values`` may also be a :class:`~repro.recsys.store.RatingStore`
-    (e.g. a sparse CSR store), in which case member rows are densified in
-    chunks so even a million-user left-over group never materialises the
-    full matrix.
+    names.  ``values`` may also be a :class:`~repro.recsys.store.RatingStore`,
+    which scores the group itself
+    (:meth:`~repro.recsys.store.RatingStore.item_scores`): a dense store
+    reduces densified member-row chunks, a sparse CSR store reduces the
+    members' stored entries directly, so even a million-user left-over group
+    never materialises the full matrix.
     """
     semantics = get_semantics(semantics)
     members = np.asarray(members, dtype=int)
     if _is_store(values):
-        if members.size == 0:
-            raise GroupFormationError("cannot score items for an empty group")
-        return _store_item_scores(values, members, semantics)
+        return values.item_scores(members, semantics)
     return semantics.item_scores(np.asarray(values, dtype=float), members)
 
 

@@ -38,6 +38,13 @@ in two selectable generations:
     collision-checked lexsort fallback of the bucketing path always
     stays in Python, so exactness never depends on compiled code.
 
+A :class:`~repro.recsys.store.SparseStore` is ranked by a separate CSR
+top-k kernel (:func:`csr_top_k_table`): it selects over each row's stored
+entries and the fill-valued items and never builds a dense block, runs
+compiled (:mod:`repro.core.kernels_cc`) under every generation, and falls
+back to a numpy kernel without a C compiler.  It is bit-identical to
+:func:`top_k_table` on the densified rows.
+
 All generations are **bit-identical** by construction and by test
 (``tests/core/test_kernels.py``): the top-k kernels reproduce the
 library-wide tie-break (rating descending, item index ascending) exactly,
@@ -92,6 +99,7 @@ __all__ = [
     "bucket_reduce",
     "bucketize",
     "clear_scratch",
+    "csr_top_k_table",
     "fingerprint_rows",
     "float_to_ordinal",
     "fused_fingerprint_rows",
@@ -150,6 +158,13 @@ def _load_parallel():
     from repro.core import kernels_cc
 
     return kernels_cc.load_compiled()
+
+
+def _load_csr():
+    """The compiled CSR kernels, or ``None`` when they cannot be built/loaded."""
+    from repro.core import kernels_cc
+
+    return kernels_cc.load_csr()
 
 
 def parallel_available() -> bool:
@@ -497,6 +512,121 @@ def top_k_table(
             # explicit -inf ratings through the full stable sort.
             return _top_k_table_sorted(values, k)
         return _top_k_table_fast(values, k)
+
+
+def _csr_top_k_numpy(
+    data: np.ndarray,
+    indices: np.ndarray,
+    indptr: np.ndarray,
+    rows: np.ndarray,
+    n_items: int,
+    k: int,
+    fill: float,
+) -> tuple[np.ndarray, np.ndarray]:
+    """The numpy CSR top-k kernel (used when no C compiler is available).
+
+    A row's dense top-``k`` lies among its stored entries that differ from
+    ``fill`` plus its first ``k`` fill-valued items (unstored cells, or
+    stored entries equal to ``fill``, whose own bits are kept), all of
+    which tie, so the lowest indices rank first.  The ``m``-th fill-valued
+    item of a row is ``m`` plus the number of its other entries ``s_i``
+    (the ``i``-th, ascending) with ``s_i - i <= m``: one ``searchsorted``
+    over all rows.  The candidates, each row's differing entries then its
+    fill-valued items, both in ascending item order, are lexsorted by (row,
+    rating descending); the sort is stable and equal ratings within a row
+    only occur inside one of the two lists, so ties keep ascending item
+    order.  Comparisons only: ``-0.0`` ties ``+0.0`` exactly as in the
+    dense kernels.
+    """
+    n_rows = rows.size
+    starts = indptr[rows].astype(np.int64)
+    counts = indptr[rows + 1].astype(np.int64) - starts
+    entry_row = np.repeat(np.arange(n_rows), counts)
+    positions = np.arange(entry_row.size) + np.repeat(
+        starts - (np.cumsum(counts) - counts), counts
+    )
+    items = indices[positions].astype(np.int64)
+    values = data[positions]
+
+    other = values != fill
+    other_row, other_item = entry_row[other], items[other]
+    other_first = np.searchsorted(other_row, np.arange(n_rows))
+    width = np.int64(n_items + 1)
+    gaps = other_row * width + other_item - (
+        np.arange(other_row.size) - other_first[other_row]
+    )
+    fill_row = np.repeat(np.arange(n_rows), k)
+    rank = np.tile(np.arange(k), n_rows)
+    fill_item = (
+        rank
+        + np.searchsorted(gaps, fill_row * width + rank, side="right")
+        - other_first[fill_row]
+    )
+    valid = fill_item < n_items
+    fill_row, fill_item = fill_row[valid], fill_item[valid]
+    fill_values = np.full(fill_item.size, fill, dtype=np.float64)
+    if values.size:
+        cells = entry_row * np.int64(n_items) + items
+        wanted = fill_row * np.int64(n_items) + fill_item
+        at = np.minimum(np.searchsorted(cells, wanted), cells.size - 1)
+        stored = cells[at] == wanted
+        fill_values[stored] = values[at[stored]]
+
+    cand_row = np.concatenate((other_row, fill_row))
+    cand_item = np.concatenate((other_item, fill_item))
+    cand_value = np.concatenate((values[other], fill_values))
+    order = np.lexsort((-cand_value, cand_row))
+    per_row = np.bincount(cand_row, minlength=n_rows)
+    position = np.arange(order.size) - np.repeat(np.cumsum(per_row) - per_row, per_row)
+    take = order[position < k]
+    return cand_item[take].reshape(n_rows, k), cand_value[take].reshape(n_rows, k)
+
+
+def csr_top_k_table(
+    csr, rows: np.ndarray, k: int, fill: float
+) -> tuple[np.ndarray, np.ndarray]:
+    """Per-row top-``k`` of CSR rows read as dense rows filled with ``fill``.
+
+    Bit-identical to :func:`top_k_table` on the densified rows (rating
+    descending, item index ascending) at ``O(nnz + k)`` per row instead of
+    ``O(n_items)``: no dense canvas is ever built.  Runs the compiled CSR
+    kernel of :mod:`repro.core.kernels_cc` (built on the first call,
+    independent of the active kernel generation) and falls back to the
+    numpy kernel when no C compiler is available.
+
+    Parameters
+    ----------
+    csr:
+        ``scipy.sparse`` CSR matrix with sorted, unique column indices per
+        row (the :class:`~repro.recsys.store.SparseStore` invariant).
+    rows:
+        Row ids to rank, in output order.
+    k:
+        Top-k prefix length (``1 <= k <= n_items``).
+    fill:
+        Rating of every unstored cell.
+
+    Returns
+    -------
+    (items, values):
+        ``(len(rows), k)`` int64 item table and float64 rating table.
+    """
+    n_items = csr.shape[1]
+    rows = np.asarray(rows, dtype=np.int64).ravel()
+    if not 1 <= k <= n_items:
+        raise ValueError(f"k must be between 1 and n_items ({n_items}), got {k}")
+    if rows.size and (rows.min() < 0 or rows.max() >= csr.shape[0]):
+        raise IndexError("CSR top-k row id out of range")
+    with observed("kernel.top_k", H_KERNEL_TOPK, counter=K_KERNEL_TOPK_CALLS):
+        backend = _load_csr()
+        if backend is not None:
+            return backend.top_k(
+                csr.data, csr.indices, csr.indptr, rows, n_items, k, fill,
+                get_kernel_threads(),
+            )
+        return _csr_top_k_numpy(
+            csr.data, csr.indices, csr.indptr, rows, n_items, k, fill
+        )
 
 
 # --------------------------------------------------------------------------- #

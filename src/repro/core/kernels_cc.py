@@ -33,6 +33,13 @@ Design constraints the C source honours:
   without the flag; if no compiler works, :func:`load_compiled` reports
   the reason and the caller falls back to the ``fast`` generation.
 
+A second, separate library holds the CSR top-k kernel of
+:func:`repro.core.kernels.csr_top_k_table` (:func:`load_csr`): it is built
+and loaded on the first call that ranks a sparse store, independently of
+the kernel generation, so a dense-store process never builds or loads it.
+It follows the same rules — comparisons only, row-parallel on the same
+thread loop, numpy fallback when no compiler works.
+
 Compiled libraries are cached by source hash under
 ``$REPRO_KERNEL_CACHE`` (default: ``~/.cache/repro-kernels``), so a
 process pays the ~1 s compile at most once per source revision per
@@ -53,7 +60,13 @@ from pathlib import Path
 
 import numpy as np
 
-__all__ = ["CompiledKernels", "load_compiled", "unavailable_reason"]
+__all__ = [
+    "CompiledCsrKernels",
+    "CompiledKernels",
+    "load_compiled",
+    "load_csr",
+    "unavailable_reason",
+]
 
 #: Environment variable naming the C compiler (or disabling the backend).
 CC_ENV = "REPRO_KERNEL_CC"
@@ -63,7 +76,7 @@ CACHE_ENV = "REPRO_KERNEL_CACHE"
 
 _DISABLE_VALUES = {"none", "off", "0", "disabled"}
 
-_SOURCE = r"""
+_THREADS_SOURCE = r"""
 #include <pthread.h>
 #include <stdint.h>
 #include <string.h>
@@ -137,7 +150,10 @@ static void run_rows(row_range_fn fn, void *ctx, int64_t n_rows,
         if (started[i])
             pthread_join(tids[i], NULL);
 }
+"""
 
+#: The dense library: per-row top-k and the fingerprint passes.
+_SOURCE = _THREADS_SOURCE + r"""
 /* Top-k of one row under the library tie-break: rating descending, item
  * index ascending.  The output buffer is kept sorted by (value desc,
  * index asc); a new item is inserted after every incumbent with an equal
@@ -349,11 +365,122 @@ void repro_fingerprint_packed(const uint64_t *packed, int64_t n_rows,
 }
 """
 
-_SCORE_MODES = {"none": 0, "first": 1, "last": 2, "all": 3}
+#: The CSR library: per-row top-k straight from a SparseStore's arrays.  A
+#: separate library, so a dense-store process never builds or loads it.
+_CSR_SOURCE = _THREADS_SOURCE + r"""
+/* CSR index arrays are int32 or int64 (scipy picks per matrix); `wide`
+ * selects the width, so neither array is ever copied or converted. */
+static inline int64_t csr_index(const void *array, int32_t wide, int64_t i)
+{
+    return wide ? ((const int64_t *)array)[i] : (int64_t)((const int32_t *)array)[i];
+}
 
-_backend: "CompiledKernels | None" = None
-_load_attempted = False
-_unavailable_reason: str | None = None
+/* Insert (v, idx) into a buffer of `n` entries (capacity `cap`) kept
+ * sorted by (value desc, index asc).  Candidates arrive in ascending index
+ * order, so an equal value goes after the incumbents and a full buffer
+ * only admits a strictly greater value.  Returns the new entry count. */
+static int64_t bounded_insert(double v, int64_t idx, int64_t n, int64_t cap,
+                              int64_t *items, double *values)
+{
+    int64_t p;
+    if (n == cap) {
+        if (!(v > values[cap - 1]))
+            return n;
+        p = cap - 1;
+    } else {
+        p = n++;
+    }
+    while (p > 0 && values[p - 1] < v) {
+        values[p] = values[p - 1];
+        items[p] = items[p - 1];
+        --p;
+    }
+    values[p] = v;
+    items[p] = idx;
+    return n;
+}
+
+/* Top-k of one CSR row read as a dense row whose unstored cells hold
+ * `fill`, under the library tie-break (rating descending, item index
+ * ascending; comparisons only, so -0.0 == +0.0 resolves by index exactly
+ * as the dense kernels do).  The row's stored indices are sorted and
+ * unique (SparseStore guarantees it).  Three bands, in rank order:
+ *   1. stored entries above fill, selected by value;
+ *   2. fill-valued items (unstored, or stored equal to fill, whose stored
+ *      bits are kept) in ascending item order;
+ *   3. stored entries below fill, selected by value.
+ * Band 2 stops after k items, so a row costs O(nnz + k), not O(n_items). */
+static void csr_topk_row(const double *data, const void *indices,
+                         int32_t wide, int64_t lo, int64_t hi,
+                         int64_t n_items, int64_t k, double fill,
+                         int64_t *items_out, double *values_out)
+{
+    int64_t n = 0;
+    for (int64_t p = lo; p < hi; ++p)
+        if (data[p] > fill)
+            n = bounded_insert(data[p], csr_index(indices, wide, p), n, k,
+                               items_out, values_out);
+    int64_t p = lo;
+    for (int64_t j = 0; n < k && j < n_items; ++j) {
+        while (p < hi && csr_index(indices, wide, p) < j)
+            ++p;
+        if (p < hi && csr_index(indices, wide, p) == j) {
+            if (data[p] == fill) {
+                items_out[n] = j;
+                values_out[n++] = data[p];
+            }
+        } else {
+            items_out[n] = j;
+            values_out[n++] = fill;
+        }
+    }
+    if (n == k)
+        return;
+    int64_t m = 0;
+    for (int64_t q = lo; q < hi; ++q)
+        if (data[q] < fill)
+            m = bounded_insert(data[q], csr_index(indices, wide, q), m, k - n,
+                               items_out + n, values_out + n);
+}
+
+typedef struct {
+    const double *data;
+    const void *indices, *indptr;
+    int32_t wide;
+    const int64_t *rows;
+    int64_t n_items, k;
+    double fill;
+    int64_t *items_out;
+    double *values_out;
+} csr_ctx;
+
+static void csr_range(void *vctx, int64_t start, int64_t stop)
+{
+    csr_ctx *c = (csr_ctx *)vctx;
+    for (int64_t r = start; r < stop; ++r) {
+        int64_t row = c->rows[r];
+        csr_topk_row(c->data, c->indices, c->wide,
+                     csr_index(c->indptr, c->wide, row),
+                     csr_index(c->indptr, c->wide, row + 1),
+                     c->n_items, c->k, c->fill,
+                     c->items_out + r * c->k, c->values_out + r * c->k);
+    }
+}
+
+void repro_csr_topk_rows(const double *data, const void *indices,
+                         const void *indptr, int32_t wide,
+                         const int64_t *rows, int64_t n_rows,
+                         int64_t n_items, int64_t k, double fill,
+                         int64_t *items_out, double *values_out,
+                         int32_t n_threads)
+{
+    csr_ctx ctx = {data, indices, indptr, wide, rows, n_items, k, fill,
+                   items_out, values_out};
+    run_rows(csr_range, &ctx, n_rows, n_threads);
+}
+"""
+
+_SCORE_MODES = {"none": 0, "first": 1, "last": 2, "all": 3}
 
 
 def _cache_dir() -> Path:
@@ -380,8 +507,8 @@ def _find_compiler() -> str | None:
     return None
 
 
-def _compile(compiler: str, destination: Path) -> None:
-    """Compile the kernel source to ``destination``.
+def _compile(compiler: str, source: str, destination: Path) -> None:
+    """Compile ``source`` to the shared library ``destination``.
 
     The build lands in a temporary file first and is moved into place
     atomically, so concurrent processes racing on a cold cache each see
@@ -391,6 +518,8 @@ def _compile(compiler: str, destination: Path) -> None:
     ----------
     compiler:
         Path to the C compiler executable.
+    source:
+        The C source text.
     destination:
         Final ``.so`` path inside the cache directory.
 
@@ -402,7 +531,7 @@ def _compile(compiler: str, destination: Path) -> None:
     destination.parent.mkdir(parents=True, exist_ok=True)
     with tempfile.TemporaryDirectory(dir=destination.parent) as workdir:
         source_path = Path(workdir) / "repro_kernels.c"
-        source_path.write_text(_SOURCE, encoding="utf-8")
+        source_path.write_text(source, encoding="utf-8")
         built = Path(workdir) / destination.name
         base_cmd = [compiler, "-O3", "-fPIC", "-shared",
                     str(source_path), "-o", str(built)]
@@ -582,6 +711,144 @@ class CompiledKernels:
         return out
 
 
+class CompiledCsrKernels:
+    """ctypes facade over the compiled CSR library.
+
+    Parameters
+    ----------
+    library:
+        The loaded :class:`ctypes.CDLL`.
+    """
+
+    def __init__(self, library: ctypes.CDLL) -> None:
+        self._lib = library
+        i64, f64, i32 = ctypes.c_int64, ctypes.c_double, ctypes.c_int32
+        p = ctypes.POINTER
+        library.repro_csr_topk_rows.restype = None
+        library.repro_csr_topk_rows.argtypes = [
+            p(f64), ctypes.c_void_p, ctypes.c_void_p, i32, p(i64), i64,
+            i64, i64, f64, p(i64), p(f64), i32,
+        ]
+
+    def top_k(
+        self,
+        data: np.ndarray,
+        indices: np.ndarray,
+        indptr: np.ndarray,
+        rows: np.ndarray,
+        n_items: int,
+        k: int,
+        fill: float,
+        n_threads: int,
+    ) -> tuple[np.ndarray, np.ndarray]:
+        """Per-row top-``k`` of CSR rows read densely with ``fill`` elsewhere.
+
+        Parameters
+        ----------
+        data, indices, indptr:
+            Arrays of a CSR matrix with sorted, unique column indices per
+            row; ``indices`` and ``indptr`` share one integer width (int32
+            or int64) and are read in place.
+        rows:
+            ``int64`` row ids to rank, in output order.
+        n_items:
+            Column count of the matrix.
+        k:
+            Top-k prefix length (``1 <= k <= n_items``).
+        fill:
+            Value of every unstored cell.
+        n_threads:
+            Thread count for the row loop (results are identical for every
+            value).
+
+        Returns
+        -------
+        (items, values):
+            ``(len(rows), k)`` int64 item table and float64 rating table,
+            bit-identical to :func:`repro.core.kernels.top_k_table` on the
+            densified rows.
+        """
+        if indices.dtype != indptr.dtype or indices.dtype not in (np.int32, np.int64):
+            raise ValueError(
+                f"CSR index arrays must share int32 or int64, got "
+                f"{indices.dtype} and {indptr.dtype}"
+            )
+        data = np.ascontiguousarray(data, dtype=np.float64)
+        indices = np.ascontiguousarray(indices)
+        indptr = np.ascontiguousarray(indptr)
+        rows = np.ascontiguousarray(rows, dtype=np.int64)
+        items_out = np.empty((rows.size, k), dtype=np.int64)
+        values_out = np.empty((rows.size, k), dtype=np.float64)
+        if rows.size:
+            self._lib.repro_csr_topk_rows(
+                data.ctypes.data_as(ctypes.POINTER(ctypes.c_double)),
+                indices.ctypes.data, indptr.ctypes.data,
+                int(indices.dtype == np.int64),
+                rows.ctypes.data_as(ctypes.POINTER(ctypes.c_int64)), rows.size,
+                int(n_items), int(k), float(fill),
+                items_out.ctypes.data_as(ctypes.POINTER(ctypes.c_int64)),
+                values_out.ctypes.data_as(ctypes.POINTER(ctypes.c_double)),
+                int(n_threads),
+            )
+        return items_out, values_out
+
+
+class _LazyLibrary:
+    """One compiled library, built and loaded on the first :meth:`load`.
+
+    The outcome is cached: a failed load is not retried within the process
+    and its reason stays available as :attr:`reason`.
+
+    Parameters
+    ----------
+    source:
+        C source of the library (its hash names the cached ``.so``).
+    stem:
+        File-name stem of the cached library.
+    facade:
+        Class wrapping the loaded :class:`ctypes.CDLL`.
+    """
+
+    def __init__(self, source: str, stem: str, facade: type) -> None:
+        self.source = source
+        self.stem = stem
+        self.facade = facade
+        self.backend = None
+        self.attempted = False
+        self.reason: str | None = None
+
+    def load(self):
+        """The library's facade, or ``None`` when it cannot be built/loaded."""
+        if self.attempted:
+            return self.backend
+        self.attempted = True
+        try:
+            requested = os.environ.get(CC_ENV, "").strip().lower()
+            if requested in _DISABLE_VALUES:
+                self.reason = f"disabled via {CC_ENV}={os.environ[CC_ENV]!r}"
+                return None
+            compiler = _find_compiler()
+            if compiler is None:
+                self.reason = (
+                    f"no C compiler found (set {CC_ENV} to a compiler, or install "
+                    f"cc/gcc/clang)"
+                )
+                return None
+            digest = hashlib.sha256(self.source.encode("utf-8")).hexdigest()[:16]
+            library_path = _cache_dir() / f"{self.stem}_{digest}.so"
+            if not library_path.exists():
+                _compile(compiler, self.source, library_path)
+            self.backend = self.facade(ctypes.CDLL(str(library_path)))
+        except Exception as exc:  # noqa: BLE001 - any failure means "unavailable"
+            self.reason = str(exc)
+            self.backend = None
+        return self.backend
+
+
+_DENSE_LIBRARY = _LazyLibrary(_SOURCE, "repro_kernels", CompiledKernels)
+_CSR_LIBRARY = _LazyLibrary(_CSR_SOURCE, "repro_csr_kernels", CompiledCsrKernels)
+
+
 def load_compiled() -> "CompiledKernels | None":
     """The process-wide compiled backend, building/loading it on first call.
 
@@ -590,33 +857,18 @@ def load_compiled() -> "CompiledKernels | None":
     then available from :func:`unavailable_reason`.  The outcome is cached:
     a failed load is not retried within the process.
     """
-    global _backend, _load_attempted, _unavailable_reason
-    if _backend is not None or _load_attempted:
-        return _backend
-    _load_attempted = True
-    try:
-        requested = os.environ.get(CC_ENV, "").strip().lower()
-        if requested in _DISABLE_VALUES:
-            _unavailable_reason = f"disabled via {CC_ENV}={os.environ[CC_ENV]!r}"
-            return None
-        compiler = _find_compiler()
-        if compiler is None:
-            _unavailable_reason = (
-                f"no C compiler found (set {CC_ENV} to a compiler, or install "
-                f"cc/gcc/clang)"
-            )
-            return None
-        digest = hashlib.sha256(_SOURCE.encode("utf-8")).hexdigest()[:16]
-        library_path = _cache_dir() / f"repro_kernels_{digest}.so"
-        if not library_path.exists():
-            _compile(compiler, library_path)
-        _backend = CompiledKernels(ctypes.CDLL(str(library_path)))
-    except Exception as exc:  # noqa: BLE001 - any failure means "unavailable"
-        _unavailable_reason = str(exc)
-        _backend = None
-    return _backend
+    return _DENSE_LIBRARY.load()
+
+
+def load_csr() -> "CompiledCsrKernels | None":
+    """The compiled CSR kernels, building/loading them on first call.
+
+    Same contract as :func:`load_compiled`, for the separate CSR library:
+    only processes that rank a sparse store ever build or load it.
+    """
+    return _CSR_LIBRARY.load()
 
 
 def unavailable_reason() -> str | None:
     """Why the compiled backend is unavailable (``None`` when it loaded)."""
-    return _unavailable_reason
+    return _DENSE_LIBRARY.reason

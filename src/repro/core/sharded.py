@@ -3,18 +3,21 @@
 The greedy GRD skeleton has a property the dense engine never exploited: the
 bucket key of a user depends only on *her own* top-k prefix, never on other
 users.  Partitioning the user axis into contiguous shards therefore commutes
-with step 1 of the algorithm — each shard can be densified, ranked and
-bucketed independently (optionally on a pool of workers), and shard-level
-buckets with equal keys are *exactly* the global intermediate groups once
-merged.  Step 2 (greedy selection under the ℓ-group budget) and step 3
-(scoring, budget filling, left-over group) then run once on the merged
-bucket summaries, through the same
+with step 1 of the algorithm — each shard can be ranked and bucketed
+independently (optionally on a pool of workers), and shard-level buckets
+with equal keys are *exactly* the global intermediate groups once merged.
+Step 2 (greedy selection under the ℓ-group budget) and step 3 (scoring,
+budget filling, left-over group) then run once on the merged bucket
+summaries, through the same
 :func:`~repro.core.engine.finalise_plan` path as the in-memory engine.
 
-Memory: only one shard block (``ceil(n_users / shards) x n_items`` floats
-per worker) plus the ``(n_users, k)`` top-k summaries are ever dense, which
-is what lets a 1M-user x 10k-item sparse instance form groups in a few GB
-where the dense matrix alone would need ~80 GB.
+Memory: ranking goes through :meth:`RatingStore.top_k
+<repro.recsys.store.RatingStore.top_k>`, so a sparse shard is ranked
+straight from its CSR rows and only the ``(n_users, k)`` top-k summaries are
+dense; the left-over group is scored from its members' stored entries
+(:meth:`~repro.recsys.store.SparseStore.item_scores`).  That is what lets a
+1M-user x 10k-item sparse instance form groups in the memory of its stored
+ratings where the dense matrix alone would need ~80 GB.
 
 Objective-loss bound (documented contract, asserted by
 ``tests/core/test_sharded.py``):
@@ -35,6 +38,10 @@ Objective-loss bound (documented contract, asserted by
   ratings are integer-valued on the scale, as in every bundled dataset,
   because small-integer sums are exact in ``float64`` regardless of
   association.
+* Left-over group scoring adds no deviation: a sparse store sums AV scores
+  in its own order only behind an exactness gate (integer inputs, see
+  :meth:`~repro.recsys.store.SparseStore.item_scores`) and keeps the dense
+  reduction order for everything else.
 """
 
 from __future__ import annotations
@@ -55,7 +62,7 @@ from repro.core.greedy_framework import GreedyVariant, make_variant
 from repro.core.grouping import GroupFormationResult
 from repro.core.semantics import Semantics
 from repro.recsys.matrix import RatingMatrix
-from repro.recsys.store import DEFAULT_BLOCK_USERS, RatingStore
+from repro.recsys.store import RatingStore
 from repro.utils.timing import Stopwatch
 from repro.utils.validation import require_positive_int
 from repro.core.errors import GroupFormationError
@@ -67,7 +74,6 @@ __all__ = [
     "merge_summaries",
     "plan_from_summaries",
     "shard_bounds",
-    "summarise_shard",
     "summarise_store_shard",
     "summarise_tables",
 ]
@@ -130,46 +136,22 @@ class ShardSummary:
     contributions: np.ndarray
 
 
-def summarise_shard(
-    block: np.ndarray, start: int, k: int, variant: GreedyVariant
-) -> ShardSummary:
-    """Rank, bucket and score one dense shard block (users ``start..``).
-
-    Parameters
-    ----------
-    block:
-        Dense ``(shard_size, n_items)`` rating rows of the shard.
-    start:
-        Global index of the shard's first user.
-    k:
-        Top-k prefix length of the run.
-    variant:
-        The greedy variant being executed (defines key and contributions).
-
-    Returns
-    -------
-    ShardSummary
-        The shard's bucket-level digest.
-    """
-    items_table, scores_table = kernels.top_k_table(block, k, assume_finite=True)
-    return summarise_tables(items_table, scores_table, start, variant)
-
-
 def summarise_store_shard(
     store: RatingStore,
     start: int,
     stop: int,
     k: int,
     variant: GreedyVariant,
-    block_users: int | None = None,
 ) -> ShardSummary:
-    """Summarise users ``start:stop`` of a store, densifying blockwise.
+    """Rank, bucket and score users ``start:stop`` of a store.
 
     This is the per-shard unit of work shared by :class:`ShardedFormation`
     and the online :class:`~repro.service.FormationService` (which caches
     summaries per shard and recomputes only the shards whose users
-    changed).  Ranking is row-independent, so sub-blocking the
-    densification never changes results.
+    changed).  Ranking goes through :meth:`RatingStore.top_k
+    <repro.recsys.store.RatingStore.top_k>`: a dense store ranks a view of
+    its rows, a sparse store ranks straight from its CSR arrays without
+    building a dense block.
 
     Parameters
     ----------
@@ -181,30 +163,14 @@ def summarise_store_shard(
         Top-k prefix length of the run.
     variant:
         The greedy variant being executed.
-    block_users:
-        Cap on rows densified at once (default:
-        :data:`~repro.recsys.store.DEFAULT_BLOCK_USERS`).
 
     Returns
     -------
     ShardSummary
         The shard's bucket-level digest.
     """
-    block_cap = block_users or DEFAULT_BLOCK_USERS
-    if stop - start <= block_cap:
-        return summarise_shard(store.block(start, stop), start, k, variant)
-    pieces_items = []
-    pieces_scores = []
-    for sub_start in range(start, stop, block_cap):
-        sub_stop = min(sub_start + block_cap, stop)
-        items_table, scores_table = kernels.top_k_table(
-            store.block(sub_start, sub_stop), k, assume_finite=True
-        )
-        pieces_items.append(items_table)
-        pieces_scores.append(scores_table)
-    return summarise_tables(
-        np.vstack(pieces_items), np.vstack(pieces_scores), start, variant
-    )
+    items_table, scores_table = store.top_k(slice(start, stop), k)
+    return summarise_tables(items_table, scores_table, start, variant)
 
 
 def merge_summaries(
@@ -390,12 +356,6 @@ class ShardedFormation:
     workers:
         Degree of parallelism for concurrent shard summarisation; ``None``
         or 1 runs shards sequentially.
-    block_users:
-        Cap on rows densified at once *within* a shard (default:
-        :data:`~repro.recsys.store.DEFAULT_BLOCK_USERS`), so the dense
-        working set stays bounded even when few, large shards are
-        requested.  Ranking is row-independent, so the sub-blocking never
-        changes results.
     execution:
         Execution strategy for the shard fan-out: ``"serial"``,
         ``"threads"``, ``"processes"``, or a prebuilt
@@ -428,7 +388,6 @@ class ShardedFormation:
         self,
         shards: int = 1,
         workers: int | None = None,
-        block_users: int | None = None,
         execution: "str | object | None" = None,
         cache_dir: "str | None" = None,
     ) -> None:
@@ -436,9 +395,6 @@ class ShardedFormation:
         if workers is not None:
             workers = require_positive_int(workers, "workers")
         self.workers = workers
-        if block_users is not None:
-            block_users = require_positive_int(block_users, "block_users")
-        self.block_users = block_users
         self.execution = execution
         self.cache_dir = cache_dir
 
@@ -596,12 +552,7 @@ class ShardedFormation:
             executor_name = executor.name
             if missing:
                 computed = executor.map_shards(
-                    store,
-                    bounds,
-                    k,
-                    variant,
-                    block_users=self.block_users,
-                    shard_ids=missing,
+                    store, bounds, k, variant, shard_ids=missing
                 )
                 for shard, summary in zip(missing, computed):
                     summaries[shard] = summary
@@ -630,7 +581,7 @@ def summarise_tables(
     start: int,
     variant: GreedyVariant,
 ) -> ShardSummary:
-    """:func:`summarise_shard` for already-ranked top-k tables.
+    """:func:`summarise_store_shard` for already-ranked top-k tables.
 
     This is how the serving layer summarises a shard straight from its
     incrementally maintained :class:`~repro.core.topk_index.MutableTopKIndex`

@@ -16,13 +16,13 @@ serves an entire ``(k, ℓ, semantics, aggregation)`` configuration sweep,
 and can be saved to disk and reloaded across processes (:meth:`TopKIndex.save`
 / :meth:`TopKIndex.load`).
 
-The index is built blockwise through the :class:`~repro.recsys.store.RatingStore`
-interface, so a sparse million-user matrix is densified at most one row
-block at a time.  The build path runs on the exact ranking kernels of
-:mod:`repro.core.kernels` (``classic`` argmax peel or ``fast`` blocked
-selection — bit-identical by contract), which makes an index built from a
-:class:`~repro.recsys.store.SparseStore` bit-identical to one built from the
-equivalent dense array under either kernel generation.
+The index is built through :meth:`RatingStore.top_k
+<repro.recsys.store.RatingStore.top_k>`: a dense store runs the exact
+ranking kernels of :mod:`repro.core.kernels` (every generation is
+bit-identical by contract), a sparse million-user store runs the CSR top-k
+kernel straight from its arrays and never densifies.  The kernels share one
+tie-break, so an index built from a :class:`~repro.recsys.store.SparseStore`
+is bit-identical to one built from the equivalent dense array.
 """
 
 from __future__ import annotations
@@ -98,7 +98,7 @@ class TopKIndex:
         block_users: int | None = None,
         table_fn: "Callable[[np.ndarray, int], tuple[np.ndarray, np.ndarray]] | None" = None,
     ) -> "TopKIndex":
-        """Build the index for ``ratings`` blockwise through a store.
+        """Build the index for ``ratings`` through its store.
 
         Parameters
         ----------
@@ -109,16 +109,19 @@ class TopKIndex:
         k_max:
             Largest top-k prefix the index must serve.
         block_users:
-            Rows densified per build step (default:
-            :data:`~repro.recsys.store.DEFAULT_BLOCK_USERS`).  A dense store
-            with the default block size is processed in one pass over views,
-            with no extra copies.
+            Rows densified per step when a ``table_fn`` ranks a non-dense
+            store (default:
+            :data:`~repro.recsys.store.DEFAULT_BLOCK_USERS`); unused
+            otherwise.
         table_fn:
-            Top-k kernel ``(dense_block, k) -> (items, values)``; defaults to
-            the library's fastest exact kernel.  The formation engine passes
-            its backend's kernel here so the reference backend keeps its
-            deliberately naive full-sort (every kernel is bit-identical —
-            only build time differs).
+            Dense top-k kernel ``(dense_block, k) -> (items, values)``.  The
+            default (``None``) lets the store rank itself
+            (:meth:`~repro.recsys.store.RatingStore.top_k`): the library's
+            fastest exact kernel over a dense array, the CSR kernel over a
+            sparse store.  The reference engine backend passes its
+            deliberately naive full-sort here, which densifies sparse stores
+            blockwise (every kernel is bit-identical — only build time
+            differs).
         """
         from repro.recsys.store import DEFAULT_BLOCK_USERS, DenseStore, as_store
 
@@ -131,24 +134,16 @@ class TopKIndex:
                 f"k_max must be between 1 and the number of items ({n_items}), "
                 f"got {k_max}"
             )
-        if block_users is None:
-            block_users = DEFAULT_BLOCK_USERS
         if table_fn is None:
-            # Stores guarantee complete, finite ratings at construction, so
-            # the kernel can skip its -inf sentinel scan.
-            def table_fn(block: np.ndarray, k: int) -> tuple[np.ndarray, np.ndarray]:
-                return kernels.top_k_table(block, k, assume_finite=True)
-
+            items_table, values_table = store.top_k(None, k_max)
+            return cls(items_table, values_table, n_items)
         if isinstance(store, DenseStore):
-            # One vectorised pass over the whole array beats blockwise calls
-            # and is what the engine historically did — results are identical
-            # either way (the kernels are row-independent).
             items_table, values_table = table_fn(store.values, k_max)
             return cls(items_table, values_table, n_items)
 
         items_table = np.empty((n_users, k_max), dtype=np.int64)
         values_table = np.empty((n_users, k_max), dtype=np.float64)
-        for start, stop, block in store.iter_blocks(block_users):
+        for start, stop, block in store.iter_blocks(block_users or DEFAULT_BLOCK_USERS):
             items_table[start:stop], values_table[start:stop] = table_fn(block, k_max)
         return cls(items_table, values_table, n_items)
 
@@ -438,13 +433,10 @@ class MutableTopKIndex(TopKIndex):
         """
         if not users.size:
             return
-        rows = self._store.rows(users)
         if self._table_fn is None:
-            items_t, values_t = kernels.top_k_table(
-                rows, self.k_max, assume_finite=True
-            )
+            items_t, values_t = self._store.top_k(users, self.k_max)
         else:
-            items_t, values_t = self._table_fn(rows, self.k_max)
+            items_t, values_t = self._table_fn(self._store.rows(users), self.k_max)
         self.items[users] = items_t
         self.values[users] = values_t
         self._staleness += int(users.size)

@@ -105,7 +105,6 @@ class Executor(ABC):
         bounds: np.ndarray,
         k: int,
         variant: "GreedyVariant",
-        block_users: int | None = None,
         shard_ids: Sequence[int] | None = None,
     ) -> "list[ShardSummary]":
         """Summarise shards of ``store`` (step 1 of the greedy skeleton).
@@ -120,9 +119,6 @@ class Executor(ABC):
             Top-k prefix length of the run.
         variant:
             The greedy variant being executed.
-        block_users:
-            Densification cap forwarded to
-            :func:`~repro.core.sharded.summarise_store_shard`.
         shard_ids:
             Which shards to summarise (default: all of them), e.g. the
             subset an artifact cache could not serve.
@@ -225,11 +221,11 @@ class Executor(ABC):
         return f"{type(self).__name__}(workers={self.workers})"
 
 
-def _summarise_store_shard(store, start, stop, k, variant, block_users):
+def _summarise_store_shard(store, start, stop, k, variant):
     """In-process shard summary (shared by the serial and thread paths)."""
     from repro.core.sharded import summarise_store_shard
 
-    return summarise_store_shard(store, start, stop, k, variant, block_users=block_users)
+    return summarise_store_shard(store, start, stop, k, variant)
 
 
 def _summarise_table_shard(items_table, scores_table, bounds, shard, variant):
@@ -261,15 +257,14 @@ class SerialExecutor(Executor):
 
     name = "serial"
 
-    def map_shards(self, store, bounds, k, variant, block_users=None, shard_ids=None):
+    def map_shards(self, store, bounds, k, variant, shard_ids=None):
         """Summarise shards one after another (see :meth:`Executor.map_shards`
-        for ``store`` / ``bounds`` / ``k`` / ``variant`` / ``block_users`` /
-        ``shard_ids``)."""
+        for ``store`` / ``bounds`` / ``k`` / ``variant`` / ``shard_ids``)."""
         if shard_ids is None:
             shard_ids = range(bounds.size - 1)
         return [
             _summarise_store_shard(
-                store, int(bounds[s]), int(bounds[s + 1]), k, variant, block_users
+                store, int(bounds[s]), int(bounds[s + 1]), k, variant
             )
             for s in shard_ids
         ]
@@ -305,17 +300,16 @@ class ThreadExecutor(Executor):
             self._pool = ThreadPoolExecutor(max_workers=self.workers)
         return self._pool
 
-    def map_shards(self, store, bounds, k, variant, block_users=None, shard_ids=None):
+    def map_shards(self, store, bounds, k, variant, shard_ids=None):
         """Summarise shards on the thread pool (see :meth:`Executor.map_shards`
-        for ``store`` / ``bounds`` / ``k`` / ``variant`` / ``block_users`` /
-        ``shard_ids``)."""
+        for ``store`` / ``bounds`` / ``k`` / ``variant`` / ``shard_ids``)."""
         pool = self._ensure_pool()
         if shard_ids is None:
             shard_ids = range(bounds.size - 1)
         return list(
             pool.map(
                 lambda s: _summarise_store_shard(
-                    store, int(bounds[s]), int(bounds[s + 1]), k, variant, block_users
+                    store, int(bounds[s]), int(bounds[s + 1]), k, variant
                 ),
                 shard_ids,
             )
@@ -409,14 +403,14 @@ def _apply_kernel_state(kernel_mode, kernel_threads):
 
 def _process_summarise_store(args):
     """Worker task: summarise one store shard from shared memory."""
-    store_spec, start, stop, k, variant_key, block_users, kernel_mode, threads = args
+    store_spec, start, stop, k, variant_key, kernel_mode, threads = args
     from repro.core.greedy_framework import make_variant
     from repro.core.sharded import summarise_store_shard
 
     _apply_kernel_state(kernel_mode, threads)
     store = _worker_cached(store_spec, attach_store)
     variant = make_variant(*variant_key)
-    return summarise_store_shard(store, start, stop, k, variant, block_users=block_users)
+    return summarise_store_shard(store, start, stop, k, variant)
 
 
 def _process_summarise_tables(args):
@@ -491,13 +485,12 @@ class ProcessExecutor(Executor):
                 )
         return self._pool
 
-    def map_shards(self, store, bounds, k, variant, block_users=None, shard_ids=None):
+    def map_shards(self, store, bounds, k, variant, shard_ids=None):
         """Fan shard summaries out across the process pool.
 
         The store is exported to shared memory for the duration of the call
         and unlinked before returning; see :meth:`Executor.map_shards` for
-        ``store`` / ``bounds`` / ``k`` / ``variant`` / ``block_users`` /
-        ``shard_ids``.
+        ``store`` / ``bounds`` / ``k`` / ``variant`` / ``shard_ids``.
         """
         from repro.core.kernels import get_kernel_threads, get_kernels
 
@@ -510,8 +503,8 @@ class ProcessExecutor(Executor):
         with SharedExports() as exports:
             spec = exports.export_store(store)
             tasks = [
-                (spec, int(bounds[s]), int(bounds[s + 1]), k, key, block_users,
-                 kernel_mode, threads)
+                (spec, int(bounds[s]), int(bounds[s + 1]), k, key, kernel_mode,
+                 threads)
                 for s in shard_ids
             ]
             return list(pool.map(_process_summarise_store, tasks))

@@ -316,10 +316,11 @@ def attach_store(spec: StoreSpec) -> RatingStore:
         shape=(spec.n_users, spec.n_items),
         copy=False,
     )
-    # The exporter's store keeps its indices sorted (SparseStore sorts at
-    # construction); flag it so SparseStore.__init__ does not re-sort in
-    # place over pages shared with sibling workers.
-    csr.has_sorted_indices = True
+    # The exporter's store keeps its CSR canonical (SparseStore sorts and
+    # de-duplicates at construction); flag it so SparseStore.__init__
+    # neither re-sorts in place over pages shared with sibling workers nor
+    # re-scans for duplicates.
+    csr.has_canonical_format = True
     return SparseStore(csr, fill_value=spec.fill_value, scale=scale)
 
 

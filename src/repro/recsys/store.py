@@ -2,31 +2,37 @@
 dense / CSR-sparse implementations.
 
 The greedy group-formation algorithms of the paper only ever consume rating
-data through a handful of access patterns — dense *row blocks* for building
-top-k tables, dense *row gathers* for scoring a formed group on its
-recommended items, and streaming *block reductions* for the left-over
-group's semantics scores.  :class:`RatingStore` captures exactly those
-patterns, so every layer above (preferences, engine, baselines, exact
-solvers, experiments) can run off either storage:
+data through a handful of access patterns — each user's *top-k* prefix,
+the *group score* of every item for the left-over group, and small dense
+``(members, items)`` *gathers* for scoring a formed group on its
+recommended list.  :class:`RatingStore` captures exactly those patterns, so
+every layer above (preferences, engine, baselines, exact solvers,
+experiments) can run off either storage:
 
 ``DenseStore``
     The historical representation: one complete ``float64`` ndarray.  Zero
-    conversion cost; ``block``/``rows`` return views/fancy-indexed copies of
-    the underlying array, so results through a ``DenseStore`` are bit-
-    identical to passing the raw array.
+    conversion cost; ranking runs the dense kernels of
+    :mod:`repro.core.kernels` over views of the array, so results through a
+    ``DenseStore`` are bit-identical to passing the raw array.
 ``SparseStore``
     A ``scipy.sparse`` CSR matrix of the *explicit* ratings plus a
     ``fill_value`` giving the rating of every unobserved cell.  Real
-    explicit-feedback data (MovieLens, Yahoo! Music) is >95% sparse, and a
-    million-user instance only ever needs to be densified a block of rows at
-    a time — which is what keeps the sharded formation path inside a few GB
-    of RSS where the dense matrix would need hundreds.
+    explicit-feedback data (MovieLens, Yahoo! Music) is >95% sparse, so the
+    store ranks and scores straight from its CSR arrays and never builds a
+    dense ``n_users x n_items`` canvas: :meth:`SparseStore.top_k` runs the
+    CSR top-k kernel (``O(nnz + k)`` per row) and
+    :meth:`SparseStore.item_scores` reduces the members' stored entries with
+    ``bincount``.  Only ``block``/``rows``/``gather``/``to_dense`` (and the
+    scoring fallback below) densify.
 
 Densification of a ``SparseStore`` block writes the stored ratings over a
 ``fill_value`` canvas (no arithmetic on the stored values), so a
 ``SparseStore`` built from a complete matrix reproduces that matrix bit for
 bit — the dense↔sparse parity suite in ``tests/core/test_store_parity.py``
-relies on this.
+relies on this.  The CSR paths keep that bit-identity by construction:
+top-k only compares values, and sparse scoring is used only where its
+arithmetic is order-independent (the exactness gate of
+:meth:`SparseStore.item_scores`).
 """
 
 from __future__ import annotations
@@ -37,7 +43,8 @@ from typing import Hashable, Protocol, runtime_checkable
 import numpy as np
 from scipy import sparse as sp
 
-from repro.core.errors import RatingDataError
+from repro.core.errors import GroupFormationError, RatingDataError
+from repro.core.semantics import Semantics
 from repro.recsys.matrix import RatingMatrix, RatingScale
 
 __all__ = [
@@ -54,6 +61,21 @@ __all__ = [
 #: million-user run inside the acceptance memory budget, large enough that
 #: per-block numpy dispatch overhead is negligible.
 DEFAULT_BLOCK_USERS = 2048
+
+#: Target dense working-set (in float64 elements, ~256 MB) of one chunk of
+#: the streaming group-score reduction.  Groups that fit one chunk keep the
+#: floating-point summation order of the AV semantics identical to the
+#: dense path; larger groups fold chunk partials together (exact for LM —
+#: min is associative — and for the integer-valued ratings all bundled
+#: datasets produce).
+_STREAM_TARGET_ELEMENTS = 1 << 25
+
+#: Bit pattern of ``-0.0``: it compares equal to ``+0.0`` with different
+#: bits, so ``min`` (and an all-zero sum) depends on reduction order.
+_NEGATIVE_ZERO_BITS = np.uint64(1 << 63)
+
+#: Largest magnitude below which every integer-valued float64 sum is exact.
+_EXACT_INTEGER_LIMIT = float(2**53)
 
 
 @runtime_checkable
@@ -117,6 +139,26 @@ class RatingStore(Protocol):
 
     def to_dense(self) -> np.ndarray:
         """The full dense ``(n_users, n_items)`` array (use with care)."""
+        ...
+
+    def top_k(
+        self, rows: slice | Sequence[int] | np.ndarray | None, k: int
+    ) -> tuple[np.ndarray, np.ndarray]:
+        """Per-row top-``k`` ``(items, values)`` tables of the given rows.
+
+        ``rows`` is a slice, an index array (output in that order) or
+        ``None`` for every user; ties break by ascending item index.
+        """
+        ...
+
+    def item_scores(
+        self, members: Sequence[int] | np.ndarray, semantics: Semantics
+    ) -> np.ndarray:
+        """Group score of every item for ``members`` under ``semantics``.
+
+        The minimum over members for LM, the sum for AV (Definitions 1 and
+        2 of the paper), bit-identical to the dense reduction.
+        """
         ...
 
 
@@ -291,6 +333,79 @@ def _validate_dense(values: np.ndarray) -> np.ndarray:
     return values
 
 
+def _stream_item_scores(
+    store: RatingStore, members: np.ndarray, semantics: Semantics
+) -> np.ndarray:
+    """Group item scores reduced over densified member-row chunks.
+
+    The dense scoring path of every store: member rows are densified
+    :data:`_STREAM_TARGET_ELEMENTS` cells at a time, so even a
+    million-user left-over group never materialises the full matrix.
+    """
+    accumulated = None
+    block = max(1, _STREAM_TARGET_ELEMENTS // store.shape[1])
+    for start in range(0, members.size, block):
+        rows = store.rows(members[start:start + block])
+        if semantics is Semantics.LEAST_MISERY:
+            partial = rows.min(axis=0)
+            accumulated = (
+                partial if accumulated is None else np.minimum(accumulated, partial)
+            )
+        else:
+            partial = rows.sum(axis=0)
+            accumulated = partial if accumulated is None else accumulated + partial
+    return accumulated
+
+
+def _group_members(members: Sequence[int] | np.ndarray) -> np.ndarray:
+    """``members`` as an ``int64`` array; an empty group cannot be scored."""
+    members = np.asarray(members, dtype=np.int64).ravel()
+    if members.size == 0:
+        raise GroupFormationError("cannot score items for an empty group")
+    return members
+
+
+def _has_negative_zero(values: np.ndarray | float) -> bool:
+    """Whether any element of the float64 ``values`` is ``-0.0``."""
+    bits = np.asarray(values, dtype=np.float64).view(np.uint64)
+    return bool((bits == _NEGATIVE_ZERO_BITS).any())
+
+
+def _canonical_csr(csr: sp.csr_matrix) -> sp.csr_matrix:
+    """``csr`` (indices already sorted) without duplicate ``(row, col)`` entries.
+
+    scipy's O(nnz) canonical-format scan runs first (skipped when the
+    matrix is already flagged canonical, as shared-memory attachments are);
+    only a matrix that fails it pays the vectorised duplicate pass.  Exact
+    duplicates collapse to one entry and conflicting ones raise — the rule
+    of :meth:`SparseStore.from_triples`.
+
+    Raises
+    ------
+    RatingDataError
+        When one cell is stored twice with different ratings.
+    """
+    if csr.has_canonical_format:
+        return csr
+    nnz = csr.nnz
+    data, indices, indptr = csr.data[:nnz], csr.indices[:nnz], csr.indptr
+    row = np.repeat(np.arange(csr.shape[0]), np.diff(indptr))
+    dup = (indices[1:] == indices[:-1]) & (row[1:] == row[:-1])
+    if (data[1:][dup] != data[:-1][dup]).any():
+        raise RatingDataError(
+            "conflicting duplicate ratings for one (user, item) cell in the "
+            "sparse rating store"
+        )
+    keep = np.concatenate(([True], ~dup))
+    canonical_indptr = np.zeros_like(indptr)
+    np.cumsum(np.bincount(row[keep], minlength=csr.shape[0]), out=canonical_indptr[1:])
+    canonical = sp.csr_matrix(
+        (data[keep], indices[keep], canonical_indptr), shape=csr.shape
+    )
+    canonical.has_canonical_format = True
+    return canonical
+
+
 class DenseStore:
     """A :class:`RatingStore` over one complete in-memory ``float64`` array.
 
@@ -380,6 +495,34 @@ class DenseStore:
     def to_dense(self) -> np.ndarray:
         """The wrapped array itself (no copy)."""
         return self._values
+
+    def top_k(
+        self, rows: slice | Sequence[int] | np.ndarray | None, k: int
+    ) -> tuple[np.ndarray, np.ndarray]:
+        """Top-``k`` tables of ``rows`` from the active dense kernel generation.
+
+        A slice (or ``None``: every user) ranks a view of the array, an
+        index array a fancy-indexed copy of its rows.
+        """
+        from repro.core import kernels
+
+        if rows is None:
+            block = self._values
+        elif isinstance(rows, slice):
+            block = self._values[rows]
+        else:
+            block = self._values[np.asarray(rows, dtype=np.int64)]
+        return kernels.top_k_table(block, k, assume_finite=True)
+
+    def item_scores(
+        self, members: Sequence[int] | np.ndarray, semantics: Semantics
+    ) -> np.ndarray:
+        """Group score of every item for ``members`` under ``semantics``.
+
+        Member rows are reduced in chunks of the wrapped array (the
+        streaming path every store shares).
+        """
+        return _stream_item_scores(self, _group_members(members), semantics)
 
     # ------------------------------------------------------------------ #
     # MutableRatingStore interface
@@ -486,7 +629,9 @@ class SparseStore:
         ``scipy.sparse`` matrix (any format; converted to CSR) holding the
         explicitly observed ratings.  Stored values may legitimately equal
         ``fill_value`` — densification overwrites the fill canvas with the
-        stored values, it does not rely on "nonzero means rated".
+        stored values, it does not rely on "nonzero means rated".  A cell
+        stored twice with one rating is kept once; with two different
+        ratings it raises :class:`~repro.core.errors.RatingDataError`.
     fill_value:
         Rating assumed for every unobserved cell (default: the scale
         minimum, the conservative completion for bounded explicit-feedback
@@ -514,7 +659,6 @@ class SparseStore:
                 f"rating store needs at least one user and one item, got {csr.shape}"
             )
         csr.sort_indices()
-        self._csr = csr
         self._scale = scale if scale is not None else RatingScale()
         self.fill_value = (
             float(self._scale.minimum) if fill_value is None else float(fill_value)
@@ -531,6 +675,8 @@ class SparseStore:
                 "sparse rating store contains values outside the declared scale "
                 f"[{self._scale.minimum}, {self._scale.maximum}]"
             )
+        # The CSR kernels read each row's stored cells once, in order.
+        self._csr = _canonical_csr(csr)
         self.user_ids = tuple(user_ids) if user_ids is not None else None
         self.item_ids = tuple(item_ids) if item_ids is not None else None
 
@@ -752,6 +898,69 @@ class SparseStore:
     def to_dense(self) -> np.ndarray:
         """Densify the whole matrix (use with care at scale)."""
         return self._densify(self._csr)
+
+    def top_k(
+        self, rows: slice | Sequence[int] | np.ndarray | None, k: int
+    ) -> tuple[np.ndarray, np.ndarray]:
+        """Top-``k`` tables of ``rows`` straight from the CSR arrays.
+
+        Runs :func:`repro.core.kernels.csr_top_k_table` (no dense canvas),
+        bit-identical to the dense kernels on the densified rows.
+        """
+        from repro.core import kernels
+
+        if rows is None:
+            row_ids = np.arange(self.n_users, dtype=np.int64)
+        elif isinstance(rows, slice):
+            row_ids = np.arange(*rows.indices(self.n_users), dtype=np.int64)
+        else:
+            row_ids = np.asarray(rows, dtype=np.int64)
+        return kernels.csr_top_k_table(self._csr, row_ids, k, self.fill_value)
+
+    def item_scores(
+        self, members: Sequence[int] | np.ndarray, semantics: Semantics
+    ) -> np.ndarray:
+        """Group score of every item for ``members`` under ``semantics``.
+
+        The members' CSR rows are gathered and reduced per item with
+        ``bincount``-style passes: LM-min is the minimum of the stored
+        values, folded with ``fill_value`` where some member lacks the
+        item; AV-sum is the stored sum plus ``fill_value`` times the
+        members lacking the item.  No dense canvas is built.
+
+        Exactness gate, checked on the gathered input of every call: the
+        result must equal the dense streaming reduction bit for bit, so
+        the sparse path only runs where its reduction order cannot matter.
+        LM requires that no value (or the fill) is ``-0.0`` — signed zeros
+        make ``min`` order-dependent.  AV additionally requires every value
+        and the fill to be an integer with every partial sum below
+        ``2**53``, where float64 sums are exact in any order.  Any other
+        input (e.g. fractional ratings for AV) takes the dense streaming
+        path.
+        """
+        members = _group_members(members)
+        fill = self.fill_value
+        gathered = self._csr[members]
+        values, items = gathered.data, gathered.indices
+        signed_zero = _has_negative_zero(values) or _has_negative_zero(fill)
+        if semantics is Semantics.LEAST_MISERY:
+            if signed_zero:
+                return _stream_item_scores(self, members, semantics)
+            lacking = np.bincount(items, minlength=self.n_items) < members.size
+            scores = np.full(self.n_items, np.inf)
+            np.minimum.at(scores, items, values)
+            scores[lacking] = np.minimum(scores[lacking], fill)
+            return scores
+        largest = max(abs(fill), float(np.abs(values).max(initial=0.0)))
+        if (
+            signed_zero
+            or largest * members.size > _EXACT_INTEGER_LIMIT
+            or not fill.is_integer()
+            or not bool((np.trunc(values) == values).all())
+        ):
+            return _stream_item_scores(self, members, semantics)
+        missing = members.size - np.bincount(items, minlength=self.n_items)
+        return np.bincount(items, weights=values, minlength=self.n_items) + fill * missing
 
     # ------------------------------------------------------------------ #
     # MutableRatingStore interface

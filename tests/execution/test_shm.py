@@ -82,6 +82,26 @@ def test_sparse_store_with_explicit_fill_and_empty_rows():
         detach_all()
 
 
+def test_sparse_attach_skips_the_canonical_scan(values, monkeypatch):
+    # The exporter's CSR is canonical; replicas adopt it without rescanning
+    # (or re-sorting) pages shared with their siblings.
+    from scipy.sparse import _compressed
+
+    store = SparseStore.from_matrix(RatingMatrix(values.copy()))
+
+    def no_scan(*args):
+        raise AssertionError("attached CSR was rescanned")
+
+    with SharedExports() as exports:
+        spec = exports.export_store(store)
+        monkeypatch.setattr(_compressed, "csr_has_canonical_format", no_scan)
+        monkeypatch.setattr(_compressed, "csr_has_sorted_indices", no_scan)
+        attached = attach_store(spec)
+        assert attached.csr.has_canonical_format
+        assert np.array_equal(attached.top_k(None, 4)[0], store.top_k(None, 4)[0])
+        detach_all()
+
+
 def test_tables_and_index_round_trip(values):
     index = TopKIndex.build(DenseStore(values.copy()), 6)
     with SharedExports() as exports:

@@ -106,6 +106,28 @@ class TestSparseStore:
             SparseStore(sp.csr_matrix(([3.0], ([0], [0])), shape=(1, 1)),
                         fill_value=0.0)
 
+    def test_conflicting_duplicate_entries_rejected(self):
+        # Cell (0, 1) stored twice with different ratings: densify used to
+        # keep the last one while nnz/density counted both.
+        csr = sp.csr_matrix(
+            (np.array([2.0, 3.0, 4.0]), np.array([1, 1, 0]), np.array([0, 2, 3])),
+            shape=(2, 2),
+        )
+        with pytest.raises(RatingDataError, match="conflicting duplicate"):
+            SparseStore(csr)
+
+    def test_exact_duplicate_entries_collapse(self):
+        csr = sp.csr_matrix(
+            (np.array([2.0, 2.0, 5.0, 4.0]), np.array([1, 1, 2, 0]),
+             np.array([0, 3, 4])),
+            shape=(2, 3),
+        )
+        store = SparseStore(csr)
+        assert store.csr.nnz == 3
+        assert store.density == pytest.approx(3 / 6)
+        assert store.to_dense().tolist() == [[1.0, 2.0, 5.0], [4.0, 1.0, 1.0]]
+        assert store.top_k(None, 2)[0].tolist() == [[2, 1], [0, 1]]
+
     def test_iter_blocks_matches_dense(self, sparse, values):
         seen = np.vstack([block for _, _, block in sparse.iter_blocks(5)])
         assert np.array_equal(seen, values)
