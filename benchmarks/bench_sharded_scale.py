@@ -16,8 +16,8 @@ which must complete with peak RSS < 8 GB.  Results are appended to
 ``--workers`` accepts a comma-separated sweep (e.g. ``--workers 1,2,4,8``):
 each worker count is timed separately and lands as its own entry, so the
 execution plane's scaling curve is tracked across PRs.  ``--execution``
-selects the fan-out strategy (``serial`` / ``threads`` / ``processes`` —
-the process pool attaches the CSR store through zero-copy shared memory);
+selects the fan-out strategy (``serial`` / ``processes`` — the process
+pool attaches the CSR store through zero-copy shared memory);
 the objective is asserted identical across every sweep point, as the
 execution plane promises.  The acceptance speedup check for the process
 executor is::
@@ -74,7 +74,7 @@ def main(argv=None) -> int:
                              "(e.g. 1,2,4,8); each point is timed and recorded "
                              "separately (default: 4)")
     parser.add_argument("--execution", default=None, choices=list(EXECUTION_MODES),
-                        help="fan-out strategy (default: threads when "
+                        help="fan-out strategy (default: processes when "
                              "workers > 1, else serial)")
     parser.add_argument("--semantics", default="lm", choices=["lm", "av"])
     parser.add_argument("--aggregation", default="min")

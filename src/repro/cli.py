@@ -40,12 +40,7 @@ from repro.experiments import (
     table3,
     table4,
 )
-from repro.core.kernels import (
-    DEFAULT_KERNELS,
-    KERNEL_MODES,
-    set_kernel_threads,
-    set_kernels,
-)
+from repro.core.kernels import get_kernel_threads, set_kernel_threads
 from repro.execution.executor import EXECUTION_MODES
 from repro.experiments.config import (
     BACKENDS,
@@ -110,26 +105,13 @@ def build_parser() -> argparse.ArgumentParser:
         ),
     )
     parser.add_argument(
-        "--kernels",
-        default=DEFAULT_KERNELS,
-        choices=list(KERNEL_MODES),
-        help=(
-            "ranking/bucketing kernel generation for the hot path: the "
-            "historical argmax-peel + lexsort kernels (classic), the blocked "
-            "partition-select + fused-fingerprint overhaul (fast), or the "
-            "compiled thread-parallel generation (parallel; falls back to "
-            "fast with a warning when no C compiler is available); results "
-            f"are bit-identical (default: {DEFAULT_KERNELS})"
-        ),
-    )
-    parser.add_argument(
         "--kernel-threads",
         type=int,
         default=None,
         dest="kernel_threads",
         metavar="T",
         help=(
-            "thread count for the compiled parallel kernels (default: the "
+            "thread count for the compiled top-k kernels (default: the "
             "REPRO_KERNEL_THREADS environment variable, else the CPU count); "
             "thread count never changes results, only wall-clock time"
         ),
@@ -157,9 +139,9 @@ def build_parser() -> argparse.ArgumentParser:
         choices=list(EXECUTION_MODES),
         help=(
             "execution strategy for the sharded fan-out (needs --shards >= 2): "
-            "serial, a thread pool, or a shared-memory process pool; results "
-            "are identical across strategies (default: threads when "
-            "--workers > 1, else serial)"
+            "serial or a shared-memory process pool; results are identical "
+            "across strategies (default: processes when --workers > 1, else "
+            "serial)"
         ),
     )
     parser.add_argument(
@@ -292,10 +274,13 @@ def main(argv: Sequence[str] | None = None) -> int:
     )
     backend = normalize_backend(args.backend)
     store = normalize_store(args.store)
-    set_kernels(args.kernels)
     if args.kernel_threads is not None and args.kernel_threads < 1:
         parser.error("--kernel-threads must be a positive integer")
     set_kernel_threads(args.kernel_threads)
+    try:
+        get_kernel_threads()
+    except ValueError as exc:
+        parser.error(str(exc))
     if args.shards is not None and args.shards < 1:
         parser.error("--shards must be a positive integer")
     if args.execution not in (None, "serial") and (

@@ -18,9 +18,9 @@ The layering inside this subpackage follows the paper:
   (loop-based ``"reference"`` or vectorised ``"numpy"``, bit-identical), with
   a batch API sharing work across configuration sweeps.
 * :mod:`repro.core.kernels` — the low-level ranking/bucketing kernels the
-  vectorised hot path runs on, in three bit-identical generations selectable
-  via ``--kernels {classic,fast,parallel}`` (the compiled ``parallel``
-  generation threads the hot loops and honours ``--kernel-threads``).
+  vectorised hot path runs on: compiled top-k when a C compiler is
+  available (threaded, honours ``--kernel-threads``), numpy otherwise, and
+  numpy fingerprint bucketing.
 * :mod:`repro.core.formation` — the :func:`~repro.core.formation.form_groups`
   facade dispatching to greedy, baseline and exact algorithms.
 """
@@ -52,15 +52,10 @@ from repro.core.engine import (
     get_backend,
 )
 from repro.core.kernels import (
-    DEFAULT_KERNELS,
-    KERNEL_MODES,
     get_kernel_threads,
-    get_kernels,
     parallel_available,
     set_kernel_threads,
-    set_kernels,
     use_kernel_threads,
-    use_kernels,
 )
 from repro.core.sharded import ShardedFormation
 from repro.core.topk_index import MutableTopKIndex, TopKIndex
@@ -91,7 +86,6 @@ from repro.core.preferences import (
     top_k_items,
     top_k_sequence,
     top_k_table,
-    top_k_table_fast,
 )
 from repro.core.semantics import Semantics, get_semantics
 
@@ -111,7 +105,6 @@ __all__ = [
     "top_k_items",
     "top_k_sequence",
     "top_k_table",
-    "top_k_table_fast",
     # formation engine
     "BACKENDS",
     "DEFAULT_BACKEND",
@@ -125,15 +118,10 @@ __all__ = [
     "TopKIndex",
     "get_backend",
     # kernel layer
-    "DEFAULT_KERNELS",
-    "KERNEL_MODES",
     "get_kernel_threads",
-    "get_kernels",
     "parallel_available",
     "set_kernel_threads",
-    "set_kernels",
     "use_kernel_threads",
-    "use_kernels",
     # group recommendation
     "GroupRecommender",
     "group_item_scores",

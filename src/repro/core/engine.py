@@ -16,13 +16,13 @@ the three-step skeleton is executed:
     and bucket heap scores are computed with vectorised reductions
     (``np.bincount`` accumulates member contributions in the same
     ascending-user order as the reference loop).  The ranking and bucketing
-    primitives live in :mod:`repro.core.kernels`, which offers two
-    bit-identical generations (``classic`` lexsort/argmax-peel and the
-    ``fast`` partition-select/fingerprint overhaul) selectable via the
-    ``--kernels`` flag.  Its results are bit-identical to the reference
-    backend — the parity suite in ``tests/core/test_engine.py`` asserts
-    this on randomised, tie-heavy instances for every GRD variant, and
-    ``tests/core/test_kernels.py`` asserts classic/fast kernel parity.
+    primitives live in :mod:`repro.core.kernels`: compiled top-k when a C
+    compiler is available (numpy otherwise) and numpy fingerprint
+    bucketing.  Its results are bit-identical to the reference backend —
+    the parity suite in ``tests/core/test_engine.py`` asserts this on
+    randomised, tie-heavy instances for every GRD variant, and
+    ``tests/core/test_kernels.py`` checks each kernel path against the
+    specification.
 
 Rating data reaches the engine through the
 :class:`~repro.recsys.store.RatingStore` interface (a raw complete array or
@@ -292,12 +292,12 @@ class ReferenceBackend(FormationBackend):
 
 
 class NumpyBackend(FormationBackend):
-    """Vectorised backend: packed-key lexsort bucketing, no per-user loops.
+    """Vectorised backend: fingerprint bucketing, no per-user loops.
 
     Bit-identical to :class:`ReferenceBackend` by construction:
 
     * the top-k table uses the same tie-break (rating descending, item index
-      ascending) via argmax peeling or a stable argsort;
+      ascending) via :func:`repro.core.kernels.top_k_table`;
     * bucket keys compare raw ``uint64`` bit patterns of the same columns the
       reference concatenates into its byte keys, so float equality semantics
       match ``bytes`` equality exactly;
@@ -309,7 +309,7 @@ class NumpyBackend(FormationBackend):
     name = "numpy"
 
     def top_k_table(self, values: np.ndarray, k: int) -> tuple[np.ndarray, np.ndarray]:
-        """Per-user top-``k`` of ``values`` via the active kernel generation."""
+        """Per-user top-``k`` of ``values`` via :func:`kernels.top_k_table`."""
         # The engine already rejected non-finite ratings, so the kernel can
         # skip its -inf sentinel scan.
         return kernels.top_k_table(values, k, assume_finite=True)
@@ -318,37 +318,6 @@ class NumpyBackend(FormationBackend):
     def index_kernel(self) -> None:
         """``None``: indexes are ranked by the store's own exact kernels."""
         return None
-
-    @staticmethod
-    def _pack_keys(
-        items_table: np.ndarray, scores_table: np.ndarray, key_scores: str
-    ) -> np.ndarray:
-        """Pack each user's bucket key into one row of ``uint64`` words.
-
-        Thin wrapper over :func:`repro.core.kernels.pack_key_rows` (kept as
-        the historical backend-level seam): two packed rows are equal
-        exactly when the reference backend's concatenated byte keys are
-        equal.
-        """
-        return kernels.pack_key_rows(items_table, scores_table, key_scores)
-
-    @classmethod
-    def _bucketize(
-        cls, items_table: np.ndarray, scores_table: np.ndarray, key_scores: str
-    ) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
-        """Group users with equal keys via :func:`repro.core.kernels.bucketize`.
-
-        Returns ``(inverse, sorted_users, starts)`` where ``inverse[u]`` is
-        the bucket id of user ``u``, ``sorted_users`` lists all users with
-        buckets contiguous and each bucket's segment in ascending user order
-        (its first element is the bucket representative — the first user the
-        reference loop would encounter), and ``starts`` holds each bucket's
-        first position in ``sorted_users``.  The active kernel generation
-        decides *how*: a stable lexsort over every packed key column
-        (``classic``) or collision-checked 64-bit fingerprint grouping
-        (``fast``).
-        """
-        return kernels.bucketize(items_table, scores_table, key_scores)
 
     @staticmethod
     def _contributions(
@@ -384,7 +353,7 @@ class NumpyBackend(FormationBackend):
         max_groups: int,
         cache: dict[Any, Any] | None = None,
     ) -> FormationPlan:
-        """Bucket and select via packed-key lexsort and vectorised reductions.
+        """Bucket and select via fingerprint grouping and vectorised reductions.
 
         See :meth:`FormationBackend.form` for the meaning of
         ``items_table`` / ``scores_table`` / ``variant`` / ``max_groups``;
@@ -398,7 +367,7 @@ class NumpyBackend(FormationBackend):
         bucket_key = ("buckets", k, variant.key_scores)
         bucket_state = cache.get(bucket_key)
         if bucket_state is None:
-            bucket_state = self._bucketize(
+            bucket_state = kernels.bucketize(
                 items_table, scores_table, variant.key_scores
             )
             cache[bucket_key] = bucket_state
@@ -770,7 +739,7 @@ class FormationEngine:
             Optional prebuilt index covering the sweep's largest ``k``.
         executor:
             Optional execution strategy for the sweep fan-out —
-            ``"threads"``, ``"processes"``, or a prebuilt
+            ``"processes"`` or a prebuilt
             :class:`~repro.execution.executor.Executor` (kept open).  The
             process strategy exports the store and the shared index to
             shared memory once and runs each config in a worker; results

@@ -228,8 +228,8 @@ def form_groups(
         baseline, ``time_limit=`` for the exact solvers).  The greedy
         family additionally accepts the execution-plane knobs:
         ``shards=`` / ``workers=`` (sharded fan-out), ``execution=``
-        (``"serial"`` / ``"threads"`` / ``"processes"`` — the parallel
-        strategies need ``shards > 1``) and ``cache_dir=`` (persist and
+        (``"serial"`` / ``"processes"`` — the process strategy needs
+        ``shards > 1``) and ``cache_dir=`` (persist and
         re-use ranking artifacts via
         :class:`~repro.execution.cache.ArtifactCache`).
 

@@ -4,85 +4,59 @@ Profiling million-user formation runs shows nearly all the time goes to two
 single-core kernels: ranking every user's top-``k`` items (the
 :class:`~repro.core.topk_index.TopKIndex` build) and grouping users whose
 top-``k`` key rows are identical (step 1 bucketing).  This module owns both,
-in two selectable generations:
+with one path per stage:
 
-``"classic"``
-    The historical kernels, kept verbatim as the executable baseline:
-    ``k`` argmax "peels" over a fresh full-matrix copy for the top-k table
-    (:func:`repro.core.preferences._top_k_table_dispatch`) and an
-    ``np.lexsort`` over all ``k (+ score)`` packed ``uint64`` key columns
-    for bucketing.
-``"fast"``
-    The overhauled kernels (the default).  The top-k table is built in
-    bounded **row blocks** over reusable thread-local scratch — an argmax
-    peel while ``k`` is small (each pass then runs over a cache-resident
-    block instead of streaming the full matrix from RAM) and a
-    partition-select with a deterministic tail re-sort once ``k`` grows —
-    and bucketing hashes each bucket key to a single 64-bit polynomial
-    **fingerprint** (computed in one fused pass over the top-k tables,
-    without materialising the packed key matrix), groups by one stable
-    integer argsort, verifies the groups against the exact keys, and
-    falls back to the classic lexsort only when a fingerprint collision
-    is detected.
-``"parallel"``
-    Generation 3: the same two hot loops lowered into a small C library
-    compiled on first use with the system compiler and threaded over
-    per-call POSIX threads (:mod:`repro.core.kernels_cc`).  The per-row
-    top-k selection
-    keeps the deterministic lowest-index boundary-tie resolution in C,
-    and the fused pack+fingerprint pass emits the exact fingerprints of
-    the fast generation.  Rows are independent, so results are
-    bit-identical for **every** thread count (:func:`set_kernel_threads`
-    / ``REPRO_KERNEL_THREADS``).  When no C compiler is available the
-    generation falls back to ``fast`` with a single warning; the
-    collision-checked lexsort fallback of the bucketing path always
-    stays in Python, so exactness never depends on compiled code.
+**Top-k** runs the compiled C kernel of :mod:`repro.core.kernels_cc`
+(built on first use with the system compiler, threaded over rows) whenever
+it loads.  Without a C compiler — or with ``REPRO_KERNEL_CC=none`` — it runs
+the numpy blocked kernel: bounded **row blocks** over reusable thread-local
+scratch, an argmax peel while ``k`` is small and a partition-select with a
+deterministic tail re-sort once ``k`` grows.  Both reproduce the
+library-wide tie-break (rating descending, item index ascending) of the
+stable-argsort specification :func:`repro.core.preferences.top_k_table`
+bit for bit; the compiled kernel's rows are independent, so results are
+identical for every thread count (:func:`set_kernel_threads`, the
+``--kernel-threads`` flag and the ``REPRO_KERNEL_THREADS`` environment
+variable).
+
+**Bucketing** always runs in numpy: each bucket key is hashed to one
+64-bit polynomial **fingerprint** in a fused pass over the top-k tables
+(the packed key matrix is never materialised), users are grouped by one
+stable integer argsort, the groups are verified against the exact keys,
+and an exact lexsort over the packed keys takes over only when a
+fingerprint collision is detected.  The partition and the ascending member
+order per bucket equal the lexsort's; only bucket *enumeration order*
+differs, which no consumer depends on (greedy selection totally orders
+buckets by ``(score, representative)``).
 
 A :class:`~repro.recsys.store.SparseStore` is ranked by a separate CSR
 top-k kernel (:func:`csr_top_k_table`): it selects over each row's stored
 entries and the fill-valued items and never builds a dense block, runs
-compiled (:mod:`repro.core.kernels_cc`) under every generation, and falls
-back to a numpy kernel without a C compiler.  It is bit-identical to
+compiled (:mod:`repro.core.kernels_cc`) when a C compiler is available,
+and falls back to a numpy kernel otherwise.  It is bit-identical to
 :func:`top_k_table` on the densified rows.
 
-All generations are **bit-identical** by construction and by test
-(``tests/core/test_kernels.py``): the top-k kernels reproduce the
-library-wide tie-break (rating descending, item index ascending) exactly,
-and the bucketing kernels produce the same partition of users with the same
-ascending member order per bucket.  The only permitted difference is bucket
-*enumeration order* (key-sorted vs fingerprint-sorted), which no consumer
-depends on: greedy selection totally orders buckets by ``(score,
-representative)`` and member/remaining lists are user-ordered.
-
-The active generation is a process-wide switch (:func:`set_kernels` /
-:func:`use_kernels`), threaded through the ``--kernels
-{classic,fast,parallel}`` CLI flag and shipped to executor worker
-processes with each task, alongside the kernel thread count
-(:func:`set_kernel_threads`, the ``--kernel-threads`` flag and the
-``REPRO_KERNEL_THREADS`` environment variable).
-:data:`KERNEL_GENERATION` feeds the artifact-cache key so artifacts
-persisted by older kernel generations are invalidated rather than mixed;
-the ``parallel`` generation shares generation 2's artifact layout and
-bytes, so its artifacts are interchangeable with ``fast``'s and no bump
-is needed.
+``tests/core/test_kernels.py`` checks every path against the
+specifications.  :data:`KERNEL_GENERATION` feeds the artifact-cache key so
+artifacts persisted by older kernel layouts are invalidated rather than
+mixed.
 
 Inputs are assumed NaN-free (every rating store validates completeness);
-``±inf`` is handled exactly by the partition-select path, which is why the
-fast dispatch never needs the classic kernel's ``-inf`` sentinel scan to
-pick an algorithm.
+``±inf`` is handled exactly by the compiled and partition-select paths,
+and explicit ``-inf`` ratings route the numpy path to the stable sort
+(the peel uses ``-inf`` as its mask sentinel).
 """
 
 from __future__ import annotations
 
 import os
 import threading
-import warnings
-from collections.abc import Iterator
+from collections.abc import Callable, Iterator
 from contextlib import contextmanager
 
 import numpy as np
 
-from repro.core.preferences import _top_k_table_dispatch, _top_k_table_sorted
+from repro.core.preferences import _top_k_table_sorted
 from repro.obs.registry import (
     H_KERNEL_BUCKETIZE,
     H_KERNEL_TOPK,
@@ -92,9 +66,7 @@ from repro.obs.registry import (
 from repro.obs.runtime import observed
 
 __all__ = [
-    "DEFAULT_KERNELS",
     "KERNEL_GENERATION",
-    "KERNEL_MODES",
     "KERNEL_THREADS_ENV",
     "bucket_reduce",
     "bucketize",
@@ -104,45 +76,32 @@ __all__ = [
     "float_to_ordinal",
     "fused_fingerprint_rows",
     "get_kernel_threads",
-    "get_kernels",
     "group_key_rows",
     "pack_key_rows",
     "parallel_available",
     "set_kernel_threads",
-    "set_kernels",
     "top_k_table",
     "use_kernel_threads",
-    "use_kernels",
 ]
-
-#: Kernel generations selectable via ``--kernels``.
-KERNEL_MODES: tuple[str, ...] = ("classic", "fast", "parallel")
 
 #: Environment variable supplying the default kernel thread count.
 KERNEL_THREADS_ENV = "REPRO_KERNEL_THREADS"
 
-#: Generation used when none is requested explicitly.
-DEFAULT_KERNELS = "fast"
-
-#: Monotone cache-key component: bumped whenever a kernel generation changes
-#: in a way that alters *persisted artifact layout or provenance* (e.g. the
+#: Monotone cache-key component: bumped whenever the kernels change in a
+#: way that alters *persisted artifact layout or provenance* (e.g. the
 #: packed-key encoding), so :class:`~repro.execution.cache.ArtifactCache`
 #: entries written by older kernels are invalidated instead of silently
-#: mixed with new ones.  The ``parallel`` generation is bit-identical to
-#: generation 2 and shares its artifact layout, so it deliberately does
-#: not bump this value: its artifacts are interchangeable with ``fast``'s.
+#: mixed with new ones.  The compiled and numpy top-k paths produce the
+#: same bytes, so the choice between them does not enter the key.
 KERNEL_GENERATION = 2
 
-_active = DEFAULT_KERNELS
 _scratch = threading.local()
 
 #: Explicit kernel thread count (``None`` = auto: the
 #: :data:`KERNEL_THREADS_ENV` environment variable, else the CPU count).
 _threads: int | None = None
 
-_fallback_warned = False
-
-#: Peak bytes of the reusable float64 scratch block (per thread); the fast
+#: Peak bytes of the reusable float64 scratch block (per thread); the numpy
 #: top-k kernel sizes its row blocks so one block fits in cache and the
 #: peak working set stays bounded on dense 1M x 10k inputs.
 _SCRATCH_TARGET_BYTES = 8 << 20
@@ -154,7 +113,7 @@ _FINGERPRINT_MULTIPLIER = 0x9E3779B97F4A7C15
 
 
 def _load_parallel():
-    """The compiled backend, or ``None`` when it cannot be built/loaded."""
+    """The compiled top-k backend, or ``None`` when it cannot be built/loaded."""
     from repro.core import kernels_cc
 
     return kernels_cc.load_compiled()
@@ -168,77 +127,14 @@ def _load_csr():
 
 
 def parallel_available() -> bool:
-    """Whether the compiled ``parallel`` generation can run in this process.
+    """Whether the compiled top-k kernel can run in this process.
 
     Building/loading the compiled library happens (once) on the first
     call; a box without a C compiler — or with the backend disabled via
-    ``REPRO_KERNEL_CC=none`` — reports ``False`` and the ``parallel``
-    generation falls back to ``fast``.
+    ``REPRO_KERNEL_CC=none`` — reports ``False`` and :func:`top_k_table`
+    runs the numpy kernel instead.
     """
     return _load_parallel() is not None
-
-
-def get_kernels() -> str:
-    """The active kernel generation (``"classic"``, ``"fast"`` or ``"parallel"``)."""
-    return _active
-
-
-def set_kernels(name: str) -> str:
-    """Select the active kernel generation process-wide.
-
-    Requesting ``"parallel"`` when the compiled backend is unavailable
-    (no C compiler, or disabled via ``REPRO_KERNEL_CC``) activates
-    ``"fast"`` instead and emits a single :class:`RuntimeWarning` per
-    process — results are bit-identical either way, only speed differs.
-
-    Parameters
-    ----------
-    name:
-        ``"classic"``, ``"fast"`` or ``"parallel"``.
-
-    Returns
-    -------
-    str
-        The previously active generation (so callers can restore it).
-    """
-    global _active, _fallback_warned
-    key = str(name).strip().lower()
-    if key not in KERNEL_MODES:
-        known = ", ".join(KERNEL_MODES)
-        raise ValueError(f"unknown kernel generation {name!r}; expected one of: {known}")
-    if key == "parallel" and _load_parallel() is None:
-        if not _fallback_warned:
-            from repro.core import kernels_cc
-
-            reason = kernels_cc.unavailable_reason() or "compiled backend unavailable"
-            warnings.warn(
-                f"parallel kernels unavailable ({reason}); falling back to the "
-                f"bit-identical 'fast' generation",
-                RuntimeWarning,
-                stacklevel=2,
-            )
-            _fallback_warned = True
-        key = "fast"
-    previous = _active
-    _active = key
-    return previous
-
-
-@contextmanager
-def use_kernels(name: str) -> Iterator[str]:
-    """Context manager: run a block under the given kernel generation.
-
-    Parameters
-    ----------
-    name:
-        ``"classic"``, ``"fast"`` or ``"parallel"``; the previous
-        generation is restored on exit.
-    """
-    previous = set_kernels(name)
-    try:
-        yield _active
-    finally:
-        set_kernels(previous)
 
 
 def get_kernel_threads() -> int:
@@ -248,6 +144,12 @@ def get_kernel_threads() -> int:
     :data:`KERNEL_THREADS_ENV` environment variable, then the CPU count.
     Thread count never affects results — the compiled kernels are
     row-independent — only wall-clock time.
+
+    Raises
+    ------
+    ValueError
+        When :data:`KERNEL_THREADS_ENV` is set to anything but a positive
+        integer (instead of silently falling back to the CPU count).
     """
     if _threads is not None:
         return _threads
@@ -257,8 +159,11 @@ def get_kernel_threads() -> int:
             value = int(env)
         except ValueError:
             value = 0
-        if value >= 1:
-            return value
+        if value < 1:
+            raise ValueError(
+                f"{KERNEL_THREADS_ENV} must be a positive integer, got {env!r}"
+            )
+        return value
     return os.cpu_count() or 1
 
 
@@ -307,7 +212,7 @@ def use_kernel_threads(n: int | None) -> Iterator[int]:
 def clear_scratch() -> None:
     """Drop this thread's reusable kernel scratch buffers.
 
-    The fast kernels keep one set of block-sized work arrays per thread to
+    The numpy kernels keep one set of block-sized work arrays per thread to
     avoid re-faulting fresh pages on every call; long-lived hosts that want
     the memory back (or tests measuring allocations) call this.
     """
@@ -377,7 +282,7 @@ def float_to_ordinal(values: np.ndarray) -> np.ndarray:
 # --------------------------------------------------------------------------- #
 
 
-def _fast_block_rows(n_items: int) -> int:
+def _block_rows(n_items: int) -> int:
     """Rows per block so one float64 block hits the scratch byte target."""
     rows = _SCRATCH_TARGET_BYTES // (8 * max(n_items, 1))
     return max(_MIN_BLOCK_ROWS, min(_MAX_BLOCK_ROWS, int(rows)))
@@ -449,8 +354,8 @@ def _topk_block_select(
     values_out[:] = np.take_along_axis(candidate_values, order, axis=1)
 
 
-def _top_k_table_fast(values: np.ndarray, k: int) -> tuple[np.ndarray, np.ndarray]:
-    """The fast blocked top-k kernel (validation already done)."""
+def _top_k_table_numpy(values: np.ndarray, k: int) -> tuple[np.ndarray, np.ndarray]:
+    """The numpy blocked top-k kernel (validation already done)."""
     n_users, n_items = values.shape
     items_table = np.empty((n_users, k), dtype=np.int64)
     values_table = np.empty((n_users, k), dtype=np.float64)
@@ -458,7 +363,7 @@ def _top_k_table_fast(values: np.ndarray, k: int) -> tuple[np.ndarray, np.ndarra
     # few extra mask passes but only one selection pass, which wins once k
     # grows past a small fraction of the catalogue (measured crossover).
     use_peel = k <= max(16, n_items // 8)
-    block_rows = _fast_block_rows(n_items)
+    block_rows = _block_rows(n_items)
     for start in range(0, n_users, block_rows):
         stop = min(start + block_rows, n_users)
         block = values[start:stop]
@@ -474,11 +379,13 @@ def _top_k_table_fast(values: np.ndarray, k: int) -> tuple[np.ndarray, np.ndarra
 def top_k_table(
     values: np.ndarray, k: int, assume_finite: bool = False
 ) -> tuple[np.ndarray, np.ndarray]:
-    """Per-user top-``k`` items and ratings under the active kernel generation.
+    """Per-user top-``k`` items and ratings (compiled, else numpy).
 
-    Every generation implements the library tie-break (rating descending,
-    item index ascending) bit for bit; only speed and peak memory differ.
-    Validation (2-D shape, ``1 <= k <= n_items``, no NaN) is the caller's
+    Runs the compiled kernel when it loads and the numpy blocked kernel
+    otherwise; both implement the library tie-break (rating descending,
+    item index ascending) bit for bit, so only speed differs.  ``k`` is
+    checked here (the compiled kernel writes ``k`` slots per row); the
+    rest of the validation (2-D shape, no NaN) is the caller's
     responsibility, matching the internal kernels this function fronts.
 
     Parameters
@@ -488,11 +395,10 @@ def top_k_table(
     k:
         Top-k prefix length.
     assume_finite:
-        Promise that ``values`` contains no ``-inf``; lets the classic
-        dispatch skip its sentinel scan (the fast path handles ``±inf``
-        exactly either way, but an explicit ``-inf`` would collide with the
-        classic peel's mask sentinel; the parallel kernel's comparison-based
-        selection needs no sentinel at all, so it skips the scan too).
+        Promise that ``values`` contains no ``-inf``; lets the numpy path
+        skip its sentinel scan (an explicit ``-inf`` would collide with
+        the peel's mask sentinel, so such rows take the stable sort; the
+        compiled kernel compares values and needs no sentinel at all).
 
     Returns
     -------
@@ -500,18 +406,16 @@ def top_k_table(
         ``(n_users, k)`` int64 item table and float64 rating table.
     """
     values = np.asarray(values, dtype=np.float64)
+    n_items = values.shape[1]
+    if not 1 <= k <= n_items:
+        raise ValueError(f"k must be between 1 and n_items ({n_items}), got {k}")
     with observed("kernel.top_k", H_KERNEL_TOPK, counter=K_KERNEL_TOPK_CALLS):
-        if _active == "classic":
-            return _top_k_table_dispatch(values, k, assume_finite=assume_finite)
-        if _active == "parallel":
-            backend = _load_parallel()
-            if backend is not None:
-                return backend.top_k(values, k, get_kernel_threads())
+        backend = _load_parallel()
+        if backend is not None:
+            return backend.top_k(values, k, get_kernel_threads())
         if not assume_finite and np.isneginf(values).any():
-            # The peel branch masks with -inf; the classic contract handles
-            # explicit -inf ratings through the full stable sort.
             return _top_k_table_sorted(values, k)
-        return _top_k_table_fast(values, k)
+        return _top_k_table_numpy(values, k)
 
 
 def _csr_top_k_numpy(
@@ -590,9 +494,8 @@ def csr_top_k_table(
     Bit-identical to :func:`top_k_table` on the densified rows (rating
     descending, item index ascending) at ``O(nnz + k)`` per row instead of
     ``O(n_items)``: no dense canvas is ever built.  Runs the compiled CSR
-    kernel of :mod:`repro.core.kernels_cc` (built on the first call,
-    independent of the active kernel generation) and falls back to the
-    numpy kernel when no C compiler is available.
+    kernel of :mod:`repro.core.kernels_cc` (built on the first call) and
+    falls back to the numpy kernel when no C compiler is available.
 
     Parameters
     ----------
@@ -644,9 +547,7 @@ def pack_key_rows(
     / ``"all"``) are stored as their :func:`float_to_ordinal` ordinals, so
     two packed rows are equal exactly when the reference backend's
     concatenated byte keys are equal *and* unsigned comparison of the packed
-    words preserves the score ordering.  The packing is
-    kernel-generation-independent — summaries produced under ``classic`` and
-    ``fast`` kernels carry interchangeable keys.
+    words preserves the score ordering.
 
     Parameters
     ----------
@@ -687,10 +588,6 @@ def fingerprint_rows(packed: np.ndarray) -> np.ndarray:
     packed:
         ``(n_rows, width)`` ``uint64`` key matrix from :func:`pack_key_rows`.
     """
-    if _active == "parallel":
-        backend = _load_parallel()
-        if backend is not None:
-            return backend.fingerprint_packed(packed, get_kernel_threads())
     return (packed * _fingerprint_weights(packed.shape[1])).sum(axis=1, dtype=np.uint64)
 
 
@@ -723,12 +620,9 @@ def fused_fingerprint_rows(
     Word-for-word identical to
     ``fingerprint_rows(pack_key_rows(items_table, scores_table,
     key_scores))`` — same weights, same wrapping arithmetic — but the
-    packed key matrix is never materialised: the ``parallel`` generation
-    computes each row's fingerprint in one compiled threaded pass, and
-    ``fast``/``classic`` generations accumulate column products over
-    reusable scratch (the packing, ordinal-transform and product
-    temporaries that used to eat the fingerprint win at fig4 scale are
-    all gone).
+    packed key matrix is never materialised: column products accumulate
+    over reusable scratch, so the packing, ordinal-transform and product
+    temporaries never exist.
 
     Parameters
     ----------
@@ -738,12 +632,6 @@ def fused_fingerprint_rows(
         Which score columns join the key (``"none"`` / ``"first"`` /
         ``"last"`` / ``"all"``).
     """
-    if _active == "parallel":
-        backend = _load_parallel()
-        if backend is not None:
-            return backend.fused_fingerprint(
-                items_table, scores_table, key_scores, get_kernel_threads()
-            )
     n_users, k = items_table.shape
     cols = _key_score_columns(k, key_scores)
     weights = _fingerprint_weights(k + len(cols))
@@ -772,7 +660,7 @@ def fused_fingerprint_rows(
 
 
 def _group_rows_lexsort(packed: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
-    """The classic grouping: stable lexsort over every packed key column."""
+    """The exact grouping: stable lexsort over every packed key column."""
     n_rows = packed.shape[0]
     order = np.lexsort(packed.T[::-1])
     srt = packed[order]
@@ -782,13 +670,28 @@ def _group_rows_lexsort(packed: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
     return order, new_segment
 
 
-def _group_rows_fingerprint(packed: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
-    """Fingerprint grouping with exact verification and lexsort fallback."""
-    n_rows = packed.shape[0]
-    fingerprints = fingerprint_rows(packed)
+def _group_by_fingerprint(
+    fingerprints: np.ndarray,
+    packed: Callable[[], np.ndarray],
+    rows_differ: Callable[[np.ndarray, np.ndarray], np.ndarray],
+) -> tuple[np.ndarray, np.ndarray]:
+    """Group rows by fingerprint, verify exactly, lexsort on a collision.
+
+    Parameters
+    ----------
+    fingerprints:
+        ``(n_rows,)`` ``uint64`` key fingerprints.
+    packed:
+        Returns the ``(n_rows, width)`` packed key matrix; only called when
+        verification goes dense or a collision forces the exact lexsort.
+    rows_differ:
+        ``rows_differ(a, b)[i]`` says whether rows ``a[i]`` and ``b[i]``
+        have unequal keys (the sparse verification path).
+    """
+    n_rows = fingerprints.shape[0]
     # Stable argsort (radix for integers): users with equal keys stay in
     # ascending user order, so each bucket's first member is its
-    # representative, exactly as in the classic grouping.
+    # representative, exactly as in the lexsort grouping.
     order = np.argsort(fingerprints, kind="stable")
     sorted_fp = fingerprints[order]
     same_fp = sorted_fp[1:] == sorted_fp[:-1]
@@ -804,14 +707,12 @@ def _group_rows_fingerprint(packed: np.ndarray) -> tuple[np.ndarray, np.ndarray]
         if suspects.size * 4 >= n_rows:
             # Dense buckets: one contiguous gather + adjacent compare is
             # cheaper than two fancy-indexed subset gathers.
-            srt = packed[order]
+            srt = packed()[order]
             collision = np.any(srt[1:] != srt[:-1], axis=1)[suspects - 1]
         else:
-            collision = np.any(
-                packed[order[suspects]] != packed[order[suspects - 1]], axis=1
-            )
+            collision = rows_differ(order[suspects], order[suspects - 1])
         if collision.any():
-            return _group_rows_lexsort(packed)
+            return _group_rows_lexsort(packed())
     return order, new_segment
 
 
@@ -851,64 +752,19 @@ def _table_rows_differ(
     return differ
 
 
-def _group_tables_fused(
-    items_table: np.ndarray, scores_table: np.ndarray, key_scores: str
-) -> tuple[np.ndarray, np.ndarray]:
-    """Fingerprint grouping straight from the top-k tables (fused pass).
-
-    The ``fast``/``parallel`` bucketing hot path: fingerprints come from
-    :func:`fused_fingerprint_rows` (no packed keys materialised), the
-    stable argsort and collision verification mirror the packed-key
-    grouping, and the packed matrix is only ever built when verification
-    goes dense (many duplicate keys — one contiguous gather beats
-    pairwise fancy indexing) or an actual collision forces the exact
-    lexsort fallback, which always runs in Python.
-    """
-    n_rows = items_table.shape[0]
-    fingerprints = fused_fingerprint_rows(items_table, scores_table, key_scores)
-    order = np.argsort(fingerprints, kind="stable")
-    sorted_fp = fingerprints[order]
-    same_fp = sorted_fp[1:] == sorted_fp[:-1]
-    new_segment = np.empty(n_rows, dtype=bool)
-    new_segment[0] = True
-    np.logical_not(same_fp, out=new_segment[1:])
-    suspects = np.flatnonzero(same_fp) + 1
-    if suspects.size:
-        if suspects.size * 4 >= n_rows:
-            # Dense buckets: one contiguous gather + adjacent compare is
-            # cheaper than two fancy-indexed subset gathers.
-            packed = pack_key_rows(items_table, scores_table, key_scores)
-            srt = packed[order]
-            collision = np.any(srt[1:] != srt[:-1], axis=1)[suspects - 1]
-        else:
-            collision = _table_rows_differ(
-                items_table,
-                scores_table,
-                _key_score_columns(items_table.shape[1], key_scores),
-                order[suspects],
-                order[suspects - 1],
-            )
-        if collision.any():
-            return _group_rows_lexsort(
-                pack_key_rows(items_table, scores_table, key_scores)
-            )
-    return order, new_segment
-
-
 def group_key_rows(packed: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
-    """Group equal rows of a packed key matrix under the active kernels.
+    """Group equal rows of a packed key matrix.
 
     Returns
     -------
     (order, new_segment):
         ``order`` lists all row indices with equal rows contiguous and each
         group's rows in ascending index order; ``new_segment[i]`` marks
-        positions in ``order`` where a new group starts.  The classic
-        generation enumerates groups in key-lexicographic order, the fast
-        generation in fingerprint order; the *partition* and within-group
-        order are identical (no formation consumer depends on group
-        enumeration order — greedy selection totally orders buckets by
-        ``(score, representative)``).
+        positions in ``order`` where a new group starts.  Groups are
+        enumerated in fingerprint order (key-lexicographic order after a
+        collision); no formation consumer depends on group enumeration
+        order — greedy selection totally orders buckets by ``(score,
+        representative)``.
 
     Parameters
     ----------
@@ -918,15 +774,21 @@ def group_key_rows(packed: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
     if packed.shape[0] == 0:
         empty = np.empty(0, dtype=np.int64)
         return empty, np.empty(0, dtype=bool)
-    if _active == "classic":
-        return _group_rows_lexsort(packed)
-    return _group_rows_fingerprint(packed)
+    return _group_by_fingerprint(
+        fingerprint_rows(packed),
+        lambda: packed,
+        lambda a, b: np.any(packed[a] != packed[b], axis=1),
+    )
 
 
 def bucketize(
     items_table: np.ndarray, scores_table: np.ndarray, key_scores: str
 ) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
     """Group users with equal bucket keys (step 1 of the greedy skeleton).
+
+    Fingerprints come straight off the top-k tables
+    (:func:`fused_fingerprint_rows`); the packed key matrix is only built
+    when verification goes dense or a collision forces the exact lexsort.
 
     Parameters
     ----------
@@ -950,15 +812,12 @@ def bucketize(
     with observed(
         "kernel.bucketize", H_KERNEL_BUCKETIZE, counter=K_KERNEL_BUCKETIZE_CALLS
     ):
-        if _active == "classic":
-            packed = pack_key_rows(items_table, scores_table, key_scores)
-            sorted_users, new_segment = _group_rows_lexsort(packed)
-        else:
-            # fast/parallel: fused fingerprints straight off the tables — the
-            # packed key matrix never materialises unless verification needs it.
-            sorted_users, new_segment = _group_tables_fused(
-                items_table, scores_table, key_scores
-            )
+        cols = _key_score_columns(items_table.shape[1], key_scores)
+        sorted_users, new_segment = _group_by_fingerprint(
+            fused_fingerprint_rows(items_table, scores_table, key_scores),
+            lambda: pack_key_rows(items_table, scores_table, key_scores),
+            lambda a, b: _table_rows_differ(items_table, scores_table, cols, a, b),
+        )
         starts = np.flatnonzero(new_segment)
         inverse = np.empty(n_users, dtype=np.int64)
         inverse[sorted_users] = np.cumsum(new_segment) - 1

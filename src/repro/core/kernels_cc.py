@@ -1,25 +1,19 @@
-"""Build and load the compiled (generation-3) kernel library.
+"""Build and load the compiled kernel libraries.
 
-The ``parallel`` kernel generation of :mod:`repro.core.kernels` runs its
-two hot loops — the per-row top-k selection and the fused
-pack+fingerprint pass — in a small C library compiled **on first use**
-with the system C compiler and loaded through :mod:`ctypes`.  A compiled
-extension was chosen over numba because it adds **zero** Python
-dependencies: any box with ``cc`` (every CI runner, most dev machines)
-gets threaded compiled kernels, and a box without one falls back to the
-``fast`` generation with a single warning (see
-:func:`repro.core.kernels.set_kernels`).
+:func:`repro.core.kernels.top_k_table` runs its per-row top-k selection
+in a small C library compiled **on first use** with the system C compiler
+and loaded through :mod:`ctypes`.  A compiled extension was chosen over
+numba because it adds **zero** Python dependencies: any box with ``cc``
+(every CI runner, most dev machines) gets threaded compiled top-k, and a
+box without one runs the numpy kernel instead.
 
 Design constraints the C source honours:
 
 * **Bit-identical results.**  The kernels perform no floating-point
-  arithmetic — only IEEE-754 comparisons, bit reinterpretation and
-  wrapping ``uint64`` integer arithmetic — so no compiler flag, FMA
+  arithmetic — only IEEE-754 comparisons — so no compiler flag, FMA
   contraction or vectorisation choice can change a result.  The top-k
   selection reproduces the library tie-break (rating descending, item
-  index ascending; ``-0.0 == +0.0`` under comparison, resolved by index)
-  and the fingerprints are word-for-word the polynomial of
-  :func:`repro.core.kernels.fingerprint_rows`.
+  index ascending; ``-0.0 == +0.0`` under comparison, resolved by index).
 * **Thread-count independence.**  Rows are independent and the driver
   only partitions the row loop into contiguous chunks (a deterministic
   function of ``(n_rows, n_threads)``), so any thread count produces the
@@ -31,21 +25,21 @@ Design constraints the C source honours:
   a parallel region, and the execution plane forks workers routinely.
 * **Graceful degradation.**  If ``cc -pthread`` fails the build retries
   without the flag; if no compiler works, :func:`load_compiled` reports
-  the reason and the caller falls back to the ``fast`` generation.
+  the reason and the caller runs the numpy kernel.
 
 A second, separate library holds the CSR top-k kernel of
 :func:`repro.core.kernels.csr_top_k_table` (:func:`load_csr`): it is built
-and loaded on the first call that ranks a sparse store, independently of
-the kernel generation, so a dense-store process never builds or loads it.
-It follows the same rules — comparisons only, row-parallel on the same
-thread loop, numpy fallback when no compiler works.
+and loaded on the first call that ranks a sparse store, so a dense-store
+process never builds or loads it.  It follows the same rules —
+comparisons only, row-parallel on the same thread loop, numpy fallback
+when no compiler works.
 
 Compiled libraries are cached by source hash under
 ``$REPRO_KERNEL_CACHE`` (default: ``~/.cache/repro-kernels``), so a
 process pays the ~1 s compile at most once per source revision per
 machine.  Set ``REPRO_KERNEL_CC`` to a compiler executable to override
 discovery, or to ``none``/``off``/``0`` to disable the compiled backend
-entirely (CI uses this to exercise the fallback leg).
+entirely (CI uses this to exercise the numpy leg).
 """
 
 from __future__ import annotations
@@ -84,9 +78,6 @@ _THREADS_SOURCE = r"""
 #if defined(__SSE2__)
 #include <emmintrin.h>
 #endif
-
-/* 2^64 / golden ratio — must match repro.core.kernels._FINGERPRINT_MULTIPLIER. */
-#define FP_MULT 0x9E3779B97F4A7C15ULL
 
 /* ------------------------------------------------------------------ */
 /* Row-parallel driver: contiguous chunks over per-call POSIX threads.
@@ -152,7 +143,7 @@ static void run_rows(row_range_fn fn, void *ctx, int64_t n_rows,
 }
 """
 
-#: The dense library: per-row top-k and the fingerprint passes.
+#: The dense library: per-row top-k.
 _SOURCE = _THREADS_SOURCE + r"""
 /* Top-k of one row under the library tie-break: rating descending, item
  * index ascending.  The output buffer is kept sorted by (value desc,
@@ -160,7 +151,7 @@ _SOURCE = _THREADS_SOURCE + r"""
  * or greater value, so equal values keep ascending index order and the
  * boundary tie resolves to the lowest indices.  Comparisons treat
  * -0.0 == +0.0 (resolved by index) and handle +-inf exactly, matching
- * the numpy generations; NaN input is excluded by store validation.
+ * the numpy kernels; NaN input is excluded by store validation.
  */
 static void topk_insert(double v, int64_t idx, int64_t k,
                         int64_t *items_out, double *values_out)
@@ -278,91 +269,6 @@ void repro_topk_rows(const double *values, int64_t n_users, int64_t n_items,
     run_rows(topk_range, &ctx, n_users, n_threads);
 }
 
-/* The monotone sign-flip bijection of repro.core.kernels.float_to_ordinal. */
-static inline uint64_t float_ordinal(double v)
-{
-    uint64_t u;
-    memcpy(&u, &v, sizeof u);
-    return (u >> 63) ? ~u : (u | 0x8000000000000000ULL);
-}
-
-/* Fused pack_key_rows + fingerprint_rows: one pass over the top-k tables
- * producing each row's polynomial fingerprint without materialising the
- * packed key matrix.  score_mode: 0 = none, 1 = first, 2 = last, 3 = all
- * (the key_scores vocabulary of repro.core.kernels.pack_key_rows).  The
- * weights array has k + n_score_cols entries, w[j] = FP_MULT^(j+1).
- */
-typedef struct {
-    const int64_t *items;
-    const double *scores;
-    int64_t k, items_stride, scores_stride;
-    int32_t score_mode;
-    const uint64_t *weights;
-    uint64_t *out;
-} fused_ctx;
-
-static void fused_range(void *vctx, int64_t start, int64_t stop)
-{
-    fused_ctx *c = (fused_ctx *)vctx;
-    for (int64_t r = start; r < stop; ++r) {
-        const int64_t *it = c->items + r * c->items_stride;
-        const double *sc = c->scores + r * c->scores_stride;
-        uint64_t fp = 0;
-        for (int64_t j = 0; j < c->k; ++j)
-            fp += (uint64_t)it[j] * c->weights[j];
-        if (c->score_mode == 1)
-            fp += float_ordinal(sc[0]) * c->weights[c->k];
-        else if (c->score_mode == 2)
-            fp += float_ordinal(sc[c->k - 1]) * c->weights[c->k];
-        else if (c->score_mode == 3)
-            for (int64_t j = 0; j < c->k; ++j)
-                fp += float_ordinal(sc[j]) * c->weights[c->k + j];
-        c->out[r] = fp;
-    }
-}
-
-/* Row strides are element counts, so column-sliced (row-strided) top-k
- * tables fingerprint in place without a contiguous copy. */
-void repro_fused_fingerprint(const int64_t *items, int64_t items_stride,
-                             const double *scores, int64_t scores_stride,
-                             int64_t n_rows, int64_t k, int32_t score_mode,
-                             const uint64_t *weights, uint64_t *out,
-                             int32_t n_threads)
-{
-    fused_ctx ctx = {items, scores, k, items_stride, scores_stride,
-                     score_mode, weights, out};
-    run_rows(fused_range, &ctx, n_rows, n_threads);
-}
-
-/* Row fingerprints of an already-packed uint64 key matrix (the sharded
- * merge path), identical to repro.core.kernels.fingerprint_rows. */
-typedef struct {
-    const uint64_t *packed;
-    int64_t width;
-    uint64_t *out;
-} packed_ctx;
-
-static void packed_range(void *vctx, int64_t start, int64_t stop)
-{
-    packed_ctx *c = (packed_ctx *)vctx;
-    for (int64_t r = start; r < stop; ++r) {
-        const uint64_t *row = c->packed + r * c->width;
-        uint64_t fp = 0;
-        uint64_t w = 1;
-        for (int64_t j = 0; j < c->width; ++j) {
-            w *= FP_MULT;
-            fp += row[j] * w;
-        }
-        c->out[r] = fp;
-    }
-}
-
-void repro_fingerprint_packed(const uint64_t *packed, int64_t n_rows,
-                              int64_t width, uint64_t *out, int32_t n_threads)
-{
-    packed_ctx ctx = {packed, width, out};
-    run_rows(packed_range, &ctx, n_rows, n_threads);
-}
 """
 
 #: The CSR library: per-row top-k straight from a SparseStore's arrays.  A
@@ -480,9 +386,6 @@ void repro_csr_topk_rows(const double *data, const void *indices,
 }
 """
 
-_SCORE_MODES = {"none": 0, "first": 1, "last": 2, "all": 3}
-
-
 def _cache_dir() -> Path:
     """The directory compiled libraries are cached in (created on demand)."""
     override = os.environ.get(CACHE_ENV)
@@ -550,7 +453,7 @@ def _compile(compiler: str, source: str, destination: Path) -> None:
 
 
 class CompiledKernels:
-    """ctypes facade over the compiled kernel library.
+    """ctypes facade over the compiled top-k library.
 
     Wrapper methods validate/coerce array layouts once and hand raw
     pointers to C; the ctypes calls release the GIL, so the library's
@@ -564,53 +467,12 @@ class CompiledKernels:
 
     def __init__(self, library: ctypes.CDLL) -> None:
         self._lib = library
-        i64, u64, f64, i32 = (ctypes.c_int64, ctypes.c_uint64,
-                              ctypes.c_double, ctypes.c_int32)
+        i64, f64, i32 = ctypes.c_int64, ctypes.c_double, ctypes.c_int32
         p = ctypes.POINTER
         library.repro_topk_rows.restype = None
         library.repro_topk_rows.argtypes = [
             p(f64), i64, i64, i64, p(i64), p(f64), i32,
         ]
-        library.repro_fused_fingerprint.restype = None
-        library.repro_fused_fingerprint.argtypes = [
-            p(i64), i64, p(f64), i64, i64, i64, i32, p(u64), p(u64), i32,
-        ]
-        library.repro_fingerprint_packed.restype = None
-        library.repro_fingerprint_packed.argtypes = [
-            p(u64), i64, i64, p(u64), i32,
-        ]
-
-    @staticmethod
-    def _row_view(array: np.ndarray, dtype: type) -> tuple[np.ndarray, int]:
-        """``(array, row stride in elements)`` for the C row loops.
-
-        Column slices of the top-k tables (``table[:, :k]``) are
-        row-strided but contiguous within each row, which the C kernels
-        address directly — only genuinely scattered layouts pay a
-        contiguous copy.
-        """
-        array = np.asarray(array, dtype=dtype)
-        itemsize = array.dtype.itemsize
-        if (
-            array.ndim == 2
-            and array.size
-            and array.strides[1] == itemsize
-            and array.strides[0] >= array.shape[1] * itemsize
-            and array.strides[0] % itemsize == 0
-        ):
-            return array, array.strides[0] // itemsize
-        array = np.ascontiguousarray(array)
-        return array, array.shape[1] if array.ndim == 2 else 0
-
-    @staticmethod
-    def _weights(width: int) -> np.ndarray:
-        """``w[j] = R^(j+1)`` in wrapping uint64 arithmetic (matches Python)."""
-        weights = np.empty(width, dtype=np.uint64)
-        acc = 1
-        for j in range(width):
-            acc = (acc * 0x9E3779B97F4A7C15) & 0xFFFFFFFFFFFFFFFF
-            weights[j] = acc
-        return weights
 
     def top_k(
         self, values: np.ndarray, k: int, n_threads: int
@@ -631,7 +493,7 @@ class CompiledKernels:
         -------
         (items, values):
             ``(n_users, k)`` int64 item table and float64 rating table,
-            bit-identical to the ``classic``/``fast`` generations.
+            bit-identical to :func:`repro.core.preferences.top_k_table`.
         """
         values = np.ascontiguousarray(values, dtype=np.float64)
         n_users, n_items = values.shape
@@ -646,70 +508,6 @@ class CompiledKernels:
                 int(n_threads),
             )
         return items_out, values_out
-
-    def fused_fingerprint(
-        self,
-        items_table: np.ndarray,
-        scores_table: np.ndarray,
-        key_scores: str,
-        n_threads: int,
-    ) -> np.ndarray:
-        """Row fingerprints straight from the top-k tables (fused pass).
-
-        Equivalent to ``fingerprint_rows(pack_key_rows(items, scores,
-        key_scores))`` without materialising the packed key matrix.
-
-        Parameters
-        ----------
-        items_table, scores_table:
-            ``(n_users, k)`` ranked top-k tables.
-        key_scores:
-            ``"none"`` / ``"first"`` / ``"last"`` / ``"all"``.
-        n_threads:
-            Thread count for the row loop.
-        """
-        items_table, items_stride = self._row_view(items_table, np.int64)
-        scores_table, scores_stride = self._row_view(scores_table, np.float64)
-        n_rows, k = items_table.shape
-        mode = _SCORE_MODES[key_scores]
-        width = k + (k if mode == 3 else (0 if mode == 0 else 1))
-        weights = self._weights(width)
-        out = np.empty(n_rows, dtype=np.uint64)
-        if n_rows:
-            self._lib.repro_fused_fingerprint(
-                items_table.ctypes.data_as(ctypes.POINTER(ctypes.c_int64)),
-                items_stride,
-                scores_table.ctypes.data_as(ctypes.POINTER(ctypes.c_double)),
-                scores_stride,
-                n_rows, k, mode,
-                weights.ctypes.data_as(ctypes.POINTER(ctypes.c_uint64)),
-                out.ctypes.data_as(ctypes.POINTER(ctypes.c_uint64)),
-                int(n_threads),
-            )
-        return out
-
-    def fingerprint_packed(self, packed: np.ndarray, n_threads: int) -> np.ndarray:
-        """Row fingerprints of a packed ``uint64`` key matrix, threaded.
-
-        Parameters
-        ----------
-        packed:
-            ``(n_rows, width)`` ``uint64`` key matrix.
-        n_threads:
-            Thread count for the row loop.
-        """
-        packed = np.ascontiguousarray(packed, dtype=np.uint64)
-        n_rows, width = packed.shape
-        out = np.empty(n_rows, dtype=np.uint64)
-        if n_rows:
-            self._lib.repro_fingerprint_packed(
-                packed.ctypes.data_as(ctypes.POINTER(ctypes.c_uint64)),
-                n_rows, width,
-                out.ctypes.data_as(ctypes.POINTER(ctypes.c_uint64)),
-                int(n_threads),
-            )
-        return out
-
 
 class CompiledCsrKernels:
     """ctypes facade over the compiled CSR library.

@@ -23,7 +23,6 @@ __all__ = [
     "top_k_items",
     "top_k_sequence",
     "top_k_table",
-    "top_k_table_fast",
     "preference_list",
 ]
 
@@ -101,27 +100,6 @@ def _top_k_table_sorted(values: np.ndarray, k: int) -> tuple[np.ndarray, np.ndar
     return order, scores
 
 
-def _top_k_table_peeled(values: np.ndarray, k: int) -> tuple[np.ndarray, np.ndarray]:
-    """Top-k via ``k`` successive vectorised argmax "peels" (validation done).
-
-    ``np.argmax`` returns the *first* occurrence of the maximum, which is the
-    lowest item index — exactly the library's tie-break — so peeling the best
-    item ``k`` times reproduces the stable-sort table bit for bit.  Each peel
-    is a single O(n·m) pass, so for small ``k`` this beats the O(n·m·log m)
-    full sort by a wide margin.  The caller must ensure no rating is ``-inf``
-    (that value is used as the mask sentinel).
-    """
-    n_users = values.shape[0]
-    work = values.copy()
-    order = np.empty((n_users, k), dtype=np.int64)
-    rows = np.arange(n_users)
-    for rank in range(k):
-        best = np.argmax(work, axis=1)
-        order[:, rank] = best
-        work[rows, best] = -np.inf
-    return order, np.take_along_axis(values, order, axis=1)
-
-
 def top_k_table(values: np.ndarray, k: int) -> tuple[np.ndarray, np.ndarray]:
     """Vectorised top-``k`` items and scores for every user.
 
@@ -141,40 +119,6 @@ def top_k_table(values: np.ndarray, k: int) -> tuple[np.ndarray, np.ndarray]:
     """
     values = _validate_table_args(values, k)
     return _top_k_table_sorted(values, k)
-
-
-def _top_k_table_dispatch(
-    values: np.ndarray, k: int, assume_finite: bool = False
-) -> tuple[np.ndarray, np.ndarray]:
-    """Pick the fastest exact top-k path (validation already done).
-
-    Peeling wins until ``k`` grows to roughly ``m / 6`` (measured crossover);
-    ``-inf`` ratings would collide with the peel's mask sentinel, so those
-    fall back to the stable sort.  Callers that already validated the matrix
-    as finite (the formation engine) pass ``assume_finite=True`` to skip the
-    sentinel scan.  Shared by :func:`top_k_table_fast` and the engine's numpy
-    backend so both always pick the same algorithm.
-    """
-    n_items = values.shape[1]
-    if k <= max(8, n_items // 6) and (
-        assume_finite or not np.isneginf(values).any()
-    ):
-        return _top_k_table_peeled(values, k)
-    return _top_k_table_sorted(values, k)
-
-
-def top_k_table_fast(values: np.ndarray, k: int) -> tuple[np.ndarray, np.ndarray]:
-    """Exact drop-in for :func:`top_k_table` optimised for small ``k``.
-
-    When ``k`` is small relative to the catalogue size, the table is built
-    with ``k`` vectorised argmax peels (O(n·m) per peel) instead of a full
-    O(n·m·log m) stable sort; otherwise it falls back to the sort.  Both
-    paths implement the same tie-break (rating descending, item index
-    ascending), so the output is bit-identical to :func:`top_k_table` — the
-    engine's parity tests assert this.
-    """
-    values = _validate_table_args(values, k)
-    return _top_k_table_dispatch(values, k)
 
 
 def preference_list(row: np.ndarray) -> list[tuple[int, float]]:

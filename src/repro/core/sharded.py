@@ -179,14 +179,13 @@ def merge_summaries(
     """Merge shard bucket digests into the global intermediate groups.
 
     Shards must be in ascending user order; the stable key grouping
-    (:func:`repro.core.kernels.group_key_rows` — lexsort under ``classic``
-    kernels, collision-checked fingerprints under ``fast``) then keeps each
-    merged bucket's constituents in shard order, so concatenated member
-    arrays are ascending and the first constituent's representative is the
-    global (smallest-index) representative — matching the unsharded engine.
-    Only the merged buckets' *enumeration order* depends on the kernel
-    generation, which no consumer reads (selection totally orders buckets
-    by ``(score, representative)``).
+    (:func:`repro.core.kernels.group_key_rows`, collision-checked
+    fingerprints) then keeps each merged bucket's constituents in shard
+    order, so concatenated member arrays are ascending and the first
+    constituent's representative is the global (smallest-index)
+    representative — matching the unsharded engine.  The merged buckets'
+    *enumeration order* is fingerprint order, which no consumer reads
+    (selection totally orders buckets by ``(score, representative)``).
 
     Parameters
     ----------
@@ -358,10 +357,10 @@ class ShardedFormation:
         or 1 runs shards sequentially.
     execution:
         Execution strategy for the shard fan-out: ``"serial"``,
-        ``"threads"``, ``"processes"``, or a prebuilt
+        ``"processes"``, or a prebuilt
         :class:`~repro.execution.executor.Executor` (kept open — the
-        caller owns its lifetime).  ``None`` keeps the historical
-        behaviour: threads when ``workers > 1``, serial otherwise.
+        caller owns its lifetime).  ``None`` means processes when
+        ``workers > 1``, serial otherwise.
         ``"processes"`` escapes the GIL entirely by exporting the store to
         shared memory and attaching workers zero-copy
         (:mod:`repro.execution`); results are identical to the serial
@@ -507,8 +506,8 @@ class ShardedFormation:
         """Summarise every shard through the configured execution strategy.
 
         The shard fan-out runs on the executor resolved from ``execution``
-        / ``workers`` (serial loop, thread pool, or shared-memory process
-        pool — see :mod:`repro.execution`); with a ``cache_dir``, shard
+        / ``workers`` (serial loop or shared-memory process pool — see
+        :mod:`repro.execution`); with a ``cache_dir``, shard
         summaries are first looked up in the
         :class:`~repro.execution.cache.ArtifactCache` and only the missing
         shards are computed (and persisted).
@@ -604,7 +603,7 @@ def summarise_tables(
         The shard's bucket-level digest.
     """
     # Pack once and reuse the matrix for both the grouping and the summary
-    # keys (the engine's _bucketize would pack a second time internally).
+    # keys (kernels.bucketize would pack a second time internally).
     packed = kernels.pack_key_rows(items_table, scores_table, variant.key_scores)
     n_users = items_table.shape[0]
     sorted_users, new_segment = kernels.group_key_rows(packed)

@@ -18,8 +18,8 @@ and can be saved to disk and reloaded across processes (:meth:`TopKIndex.save`
 
 The index is built through :meth:`RatingStore.top_k
 <repro.recsys.store.RatingStore.top_k>`: a dense store runs the exact
-ranking kernels of :mod:`repro.core.kernels` (every generation is
-bit-identical by contract), a sparse million-user store runs the CSR top-k
+ranking kernels of :mod:`repro.core.kernels` (compiled and numpy paths
+are bit-identical by contract), a sparse million-user store runs the CSR top-k
 kernel straight from its arrays and never densifies.  The kernels share one
 tie-break, so an index built from a :class:`~repro.recsys.store.SparseStore`
 is bit-identical to one built from the equivalent dense array.

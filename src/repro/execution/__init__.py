@@ -1,7 +1,7 @@
 """The parallel execution plane: executors, shared memory, artifact cache.
 
 This package decides *where* the deterministic formation work runs — in
-the calling thread, on a thread pool, or on a process pool attached to
+the calling thread or on a process pool attached to
 zero-copy shared-memory stores — and *whether it runs at all* (the
 content-addressed :class:`~repro.execution.cache.ArtifactCache` lets
 repeat runs and cold service starts load their ranking artifacts back
@@ -21,7 +21,6 @@ from repro.execution.executor import (
     Executor,
     ProcessExecutor,
     SerialExecutor,
-    ThreadExecutor,
     executor_scope,
     get_executor,
 )
@@ -44,7 +43,6 @@ __all__ = [
     "EXECUTION_MODES",
     "Executor",
     "SerialExecutor",
-    "ThreadExecutor",
     "ProcessExecutor",
     "executor_scope",
     "get_executor",

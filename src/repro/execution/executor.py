@@ -1,4 +1,4 @@
-"""The execution plane: one protocol, serial / thread / process strategies.
+"""The execution plane: one protocol, serial and process strategies.
 
 Every parallel opportunity in the library has the same shape — a list of
 independent, deterministic work items (per-shard summaries, per-config
@@ -6,13 +6,9 @@ sweep points) whose results are merged by the caller — so one small
 :class:`Executor` protocol covers them all:
 
 ``SerialExecutor``
-    Plain loops.  The executable specification the parallel strategies are
+    Plain loops.  The executable specification the process strategy is
     tested against (results must be bit-identical — the work items are
     deterministic and independent, so only scheduling differs).
-``ThreadExecutor``
-    ``concurrent.futures.ThreadPoolExecutor`` fan-out.  The numpy kernels
-    release the GIL on the densify/rank/sort hot path, so threads give
-    real parallelism without duplicating any data.
 ``ProcessExecutor``
     A process pool fed through the zero-copy shared-memory adapters of
     :mod:`repro.execution.shm`: bulk arrays are exported to named segments
@@ -34,7 +30,7 @@ from __future__ import annotations
 import os
 from abc import ABC, abstractmethod
 from collections.abc import Sequence
-from concurrent.futures import ProcessPoolExecutor, ThreadPoolExecutor
+from concurrent.futures import ProcessPoolExecutor
 from contextlib import contextmanager
 from typing import TYPE_CHECKING, Any
 
@@ -62,14 +58,13 @@ __all__ = [
     "DEFAULT_EXECUTION",
     "Executor",
     "SerialExecutor",
-    "ThreadExecutor",
     "ProcessExecutor",
     "get_executor",
     "executor_scope",
 ]
 
 #: Execution strategies selectable via ``--execution``.
-EXECUTION_MODES: tuple[str, ...] = ("serial", "threads", "processes")
+EXECUTION_MODES: tuple[str, ...] = ("serial", "processes")
 
 #: Strategy used when none is requested explicitly.
 DEFAULT_EXECUTION = "serial"
@@ -87,10 +82,10 @@ class Executor(ABC):
     ----------
     workers:
         Degree of parallelism (ignored by :class:`SerialExecutor`;
-        defaults to the CPU count for the parallel strategies).
+        defaults to the CPU count for the process strategy).
     """
 
-    #: Canonical strategy name (``"serial"`` / ``"threads"`` / ``"processes"``).
+    #: Canonical strategy name (``"serial"`` / ``"processes"``).
     name: str = "abstract"
 
     def __init__(self, workers: int | None = None) -> None:
@@ -222,14 +217,14 @@ class Executor(ABC):
 
 
 def _summarise_store_shard(store, start, stop, k, variant):
-    """In-process shard summary (shared by the serial and thread paths)."""
+    """In-process shard summary."""
     from repro.core.sharded import summarise_store_shard
 
     return summarise_store_shard(store, start, stop, k, variant)
 
 
 def _summarise_table_shard(items_table, scores_table, bounds, shard, variant):
-    """In-process table-shard summary (shared by the serial and thread paths)."""
+    """In-process table-shard summary."""
     from repro.core.sharded import summarise_tables
 
     start, stop = int(bounds[shard]), int(bounds[shard + 1])
@@ -239,7 +234,7 @@ def _summarise_table_shard(items_table, scores_table, bounds, shard, variant):
 
 
 def _run_config(store, config, backend, topk):
-    """In-process sweep point (shared by the serial and thread paths)."""
+    """In-process sweep point (serial path and process workers)."""
     from repro.core.engine import FormationEngine
 
     return FormationEngine(backend).run(
@@ -286,67 +281,6 @@ class SerialExecutor(Executor):
         return [_run_config(store, config, backend, topk) for config in configs]
 
 
-class ThreadExecutor(Executor):
-    """Thread-pool fan-out over shared memory (no data movement at all)."""
-
-    name = "threads"
-
-    def __init__(self, workers: int | None = None) -> None:
-        super().__init__(workers)
-        self._pool: ThreadPoolExecutor | None = None
-
-    def _ensure_pool(self) -> ThreadPoolExecutor:
-        if self._pool is None:
-            self._pool = ThreadPoolExecutor(max_workers=self.workers)
-        return self._pool
-
-    def map_shards(self, store, bounds, k, variant, shard_ids=None):
-        """Summarise shards on the thread pool (see :meth:`Executor.map_shards`
-        for ``store`` / ``bounds`` / ``k`` / ``variant`` / ``shard_ids``)."""
-        pool = self._ensure_pool()
-        if shard_ids is None:
-            shard_ids = range(bounds.size - 1)
-        return list(
-            pool.map(
-                lambda s: _summarise_store_shard(
-                    store, int(bounds[s]), int(bounds[s + 1]), k, variant
-                ),
-                shard_ids,
-            )
-        )
-
-    def map_table_shards(
-        self, items_table, scores_table, bounds, shard_ids, variant, token=None
-    ):
-        """Summarise the requested table shards on the thread pool (``token``
-        unused; see :meth:`Executor.map_table_shards` for ``items_table`` /
-        ``scores_table`` / ``bounds`` / ``shard_ids`` / ``variant``)."""
-        pool = self._ensure_pool()
-        return list(
-            pool.map(
-                lambda s: _summarise_table_shard(
-                    items_table, scores_table, bounds, s, variant
-                ),
-                shard_ids,
-            )
-        )
-
-    def map_configs(self, store, configs, backend, topk):
-        """Run the sweep points on the thread pool (see
-        :meth:`Executor.map_configs` for ``store`` / ``configs`` /
-        ``backend`` / ``topk``)."""
-        pool = self._ensure_pool()
-        return list(
-            pool.map(lambda c: _run_config(store, c, backend, topk), configs)
-        )
-
-    def close(self) -> None:
-        """Shut the thread pool down (idempotent)."""
-        if self._pool is not None:
-            self._pool.shutdown(wait=True)
-            self._pool = None
-
-
 # ------------------------------------------------------------------------- #
 # Process workers: module-level task functions (picklable by reference) and
 # a per-process attachment cache so each worker attaches a spec only once.
@@ -388,26 +322,19 @@ def _worker_cached(spec, builder):
     return obj
 
 
-def _apply_kernel_state(kernel_mode, kernel_threads):
-    """Adopt the parent's kernel generation + thread count in a worker.
-
-    Spawn-start workers inherit neither process-wide switch, so every task
-    tuple carries both; results are thread-count-independent, only the
-    worker's wall-clock changes.
-    """
-    from repro.core.kernels import set_kernel_threads, set_kernels
-
-    set_kernels(kernel_mode)
-    set_kernel_threads(kernel_threads)
+# Every task tuple ends with the parent's kernel thread count: spawn-start
+# workers do not inherit the process-wide setting.  Results are
+# thread-count-independent; only the worker's wall-clock changes.
 
 
 def _process_summarise_store(args):
     """Worker task: summarise one store shard from shared memory."""
-    store_spec, start, stop, k, variant_key, kernel_mode, threads = args
+    store_spec, start, stop, k, variant_key, threads = args
     from repro.core.greedy_framework import make_variant
+    from repro.core.kernels import set_kernel_threads
     from repro.core.sharded import summarise_store_shard
 
-    _apply_kernel_state(kernel_mode, threads)
+    set_kernel_threads(threads)
     store = _worker_cached(store_spec, attach_store)
     variant = make_variant(*variant_key)
     return summarise_store_shard(store, start, stop, k, variant)
@@ -415,11 +342,12 @@ def _process_summarise_store(args):
 
 def _process_summarise_tables(args):
     """Worker task: summarise one table shard from shared memory."""
-    tables_spec, start, stop, variant_key, kernel_mode, threads = args
+    tables_spec, start, stop, variant_key, threads = args
     from repro.core.greedy_framework import make_variant
+    from repro.core.kernels import set_kernel_threads
     from repro.core.sharded import summarise_tables
 
-    _apply_kernel_state(kernel_mode, threads)
+    set_kernel_threads(threads)
     items_table, values_table = _worker_cached(tables_spec, attach_tables)
     variant = make_variant(*variant_key)
     return summarise_tables(
@@ -429,8 +357,10 @@ def _process_summarise_tables(args):
 
 def _process_run_config(args):
     """Worker task: run one sweep configuration from shared memory."""
-    store_spec, tables_spec, config, backend, kernel_mode, threads = args
-    _apply_kernel_state(kernel_mode, threads)
+    store_spec, tables_spec, config, backend, threads = args
+    from repro.core.kernels import set_kernel_threads
+
+    set_kernel_threads(threads)
     store = _worker_cached(store_spec, attach_store)
     topk = _worker_cached(tables_spec, attach_index)
     return _run_config(store, config, backend, topk)
@@ -492,19 +422,17 @@ class ProcessExecutor(Executor):
         and unlinked before returning; see :meth:`Executor.map_shards` for
         ``store`` / ``bounds`` / ``k`` / ``variant`` / ``shard_ids``.
         """
-        from repro.core.kernels import get_kernel_threads, get_kernels
+        from repro.core.kernels import get_kernel_threads
 
         pool = self._ensure_pool()
         key = _variant_key(variant)
-        kernel_mode = get_kernels()
         threads = get_kernel_threads()
         if shard_ids is None:
             shard_ids = range(bounds.size - 1)
         with SharedExports() as exports:
             spec = exports.export_store(store)
             tasks = [
-                (spec, int(bounds[s]), int(bounds[s + 1]), k, key, kernel_mode,
-                 threads)
+                (spec, int(bounds[s]), int(bounds[s + 1]), k, key, threads)
                 for s in shard_ids
             ]
             return list(pool.map(_process_summarise_store, tasks))
@@ -520,11 +448,10 @@ class ProcessExecutor(Executor):
         :meth:`Executor.map_table_shards` for ``items_table`` /
         ``scores_table`` / ``bounds`` / ``shard_ids`` / ``variant``.
         """
-        from repro.core.kernels import get_kernel_threads, get_kernels
+        from repro.core.kernels import get_kernel_threads
 
         pool = self._ensure_pool()
         key = _variant_key(variant)
-        kernel_mode = get_kernels()
         threads = get_kernel_threads()
         # The table-shard workers only ever attach_tables(); n_items is
         # recorded as 0 ("not a full index") rather than paying an
@@ -534,7 +461,7 @@ class ProcessExecutor(Executor):
 
         def run(spec: TablesSpec):
             tasks = [
-                (spec, int(bounds[s]), int(bounds[s + 1]), key, kernel_mode, threads)
+                (spec, int(bounds[s]), int(bounds[s + 1]), key, threads)
                 for s in shard_ids
             ]
             return list(pool.map(_process_summarise_tables, tasks))
@@ -562,10 +489,9 @@ class ProcessExecutor(Executor):
         the duration of the call; see :meth:`Executor.map_configs` for
         ``store`` / ``configs`` / ``backend`` / ``topk``.
         """
-        from repro.core.kernels import get_kernel_threads, get_kernels
+        from repro.core.kernels import get_kernel_threads
 
         pool = self._ensure_pool()
-        kernel_mode = get_kernels()
         threads = get_kernel_threads()
         with SharedExports() as exports:
             store_spec = exports.export_store(store)
@@ -573,7 +499,7 @@ class ProcessExecutor(Executor):
                 topk.items, topk.values, topk.n_items
             )
             tasks = [
-                (store_spec, tables_spec, config, backend, kernel_mode, threads)
+                (store_spec, tables_spec, config, backend, threads)
                 for config in configs
             ]
             return list(pool.map(_process_run_config, tasks))
@@ -606,7 +532,6 @@ class ProcessExecutor(Executor):
 
 _EXECUTORS: dict[str, type[Executor]] = {
     SerialExecutor.name: SerialExecutor,
-    ThreadExecutor.name: ThreadExecutor,
     ProcessExecutor.name: ProcessExecutor,
 }
 
@@ -619,10 +544,9 @@ def get_executor(
     Parameters
     ----------
     execution:
-        ``"serial"`` / ``"threads"`` / ``"processes"``, an existing
-        :class:`Executor` (returned unchanged, ``workers`` ignored), or
-        ``None`` for the historical default — threads when ``workers > 1``,
-        serial otherwise.
+        ``"serial"`` / ``"processes"``, an existing :class:`Executor`
+        (returned unchanged, ``workers`` ignored), or ``None`` for the
+        default — processes when ``workers > 1``, serial otherwise.
     workers:
         Degree of parallelism for a newly built executor.
 
@@ -633,12 +557,12 @@ def get_executor(
     >>> get_executor(None, 1).name
     'serial'
     >>> get_executor(None, 8).name
-    'threads'
+    'processes'
     """
     if isinstance(execution, Executor):
         return execution
     if execution is None:
-        key = "threads" if workers is not None and workers > 1 else "serial"
+        key = "processes" if workers is not None and workers > 1 else "serial"
     else:
         key = str(execution).strip().lower()
     if key not in _EXECUTORS:

@@ -225,10 +225,10 @@ def run_algorithms(
         shards (``workers`` workers summarise shards concurrently).
     execution:
         Execution strategy for the sharded fan-out (``"serial"`` /
-        ``"threads"`` / ``"processes"``, or a prebuilt
+        ``"processes"``, or a prebuilt
         :class:`~repro.execution.executor.Executor` to share one pool
-        across calls — what :func:`sweep` passes; ``None`` = threads when
-        ``workers > 1``).  Forwarded to
+        across calls — what :func:`sweep` passes; ``None`` = processes
+        when ``workers > 1``).  Forwarded to
         :class:`~repro.core.sharded.ShardedFormation`; only meaningful
         with ``shards > 1``.
     cache_dir:

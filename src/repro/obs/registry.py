@@ -182,13 +182,11 @@ class MetricsSchema:
 # ---------------------------------------------------------------------------
 
 HTTP_ROUTES = (
-    "recommend", "events", "snapshot", "stats", "healthz", "metrics",
-    "legacy_recommend", "legacy_updates", "other",
+    "recommend", "events", "snapshot", "stats", "healthz", "metrics", "other",
 )
 HTTP_HIST_ROUTES = ("recommend", "events", "other")
 RESPONSE_CLASSES = ("2xx", "4xx", "5xx")
 REJECT_REASONS = ("overloaded", "shutdown")
-DEPRECATED_ROUTES = ("recommend", "updates")
 
 K_HTTP_REQUESTS = {
     r: sample_key("repro_http_requests_total", route=r) for r in HTTP_ROUTES
@@ -196,10 +194,6 @@ K_HTTP_REQUESTS = {
 K_HTTP_RESPONSES = {
     c: sample_key("repro_http_responses_total", **{"class": c})
     for c in RESPONSE_CLASSES
-}
-K_DEPRECATED = {
-    r: sample_key("repro_deprecated_requests_total", route=r)
-    for r in DEPRECATED_ROUTES
 }
 K_COALESCED = "repro_coalesced_recommends_total"
 K_BATCHED_UPDATES = "repro_batched_update_requests_total"
@@ -278,9 +272,6 @@ def _catalogue() -> tuple[MetricSpec, ...]:
     for c in RESPONSE_CLASSES:
         counter("repro_http_responses_total", "HTTP responses by status class.",
                 **{"class": c})
-    for r in DEPRECATED_ROUTES:
-        counter("repro_deprecated_requests_total",
-                "Requests hitting deprecated legacy route aliases.", route=r)
     counter(K_COALESCED, "Recommend requests answered by piggy-backing on an "
             "identical in-flight computation.")
     counter(K_BATCHED_UPDATES, "Update requests folded into a batch window.")

@@ -499,7 +499,7 @@ class DenseStore:
     def top_k(
         self, rows: slice | Sequence[int] | np.ndarray | None, k: int
     ) -> tuple[np.ndarray, np.ndarray]:
-        """Top-``k`` tables of ``rows`` from the active dense kernel generation.
+        """Top-``k`` tables of ``rows`` from :func:`repro.core.kernels.top_k_table`.
 
         A slice (or ``None``: every user) ranks a view of the array, an
         index array a fancy-indexed copy of its rows.

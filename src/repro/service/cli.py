@@ -30,7 +30,6 @@ import signal
 import sys
 from collections.abc import Sequence
 
-from repro.core.kernels import DEFAULT_KERNELS, KERNEL_MODES
 from repro.experiments.config import BACKENDS, DEFAULT_BACKEND
 from repro.execution.executor import EXECUTION_MODES
 
@@ -78,25 +77,20 @@ def build_parser() -> argparse.ArgumentParser:
                        help="cached-summary shards (default: 8)")
     serve.add_argument("--backend", default=DEFAULT_BACKEND, choices=list(BACKENDS),
                        help=f"formation backend (default: {DEFAULT_BACKEND})")
-    serve.add_argument("--kernels", default=DEFAULT_KERNELS, choices=list(KERNEL_MODES),
-                       help="ranking/bucketing kernel generation (classic, fast "
-                            "or the compiled parallel generation; bit-identical "
-                            f"results, default: {DEFAULT_KERNELS})")
     serve.add_argument("--kernel-threads", type=int, default=None,
                        dest="kernel_threads",
-                       help="thread count for the compiled parallel kernels "
+                       help="thread count for the compiled top-k kernels "
                             "(default: REPRO_KERNEL_THREADS, else the CPU "
                             "count); never changes results")
     serve.add_argument("--batch-window", type=float, default=0.01,
                        help="seconds an update batch stays open to coalesce "
                             "concurrent writers (default: 0.01)")
     serve.add_argument("--execution", default="serial", choices=list(EXECUTION_MODES),
-                       help="shard-summary fan-out strategy: serial, a thread "
-                            "pool, or a shared-memory process pool "
-                            "(default: serial)")
+                       help="shard-summary fan-out strategy: serial or a "
+                            "shared-memory process pool (default: serial)")
     serve.add_argument("--workers", type=int, default=None,
-                       help="parallelism degree for --execution threads/"
-                            "processes (default: CPU count)")
+                       help="parallelism degree for --execution processes "
+                            "(default: CPU count)")
     serve.add_argument("--cache-dir", default=None, dest="cache_dir",
                        help="artifact-cache directory: cold starts load the "
                             "top-k index for the bootstrapped instance instead "
@@ -296,7 +290,7 @@ async def _serve(args: argparse.Namespace, config=None) -> None:
     )
     print(f"listening on http://{server.host}:{server.port}  "
           f"(endpoints: /v1/healthz /v1/stats /v1/metrics /v1/recommend "
-          f"/v1/events /v1/snapshot; legacy: /recommend /updates)", flush=True)
+          f"/v1/events /v1/snapshot)", flush=True)
 
     serve_task = asyncio.create_task(server.run_forever())
     try:

@@ -22,12 +22,7 @@ from dataclasses import asdict, dataclass
 from typing import TYPE_CHECKING, Any
 
 from repro.core.errors import IngestError
-from repro.core.kernels import (
-    DEFAULT_KERNELS,
-    KERNEL_MODES,
-    set_kernel_threads,
-    set_kernels,
-)
+from repro.core.kernels import get_kernel_threads, set_kernel_threads
 from repro.utils.validation import require_positive_int
 
 if TYPE_CHECKING:  # pragma: no cover - typing only
@@ -50,10 +45,10 @@ class ServiceConfig:
     users, items, density, store, seed:
         Synthetic bootstrap instance: size, explicit-rating density (only
         meaningful for ``store="sparse"``), storage kind and RNG seed.
-    k_max, shards, backend, kernels, kernel_threads, compaction_fraction:
+    k_max, shards, backend, kernel_threads, compaction_fraction:
         Formation-service parameters (``k_max`` is clamped to ``items``;
         ``kernel_threads=None`` resolves via ``REPRO_KERNEL_THREADS``,
-        then the CPU count).
+        then the CPU count — a malformed variable fails validation).
     execution, workers, cache_dir:
         Shard fan-out strategy, its parallelism, and the optional
         artifact-cache directory for warm index starts.
@@ -97,7 +92,6 @@ class ServiceConfig:
     k_max: int = 20
     shards: int = 8
     backend: str | None = None
-    kernels: str = DEFAULT_KERNELS
     kernel_threads: int | None = None
     compaction_fraction: float | None = 0.25
     execution: str | None = None
@@ -139,15 +133,15 @@ class ServiceConfig:
             )
         if not 0 < self.density <= 1:
             raise IngestError(f"density must be in (0, 1], got {self.density}")
-        if self.kernels not in KERNEL_MODES:
-            raise IngestError(
-                f"kernels must be one of {sorted(KERNEL_MODES)}, "
-                f"got {self.kernels!r}"
-            )
         if self.kernel_threads is not None and self.kernel_threads < 1:
             raise IngestError(
                 f"kernel_threads must be >= 1, got {self.kernel_threads}"
             )
+        if self.kernel_threads is None:
+            try:
+                get_kernel_threads()
+            except ValueError as exc:
+                raise IngestError(str(exc)) from exc
         if self.snapshot_every < 0:
             raise IngestError(
                 f"snapshot_every must be >= 0, got {self.snapshot_every}"
@@ -370,7 +364,6 @@ class ServiceConfig:
         """
         from repro.service.service import FormationService
 
-        set_kernels(self.kernels)
         set_kernel_threads(self.kernel_threads)
         # The slab must exist before the service constructs (and warms) a
         # process executor, so forked workers can claim their slots.

@@ -19,10 +19,7 @@ The **v1 surface** (see ``docs/api.md`` for the full reference):
     Force a checkpoint (``409 not_durable`` without a pipeline).
 
 Errors are uniformly ``{"error": {"code": "...", "message": "..."}}``.
-The pre-v1 routes (``/recommend``, ``/updates``, ``/healthz``,
-``/stats``) remain as thin aliases — ``/updates`` translates its raw
-``upserts``/``deletes`` body into explicit-score events — answered with
-a ``Deprecation: true`` header and a one-time warning log line.
+Any other path answers ``404 not_found``.
 
 Two serving-layer behaviours make the thin protocol production-shaped:
 
@@ -56,9 +53,7 @@ from repro.faults import check as fault_check
 from repro.faults import execute as fault_execute
 from repro.ingest.events import (
     Event,
-    ExplicitRating,
     FoldPolicy,
-    RatingDelete,
     event_from_dict,
     fold_events,
 )
@@ -74,7 +69,6 @@ from repro.obs.registry import (
     K_BATCHED_UPDATES,
     K_COALESCED,
     K_DEGRADED_TRANSITIONS,
-    K_DEPRECATED,
     K_HTTP_REQUESTS,
     K_HTTP_RESPONSES,
     K_TRACES_DUMPED,
@@ -107,19 +101,13 @@ _ROUTE_LABELS = {
     "/v1/stats": "stats",
     "/v1/healthz": "healthz",
     "/v1/metrics": "metrics",
-    "/recommend": "legacy_recommend",
-    "/updates": "legacy_updates",
-    "/healthz": "healthz",
-    "/stats": "stats",
 }
 
 #: Latency-histogram family per route label (the low-traffic admin routes
 #: share the ``other`` family to keep the exposition small).
 _ROUTE_HIST_GROUPS = {
     "recommend": "recommend",
-    "legacy_recommend": "recommend",
     "events": "events",
-    "legacy_updates": "events",
 }
 
 #: Default error code per HTTP status (overridable per raise site).
@@ -288,7 +276,6 @@ class ServiceServer:
         self._pending_updates: list[tuple[list[Event], asyncio.Future]] = []
         self._flush_handle: asyncio.TimerHandle | None = None
         self._inflight: dict[tuple, asyncio.Future] = {}
-        self._deprecation_warned: set[str] = set()
         self.coalesced_recommends = 0
         self.batched_updates = 0
 
@@ -398,13 +385,11 @@ class ServiceServer:
             try:
                 if self.request_timeout_ms is not None:
                     status, payload = await asyncio.wait_for(
-                        self._route(method, path, body, headers, query),
+                        self._route(method, path, body, query),
                         self.request_timeout_ms / 1000.0,
                     )
                 else:
-                    status, payload = await self._route(
-                        method, path, body, headers, query
-                    )
+                    status, payload = await self._route(method, path, body, query)
             except asyncio.TimeoutError:
                 status, payload = 504, _error_payload(
                     504,
@@ -654,19 +639,6 @@ class ServiceServer:
     # Routing
     # ------------------------------------------------------------------ #
 
-    def _deprecated(self, path: str, replacement: str, headers: dict) -> None:
-        """Mark a legacy route: response header plus a one-time warning."""
-        headers["Deprecation"] = "true"
-        headers["Link"] = f'<{replacement}>; rel="successor-version"'
-        self.metrics.inc(
-            K_DEPRECATED["recommend" if path == "/recommend" else "updates"]
-        )
-        if path not in self._deprecation_warned:
-            self._deprecation_warned.add(path)
-            _LOG.warning(
-                "deprecated route %s used; migrate to %s", path, replacement
-            )
-
     def _refresh_gauges(self) -> None:
         """Bring the liveness gauges up to date before an exposition read.
 
@@ -703,7 +675,6 @@ class ServiceServer:
         method: str,
         path: str,
         body: dict[str, Any],
-        headers: dict[str, str],
         query: dict[str, list[str]] | None = None,
     ) -> tuple[int, dict[str, Any]]:
         """Dispatch one parsed request to its handler."""
@@ -715,7 +686,7 @@ class ServiceServer:
                 await asyncio.sleep(float(action.arg or 0.0) / 1000.0)
             else:
                 fault_execute(action, "http.dispatch")
-        if path in ("/v1/healthz", "/healthz") and method == "GET":
+        if path == "/v1/healthz" and method == "GET":
             health = {
                 "status": "ok",
                 "state": (
@@ -739,7 +710,7 @@ class ServiceServer:
                 health["replicas"] = pool_stats["alive"]
                 health["published_version"] = pool_stats["published_version"]
             return 200, health
-        if path in ("/v1/stats", "/stats") and method == "GET":
+        if path == "/v1/stats" and method == "GET":
             self._refresh_gauges()
             stats = self.service.stats()
             if self.pipeline is not None:
@@ -755,15 +726,7 @@ class ServiceServer:
             return 200, await self._events(self._parse_events(body))
         if path == "/v1/snapshot" and method == "POST":
             return 200, await self._snapshot()
-        if path == "/recommend" and method == "POST":
-            self._deprecated(path, "/v1/recommend", headers)
-            return 200, await self._recommend(body)
-        if path == "/updates" and method == "POST":
-            self._deprecated(path, "/v1/events", headers)
-            return 200, await self._events(self._translate_updates(body))
-        if path in {"/healthz", "/stats", "/recommend", "/updates",
-                    "/v1/healthz", "/v1/stats", "/v1/recommend",
-                    "/v1/events", "/v1/snapshot", "/v1/metrics"}:
+        if path in _ROUTE_LABELS:
             raise _HTTPError(405, f"{method} not allowed on {path}")
         raise _HTTPError(404, f"unknown path {path}")
 
@@ -849,31 +812,6 @@ class ServiceServer:
         # IngestError from a malformed event propagates as a structured
         # 400 via the ReproError handler in _handle_connection.
         return [event_from_dict(item) for item in events]
-
-    @staticmethod
-    def _translate_updates(body: dict[str, Any]) -> list[Event]:
-        """Translate a legacy ``/updates`` body into explicit-score events.
-
-        Raw ``upserts`` become :class:`ExplicitRating` and ``deletes``
-        become :class:`RatingDelete`, preserving order (upserts first,
-        matching the legacy apply order).
-        """
-        upserts = body.get("upserts", [])
-        deletes = body.get("deletes", [])
-        if not isinstance(upserts, list) or not isinstance(deletes, list):
-            raise _HTTPError(400, "upserts and deletes must be lists")
-        events: list[Event] = []
-        for entry in upserts:
-            if not isinstance(entry, (list, tuple)) or len(entry) != 3:
-                raise _HTTPError(
-                    400, "upserts must be [user, item, rating] triples"
-                )
-            events.append(ExplicitRating(entry[0], entry[1], entry[2]))
-        for entry in deletes:
-            if not isinstance(entry, (list, tuple)) or len(entry) != 2:
-                raise _HTTPError(400, "deletes must be [user, item] pairs")
-            events.append(RatingDelete(entry[0], entry[1]))
-        return events
 
     def _apply_events_sync(self, events: list[Event]) -> dict[str, Any]:
         """Apply one folded event batch (runs on the executor thread)."""

@@ -155,9 +155,6 @@ class ReplicaSettings:
         results are bit-identical to single-process serving).
     backend:
         Formation-engine backend name (``None`` = default).
-    kernels:
-        Kernel generation adopted in the worker
-        (:func:`repro.core.kernels.set_kernels`).
     kernel_threads:
         Compiled-kernel thread count adopted in the worker (``None`` =
         environment/CPU default).
@@ -169,7 +166,6 @@ class ReplicaSettings:
     k_max: int
     shards: int = 8
     backend: str | None = None
-    kernels: str | None = None
     kernel_threads: int | None = None
     compaction_fraction: float | None = 0.25
 
@@ -284,7 +280,7 @@ def _replica_main(
     import signal
 
     from repro import faults
-    from repro.core.kernels import set_kernel_threads, set_kernels
+    from repro.core.kernels import set_kernel_threads
     from repro.execution.shm import detach, detach_all
     from repro.obs import runtime as obs_runtime
 
@@ -299,8 +295,6 @@ def _replica_main(
         signal.signal(signal.SIGINT, signal.SIG_IGN)
     except (ValueError, OSError):  # pragma: no cover - non-main thread
         pass
-    if settings.kernels is not None:
-        set_kernels(settings.kernels)
     set_kernel_threads(settings.kernel_threads)
 
     # A forked worker inherits the parent's process-global registry, whose
@@ -730,14 +724,13 @@ class ReplicaPool:
 
     def _derive_settings(self) -> ReplicaSettings:
         """Replica settings mirroring the writer service's configuration."""
-        from repro.core.kernels import get_kernel_threads, get_kernels
+        from repro.core.kernels import get_kernel_threads
 
         stats = self.service.stats()
         return ReplicaSettings(
             k_max=int(stats["k_max"]),
             shards=int(stats["shards"]),
             backend=str(stats["backend"]),
-            kernels=get_kernels(),
             kernel_threads=get_kernel_threads(),
         )
 

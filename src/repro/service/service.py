@@ -108,7 +108,7 @@ class FormationService:
         Number of memoized formation results kept (LRU, default 128).
     execution:
         Execution strategy for the shard-summary fan-out on requests that
-        recompute several shards: ``"serial"`` (default), ``"threads"``,
+        recompute several shards: ``"serial"`` (default),
         ``"processes"``, or a prebuilt
         :class:`~repro.execution.executor.Executor` (kept open — the
         caller owns its lifetime).  The process strategy exports the

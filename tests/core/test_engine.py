@@ -24,8 +24,8 @@ from repro.core import (
     GroupFormationResult,
     get_backend,
     top_k_table,
-    top_k_table_fast,
 )
+from repro.core import kernels
 from repro.core.errors import GroupFormationError
 
 _VARIANTS = [
@@ -195,6 +195,8 @@ class TestRunMany:
 
 
 class TestTopKTableFast:
+    """The kernel layer's top-k (compiled, else numpy) against the spec."""
+
     @given(
         shape=st.tuples(
             st.integers(min_value=1, max_value=20),
@@ -209,22 +211,26 @@ class TestTopKTableFast:
         values = rng.integers(0, levels + 1, size=shape).astype(float)
         for k in {1, (shape[1] + 1) // 2, shape[1]}:
             expected_items, expected_scores = top_k_table(values, k)
-            items, scores = top_k_table_fast(values, k)
+            items, scores = kernels.top_k_table(values, k)
             assert np.array_equal(expected_items, items)
             assert np.array_equal(expected_scores, scores)
 
-    def test_negative_infinity_falls_back_to_sort(self):
+    def test_negative_infinity_falls_back_to_sort(self, monkeypatch):
+        # The numpy path's peel masks with -inf, so such rows take the sort.
+        monkeypatch.setattr(kernels, "_load_parallel", lambda: None)
         values = np.array([[-np.inf, 1.0, 2.0], [-np.inf, -np.inf, -np.inf]])
         expected_items, expected_scores = top_k_table(values, 2)
-        items, scores = top_k_table_fast(values, 2)
+        items, scores = kernels.top_k_table(values, 2)
         assert np.array_equal(expected_items, items)
         assert np.array_equal(expected_scores, scores)
 
     def test_validation_matches_reference(self):
-        with pytest.raises(GroupFormationError):
-            top_k_table_fast(np.array([[1.0, np.nan]]), 1)
-        with pytest.raises(GroupFormationError):
-            top_k_table_fast(np.array([[1.0, 2.0]]), 3)
+        for backend in ("numpy", "reference"):
+            engine = FormationEngine(backend)
+            with pytest.raises(GroupFormationError):
+                engine.run(np.array([[1.0, np.nan]]), 2, 1)
+            with pytest.raises(GroupFormationError):
+                engine.run(np.array([[1.0, 2.0]]), 2, 3)
 
 
 class TestEngineSelection:

@@ -1,20 +1,23 @@
-"""Kernel-layer suites: three-way parity and the ordinal-transform contract.
+"""Kernel-layer suites, anchored on the specifications.
 
 Four families of guarantees:
 
-* the ``fast`` kernels (blocked partition-select top-k, fused fingerprint
-  bucketing) are **bit-identical** to the ``classic`` kernels (argmax peel,
-  packed-key lexsort) on the full parity matrix — semantics x aggregation x
-  dense/sparse x k sweep — including at the formation-result level;
-* the compiled ``parallel`` generation joins that parity matrix bit for
-  bit, at every thread count (1 vs N identical), with the forced-collision
-  lexsort fallback still running in Python, and degrades to ``fast`` with
-  a single warning when the compiled backend cannot be built;
+* both top-k paths — the compiled kernel and the numpy blocked kernel the
+  layer runs without a C compiler — are **bit-identical** to the
+  stable-argsort specification :func:`repro.core.preferences.top_k_table`
+  (ties, ``±0.0``, ``±inf``, ``k`` on both sides of the numpy peel/select
+  crossover), the compiled one at every thread count;
+* fingerprint bucketing yields the same partition and member order as the
+  exact packed-key lexsort (:func:`repro.core.kernels._group_rows_lexsort`)
+  and survives a forced fingerprint collision exactly;
+* formation results equal the loop-based ``reference`` backend for every
+  variant, on dense and sparse stores, under both top-k paths;
 * the :func:`repro.core.kernels.float_to_ordinal` transform is a monotone
   bijection on IEEE-754 bit patterns, exercised on the nasty cases (NaN,
-  ``±0.0``, ``±inf``, subnormals, ``float32`` and ``float64``);
-* a fingerprint collision is detected and survived exactly (lexsort
-  fallback), never silently mis-grouped.
+  ``±0.0``, ``±inf``, subnormals, ``float32`` and ``float64``).
+
+The numpy path is selected in-process by monkeypatching
+``kernels._load_parallel`` to report no compiled backend.
 """
 
 from __future__ import annotations
@@ -35,7 +38,7 @@ from repro.recsys.matrix import RatingScale
 
 requires_parallel = pytest.mark.skipif(
     not kernels.parallel_available(),
-    reason="compiled parallel backend unavailable (no C compiler)",
+    reason="compiled top-k backend unavailable (no C compiler)",
 )
 
 NASTY_FLOATS = [
@@ -68,6 +71,35 @@ def run_result_fingerprint(result):
         result.extras["n_intermediate_groups"],
         result.extras["last_group_pseudocode_score"],
     )
+
+
+@pytest.fixture
+def numpy_path(monkeypatch):
+    """Route kernels.top_k_table to the numpy blocked kernel."""
+    monkeypatch.setattr(kernels, "_load_parallel", lambda: None)
+
+
+def numpy_top_k(values, k, assume_finite=False):
+    """kernels.top_k_table on the numpy path, whatever the box offers."""
+    with pytest.MonkeyPatch.context() as patch:
+        patch.setattr(kernels, "_load_parallel", lambda: None)
+        return kernels.top_k_table(values, k, assume_finite=assume_finite)
+
+
+def assert_tables_equal(expected, actual):
+    """Identical item tables and bit-identical rating tables (-0.0 kept)."""
+    assert np.array_equal(expected[0], actual[0])
+    assert np.array_equal(expected[1].view(np.uint64), actual[1].view(np.uint64))
+
+
+def lexsort_buckets(items_table, scores_table, key_scores):
+    """The exact specification of bucketing: lexsort over packed keys."""
+    packed = kernels.pack_key_rows(items_table, scores_table, key_scores)
+    sorted_users, new_segment = kernels._group_rows_lexsort(packed)
+    starts = np.flatnonzero(new_segment)
+    inverse = np.empty(items_table.shape[0], dtype=np.int64)
+    inverse[sorted_users] = np.cumsum(new_segment) - 1
+    return inverse, sorted_users, starts
 
 
 def buckets_as_partition(inverse, sorted_users, starts):
@@ -180,37 +212,28 @@ def matrices(min_users=1, max_users=40, min_items=1, max_items=25):
 
 
 class TestTopKParity:
-    """fast == classic bit for bit on the top-k table."""
+    """The numpy top-k path == the stable-argsort specification."""
 
     @settings(max_examples=60, deadline=None)
     @given(data=st.data(), values=matrices())
-    def test_fast_matches_classic(self, data, values):
+    def test_numpy_matches_spec(self, data, values):
         """Random (tie-heavy and continuous) matrices, every k."""
         k = data.draw(st.integers(1, values.shape[1]))
-        with kernels.use_kernels("classic"):
-            classic = kernels.top_k_table(values, k)
-        with kernels.use_kernels("fast"):
-            fast = kernels.top_k_table(values, k)
-        assert np.array_equal(classic[0], fast[0])
-        # View as bits: -0.0 must survive with its sign.
-        assert np.array_equal(
-            classic[1].view(np.uint64), fast[1].view(np.uint64)
-        )
+        assert_tables_equal(top_k_table(values, k), numpy_top_k(values, k))
 
     @pytest.mark.parametrize("k", [1, 3, 16, 17, 40, 99, 100])
     def test_both_fast_branches_match_spec(self, k):
-        """The peel branch (small k) and select branch (large k) agree with
-        the full-sort specification on a tie-heavy instance."""
+        """The numpy peel branch (k <= max(16, m // 8) = 16 here) and select
+        branch (larger k) — and the compiled kernel, when it loads — agree
+        with the full-sort specification on a tie-heavy instance."""
         rng = np.random.default_rng(k)
         values = rng.integers(1, 6, size=(257, 100)).astype(float)
         spec = top_k_table(values, k)
-        with kernels.use_kernels("fast"):
-            fast = kernels.top_k_table(values, k, assume_finite=True)
-        assert np.array_equal(spec[0], fast[0])
-        assert np.array_equal(spec[1], fast[1])
+        assert_tables_equal(spec, numpy_top_k(values, k, assume_finite=True))
+        assert_tables_equal(spec, kernels.top_k_table(values, k, assume_finite=True))
 
     def test_negative_infinity_rows(self):
-        """-inf ratings (the classic peel's sentinel) stay exact."""
+        """-inf ratings (the numpy peel's sentinel) stay exact on both paths."""
         values = np.array(
             [
                 [-np.inf, -np.inf, -np.inf],
@@ -219,50 +242,57 @@ class TestTopKParity:
             ]
         )
         for k in (1, 2, 3):
-            with kernels.use_kernels("classic"):
-                classic = kernels.top_k_table(values, k)
-            with kernels.use_kernels("fast"):
-                fast = kernels.top_k_table(values, k)
-            assert np.array_equal(classic[0], fast[0])
-            assert np.array_equal(classic[1], fast[1])
+            spec = top_k_table(values, k)
+            assert_tables_equal(spec, numpy_top_k(values, k))
+            assert_tables_equal(spec, kernels.top_k_table(values, k))
 
-    def test_blocking_is_invisible(self, monkeypatch):
+    @pytest.mark.parametrize("k", [0, 5])
+    def test_k_out_of_range_rejected(self, k):
+        """Both paths reject k outside [1, n_items] before ranking (the
+        compiled kernel would otherwise index outside its row buffers)."""
+        values = np.ones((3, 4))
+        with pytest.raises(ValueError, match="k must be between"):
+            kernels.top_k_table(values, k)
+        with pytest.raises(ValueError, match="k must be between"):
+            numpy_top_k(values, k)
+
+    def test_blocking_is_invisible(self, monkeypatch, numpy_path):
         """Tiny row blocks produce the same table as one big block."""
         rng = np.random.default_rng(0)
         values = rng.integers(1, 6, size=(53, 12)).astype(float)
-        with kernels.use_kernels("fast"):
-            whole = kernels.top_k_table(values, 4, assume_finite=True)
-        monkeypatch.setattr(kernels, "_fast_block_rows", lambda n_items: 7)
-        with kernels.use_kernels("fast"):
-            blocked = kernels.top_k_table(values, 4, assume_finite=True)
-        assert np.array_equal(whole[0], blocked[0])
-        assert np.array_equal(whole[1], blocked[1])
+        whole = kernels.top_k_table(values, 4, assume_finite=True)
+        monkeypatch.setattr(kernels, "_block_rows", lambda n_items: 7)
+        blocked = kernels.top_k_table(values, 4, assume_finite=True)
+        assert_tables_equal(whole, blocked)
 
 
 class TestBucketizeParity:
-    """fast and classic bucketing produce the same partition of users."""
+    """Fingerprint bucketing == the packed-key lexsort partition."""
 
     @settings(max_examples=60, deadline=None)
     @given(data=st.data(), values=matrices(min_items=2))
     def test_same_partition_every_key_scheme(self, data, values):
-        """Both kernels agree on buckets, member order and representatives."""
+        """Same buckets, member order and representatives as the lexsort,
+        through bucketize and through group_key_rows."""
         k = data.draw(st.integers(1, values.shape[1]))
-        with kernels.use_kernels("classic"):
-            items_table, scores_table = kernels.top_k_table(values, k)
+        items_table, scores_table = top_k_table(values, k)
         for key_scores in ("none", "first", "last", "all"):
-            with kernels.use_kernels("classic"):
-                classic = kernels.bucketize(items_table, scores_table, key_scores)
-            with kernels.use_kernels("fast"):
-                fast = kernels.bucketize(items_table, scores_table, key_scores)
-            assert buckets_as_partition(*classic) == buckets_as_partition(*fast)
+            spec = buckets_as_partition(
+                *lexsort_buckets(items_table, scores_table, key_scores)
+            )
+            fused = kernels.bucketize(items_table, scores_table, key_scores)
+            assert buckets_as_partition(*fused) == spec
+            packed = kernels.pack_key_rows(items_table, scores_table, key_scores)
+            order, new_segment = kernels.group_key_rows(packed)
+            groups = np.split(order, np.flatnonzero(new_segment)[1:])
+            assert sorted(tuple(g.tolist()) for g in groups) == spec
 
     def test_collision_fallback_is_exact(self, monkeypatch):
         """With every fingerprint colliding, grouping degrades to lexsort."""
         rng = np.random.default_rng(1)
         items_table = rng.integers(0, 3, size=(40, 2)).astype(np.int64)
         scores_table = rng.integers(1, 3, size=(40, 2)).astype(float)
-        with kernels.use_kernels("classic"):
-            classic = kernels.bucketize(items_table, scores_table, "all")
+        spec = lexsort_buckets(items_table, scores_table, "all")
         monkeypatch.setattr(
             kernels,
             "fused_fingerprint_rows",
@@ -270,11 +300,20 @@ class TestBucketizeParity:
                 items.shape[0], dtype=np.uint64
             ),
         )
-        with kernels.use_kernels("fast"):
-            collided = kernels.bucketize(items_table, scores_table, "all")
-        # The fallback is the classic path itself: identical arrays, not
-        # just an equivalent partition.
-        for a, b in zip(classic, collided):
+        monkeypatch.setattr(
+            kernels,
+            "fingerprint_rows",
+            lambda packed: np.zeros(packed.shape[0], dtype=np.uint64),
+        )
+        collided = kernels.bucketize(items_table, scores_table, "all")
+        # The fallback is the lexsort itself: identical arrays, not just an
+        # equivalent partition.
+        for a, b in zip(spec, collided):
+            assert np.array_equal(a, b)
+        packed = kernels.pack_key_rows(items_table, scores_table, "all")
+        for a, b in zip(
+            kernels._group_rows_lexsort(packed), kernels.group_key_rows(packed)
+        ):
             assert np.array_equal(a, b)
 
     def test_interleaved_collision_detected(self, monkeypatch):
@@ -288,10 +327,9 @@ class TestBucketizeParity:
                 items.shape[0], dtype=np.uint64
             ),
         )
-        with kernels.use_kernels("fast"):
-            inverse, sorted_users, starts = kernels.bucketize(
-                items_table, scores_table, "none"
-            )
+        inverse, sorted_users, starts = kernels.bucketize(
+            items_table, scores_table, "none"
+        )
         assert buckets_as_partition(inverse, sorted_users, starts) == [
             (0, 2, 4),
             (1, 3),
@@ -299,24 +337,17 @@ class TestBucketizeParity:
 
 
 class TestParallelKernels:
-    """The compiled generation: parity, threading, fusion, fallback."""
+    """The compiled top-k kernel: parity, threading, absence."""
 
     @requires_parallel
     @settings(max_examples=40, deadline=None)
     @given(data=st.data(), values=matrices())
     def test_top_k_three_way_parity(self, data, values):
-        """parallel == fast == classic bit for bit on random matrices."""
+        """compiled == numpy == specification bit for bit on random matrices."""
         k = data.draw(st.integers(1, values.shape[1]))
-        tables = {}
-        for mode in ("classic", "fast", "parallel"):
-            with kernels.use_kernels(mode):
-                tables[mode] = kernels.top_k_table(values, k)
-        for mode in ("fast", "parallel"):
-            assert np.array_equal(tables["classic"][0], tables[mode][0])
-            assert np.array_equal(
-                tables["classic"][1].view(np.uint64),
-                tables[mode][1].view(np.uint64),
-            )
+        spec = top_k_table(values, k)
+        assert_tables_equal(spec, kernels.top_k_table(values, k))
+        assert_tables_equal(spec, numpy_top_k(values, k))
 
     @requires_parallel
     def test_nasty_ordinal_inputs(self):
@@ -329,65 +360,47 @@ class TestParallelKernels:
         values[::5, 3] = -0.0
         values[::7, 4] = 5e-324
         for k in (1, 4, 9):
-            with kernels.use_kernels("classic"):
-                classic = kernels.top_k_table(values, k)
-            with kernels.use_kernels("parallel"):
-                compiled = kernels.top_k_table(values, k)
-            assert np.array_equal(classic[0], compiled[0])
-            assert np.array_equal(
-                classic[1].view(np.uint64), compiled[1].view(np.uint64)
-            )
+            assert_tables_equal(top_k_table(values, k), kernels.top_k_table(values, k))
 
     @requires_parallel
     def test_thread_count_independence(self):
-        """1 vs N threads: bit-identical tables, fingerprints and buckets."""
+        """1 vs N threads: bit-identical tables and buckets."""
         rng = np.random.default_rng(11)
         values = rng.integers(1, 5, size=(211, 17)).astype(float)
-        with kernels.use_kernels("parallel"):
-            with kernels.use_kernel_threads(1):
-                one_tables = kernels.top_k_table(values, 5)
-                one_buckets = kernels.bucketize(*one_tables, "all")
-                one_fp = kernels.fused_fingerprint_rows(*one_tables, "all")
-            with kernels.use_kernel_threads(5):
-                many_tables = kernels.top_k_table(values, 5)
-                many_buckets = kernels.bucketize(*many_tables, "all")
-                many_fp = kernels.fused_fingerprint_rows(*many_tables, "all")
-        assert np.array_equal(one_tables[0], many_tables[0])
-        assert np.array_equal(
-            one_tables[1].view(np.uint64), many_tables[1].view(np.uint64)
-        )
-        assert np.array_equal(one_fp, many_fp)
-        for a, b in zip(one_buckets, many_buckets):
+        with kernels.use_kernel_threads(1):
+            one_tables = kernels.top_k_table(values, 5)
+        with kernels.use_kernel_threads(5):
+            many_tables = kernels.top_k_table(values, 5)
+        assert_tables_equal(one_tables, many_tables)
+        for a, b in zip(
+            kernels.bucketize(*one_tables, "all"),
+            kernels.bucketize(*many_tables, "all"),
+        ):
             assert np.array_equal(a, b)
 
     @pytest.mark.parametrize("key_scores", ["none", "first", "last", "all"])
     def test_fused_fingerprints_match_packed(self, key_scores):
-        """Fused fingerprints == fingerprint_rows(pack_key_rows(...)) under
-        every generation, including NaN score bit patterns."""
+        """Fused fingerprints == fingerprint_rows(pack_key_rows(...)),
+        including NaN score bit patterns."""
         rng = np.random.default_rng(13)
         items_table = rng.integers(0, 50, size=(97, 6)).astype(np.int64)
         scores_table = rng.normal(size=(97, 6))
         scores_table[::9, 2] = np.nan
         scores_table[::7, 4] = -0.0
-        with kernels.use_kernels("classic"):
-            packed = kernels.pack_key_rows(items_table, scores_table, key_scores)
-            expected = kernels.fingerprint_rows(packed)
-        for mode in kernels.KERNEL_MODES:
-            with kernels.use_kernels(mode):
-                fused = kernels.fused_fingerprint_rows(
-                    items_table, scores_table, key_scores
-                )
-            assert np.array_equal(expected, fused), mode
+        packed = kernels.pack_key_rows(items_table, scores_table, key_scores)
+        expected = kernels.fingerprint_rows(packed)
+        fused = kernels.fused_fingerprint_rows(items_table, scores_table, key_scores)
+        assert np.array_equal(expected, fused)
 
     @requires_parallel
     def test_collision_fallback_under_threading(self, monkeypatch):
-        """All-colliding fingerprints at 4 threads still degrade to the exact
-        Python lexsort — identical arrays to the classic grouping."""
+        """Tables ranked at 4 compiled threads, then all-colliding
+        fingerprints: bucketing still degrades to the exact lexsort."""
         rng = np.random.default_rng(17)
-        items_table = rng.integers(0, 3, size=(60, 2)).astype(np.int64)
-        scores_table = rng.integers(1, 3, size=(60, 2)).astype(float)
-        with kernels.use_kernels("classic"):
-            classic = kernels.bucketize(items_table, scores_table, "all")
+        values = rng.integers(1, 3, size=(60, 3)).astype(float)
+        with kernels.use_kernel_threads(4):
+            items_table, scores_table = kernels.top_k_table(values, 2)
+        spec = lexsort_buckets(items_table, scores_table, "all")
         monkeypatch.setattr(
             kernels,
             "fused_fingerprint_rows",
@@ -395,26 +408,18 @@ class TestParallelKernels:
                 items.shape[0], dtype=np.uint64
             ),
         )
-        with kernels.use_kernels("parallel"), kernels.use_kernel_threads(4):
-            collided = kernels.bucketize(items_table, scores_table, "all")
-        for a, b in zip(classic, collided):
+        collided = kernels.bucketize(items_table, scores_table, "all")
+        for a, b in zip(spec, collided):
             assert np.array_equal(a, b)
 
-    def test_unavailable_backend_falls_back_with_single_warning(self, monkeypatch):
-        """Backend absent: parallel -> fast, exactly one RuntimeWarning."""
-        monkeypatch.setattr(kernels, "_load_parallel", lambda: None)
-        monkeypatch.setattr(kernels, "_fallback_warned", False)
-        before = kernels.get_kernels()
-        try:
-            with pytest.warns(RuntimeWarning, match="falling back"):
-                kernels.set_kernels("parallel")
-            assert kernels.get_kernels() == "fast"
-            with warnings.catch_warnings():
-                warnings.simplefilter("error")
-                kernels.set_kernels("parallel")  # second request stays silent
-            assert kernels.get_kernels() == "fast"
-        finally:
-            kernels.set_kernels(before)
+    def test_unavailable_backend_runs_numpy_silently(self, numpy_path):
+        """Backend absent: top-k runs the numpy kernel, exact and silent."""
+        assert not kernels.parallel_available()
+        values = np.random.default_rng(3).integers(1, 5, size=(30, 8)).astype(float)
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            tables = kernels.top_k_table(values, 3)
+        assert_tables_equal(top_k_table(values, 3), tables)
 
 
 class TestKernelThreads:
@@ -440,12 +445,15 @@ class TestKernelThreads:
         with pytest.raises(ValueError, match="thread count"):
             kernels.set_kernel_threads(-2)
 
-    def test_garbage_env_value_ignored(self, monkeypatch):
-        """A non-numeric environment value falls through to the CPU count."""
-        monkeypatch.setenv(kernels.KERNEL_THREADS_ENV, "banana")
+    @pytest.mark.parametrize("raw", ["banana", "0", "-3", "2.5"])
+    def test_malformed_env_value_rejected(self, monkeypatch, raw):
+        """A non-positive or non-integer environment value raises a
+        ValueError naming the variable instead of using the CPU count."""
+        monkeypatch.setenv(kernels.KERNEL_THREADS_ENV, raw)
         previous = kernels.set_kernel_threads(None)
         try:
-            assert kernels.get_kernel_threads() >= 1
+            with pytest.raises(ValueError, match=kernels.KERNEL_THREADS_ENV):
+                kernels.get_kernel_threads()
         finally:
             kernels.set_kernel_threads(previous)
 
@@ -462,17 +470,26 @@ class TestKernelThreads:
             kernels.set_kernel_threads(previous)
 
 
-class TestFormationParity:
-    """--kernels fast/parallel are bit-identical to classic at the result level."""
+#: Both top-k paths; the ids keep the names these two kernels carried when
+#: they were selectable generations ("fast" = numpy, "parallel" = compiled).
+TOP_K_PATHS = [
+    pytest.param("numpy", id="fast"),
+    pytest.param("compiled", id="parallel", marks=requires_parallel),
+]
 
-    @pytest.mark.parametrize(
-        "mode", ["fast", pytest.param("parallel", marks=requires_parallel)]
-    )
+
+class TestFormationParity:
+    """Formation results equal the reference backend under both top-k paths."""
+
+    @pytest.mark.parametrize("path", TOP_K_PATHS)
     @pytest.mark.parametrize("semantics", ["lm", "av"])
     @pytest.mark.parametrize("aggregation", ["min", "max", "sum", "weighted-sum"])
     @pytest.mark.parametrize("store_kind", ["dense", "sparse"])
-    def test_full_matrix(self, semantics, aggregation, store_kind, mode):
-        """semantics x aggregation x dense/sparse x k sweep, every generation."""
+    def test_full_matrix(self, monkeypatch, semantics, aggregation, store_kind, path):
+        """semantics x aggregation x dense/sparse x k sweep vs the reference."""
+        if path == "numpy":
+            monkeypatch.setattr(kernels, "_load_parallel", lambda: None)
+            monkeypatch.setattr(kernels, "_load_csr", lambda: None)
         rng = np.random.default_rng(abs(hash((semantics, aggregation))) % 2**32)
         values = rng.integers(1, 6, size=(120, 24)).astype(float)
         if store_kind == "sparse":
@@ -484,24 +501,23 @@ class TestFormationParity:
         else:
             ratings = values
         engine = FormationEngine("numpy")
+        reference = FormationEngine("reference")
         for k in (1, 3, 8):
             for max_groups in (2, 7):
-                with kernels.use_kernels("classic"):
-                    classic = engine.run(
-                        ratings, max_groups, k, semantics, aggregation
-                    )
-                with kernels.use_kernels(mode):
-                    candidate = engine.run(
-                        ratings, max_groups, k, semantics, aggregation
-                    )
-                assert run_result_fingerprint(classic) == run_result_fingerprint(
+                expected = reference.run(
+                    ratings, max_groups, k, semantics, aggregation
+                )
+                candidate = engine.run(
+                    ratings, max_groups, k, semantics, aggregation
+                )
+                assert run_result_fingerprint(expected) == run_result_fingerprint(
                     candidate
                 )
 
     @settings(max_examples=25, deadline=None)
     @given(data=st.data(), values=matrices(min_users=2, min_items=2))
     def test_property_parity_against_reference(self, data, values):
-        """Fast kernels agree with the loop-based reference specification."""
+        """Both top-k paths agree with the loop-based reference backend."""
         # The reference backend rejects non-finite ratings; clamp to finite.
         values = np.nan_to_num(values, posinf=10.0, neginf=-10.0)
         k = data.draw(st.integers(1, values.shape[1]))
@@ -511,34 +527,17 @@ class TestFormationParity:
         reference = FormationEngine("reference").run(
             values, max_groups, k, semantics, aggregation
         )
-        with kernels.use_kernels("fast"):
-            fast = FormationEngine("numpy").run(
-                values, max_groups, k, semantics, aggregation
-            )
-        assert run_result_fingerprint(reference) == run_result_fingerprint(fast)
+        numpy_run = FormationEngine("numpy")
+        with pytest.MonkeyPatch.context() as patch:
+            patch.setattr(kernels, "_load_parallel", lambda: None)
+            on_numpy = numpy_run.run(values, max_groups, k, semantics, aggregation)
+        on_default = numpy_run.run(values, max_groups, k, semantics, aggregation)
+        assert run_result_fingerprint(reference) == run_result_fingerprint(on_numpy)
+        assert run_result_fingerprint(reference) == run_result_fingerprint(on_default)
 
 
 class TestKernelSwitch:
-    """The --kernels switch itself."""
-
-    def test_default_is_fast(self):
-        """The shipped default generation is the overhauled one."""
-        assert kernels.DEFAULT_KERNELS == "fast"
-
-    def test_set_and_restore(self):
-        """set_kernels returns the previous mode; use_kernels restores it."""
-        before = kernels.get_kernels()
-        previous = kernels.set_kernels("classic")
-        assert previous == before
-        with kernels.use_kernels("fast"):
-            assert kernels.get_kernels() == "fast"
-        assert kernels.get_kernels() == "classic"
-        kernels.set_kernels(before)
-
-    def test_unknown_mode_rejected(self):
-        """Typos raise instead of silently running some default."""
-        with pytest.raises(ValueError, match="unknown kernel generation"):
-            kernels.set_kernels("turbo")
+    """Kernel provenance in artifact-cache keys, and a matrix contract."""
 
     def test_nan_duplicate_triples_keep_historical_contract(self):
         """RatingMatrix.from_triples: NaN in a cell means "unset" — exact NaN
@@ -565,6 +564,7 @@ class TestKernelSwitch:
 
         import repro.core.kernels as kernel_module
 
+        assert kernel_module.KERNEL_GENERATION == 2
         old_index = ArtifactCache.index_key("fp", 5)
         old_summary = ArtifactCache.summary_key("fp", 5, "GRD-LM-MIN", 0, 10)
         monkeypatch.setattr(

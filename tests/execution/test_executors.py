@@ -19,10 +19,8 @@ from repro.core.sharded import ShardedFormation, form_from_summaries, shard_boun
 from repro.core.topk_index import TopKIndex
 from repro.execution.executor import (
     EXECUTION_MODES,
-    Executor,
     ProcessExecutor,
     SerialExecutor,
-    ThreadExecutor,
     executor_scope,
     get_executor,
 )
@@ -63,13 +61,12 @@ def integer_instance(seed: int, n_users: int, n_items: int) -> np.ndarray:
 
 def test_get_executor_resolution():
     assert isinstance(get_executor("serial"), SerialExecutor)
-    assert isinstance(get_executor("threads", 2), ThreadExecutor)
     assert isinstance(get_executor("processes", 2), ProcessExecutor)
-    # Historical default: threads when workers > 1, serial otherwise.
+    # Default: processes when workers > 1, serial otherwise.
     assert get_executor(None, None).name == "serial"
     assert get_executor(None, 1).name == "serial"
-    assert get_executor(None, 4).name == "threads"
-    assert set(EXECUTION_MODES) == {"serial", "threads", "processes"}
+    assert get_executor(None, 4).name == "processes"
+    assert EXECUTION_MODES == ("serial", "processes")
 
 
 def test_get_executor_passthrough_and_errors():
@@ -77,15 +74,17 @@ def test_get_executor_passthrough_and_errors():
     assert get_executor(executor) is executor
     with pytest.raises(ValueError, match="unknown execution mode"):
         get_executor("gpu")
+    with pytest.raises(ValueError, match="unknown execution mode"):
+        get_executor("threads", 2)
     with pytest.raises(ValueError):
-        get_executor("threads", 0)
+        get_executor("processes", 0)
 
 
 def test_executor_scope_ownership():
-    with executor_scope("threads", 2) as executor:
-        assert isinstance(executor, ThreadExecutor)
+    with executor_scope("processes", 2) as executor:
+        assert isinstance(executor, ProcessExecutor)
     # A passed-in executor is not closed by the scope.
-    outer = ThreadExecutor(2)
+    outer = ProcessExecutor(2)
     with executor_scope(outer) as executor:
         assert executor is outer
     outer.map_configs(
@@ -104,7 +103,7 @@ def test_executor_scope_ownership():
 
 @pytest.mark.parametrize("semantics,aggregation", [("lm", "min"), ("av", "sum")])
 @pytest.mark.parametrize("sparse", [False, True])
-def test_map_shards_threads_and_processes_match_serial(
+def test_map_shards_processes_match_serial(
     process_executor, semantics, aggregation, sparse
 ):
     values = integer_instance(11, 90, 18)
@@ -116,17 +115,14 @@ def test_map_shards_threads_and_processes_match_serial(
     variant = make_variant(semantics, aggregation)
     bounds = shard_bounds(90, 5)
     serial = SerialExecutor().map_shards(store, bounds, 4, variant)
-    with ThreadExecutor(2) as threads:
-        threaded = threads.map_shards(store, bounds, 4, variant)
     processed = process_executor.map_shards(store, bounds, 4, variant)
-    for candidate in (threaded, processed):
-        assert len(candidate) == len(serial)
-        for a, b in zip(serial, candidate):
-            assert a.start == b.start
-            assert np.array_equal(a.keys, b.keys)
-            assert np.array_equal(a.scores, b.scores)
-            assert np.array_equal(a.reps, b.reps)
-            assert all(np.array_equal(x, y) for x, y in zip(a.members, b.members))
+    assert len(processed) == len(serial)
+    for a, b in zip(serial, processed):
+        assert a.start == b.start
+        assert np.array_equal(a.keys, b.keys)
+        assert np.array_equal(a.scores, b.scores)
+        assert np.array_equal(a.reps, b.reps)
+        assert all(np.array_equal(x, y) for x, y in zip(a.members, b.members))
     # End-to-end: the merged plan built from process summaries matches the
     # plain engine.
     baseline = FormationEngine("numpy").run(values.copy(), 6, 4, semantics, aggregation)
@@ -183,7 +179,7 @@ def test_map_table_shards_matches_serial_with_and_without_token(process_executor
 # --------------------------------------------------------------------- #
 
 
-@pytest.mark.parametrize("execution", ["threads", "processes"])
+@pytest.mark.parametrize("execution", ["processes"])
 def test_run_many_executor_matches_serial(process_executor, execution):
     values = integer_instance(23, 70, 16)
     engine = FormationEngine("numpy")
@@ -193,14 +189,7 @@ def test_run_many_executor_matches_serial(process_executor, execution):
         FormationConfig(max_groups=8, k=2, semantics="lm", aggregation="max"),
     ]
     serial = engine.run_many(values.copy(), configs)
-    executor: Executor = (
-        process_executor if execution == "processes" else ThreadExecutor(2)
-    )
-    try:
-        parallel = engine.run_many(values.copy(), configs, executor=executor)
-    finally:
-        if execution == "threads":
-            executor.close()
+    parallel = engine.run_many(values.copy(), configs, executor=process_executor)
     assert len(parallel) == len(serial)
     for a, b in zip(serial, parallel):
         assert results_match(a, b)

@@ -37,6 +37,17 @@ class TestParser:
 
 
 class TestMain:
+    def test_malformed_kernel_threads_env_fails_before_running(
+        self, monkeypatch, capsys
+    ):
+        monkeypatch.setenv("REPRO_KERNEL_THREADS", "abc")
+        with pytest.raises(SystemExit) as excinfo:
+            main(["table3"])
+        assert excinfo.value.code == 2
+        captured = capsys.readouterr()
+        assert "REPRO_KERNEL_THREADS" in captured.err
+        assert captured.out == ""
+
     def test_list_catalogue(self, capsys):
         assert main(["list"]) == 0
         output = capsys.readouterr().out

@@ -7,8 +7,8 @@ import subprocess
 import sys
 
 
-def _run_serve(*extra_args: str) -> subprocess.CompletedProcess:
-    env = dict(os.environ)
+def _run_serve(*extra_args: str, env_extra=None) -> subprocess.CompletedProcess:
+    env = dict(os.environ, **(env_extra or {}))
     env["PYTHONPATH"] = os.pathsep.join(
         filter(None, ["src", env.get("PYTHONPATH")])
     )
@@ -62,3 +62,14 @@ def test_invalid_respawn_knobs_fail_fast(tmp_path):
     )
     assert result.returncode == 2
     assert result.stderr.startswith("repro serve: error:")
+
+
+def test_malformed_kernel_threads_env_fails_fast():
+    for raw in ("abc", "0"):
+        result = _run_serve(env_extra={"REPRO_KERNEL_THREADS": raw})
+        assert result.returncode == 2, raw
+        lines = [line for line in result.stderr.splitlines() if line.strip()]
+        assert len(lines) == 1
+        assert lines[0].startswith("repro serve: error:")
+        assert "REPRO_KERNEL_THREADS" in lines[0]
+        assert "listening" not in result.stdout

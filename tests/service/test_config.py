@@ -51,7 +51,7 @@ def test_to_dict_is_json_shaped():
         {"users": 0},
         {"store": "columnar"},
         {"density": 0.0},
-        {"kernels": "warp"},
+        {"kernel_threads": 0},
         {"snapshot_every": -1},
         {"k_max": 0},
         {"batch_window": -0.1},
@@ -98,3 +98,11 @@ def test_builders_produce_a_working_stack(tmp_path):
             users=20, items=8, seed=3, shards=2, k_max=3,
             wal_dir=str(tmp_path),
         ).build_pipeline()
+
+
+def test_malformed_kernel_threads_env_fails_validation(monkeypatch):
+    monkeypatch.setenv("REPRO_KERNEL_THREADS", "abc")
+    with pytest.raises(IngestError, match="REPRO_KERNEL_THREADS"):
+        ServiceConfig(users=5, items=4)
+    # An explicit thread count does not consult the environment.
+    assert ServiceConfig(users=5, items=4, kernel_threads=2).kernel_threads == 2

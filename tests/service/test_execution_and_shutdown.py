@@ -33,7 +33,7 @@ def values():
 # --------------------------------------------------------------------- #
 
 
-@pytest.mark.parametrize("execution", ["threads", "processes"])
+@pytest.mark.parametrize("execution", ["processes"])
 def test_service_with_executor_matches_cold_engine(values, execution):
     with FormationService(
         DenseStore(values.copy()), k_max=5, shards=4, execution=execution, workers=2
@@ -149,8 +149,10 @@ def test_shutdown_flushes_the_open_update_batch(values):
 
     def post_update() -> None:
         req = urllib.request.Request(
-            f"http://127.0.0.1:{server.port}/updates",
-            data=json.dumps({"upserts": [[0, 0, 5.0]]}).encode(),
+            f"http://127.0.0.1:{server.port}/v1/events",
+            data=json.dumps(
+                {"events": [{"kind": "rating", "user": 0, "item": 0, "score": 5.0}]}
+            ).encode(),
             headers={"Content-Type": "application/json"},
         )
         with urllib.request.urlopen(req, timeout=30) as resp:

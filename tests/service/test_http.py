@@ -47,6 +47,11 @@ def server():
     thread.join(timeout=5)
 
 
+def rating(user, item, score):
+    """One explicit-rating event of a ``/v1/events`` body."""
+    return {"kind": "rating", "user": user, "item": item, "score": score}
+
+
 def request(srv: ServiceServer, path: str, body=None, method=None,
             with_headers=False):
     data = json.dumps(body).encode() if body is not None else None
@@ -70,9 +75,9 @@ def request(srv: ServiceServer, path: str, body=None, method=None,
 
 def test_healthz_and_stats(server):
     srv, _ = server
-    status, payload = request(srv, "/healthz")
+    status, payload = request(srv, "/v1/healthz")
     assert status == 200 and payload["status"] == "ok"
-    status, payload = request(srv, "/stats")
+    status, payload = request(srv, "/v1/stats")
     assert status == 200 and payload["n_users"] == 60
 
 
@@ -80,7 +85,7 @@ def test_recommend_end_to_end_matches_engine(server):
     srv, values = server
     status, payload = request(
         srv,
-        "/recommend",
+        "/v1/recommend",
         {"k": 3, "max_groups": 5, "semantics": "lm", "aggregation": "min"},
     )
     assert status == 200
@@ -94,14 +99,16 @@ def test_recommend_end_to_end_matches_engine(server):
 
 def test_updates_change_subsequent_recommendations(server):
     srv, values = server
-    _, before = request(srv, "/recommend", {"k": 3, "max_groups": 5})
+    _, before = request(srv, "/v1/recommend", {"k": 3, "max_groups": 5})
     status, stats = request(
-        srv, "/updates", {"upserts": [[0, 1, 5.0]], "deletes": [[2, 3]]}
+        srv,
+        "/v1/events",
+        {"events": [rating(0, 1, 5.0), {"kind": "delete", "user": 2, "item": 3}]},
     )
     assert status == 200
     assert stats["upserts"] == 1 and stats["deletes"] == 1
     assert stats["version"] >= 1
-    _, after = request(srv, "/recommend", {"k": 3, "max_groups": 5})
+    _, after = request(srv, "/v1/recommend", {"k": 3, "max_groups": 5})
     assert after["extras"]["service_version"] == stats["version"]
     # Verify against a cold engine over the mutated ratings.
     shadow = DenseStore(values.copy())
@@ -116,7 +123,7 @@ def test_concurrent_updates_coalesce_into_one_batch(server):
     with concurrent.futures.ThreadPoolExecutor(6) as pool:
         results = list(
             pool.map(
-                lambda j: request(srv, "/updates", {"upserts": [[j, 0, 3.0]]}),
+                lambda j: request(srv, "/v1/events", {"events": [rating(j, 0, 3.0)]}),
                 range(6),
             )
         )
@@ -132,18 +139,20 @@ def test_bad_update_does_not_poison_the_shared_batch(server):
     srv, _ = server
     with concurrent.futures.ThreadPoolExecutor(4) as pool:
         good = [
-            pool.submit(lambda j=j: request(srv, "/updates", {"upserts": [[j, 0, 3.0]]}))
+            pool.submit(
+                lambda j=j: request(srv, "/v1/events", {"events": [rating(j, 0, 3.0)]})
+            )
             for j in range(3)
         ]
         bad = pool.submit(
-            lambda: request(srv, "/updates", {"upserts": [[0, 9999, 3.0]]})
+            lambda: request(srv, "/v1/events", {"events": [rating(0, 9999, 3.0)]})
         )
         results = [f.result() for f in good]
         bad_status, bad_payload = bad.result()
     assert bad_status == 400 and "error" in bad_payload
     assert all(status == 200 for status, _ in results)
     # Every valid update landed despite sharing a window with the bad one.
-    assert request(srv, "/stats")[1]["updates_applied"] >= 3
+    assert request(srv, "/v1/stats")[1]["updates_applied"] >= 3
 
 
 def test_malformed_framing_gets_a_400_not_a_dropped_connection(server):
@@ -151,8 +160,8 @@ def test_malformed_framing_gets_a_400_not_a_dropped_connection(server):
 
     srv, _ = server
     for raw in (
-        b"POST /updates HTTP/1.1\r\nContent-Length: -5\r\n\r\n",
-        b"POST /updates HTTP/1.1\r\nContent-Length: 100\r\n\r\nshort",
+        b"POST /v1/events HTTP/1.1\r\nContent-Length: -5\r\n\r\n",
+        b"POST /v1/events HTTP/1.1\r\nContent-Length: 100\r\n\r\nshort",
     ):
         with socket.create_connection(("127.0.0.1", srv.port), timeout=10) as sock:
             sock.sendall(raw)
@@ -168,18 +177,18 @@ def test_malformed_framing_gets_a_400_not_a_dropped_connection(server):
 
 def test_fractional_coordinates_rejected_over_http(server):
     srv, _ = server
-    status, payload = request(srv, "/updates", {"upserts": [[1.7, 2, 5.0]]})
+    status, payload = request(srv, "/v1/events", {"events": [rating(1.7, 2, 5.0)]})
     assert status == 400 and "integer" in payload["error"]["message"]
 
 
 def test_error_responses(server):
     srv, _ = server
     assert request(srv, "/nope")[0] == 404
-    assert request(srv, "/recommend", method="GET")[0] == 405
-    assert request(srv, "/recommend", {"k": 999, "max_groups": 3})[0] == 400
-    assert request(srv, "/recommend", {"k": "x", "max_groups": 3})[0] == 400
-    assert request(srv, "/updates", {"upserts": [[0, 999, 3.0]]})[0] == 400
-    status, payload = request(srv, "/updates", {"upserts": "nope"})
+    assert request(srv, "/v1/recommend", method="GET")[0] == 405
+    assert request(srv, "/v1/recommend", {"k": 999, "max_groups": 3})[0] == 400
+    assert request(srv, "/v1/recommend", {"k": "x", "max_groups": 3})[0] == 400
+    assert request(srv, "/v1/events", {"events": [rating(0, 999, 3.0)]})[0] == 400
+    status, payload = request(srv, "/v1/events", {"events": "nope"})
     assert status == 400 and "error" in payload
 
 
@@ -230,19 +239,30 @@ def test_v1_events_apply_typed_feedback(server):
     assert after["objective"] == want.objective
 
 
-def test_legacy_routes_send_deprecation_headers(server):
+def test_legacy_routes_answer_404_and_count_as_other(server):
+    """The removed pre-v1 aliases are unknown paths: 404 ``not_found``,
+    counted under the ``other`` route label, with no deprecation headers."""
+    from repro.obs.registry import K_HTTP_REQUESTS
+
     srv, _ = server
-    status, _, headers = request(
-        srv, "/recommend", {"k": 3, "max_groups": 5}, with_headers=True
-    )
-    assert status == 200 and headers.get("Deprecation") == "true"
-    assert "/v1/recommend" in headers.get("Link", "")
-    status, _, headers = request(
-        srv, "/updates", {"upserts": [[0, 0, 4.0]]}, with_headers=True
-    )
-    assert status == 200 and headers.get("Deprecation") == "true"
-    # v1 routes carry no deprecation marker.
-    status, _, headers = request(
-        srv, "/v1/recommend", {"k": 3, "max_groups": 5}, with_headers=True
-    )
-    assert status == 200 and "Deprecation" not in headers
+    before = srv.metrics.snapshot()["counters"]
+    legacy = [
+        ("/recommend", {"k": 3, "max_groups": 5}),
+        ("/updates", {"upserts": [[0, 0, 4.0]]}),
+        ("/healthz", None),
+        ("/stats", None),
+    ]
+    for path, body in legacy:
+        status, payload, headers = request(srv, path, body, with_headers=True)
+        assert status == 404 and payload["error"]["code"] == "not_found", path
+        assert "Deprecation" not in headers and "Link" not in headers
+    # Requests are counted just after the response is written, so poll.
+    other = K_HTTP_REQUESTS["other"]
+    deadline = time.time() + 5
+    while True:
+        after = srv.metrics.snapshot()["counters"]
+        if after[other] - before.get(other, 0) >= len(legacy) or time.time() > deadline:
+            break
+        time.sleep(0.01)
+    assert after[other] - before.get(other, 0) == len(legacy)
+    assert not any("deprecated" in key for key in after)

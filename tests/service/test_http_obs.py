@@ -1,5 +1,5 @@
-"""End-to-end tests of the HTTP telemetry plane: request ids, /v1/metrics,
-deprecated-route counters and the healthz durability block."""
+"""End-to-end tests of the HTTP telemetry plane: request ids, /v1/metrics
+and the healthz durability block."""
 
 from __future__ import annotations
 
@@ -128,22 +128,6 @@ def test_metrics_rejects_unknown_format_and_post(server):
     assert status == 400 and payload["error"]["code"] == "validation"
     status, payload, _ = json_request(server, "/v1/metrics", {}, method="POST")
     assert status == 405
-
-
-def test_deprecated_requests_counted_per_legacy_route(server):
-    json_request(server, "/recommend", {"k": 3, "max_groups": 4})
-    json_request(server, "/recommend", {"k": 3, "max_groups": 4})
-    json_request(server, "/updates", {"upserts": [[0, 0, 4.0]]})
-    _, payload, _ = json_request(server, "/v1/metrics?format=json")
-    counters = payload["counters"]
-    assert counters['repro_deprecated_requests_total{route="recommend"}'] == 2
-    assert counters['repro_deprecated_requests_total{route="updates"}'] == 1
-    # The v1 routes never bump the deprecation counters.
-    json_request(server, "/v1/recommend", {"k": 3, "max_groups": 4})
-    _, payload, _ = json_request(server, "/v1/metrics?format=json")
-    assert payload["counters"][
-        'repro_deprecated_requests_total{route="recommend"}'
-    ] == 2
 
 
 def test_http_latency_histogram_matches_request_count(server):

@@ -194,7 +194,7 @@ def test_served_pool_survives_replica_sigkill():
     try:
         body = {"k": 3, "max_groups": 5}
         baseline = canonical_response(_post(port, "/v1/recommend", body))
-        health = _get(port, "/healthz")
+        health = _get(port, "/v1/healthz")
         assert health["replicas"] == 2
 
         replicas = _replica_pids(proc.pid)

@@ -37,7 +37,7 @@ _CONFIG_KEYS = (
 )
 #: Entry keys folded into the "notes" column (derived figures).
 _NOTE_KEYS = (
-    "speedup", "speedup_vs_fast", "updates_per_second", "events_per_second",
+    "speedup", "speedup_vs_numpy", "updates_per_second", "events_per_second",
     "requests_per_second", "scaling_vs_single", "physical_cap",
     "batches_replayed",
     "peak_rss_gib", "objective", "generate_seconds",
