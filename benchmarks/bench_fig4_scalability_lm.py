@@ -62,25 +62,18 @@ def test_fig4_backend_speedup_largest_instance(yahoo_scalability_large):
 
 
 def test_fig4_execution_plane_parity(yahoo_scalability, tmp_path):
-    """Process-pool sharding and a warm artifact cache reproduce the engine.
+    """A warm artifact cache reproduces the engine.
 
-    The execution plane promises to be a pure scheduling/caching detail:
-    a ``--execution processes`` sharded run (store exported to shared
-    memory, workers attached zero-copy) and a run served from a warm
-    :class:`~repro.execution.cache.ArtifactCache` (memory-mapped top-k
-    index, no build) must both be bit-identical to the plain engine on
-    this integer-rated LM instance.
+    The artifact cache promises to be a pure caching detail: a run served
+    from a warm :class:`~repro.execution.cache.ArtifactCache`
+    (memory-mapped top-k index, no build) must be bit-identical to the
+    plain engine on this integer-rated LM instance.
     """
-    from repro.core import ShardedFormation, TopKIndex
+    from repro.core import TopKIndex
     from repro.execution import ArtifactCache
 
     engine = FormationEngine("numpy")
     seconds, baseline = best_time(engine, yahoo_scalability, 10, 5, "lm")
-
-    sharded = ShardedFormation(shards=4, workers=2, execution="processes")
-    processes_result = sharded.run(yahoo_scalability, 10, 5, "lm", "min")
-    assert results_identical(baseline, processes_result)
-    assert processes_result.extras["execution"] == "processes"
 
     cache = ArtifactCache(tmp_path)
     from repro.core.engine import coerce_store
@@ -97,7 +90,7 @@ def test_fig4_execution_plane_parity(yahoo_scalability, tmp_path):
         "fig4_execution",
         [
             bench_entry("fig4 bench instance (2000x400, l=10, k=5)", seconds,
-                        backend="numpy", semantics="lm", execution="serial"),
+                        backend="numpy", semantics="lm"),
         ],
     )
 

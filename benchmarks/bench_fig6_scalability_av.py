@@ -50,27 +50,25 @@ def test_fig6_backend_speedup_largest_instance(yahoo_scalability_large):
 
 
 def test_fig6_execution_plane_parity(yahoo_scalability, tmp_path):
-    """The process executor is bit-identical to the engine under AV too.
+    """Sharded formation is bit-identical to the engine under AV too.
 
     AV variants sum member contributions across shard boundaries, so this
     is the path where the integer-rating bit-identity contract of the
-    sharded merge actually gets exercised by the process fan-out; the run
-    is additionally warmed through a summary
-    :class:`~repro.execution.cache.ArtifactCache` and must keep agreeing.
+    sharded merge actually gets exercised; the run is additionally warmed
+    through a summary :class:`~repro.execution.cache.ArtifactCache` and
+    must keep agreeing.
     """
     from repro.core import ShardedFormation
 
     engine = FormationEngine("numpy")
     _, baseline = best_time(engine, yahoo_scalability, 10, 5, "av")
 
-    cold = ShardedFormation(
-        shards=4, workers=2, execution="processes", cache_dir=str(tmp_path)
-    )
+    cold = ShardedFormation(shards=4, cache_dir=str(tmp_path))
     cold_result = cold.run(yahoo_scalability, 10, 5, "av", "min")
     assert results_identical(baseline, cold_result)
     assert cold_result.extras["summary_cache_hits"] == 0
 
-    warm = ShardedFormation(shards=4, execution="serial", cache_dir=str(tmp_path))
+    warm = ShardedFormation(shards=4, cache_dir=str(tmp_path))
     warm_result = warm.run(yahoo_scalability, 10, 5, "av", "min")
     assert results_identical(baseline, warm_result)
     assert warm_result.extras["summary_cache_hits"] == 4

@@ -14,12 +14,6 @@ small scale through both engine backends and fails when
 * (``--shards N``, N > 1) the sharded execution path disagrees with the
   unsharded engine on this integer-rated instance (where the documented
   bound is bit-identity); or
-* (``--processes W``, W >= 1) the shared-memory process-executor path
-  disagrees with the unsharded engine, or (with ``--min-process-speedup``)
-  the W-worker run fails to beat the 1-worker serial run by the required
-  factor — the acceptance-scale speedup check (8 workers, the 1M-user
-  instance) runs through ``bench_sharded_scale.py --workers 1,8
-  --execution processes``, which shares this parity contract; or
 * (``--cache-dir DIR``) a warm :class:`repro.execution.cache.ArtifactCache`
   run fails to skip TopKIndex construction (verified by the index build
   counter) or the cached, memory-mapped index changes any result; or
@@ -117,14 +111,6 @@ def main(argv=None) -> int:
     parser.add_argument("--shards", type=int, default=None,
                         help="also gate the sharded path (bit-identical on this "
                              "integer-rated instance) with this many shards")
-    parser.add_argument("--processes", type=int, default=None, metavar="W",
-                        help="also gate the shared-memory process executor with "
-                             "W workers (parity vs the unsharded engine, plus "
-                             "the speedup below)")
-    parser.add_argument("--min-process-speedup", type=float, default=0.0,
-                        help="required (1-worker serial) / (W-worker process) "
-                             "runtime ratio for --processes (default: 0 = "
-                             "parity-only; needs >= W cores to be meaningful)")
     parser.add_argument("--cache-dir", default=None, dest="cache_dir", metavar="DIR",
                         help="also gate the artifact cache in DIR: a warm run "
                              "must skip TopKIndex construction (build counter) "
@@ -261,50 +247,6 @@ def main(argv=None) -> int:
             print(
                 f"{figure} GRD-{semantics.upper()}-MIN sharded x{args.shards}: "
                 f"{sharded_best * 1000:7.1f} ms | {status}"
-            )
-
-        if args.processes is not None:
-            data = sparse if sparse is not None else ratings
-            store_name = "sparse" if sparse is not None else "dense"
-            n_shards = max(args.shards or 0, args.processes, 2)
-            runs = {}
-            for label, engine_cfg in (
-                ("serial", ShardedFormation(shards=n_shards, execution="serial")),
-                ("processes", ShardedFormation(
-                    shards=n_shards, workers=args.processes, execution="processes"
-                )),
-            ):
-                # best_time works on anything with the engine's .run
-                # signature — keeping the shared best-of-N protocol.
-                runs[label] = best_time(
-                    engine_cfg, data, args.groups, args.k, semantics,
-                    rounds=args.rounds,
-                )
-                entries.append(bench_entry(
-                    f"{figure} {instance}", runs[label][0], backend="numpy",
-                    store=store_name, semantics=semantics, shards=n_shards,
-                    execution=label,
-                    workers=args.processes if label == "processes" else 1,
-                ))
-            process_speedup = runs["serial"][0] / runs["processes"][0]
-            status = "ok"
-            if not results_identical(results["numpy"], runs["processes"][1]):
-                status = "PARITY MISMATCH"
-                failures.append(
-                    f"{figure}: process executor ({args.processes} workers) "
-                    f"disagrees with the unsharded engine"
-                )
-            elif process_speedup < args.min_process_speedup:
-                status = "TOO SLOW"
-                failures.append(
-                    f"{figure}: process speedup {process_speedup:.2f}x < required "
-                    f"{args.min_process_speedup:.2f}x"
-                )
-            print(
-                f"{figure} GRD-{semantics.upper()}-MIN processes x{args.processes}: "
-                f"serial {runs['serial'][0] * 1000:7.1f} ms | "
-                f"processes {runs['processes'][0] * 1000:7.1f} ms | "
-                f"speedup {process_speedup:5.2f}x | {status}"
             )
 
     if args.cache_dir is not None:

@@ -41,7 +41,6 @@ from repro.experiments import (
     table4,
 )
 from repro.core.kernels import get_kernel_threads, set_kernel_threads
-from repro.execution.executor import EXECUTION_MODES
 from repro.experiments.config import (
     BACKENDS,
     DEFAULT_BACKEND,
@@ -127,24 +126,6 @@ def build_parser() -> argparse.ArgumentParser:
         ),
     )
     parser.add_argument(
-        "--workers",
-        type=int,
-        default=None,
-        metavar="W",
-        help="parallelism degree for concurrent shard summarisation (with --shards)",
-    )
-    parser.add_argument(
-        "--execution",
-        default=None,
-        choices=list(EXECUTION_MODES),
-        help=(
-            "execution strategy for the sharded fan-out (needs --shards >= 2): "
-            "serial or a shared-memory process pool; results are identical "
-            "across strategies (default: processes when --workers > 1, else "
-            "serial)"
-        ),
-    )
-    parser.add_argument(
         "--cache-dir",
         default=None,
         dest="cache_dir",
@@ -171,8 +152,6 @@ def _run_experiment(
     backend: str | None = None,
     store: str | None = None,
     shards: int | None = None,
-    workers: int | None = None,
-    execution: str | None = None,
     cache_dir: str | None = None,
 ) -> tuple[str, list[Any]]:
     """Run one experiment and return (rendered text, raw result objects)."""
@@ -183,8 +162,6 @@ def _run_experiment(
             backend=backend,
             store=store,
             shards=shards,
-            workers=workers,
-            execution=execution,
             cache_dir=cache_dir,
         )
         text = "\n\n".join(format_experiment(result) for result in results)
@@ -283,13 +260,6 @@ def main(argv: Sequence[str] | None = None) -> int:
         parser.error(str(exc))
     if args.shards is not None and args.shards < 1:
         parser.error("--shards must be a positive integer")
-    if args.execution not in (None, "serial") and (
-        args.shards is None or args.shards < 2
-    ):
-        parser.error(
-            f"--execution {args.execution} parallelises the sharded fan-out; "
-            f"pass --shards N (N >= 2) to use it"
-        )
     collected: dict[str, Any] = {}
     for name in names:
         text, raw = _run_experiment(
@@ -299,8 +269,6 @@ def main(argv: Sequence[str] | None = None) -> int:
             backend,
             store=store,
             shards=args.shards,
-            workers=args.workers,
-            execution=args.execution,
             cache_dir=args.cache_dir,
         )
         print(f"\n===== {name} =====")

@@ -713,7 +713,6 @@ class FormationEngine:
         ratings: RatingStore | RatingMatrix | np.ndarray,
         configs: Sequence[FormationConfig],
         topk: TopKIndex | None = None,
-        executor: "str | Any | None" = None,
         cache: "Any | None" = None,
     ) -> list[GroupFormationResult]:
         """Run a batch of ``configs`` over one ``ratings`` instance.
@@ -737,16 +736,6 @@ class FormationEngine:
             The ``(k, ℓ, semantics, aggregation)`` sweep points.
         topk:
             Optional prebuilt index covering the sweep's largest ``k``.
-        executor:
-            Optional execution strategy for the sweep fan-out —
-            ``"processes"`` or a prebuilt
-            :class:`~repro.execution.executor.Executor` (kept open).  The
-            process strategy exports the store and the shared index to
-            shared memory once and runs each config in a worker; results
-            stay identical to the serial path (each config is an
-            independent deterministic run).  ``None`` / ``"serial"`` keeps
-            the in-process loop, which additionally shares bucketing work
-            across configs on the numpy backend.
         cache:
             Optional :class:`~repro.execution.cache.ArtifactCache`: when
             ``topk`` is not supplied, the sweep's index is loaded from (or
@@ -772,14 +761,6 @@ class FormationEngine:
                 topk = TopKIndex.build(
                     store, k_sweep, table_fn=self.backend.index_kernel
                 )
-        if executor is not None:
-            from repro.execution.executor import executor_scope
-
-            with executor_scope(executor) as resolved:
-                if resolved.name != "serial":
-                    return resolved.map_configs(
-                        store, configs, self.backend.name, topk
-                    )
         form_cache: dict[Any, Any] = {}
         return [
             self._run_one(

@@ -39,8 +39,6 @@ def _run_greedy(
     aggregation: Aggregation,
     backend: str | None = None,
     shards: int | None = None,
-    workers: int | None = None,
-    execution: "str | object | None" = None,
     cache_dir: str | None = None,
     topk: object | None = None,
     **kwargs: object,
@@ -57,17 +55,8 @@ def _run_greedy(
             )
         from repro.core.sharded import ShardedFormation
 
-        return ShardedFormation(
-            shards=int(shards),
-            workers=workers,
-            execution=execution,
-            cache_dir=cache_dir,
-        ).run_variant(ratings, max_groups, k, make_variant(semantics, aggregation))
-    mode = getattr(execution, "name", execution)  # Executor instances carry .name
-    if mode is not None and str(mode).strip().lower() != "serial":
-        raise ValueError(
-            f"execution={execution!r} parallelises the shard fan-out and needs "
-            f"shards > 1; pass shards= (e.g. shards=workers) to use it"
+        return ShardedFormation(shards=int(shards), cache_dir=cache_dir).run_variant(
+            ratings, max_groups, k, make_variant(semantics, aggregation)
         )
     if cache_dir is not None and topk is None:
         from repro.core.engine import coerce_store
@@ -226,11 +215,9 @@ def form_groups(
         Extra keyword arguments forwarded to the selected algorithm (e.g.
         ``backend=`` for the greedy engine, ``rng=`` for the clustering
         baseline, ``time_limit=`` for the exact solvers).  The greedy
-        family additionally accepts the execution-plane knobs:
-        ``shards=`` / ``workers=`` (sharded fan-out), ``execution=``
-        (``"serial"`` / ``"processes"`` — the process strategy needs
-        ``shards > 1``) and ``cache_dir=`` (persist and
-        re-use ranking artifacts via
+        family additionally accepts ``shards=`` (sharded formation, see
+        :class:`~repro.core.sharded.ShardedFormation`) and ``cache_dir=``
+        (persist and re-use ranking artifacts via
         :class:`~repro.execution.cache.ArtifactCache`).
 
     Returns

@@ -21,8 +21,8 @@ Design constraints the C source honours:
 * **Fork safety.**  Threads are plain POSIX threads created per call and
   joined before the call returns — no persistent pool and no runtime
   state that survives a ``fork()``.  OpenMP was deliberately avoided:
-  libgomp deadlocks in a process-pool worker forked after the parent ran
-  a parallel region, and the execution plane forks workers routinely.
+  libgomp deadlocks in a worker forked after the parent ran a parallel
+  region, and the replica pool forks its workers from a live host.
 * **Graceful degradation.**  If ``cc -pthread`` fails the build retries
   without the flag; if no compiler works, :func:`load_compiled` reports
   the reason and the caller runs the numpy kernel.

@@ -4,8 +4,8 @@ The greedy GRD skeleton has a property the dense engine never exploited: the
 bucket key of a user depends only on *her own* top-k prefix, never on other
 users.  Partitioning the user axis into contiguous shards therefore commutes
 with step 1 of the algorithm — each shard can be ranked and bucketed
-independently (optionally on a pool of workers), and shard-level buckets
-with equal keys are *exactly* the global intermediate groups once merged.
+independently, and shard-level buckets with equal keys are *exactly* the
+global intermediate groups once merged.
 Step 2 (greedy selection under the ℓ-group budget) and step 3 (scoring,
 budget filling, left-over group) then run once on the merged bucket
 summaries, through the same
@@ -352,19 +352,6 @@ class ShardedFormation:
     ----------
     shards:
         Number of contiguous user partitions (≥ 1).
-    workers:
-        Degree of parallelism for concurrent shard summarisation; ``None``
-        or 1 runs shards sequentially.
-    execution:
-        Execution strategy for the shard fan-out: ``"serial"``,
-        ``"processes"``, or a prebuilt
-        :class:`~repro.execution.executor.Executor` (kept open — the
-        caller owns its lifetime).  ``None`` means processes when
-        ``workers > 1``, serial otherwise.
-        ``"processes"`` escapes the GIL entirely by exporting the store to
-        shared memory and attaching workers zero-copy
-        (:mod:`repro.execution`); results are identical to the serial
-        path for every strategy.
     cache_dir:
         Optional :class:`~repro.execution.cache.ArtifactCache` directory:
         per-shard summaries are persisted keyed by (store fingerprint,
@@ -386,15 +373,9 @@ class ShardedFormation:
     def __init__(
         self,
         shards: int = 1,
-        workers: int | None = None,
-        execution: "str | object | None" = None,
         cache_dir: "str | None" = None,
     ) -> None:
         self.shards = require_positive_int(shards, "shards")
-        if workers is not None:
-            workers = require_positive_int(workers, "workers")
-        self.workers = workers
-        self.execution = execution
         self.cache_dir = cache_dir
 
     def run(
@@ -488,8 +469,6 @@ class ShardedFormation:
             extra_extras={
                 "n_shards": int(n_shards),
                 "store": type(store).__name__,
-                # bookkeeping carries the *resolved* worker count (an
-                # execution strategy may default workers to the CPU count).
                 **bookkeeping,
             },
         )
@@ -503,12 +482,9 @@ class ShardedFormation:
         k: int,
         variant: GreedyVariant,
     ) -> tuple[list[ShardSummary], dict]:
-        """Summarise every shard through the configured execution strategy.
+        """Summarise every shard in-process, one after another.
 
-        The shard fan-out runs on the executor resolved from ``execution``
-        / ``workers`` (serial loop or shared-memory process pool — see
-        :mod:`repro.execution`); with a ``cache_dir``, shard
-        summaries are first looked up in the
+        With a ``cache_dir``, shard summaries are first looked up in the
         :class:`~repro.execution.cache.ArtifactCache` and only the missing
         shards are computed (and persisted).
 
@@ -527,11 +503,9 @@ class ShardedFormation:
         -------
         tuple
             ``(summaries, bookkeeping)`` — one digest per shard in
-            ascending user order, plus extras describing the execution
-            (executor name, cache hit counts).
+            ascending user order, plus the artifact-cache hit and miss
+            counts.
         """
-        from repro.execution.executor import executor_scope
-
         cache = fingerprint = None
         summaries: list[ShardSummary | None] = [None] * (bounds.size - 1)
         cache_hits = 0
@@ -547,27 +521,13 @@ class ShardedFormation:
             cache_hits = sum(1 for s in summaries if s is not None)
 
         missing = [s for s in range(bounds.size - 1) if summaries[s] is None]
-        with executor_scope(self.execution, self.workers) as executor:
-            executor_name = executor.name
-            if missing:
-                computed = executor.map_shards(
-                    store, bounds, k, variant, shard_ids=missing
-                )
-                for shard, summary in zip(missing, computed):
-                    summaries[shard] = summary
-                    if cache is not None:
-                        cache.save_summary(
-                            fingerprint,
-                            k,
-                            variant,
-                            int(bounds[shard]),
-                            int(bounds[shard + 1]),
-                            summary,
-                        )
-            effective_workers = 1 if executor.name == "serial" else int(executor.workers)
+        for shard in missing:
+            start, stop = int(bounds[shard]), int(bounds[shard + 1])
+            summary = summarise_store_shard(store, start, stop, k, variant)
+            summaries[shard] = summary
+            if cache is not None:
+                cache.save_summary(fingerprint, k, variant, start, stop, summary)
         bookkeeping = {
-            "execution": executor_name,
-            "workers": effective_workers,
             "summary_cache_hits": int(cache_hits),
             "summary_cache_misses": int(len(missing)),
         }

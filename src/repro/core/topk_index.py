@@ -95,7 +95,6 @@ class TopKIndex:
         cls,
         ratings: "RatingStore | RatingMatrix | np.ndarray",
         k_max: int,
-        block_users: int | None = None,
         table_fn: "Callable[[np.ndarray, int], tuple[np.ndarray, np.ndarray]] | None" = None,
     ) -> "TopKIndex":
         """Build the index for ``ratings`` through its store.
@@ -108,11 +107,6 @@ class TopKIndex:
             complete array.
         k_max:
             Largest top-k prefix the index must serve.
-        block_users:
-            Rows densified per step when a ``table_fn`` ranks a non-dense
-            store (default:
-            :data:`~repro.recsys.store.DEFAULT_BLOCK_USERS`); unused
-            otherwise.
         table_fn:
             Dense top-k kernel ``(dense_block, k) -> (items, values)``.  The
             default (``None``) lets the store rank itself
@@ -120,8 +114,8 @@ class TopKIndex:
             fastest exact kernel over a dense array, the CSR kernel over a
             sparse store.  The reference engine backend passes its
             deliberately naive full-sort here, which densifies sparse stores
-            blockwise (every kernel is bit-identical — only build time
-            differs).
+            in blocks of :data:`~repro.recsys.store.DEFAULT_BLOCK_USERS`
+            rows (every kernel is bit-identical — only build time differs).
         """
         from repro.recsys.store import DEFAULT_BLOCK_USERS, DenseStore, as_store
 
@@ -143,7 +137,7 @@ class TopKIndex:
 
         items_table = np.empty((n_users, k_max), dtype=np.int64)
         values_table = np.empty((n_users, k_max), dtype=np.float64)
-        for start, stop, block in store.iter_blocks(block_users or DEFAULT_BLOCK_USERS):
+        for start, stop, block in store.iter_blocks(DEFAULT_BLOCK_USERS):
             items_table[start:stop], values_table[start:stop] = table_fn(block, k_max)
         return cls(items_table, values_table, n_items)
 

@@ -1,7 +1,7 @@
-"""Zero-copy shared-memory adapters for the process execution plane.
+"""Zero-copy shared-memory adapters for multi-process serving.
 
-Process workers cannot share a parent's heap the way threads do, and
-pickling a million-user rating store to every worker would erase the very
+Replica processes cannot share a parent's heap the way threads do, and
+pickling a million-user rating store to every replica would erase the very
 memory bound the sharded path exists for.  This module moves the *data*
 into named ``multiprocessing.shared_memory`` segments exactly once and
 moves only tiny, picklable **specs** (segment name + shape + dtype) across
@@ -10,10 +10,10 @@ the process boundary:
 * the parent wraps the arrays backing a
   :class:`~repro.recsys.store.DenseStore`, a
   :class:`~repro.recsys.store.SparseStore` (CSR ``data`` / ``indices`` /
-  ``indptr``) or a :class:`~repro.core.topk_index.TopKIndex` in shared
-  segments through a :class:`SharedExports` owner;
+  ``indptr``) or a :class:`~repro.core.topk_index.TopKIndex`'s tables in
+  shared segments through a :class:`SharedExports` owner;
 * each worker re-materialises the object with :func:`attach_store` /
-  :func:`attach_index` / :func:`attach_tables` as numpy arrays viewing the
+  :func:`attach_tables` as numpy arrays viewing the
   *same physical pages* — no copy, no pickling of bulk data — so results
   are bit-identical to operating on the original arrays by construction.
 
@@ -49,7 +49,6 @@ __all__ = [
     "attach_array",
     "attach_store",
     "attach_tables",
-    "attach_index",
     "detach",
     "detach_all",
 ]
@@ -111,10 +110,7 @@ class TablesSpec:
     items, values:
         Specs of the two ``(n_users, k)`` ranking tables.
     n_items:
-        Catalogue size of the source ratings — needed to rebuild a
-        :class:`~repro.core.topk_index.TopKIndex` via :func:`attach_index`.
-        Exporters that only serve :func:`attach_tables` record ``0``
-        (``attach_index`` on such a spec raises).
+        Catalogue size of the source ratings.
     """
 
     items: ArraySpec
@@ -335,27 +331,13 @@ def attach_tables(spec: TablesSpec) -> tuple[np.ndarray, np.ndarray]:
     return attach_array(spec.items), attach_array(spec.values)
 
 
-def attach_index(spec: TablesSpec):
-    """Rebuild a :class:`~repro.core.topk_index.TopKIndex` over shared tables.
-
-    Parameters
-    ----------
-    spec:
-        A :class:`TablesSpec` produced by :meth:`SharedExports.export_tables`.
-    """
-    from repro.core.topk_index import TopKIndex
-
-    items, values = attach_tables(spec)
-    return TopKIndex(items, values, spec.n_items)
-
-
 def detach(segment_names: "tuple[str, ...] | list[str]") -> None:
     """Close specific attached segments, releasing their pages in this process.
 
     Callers must drop every array viewing the segments first; a segment
     whose buffer is still exported stays attached (closing it would
     invalidate live arrays), which makes this safe to call opportunistically
-    from worker-side cache eviction.
+    when a replica swaps in a newer export.
 
     Parameters
     ----------

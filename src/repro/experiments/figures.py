@@ -45,8 +45,6 @@ def figure1(
     backend: str | None = None,
     store: str | None = None,
     shards: int | None = None,
-    workers: int | None = None,
-    execution: str | None = None,
     cache_dir: str | None = None,
 ) -> list[ExperimentResult]:
     """Figure 1(a–c): objective value under LM-Max vs #users / #items / #groups.
@@ -68,8 +66,6 @@ def figure1(
         backend=backend,
         store=store,
         shards=shards,
-        workers=workers,
-        execution=execution,
         cache_dir=cache_dir,
     )
     return [
@@ -89,8 +85,6 @@ def figure2(
     backend: str | None = None,
     store: str | None = None,
     shards: int | None = None,
-    workers: int | None = None,
-    execution: str | None = None,
     cache_dir: str | None = None,
 ) -> list[ExperimentResult]:
     """Figure 2(a, b): objective value vs top-k under LM-Min and LM-Sum."""
@@ -108,8 +102,6 @@ def figure2(
         backend=backend,
         store=store,
         shards=shards,
-        workers=workers,
-        execution=execution,
         cache_dir=cache_dir,
     )
     return [
@@ -127,8 +119,6 @@ def figure3(
     backend: str | None = None,
     store: str | None = None,
     shards: int | None = None,
-    workers: int | None = None,
-    execution: str | None = None,
     cache_dir: str | None = None,
 ) -> list[ExperimentResult]:
     """Figure 3(a–d): average group satisfaction over the top-k list (AV-Min,
@@ -148,8 +138,6 @@ def figure3(
         backend=backend,
         store=store,
         shards=shards,
-        workers=workers,
-        execution=execution,
         cache_dir=cache_dir,
     )
     return [
@@ -171,8 +159,6 @@ def figure4(
     backend: str | None = None,
     store: str | None = None,
     shards: int | None = None,
-    workers: int | None = None,
-    execution: str | None = None,
     cache_dir: str | None = None,
 ) -> list[ExperimentResult]:
     """Figure 4(a–c): runtime of LM-Min group formation vs #users / #items / #groups."""
@@ -191,8 +177,6 @@ def figure4(
         backend=backend,
         store=store,
         shards=shards,
-        workers=workers,
-        execution=execution,
         cache_dir=cache_dir,
     )
     return [
@@ -212,8 +196,6 @@ def figure5(
     backend: str | None = None,
     store: str | None = None,
     shards: int | None = None,
-    workers: int | None = None,
-    execution: str | None = None,
     cache_dir: str | None = None,
 ) -> list[ExperimentResult]:
     """Figure 5(a–d): runtime vs top-k for LM-Min, LM-Sum, AV-Min and AV-Sum."""
@@ -231,8 +213,6 @@ def figure5(
         backend=backend,
         store=store,
         shards=shards,
-        workers=workers,
-        execution=execution,
         cache_dir=cache_dir,
     )
     panels = [
@@ -255,8 +235,6 @@ def figure6(
     backend: str | None = None,
     store: str | None = None,
     shards: int | None = None,
-    workers: int | None = None,
-    execution: str | None = None,
     cache_dir: str | None = None,
 ) -> list[ExperimentResult]:
     """Figure 6(a–c): runtime of AV-Min group formation vs #users / #items / #groups."""
@@ -275,8 +253,6 @@ def figure6(
         backend=backend,
         store=store,
         shards=shards,
-        workers=workers,
-        execution=execution,
         cache_dir=cache_dir,
     )
     return [

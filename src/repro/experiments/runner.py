@@ -186,8 +186,6 @@ def run_algorithms(
     backend: str | None = None,
     store: str | None = None,
     shards: int | None = None,
-    workers: int | None = None,
-    execution: "str | object | None" = None,
     cache_dir: str | None = None,
 ) -> dict[str, tuple[GroupFormationResult, float]]:
     """Run the requested algorithms on one instance.
@@ -222,15 +220,7 @@ def run_algorithms(
     shards:
         When > 1, the GRD algorithm runs through
         :class:`~repro.core.sharded.ShardedFormation` with this many user
-        shards (``workers`` workers summarise shards concurrently).
-    execution:
-        Execution strategy for the sharded fan-out (``"serial"`` /
-        ``"processes"``, or a prebuilt
-        :class:`~repro.execution.executor.Executor` to share one pool
-        across calls — what :func:`sweep` passes; ``None`` = processes
-        when ``workers > 1``).  Forwarded to
-        :class:`~repro.core.sharded.ShardedFormation`; only meaningful
-        with ``shards > 1``.
+        shards.
     cache_dir:
         Optional :class:`~repro.execution.cache.ArtifactCache` directory:
         the per-instance :class:`~repro.core.topk_index.TopKIndex` (and,
@@ -289,8 +279,6 @@ def run_algorithms(
             if sharded:
                 runner_fn = ShardedFormation(
                     shards=int(shards),
-                    workers=workers,
-                    execution=execution,
                     cache_dir=cache_dir,
                 ).run
                 result, seconds = time_call(
@@ -427,8 +415,6 @@ def sweep(
     backend: str | None = None,
     store: str | None = None,
     shards: int | None = None,
-    workers: int | None = None,
-    execution: str | None = None,
     cache_dir: str | None = None,
 ) -> ExperimentResult:
     """Vary one parameter and collect one metric per algorithm per value.
@@ -461,8 +447,8 @@ def sweep(
         Optional override for the metric's axis label.
     backend:
         Formation backend for the GRD runs (see :func:`run_algorithms`).
-    store, shards, workers, execution, cache_dir:
-        Rating-store / execution-plane selection per instance (see
+    store, shards, cache_dir:
+        Rating-store / sharding / artifact-cache selection per instance (see
         :func:`run_algorithms`); recorded in the result metadata.
     """
     if varying not in {"n_users", "n_items", "n_groups", "k"}:
@@ -471,44 +457,36 @@ def sweep(
         )
     values = list(values)
     series: dict[str, SweepSeries] = {}
-    # Resolve the execution strategy once for the whole sweep: a process
-    # pool forked per sweep point would dominate small instances, and the
-    # pool (unlike the per-instance data) is reusable across points.
-    from repro.execution.executor import executor_scope
-
-    with executor_scope(execution, workers) as sweep_executor:
-        for value in values:
-            params = dict(defaults)
-            params[varying] = value
-            totals: dict[str, list[float]] = {}
-            for repeat in range(max(1, repeats)):
-                instance_seed = derive_seed(seed, experiment_id, varying, value, repeat)
-                ratings = make_dataset(
-                    dataset, params["n_users"], params["n_items"], seed=instance_seed
+    for value in values:
+        params = dict(defaults)
+        params[varying] = value
+        totals: dict[str, list[float]] = {}
+        for repeat in range(max(1, repeats)):
+            instance_seed = derive_seed(seed, experiment_id, varying, value, repeat)
+            ratings = make_dataset(
+                dataset, params["n_users"], params["n_items"], seed=instance_seed
+            )
+            outcomes = run_algorithms(
+                ratings,
+                max_groups=params["n_groups"],
+                k=params["k"],
+                semantics=semantics,
+                aggregation=aggregation,
+                algorithms=algorithms,
+                seed=instance_seed,
+                backend=backend,
+                store=store,
+                shards=shards,
+                cache_dir=cache_dir,
+            )
+            for name, (result, seconds) in outcomes.items():
+                totals.setdefault(name, []).append(
+                    _metric_value(metric, ratings, result, seconds)
                 )
-                outcomes = run_algorithms(
-                    ratings,
-                    max_groups=params["n_groups"],
-                    k=params["k"],
-                    semantics=semantics,
-                    aggregation=aggregation,
-                    algorithms=algorithms,
-                    seed=instance_seed,
-                    backend=backend,
-                    store=store,
-                    shards=shards,
-                    workers=workers,
-                    execution=sweep_executor if execution is not None else None,
-                    cache_dir=cache_dir,
-                )
-                for name, (result, seconds) in outcomes.items():
-                    totals.setdefault(name, []).append(
-                        _metric_value(metric, ratings, result, seconds)
-                    )
-            for name, observations in totals.items():
-                series.setdefault(name, SweepSeries(algorithm=name)).add(
-                    value, float(np.mean(observations))
-                )
+        for name, observations in totals.items():
+            series.setdefault(name, SweepSeries(algorithm=name)).add(
+                value, float(np.mean(observations))
+            )
 
     labels = {
         "objective": "Objective function value",
@@ -540,7 +518,6 @@ def sweep(
             "backend": backend,
             "store": normalize_store(store),
             "shards": shards,
-            "execution": execution,
             "cache_dir": cache_dir,
         },
     )

@@ -4,13 +4,12 @@ The package has four small modules:
 
 * :mod:`repro.obs.registry` — the lock-cheap metrics registry (counters,
   gauges, fixed-bucket latency histograms) and the shared-memory slab that
-  makes it work across the writer, replica and executor-worker processes;
+  makes it work across the writer and replica processes;
 * :mod:`repro.obs.trace` — request-scoped span trees over ``contextvars``
   with ~zero cost when disabled;
 * :mod:`repro.obs.runtime` — the process-global registry used by call
-  sites too deep to plumb (kernels, WAL, snapshots), the
-  :class:`~repro.obs.runtime.observed` span+histogram timer, and the
-  executor-worker slot handshake;
+  sites too deep to plumb (kernels, WAL, snapshots) and the
+  :class:`~repro.obs.runtime.observed` span+histogram timer;
 * :mod:`repro.obs.expo` / :mod:`repro.obs.logs` — Prometheus-text and
   JSON exposition, and JSON-lines structured logging.
 

@@ -1,14 +1,14 @@
 """Cross-process metrics registry backed by a preallocated shared-memory slab.
 
-The serving stack runs as several cooperating processes (the writer, N
-read-only replicas, and optional process-executor workers).  A traditional
-pull model — every scrape asking every process for its counters — would put
-IPC on the read path and lose counts whenever a replica is killed.  This
-module instead borrows the execution plane's ``SharedExports`` idiom
-(:mod:`repro.execution.shm`): the stack preallocates **one** float64 slab of
-shape ``(n_slots, n_cells)`` in ``multiprocessing.shared_memory``, every
-process is assigned a private *slot* (row) it alone mutates, and reading is
-a plain ``sum`` over the slot axis with zero IPC.
+The serving stack runs as several cooperating processes (the writer and N
+read-only replicas).  A traditional pull model — every scrape asking every
+process for its counters — would put IPC on the read path and lose counts
+whenever a replica is killed.  This module instead borrows the
+``SharedExports`` idiom (:mod:`repro.execution.shm`): the stack
+preallocates **one** float64 slab of shape ``(n_slots, n_cells)`` in
+``multiprocessing.shared_memory``, every process is assigned a private
+*slot* (row) it alone mutates, and reading is a plain ``sum`` over the slot
+axis with zero IPC.
 
 Key properties:
 
@@ -385,7 +385,7 @@ class MetricsSlab:
     ----------
     slots:
         Number of rows to preallocate — one per process that will record
-        metrics (writer + replicas + executor workers).
+        metrics (writer + replicas).
     schema:
         Slab layout; defaults to :func:`default_schema`.
 
@@ -509,7 +509,7 @@ class MetricsRegistry:
         Parameters
         ----------
         slots:
-            Rows to preallocate (writer + replicas + executor workers).
+            Rows to preallocate (writer + replicas).
         schema:
             Slab layout; defaults to :func:`default_schema`.
         """

@@ -11,16 +11,8 @@ registry managed here:
 * ``ServiceConfig`` calls :func:`set_registry` with the stack's
   slab-backed registry, after which the deep call sites contribute to the
   same aggregated view as everything else;
-* worker processes (replicas, process-executor workers) call
-  :func:`set_registry` with their slab-attached registry during startup.
-
-For the process executor the slot handshake is a shared counter:
-:func:`configure_worker_slots` stores the slab spec plus a
-``multiprocessing.Value`` holding the next free slot, and
-:func:`worker_initializer` hands ``ProcessPoolExecutor`` an initializer
-that atomically claims one slot per worker.  Workers past the reserved
-range — or any attach failure — silently fall back to a process-local
-registry; metrics must never break a worker.
+* replica processes call :func:`set_registry` with their slab-attached
+  registry during startup.
 
 :class:`observed` is the one-stop instrumentation helper combining a trace
 span with a histogram observation.
@@ -32,20 +24,17 @@ import threading
 import time
 
 from repro.obs import trace
-from repro.obs.registry import MetricsRegistry, SlabSpec
+from repro.obs.registry import MetricsRegistry
 
 __all__ = [
     "get_registry",
     "set_registry",
     "reset_registry",
-    "configure_worker_slots",
-    "worker_initializer",
     "observed",
 ]
 
 _registry: MetricsRegistry | None = None
 _registry_lock = threading.Lock()
-_worker_init: tuple | None = None
 
 
 def get_registry() -> MetricsRegistry:
@@ -77,55 +66,6 @@ def reset_registry() -> None:
     """Forget the process-global registry (test isolation helper)."""
     global _registry
     _registry = None
-
-
-def configure_worker_slots(spec: SlabSpec | None, first_slot: int = 0,
-                           count: int = 0) -> None:
-    """Reserve slab slots for process-executor workers spawned later.
-
-    Parameters
-    ----------
-    spec:
-        Slab to attach workers to, or ``None`` to clear the reservation.
-    first_slot:
-        First slab row reserved for executor workers.
-    count:
-        Number of reserved rows; workers claiming beyond the range keep a
-        process-local registry.
-    """
-    global _worker_init
-    if spec is None or count <= 0:
-        _worker_init = None
-        return
-    import multiprocessing
-
-    counter = multiprocessing.Value("q", first_slot)
-    _worker_init = (spec, counter, first_slot + count)
-
-
-def worker_initializer():
-    """Return ``(initializer, initargs)`` for ``ProcessPoolExecutor``.
-
-    Returns ``None`` when no slots were reserved via
-    :func:`configure_worker_slots`; the executor then starts workers with
-    no telemetry initializer at all.
-    """
-    if _worker_init is None:
-        return None
-    return (_claim_worker_slot, _worker_init)
-
-
-def _claim_worker_slot(spec: SlabSpec, counter, limit: int) -> None:
-    """Executor-worker initializer: claim one slab slot atomically."""
-    try:
-        with counter.get_lock():
-            slot = int(counter.value)
-            counter.value = slot + 1
-        if slot >= limit:
-            return
-        set_registry(MetricsRegistry.attach(spec, slot))
-    except Exception:  # noqa: BLE001 - metrics must never break a worker
-        pass
 
 
 class observed:

@@ -31,7 +31,6 @@ import sys
 from collections.abc import Sequence
 
 from repro.experiments.config import BACKENDS, DEFAULT_BACKEND
-from repro.execution.executor import EXECUTION_MODES
 
 __all__ = ["main", "build_parser", "bootstrap_service"]
 
@@ -85,12 +84,6 @@ def build_parser() -> argparse.ArgumentParser:
     serve.add_argument("--batch-window", type=float, default=0.01,
                        help="seconds an update batch stays open to coalesce "
                             "concurrent writers (default: 0.01)")
-    serve.add_argument("--execution", default="serial", choices=list(EXECUTION_MODES),
-                       help="shard-summary fan-out strategy: serial or a "
-                            "shared-memory process pool (default: serial)")
-    serve.add_argument("--workers", type=int, default=None,
-                       help="parallelism degree for --execution processes "
-                            "(default: CPU count)")
     serve.add_argument("--cache-dir", default=None, dest="cache_dir",
                        help="artifact-cache directory: cold starts load the "
                             "top-k index for the bootstrapped instance instead "
@@ -217,9 +210,9 @@ async def _serve(args: argparse.Namespace, config=None) -> None:
     Termination signals set an event instead of unwinding the event loop
     with ``KeyboardInterrupt``: the serve task is cancelled, the listening
     socket closes, any pending (batched but unflushed) update requests are
-    applied as one final batch, the WAL (if any) is fsynced, and the
-    service's executor is released — so Ctrl-C never tracebacks, never
-    drops acknowledged updates, and a clean stop never needs replay.
+    applied as one final batch, and the WAL (if any) is fsynced — so
+    Ctrl-C never tracebacks, never drops acknowledged updates, and a clean
+    stop never needs replay.
 
     Parameters
     ----------
@@ -282,7 +275,7 @@ async def _serve(args: argparse.Namespace, config=None) -> None:
     print(
         f"repro serve: {stats['n_users']} users x {stats['n_items']} items "
         f"({args.store} store, k_max={stats['k_max']}, {stats['shards']} shards, "
-        f"{stats['backend']} backend, {stats['execution']} execution"
+        f"{stats['backend']} backend"
         + (", warm index cache" if stats.get("index_cache_hit") else "")
         + serving
         + durability

@@ -49,9 +49,8 @@ class ServiceConfig:
         Formation-service parameters (``k_max`` is clamped to ``items``;
         ``kernel_threads=None`` resolves via ``REPRO_KERNEL_THREADS``,
         then the CPU count — a malformed variable fails validation).
-    execution, workers, cache_dir:
-        Shard fan-out strategy, its parallelism, and the optional
-        artifact-cache directory for warm index starts.
+    cache_dir:
+        Optional artifact-cache directory for warm index starts.
     host, port, batch_window:
         HTTP front-end bind address and update-coalescing window.
     wal_dir, snapshot_every, fsync_every:
@@ -94,8 +93,6 @@ class ServiceConfig:
     backend: str | None = None
     kernel_threads: int | None = None
     compaction_fraction: float | None = 0.25
-    execution: str | None = None
-    workers: int | None = None
     cache_dir: str | None = None
     host: str = "127.0.0.1"
     port: int = 8321
@@ -230,9 +227,6 @@ class ServiceConfig:
             for name in cls.__dataclass_fields__
             if getattr(args, name, None) is not None
         }
-        # execution="serial" is the CLI's spelling of "no executor".
-        if values.get("execution") == "serial":
-            values["execution"] = None
         return cls(**values)
 
     def to_dict(self) -> dict[str, Any]:
@@ -280,12 +274,10 @@ class ServiceConfig:
         """Build (once) the telemetry registry the whole stack shares.
 
         Sizes one shared-memory slab for every process this config will
-        run — slot 0 for the writer, slots ``1..replicas`` for replica
-        workers, and one slot per process-executor worker after that —
-        registers it as the process-global registry
-        (:func:`repro.obs.runtime.get_registry`), and arms the executor
-        worker-slot claim.  With neither replicas nor a process executor
-        the registry stays process-local (no segment at all).  Idempotent;
+        run — slot 0 for the writer and slots ``1..replicas`` for replica
+        workers — and registers it as the process-global registry
+        (:func:`repro.obs.runtime.get_registry`).  Without replicas the
+        registry stays process-local (no segment at all).  Idempotent;
         ``obs=False`` additionally turns all metric mutations into no-ops.
 
         Returns
@@ -299,23 +291,10 @@ class ServiceConfig:
         if self._metrics is not None:
             return self._metrics
         set_enabled(self.obs)
-        worker_slots = 0
-        if self.execution == "processes":
-            import os
-
-            worker_slots = self.workers or (os.cpu_count() or 1)
-        slots = 1 + self.replicas + worker_slots
-        if slots > 1:
-            registry = MetricsRegistry.create_shared(slots)
-            if worker_slots:
-                obs_runtime.configure_worker_slots(
-                    registry.slab_spec, 1 + self.replicas, worker_slots
-                )
-            else:
-                obs_runtime.configure_worker_slots(None)
+        if self.replicas:
+            registry = MetricsRegistry.create_shared(1 + self.replicas)
         else:
             registry = MetricsRegistry()
-            obs_runtime.configure_worker_slots(None)
         obs_runtime.set_registry(registry)
         self._metrics = registry
         return registry
@@ -365,8 +344,6 @@ class ServiceConfig:
         from repro.service.service import FormationService
 
         set_kernel_threads(self.kernel_threads)
-        # The slab must exist before the service constructs (and warms) a
-        # process executor, so forked workers can claim their slots.
         metrics = self.build_metrics()
         if state is None:
             return FormationService(
@@ -375,8 +352,6 @@ class ServiceConfig:
                 shards=self.shards,
                 backend=self.backend,
                 compaction_fraction=self.compaction_fraction,
-                execution=self.execution,
-                workers=self.workers,
                 cache_dir=self.cache_dir,
                 metrics=metrics,
             )
@@ -394,8 +369,6 @@ class ServiceConfig:
             shards=self.shards,
             backend=self.backend,
             compaction_fraction=self.compaction_fraction,
-            execution=self.execution,
-            workers=self.workers,
             base_index=TopKIndex(
                 state.index_items, state.index_values, state.store.n_items
             ),

@@ -117,6 +117,7 @@ _DEFAULT_CODES = {
     405: "method_not_allowed",
     409: "conflict",
     413: "payload_too_large",
+    431: "header_too_large",
     500: "internal",
     503: "service_unavailable",
     504: "deadline_exceeded",
@@ -372,6 +373,10 @@ class ServiceServer:
                 )
             except _HTTPError as exc:
                 await self._respond(writer, exc.status, exc.payload())
+                self._account(
+                    "other", exc.status, time.perf_counter() - t0,
+                    trace.new_request_id(),
+                )
                 return
             path, _, query_string = target.partition("?")
             query = parse_qs(query_string) if query_string else {}
@@ -478,6 +483,8 @@ class ServiceServer:
             request_line = await reader.readline()
         except (ConnectionError, asyncio.IncompleteReadError):
             raise _HTTPError(400, "connection dropped")
+        except ValueError:  # line longer than the StreamReader limit
+            raise _HTTPError(431, "request line too long")
         parts = request_line.decode("latin-1").split()
         if len(parts) < 2:
             raise _HTTPError(400, "malformed request line")
@@ -486,7 +493,10 @@ class ServiceServer:
         content_length = 0
         req_headers: dict[str, str] = {}
         while True:
-            line = await reader.readline()
+            try:
+                line = await reader.readline()
+            except ValueError:  # line longer than the StreamReader limit
+                raise _HTTPError(431, "request header line too long")
             if line in (b"\r\n", b"\n", b""):
                 break
             name, _, value = line.decode("latin-1").partition(":")
@@ -538,7 +548,9 @@ class ServiceServer:
         """
         reasons = {200: "OK", 400: "Bad Request", 404: "Not Found",
                    405: "Method Not Allowed", 409: "Conflict",
-                   413: "Payload Too Large", 500: "Internal Server Error",
+                   413: "Payload Too Large",
+                   431: "Request Header Fields Too Large",
+                   500: "Internal Server Error",
                    503: "Service Unavailable", 504: "Gateway Timeout"}
         if isinstance(payload, _Raw):
             content_type = payload.content_type

@@ -740,9 +740,8 @@ class ReplicaPool:
 
         ``fork`` is cheapest and is safe while the host is single-threaded
         (the pool starts before the asyncio server spawns executor
-        threads); a host that already runs threads — e.g. a warmed process
-        executor's manager thread — gets ``spawn`` workers instead, which
-        never inherit locks mid-acquire.
+        threads); a host that already runs threads gets ``spawn`` workers
+        instead, which never inherit locks mid-acquire.
         """
         import multiprocessing as mp
 

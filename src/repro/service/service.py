@@ -60,7 +60,6 @@ from repro.core.sharded import (
 )
 from repro.core.topk_index import MutableTopKIndex, TopKIndex
 from repro.execution.cache import ArtifactCache, store_fingerprint
-from repro.execution.executor import Executor, get_executor
 from repro.obs.registry import (
     G_INDEX_VERSION,
     H_RECOMMEND,
@@ -106,17 +105,6 @@ class FormationService:
         Forwarded to :class:`~repro.core.topk_index.MutableTopKIndex`.
     result_cache_size:
         Number of memoized formation results kept (LRU, default 128).
-    execution:
-        Execution strategy for the shard-summary fan-out on requests that
-        recompute several shards: ``"serial"`` (default),
-        ``"processes"``, or a prebuilt
-        :class:`~repro.execution.executor.Executor` (kept open — the
-        caller owns its lifetime).  The process strategy exports the
-        current top-k tables to shared memory keyed by (index version,
-        ``k``), re-exporting only after updates; results stay
-        bit-identical to serial execution.
-    workers:
-        Degree of parallelism for a newly built executor.
     cache_dir:
         Optional :class:`~repro.execution.cache.ArtifactCache` directory:
         a cold start loads the top-k index artifact for the store's
@@ -158,8 +146,6 @@ class FormationService:
         backend: str | None = None,
         compaction_fraction: float | None = 0.25,
         result_cache_size: int = DEFAULT_RESULT_CACHE,
-        execution: "str | Executor | None" = None,
-        workers: int | None = None,
         cache_dir: str | None = None,
         base_index: TopKIndex | None = None,
         metrics: MetricsRegistry | None = None,
@@ -187,18 +173,6 @@ class FormationService:
                 int(k_max),
                 TopKIndex(self._index.items, self._index.values, self._index.n_items),
             )
-        self._owns_executor = not isinstance(execution, Executor)
-        self._executor = (
-            None
-            if execution is None
-            else get_executor(execution, workers)
-        )
-        if self._executor is not None and self._owns_executor:
-            # Fork the workers now, while the host process is still
-            # single-threaded — the asyncio front end spawns executor
-            # threads later, and forking from one of those risks cloning
-            # held locks into the pool.
-            self._executor.warm()
         self._shards = require_positive_int(shards, "shards")
         self._bounds = shard_bounds(store.n_users, self._shards)
         self._result_cache_size = require_positive_int(
@@ -258,9 +232,6 @@ class FormationService:
                 "cached_summaries": len(self._summaries),
                 "cached_results": len(self._results),
                 "backend": self._backend.name,
-                "execution": (
-                    self._executor.name if self._executor is not None else "serial"
-                ),
                 "index_cache_hit": self._index_cache_hit,
                 **counters,
             }
@@ -282,14 +253,11 @@ class FormationService:
         }
 
     def close(self) -> None:
-        """Release the executor (if this service built it); idempotent.
+        """Release the service; idempotent.
 
-        A caller-provided :class:`~repro.execution.executor.Executor` is
-        left open — the caller owns its lifetime.
+        The service holds no pools or external resources, so this is a
+        no-op kept for hosts that close every component uniformly.
         """
-        if self._executor is not None and self._owns_executor:
-            self._executor.close()
-        self._executor = None
 
     def __enter__(self) -> "FormationService":
         """Enter the context manager (returns ``self``)."""
@@ -527,11 +495,8 @@ class FormationService:
     ) -> GroupFormationResult:
         """Full-population request through cached shard summaries.
 
-        Missing summaries are computed serially in-process, except when
-        the service was built with an ``execution`` strategy and more than
-        one shard is missing — then the fan-out runs on the executor
-        (bit-identical results; the process strategy shares the current
-        top-k tables through shared memory keyed by ``(version, k)``).
+        Missing summaries are computed in-process straight from the
+        index's ranked top-k tables.
         """
         items_table, scores_table = self._index.top_k(k)
         cached: dict[int, ShardSummary] = {}
@@ -542,29 +507,13 @@ class FormationService:
                 missing.append(shard)
             else:
                 cached[shard] = summary
-        if missing:
-            if self._executor is not None and len(missing) > 1:
-                computed = self._executor.map_table_shards(
-                    items_table,
-                    scores_table,
-                    self._bounds,
-                    missing,
-                    variant,
-                    token=(self._index.version, k),
-                )
-            else:
-                computed = [
-                    summarise_tables(
-                        items_table[int(self._bounds[s]):int(self._bounds[s + 1])],
-                        scores_table[int(self._bounds[s]):int(self._bounds[s + 1])],
-                        int(self._bounds[s]),
-                        variant,
-                    )
-                    for s in missing
-                ]
-            for shard, summary in zip(missing, computed):
-                self._summaries[(shard, k, variant_token(variant))] = summary
-                cached[shard] = summary
+        for shard in missing:
+            start, stop = int(self._bounds[shard]), int(self._bounds[shard + 1])
+            summary = summarise_tables(
+                items_table[start:stop], scores_table[start:stop], start, variant
+            )
+            self._summaries[(shard, k, variant_token(variant))] = summary
+            cached[shard] = summary
         summaries = [cached[shard] for shard in range(self._bounds.size - 1)]
         recycled = self._bounds.size - 1 - len(missing)
         recomputed = len(missing)

@@ -114,21 +114,10 @@ class TestMultiShardBound:
 
 
 class TestExecutionModes:
-    def test_workers_do_not_change_results(self, clustered):
-        sequential = ShardedFormation(shards=6).run(clustered, 8, 4, "lm", "min")
-        threaded = ShardedFormation(shards=6, workers=3).run(
-            clustered, 8, 4, "lm", "min"
-        )
-        assert_results_identical(sequential, threaded)
-        assert threaded.extras["n_shards"] == 6
-        assert threaded.extras["workers"] == 3
-
     def test_sparse_store_through_sharded_path(self, clustered):
         store = SparseStore.from_matrix(clustered)
         dense_result = FormationEngine("numpy").run(clustered, 9, 5, "lm", "min")
-        sharded_sparse = ShardedFormation(shards=4, workers=2).run(
-            store, 9, 5, "lm", "min"
-        )
+        sharded_sparse = ShardedFormation(shards=4).run(store, 9, 5, "lm", "min")
         assert_results_identical(dense_result, sharded_sparse)
         assert sharded_sparse.extras["store"] == "SparseStore"
 

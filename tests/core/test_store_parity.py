@@ -70,7 +70,7 @@ def test_topk_index_dense_sparse_identical(instance):
     values, _, k = instance
     matrix = RatingMatrix(values)
     dense_index = TopKIndex.build(matrix, k)
-    sparse_index = TopKIndex.build(SparseStore.from_matrix(matrix), k, block_users=5)
+    sparse_index = TopKIndex.build(SparseStore.from_matrix(matrix), k)
     assert np.array_equal(dense_index.items, sparse_index.items)
     assert np.array_equal(dense_index.values, sparse_index.values)
 

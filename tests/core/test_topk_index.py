@@ -38,7 +38,7 @@ class TestBuildContract:
     def test_sparse_build_is_bit_identical(self, ratings):
         store = SparseStore.from_matrix(ratings)
         dense_index = TopKIndex.build(ratings, 6)
-        sparse_index = TopKIndex.build(store, 6, block_users=13)
+        sparse_index = TopKIndex.build(store, 6)
         assert np.array_equal(dense_index.items, sparse_index.items)
         assert np.array_equal(dense_index.values, sparse_index.values)
 
@@ -75,9 +75,9 @@ class TestEngineSharing:
         calls = []
         original = TopKIndex.build.__func__
 
-        def counting_build(cls, data, k_max, block_users=None, table_fn=None):
+        def counting_build(cls, data, k_max, table_fn=None):
             calls.append(k_max)
-            return original(cls, data, k_max, block_users, table_fn)
+            return original(cls, data, k_max, table_fn)
 
         monkeypatch.setattr(TopKIndex, "build", classmethod(counting_build))
         configs = [

@@ -120,7 +120,7 @@ class TestSyntheticSparse:
         from repro.core import ShardedFormation
 
         store = synthetic_sparse_store(1500, 80, density=0.02, rng=5)
-        result = ShardedFormation(shards=4, workers=2).run(store, 12, 5, "lm", "min")
+        result = ShardedFormation(shards=4).run(store, 12, 5, "lm", "min")
         assert result.n_users == 1500
         assert result.n_groups <= 12
         assert result.objective >= 0.0

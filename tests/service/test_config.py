@@ -23,13 +23,12 @@ def test_defaults_mirror_the_cli():
 def test_from_args_maps_flags_and_serial_execution():
     args = build_parser().parse_args(
         ["serve", "--users", "50", "--items", "10", "--store", "sparse",
-         "--execution", "serial", "--wal-dir", "/tmp/x",
+         "--wal-dir", "/tmp/x",
          "--snapshot-every", "5", "--fsync-every", "3"]
     )
     config = ServiceConfig.from_args(args)
     assert config.users == 50 and config.items == 10
     assert config.store == "sparse"
-    assert config.execution is None  # "serial" means no executor
     assert config.wal_dir == "/tmp/x"
     assert config.snapshot_every == 5 and config.fsync_every == 3
     assert config.effective_k_max == 10  # clamped to the catalogue

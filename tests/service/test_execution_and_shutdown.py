@@ -1,5 +1,5 @@
-"""Service-level execution plane (executor, warm index cache) and the
-graceful shutdown path (listener closed, pending update batches flushed)."""
+"""Service-level parity and warm index cache, and the graceful shutdown
+path (listener closed, pending update batches flushed)."""
 
 from __future__ import annotations
 
@@ -18,7 +18,6 @@ import pytest
 
 from repro.core.engine import FormationEngine
 from repro.core.topk_index import TopKIndex
-from repro.execution import ProcessExecutor
 from repro.recsys.store import DenseStore
 from repro.service import FormationService, ServiceServer
 
@@ -29,21 +28,17 @@ def values():
 
 
 # --------------------------------------------------------------------- #
-# Executor-backed summarisation
+# Shard-summary parity
 # --------------------------------------------------------------------- #
 
 
-@pytest.mark.parametrize("execution", ["processes"])
-def test_service_with_executor_matches_cold_engine(values, execution):
-    with FormationService(
-        DenseStore(values.copy()), k_max=5, shards=4, execution=execution, workers=2
-    ) as service:
-        assert service.stats()["execution"] == execution
+def test_service_with_executor_matches_cold_engine(values):
+    with FormationService(DenseStore(values.copy()), k_max=5, shards=4) as service:
         served = service.recommend(k=3, max_groups=5)
         cold = FormationEngine("numpy").run(values.copy(), 5, 3, "lm", "min")
         assert served.objective == cold.objective
         assert [g.members for g in served.groups] == [g.members for g in cold.groups]
-        # After an update, the executor path recomputes only what changed and
+        # After an update, the service recomputes only what changed and
         # still matches a cold run on the new ratings.
         service.apply_updates(upserts=[(0, 0, 5.0), (59, 14, 5.0)])
         served = service.recommend(k=3, max_groups=5)
@@ -51,24 +46,6 @@ def test_service_with_executor_matches_cold_engine(values, execution):
             service.store.to_dense().copy(), 5, 3, "lm", "min"
         )
         assert served.objective == cold.objective
-
-
-def test_service_with_shared_executor_is_not_closed(values):
-    executor = ProcessExecutor(workers=2)
-    try:
-        with FormationService(
-            DenseStore(values.copy()), k_max=4, shards=3, execution=executor
-        ) as service:
-            service.recommend(k=2, max_groups=4)
-        # The caller-owned executor survives service.close() and can serve
-        # another service immediately.
-        again = FormationService(
-            DenseStore(values.copy()), k_max=4, shards=3, execution=executor
-        )
-        again.recommend(k=2, max_groups=4)
-        again.close()
-    finally:
-        executor.close()
 
 
 def test_service_distinguishes_weighted_sum_schemes(values):

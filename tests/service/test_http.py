@@ -10,6 +10,7 @@ from __future__ import annotations
 import asyncio
 import concurrent.futures
 import json
+import logging
 import threading
 import time
 import urllib.error
@@ -173,6 +174,42 @@ def test_malformed_framing_gets_a_400_not_a_dropped_connection(server):
                     break
                 response += chunk
         assert response.startswith(b"HTTP/1.1 400"), raw
+
+
+def _other_requests(srv: ServiceServer) -> int:
+    """The ``other`` route's request counter as ``/v1/metrics`` reports it."""
+    with urllib.request.urlopen(
+        f"http://127.0.0.1:{srv.port}/v1/metrics", timeout=10
+    ) as resp:
+        text = resp.read().decode()
+    prefix = 'repro_http_requests_total{route="other"} '
+    line = next(line for line in text.splitlines() if line.startswith(prefix))
+    return int(float(line[len(prefix):]))
+
+
+def test_oversized_header_line_gets_a_431_not_a_traceback(server, caplog):
+    import socket
+
+    srv, _ = server
+    before = _other_requests(srv)
+    raw = (
+        b"GET /v1/healthz HTTP/1.1\r\nX-Padding: "
+        + b"a" * (70 * 1024)
+        + b"\r\n\r\n"
+    )
+    with caplog.at_level(logging.ERROR, logger="asyncio"):
+        with socket.create_connection(("127.0.0.1", srv.port), timeout=10) as sock:
+            sock.sendall(raw)
+            sock.shutdown(socket.SHUT_WR)
+            response = b""
+            while True:
+                chunk = sock.recv(4096)
+                if not chunk:
+                    break
+                response += chunk
+        assert response.startswith(b"HTTP/1.1 431"), response[:80]
+        assert _other_requests(srv) == before + 1
+    assert not [r for r in caplog.records if r.name == "asyncio"]
 
 
 def test_fractional_coordinates_rejected_over_http(server):

@@ -32,8 +32,8 @@ END = "<!-- bench-trajectory:end -->"
 #: Entry keys folded into the "configuration" column, in display order.
 _CONFIG_KEYS = (
     "backend", "store", "kernels", "threads", "stage", "semantics", "shards",
-    "workers", "execution", "metric", "replicas", "clients", "read_ratio",
-    "batch_size", "k", "max_groups", "requests",
+    "metric", "replicas", "clients", "read_ratio", "batch_size", "k",
+    "max_groups", "requests",
 )
 #: Entry keys folded into the "notes" column (derived figures).
 _NOTE_KEYS = (
