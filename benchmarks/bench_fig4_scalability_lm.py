@@ -61,40 +61,6 @@ def test_fig4_backend_speedup_largest_instance(yahoo_scalability_large):
     assert speedup >= 3.0
 
 
-def test_fig4_execution_plane_parity(yahoo_scalability, tmp_path):
-    """A warm artifact cache reproduces the engine.
-
-    The artifact cache promises to be a pure caching detail: a run served
-    from a warm :class:`~repro.execution.cache.ArtifactCache`
-    (memory-mapped top-k index, no build) must be bit-identical to the
-    plain engine on this integer-rated LM instance.
-    """
-    from repro.core import TopKIndex
-    from repro.execution import ArtifactCache
-
-    engine = FormationEngine("numpy")
-    seconds, baseline = best_time(engine, yahoo_scalability, 10, 5, "lm")
-
-    cache = ArtifactCache(tmp_path)
-    from repro.core.engine import coerce_store
-
-    store = coerce_store(yahoo_scalability)
-    cache.get_or_build_index(store, 5)
-    builds_before = TopKIndex.builds
-    warm_index, hit = cache.get_or_build_index(store, 5)
-    assert hit and TopKIndex.builds == builds_before
-    warm_result = engine.run(store, 10, 5, "lm", "min", topk=warm_index)
-    assert results_identical(baseline, warm_result)
-
-    write_bench_json(
-        "fig4_execution",
-        [
-            bench_entry("fig4 bench instance (2000x400, l=10, k=5)", seconds,
-                        backend="numpy", semantics="lm"),
-        ],
-    )
-
-
 def test_fig4_reproduce_series(benchmark):
     """Regenerate Figure 4(a-c) and check the scaling shapes."""
     panels = benchmark.pedantic(

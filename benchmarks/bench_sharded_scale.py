@@ -12,8 +12,7 @@ RSS.  The default configuration is the PR acceptance check::
 
 which must complete with peak RSS < 8 GB.  The run is written to
 ``BENCH_sharded_scale.json`` via the shared timing writer.  Shard summaries
-run one after another in-process; ``--cache-dir`` lets a repeat run over
-the same instance load them back instead.
+run one after another in-process.
 
 Not collected by pytest (no ``test_`` functions) — this is an operator
 script, sized in minutes, not a CI gate.
@@ -51,10 +50,6 @@ def main(argv=None) -> int:
     parser.add_argument("--semantics", default="lm", choices=["lm", "av"])
     parser.add_argument("--aggregation", default="min")
     parser.add_argument("--seed", type=int, default=0)
-    parser.add_argument("--cache-dir", default=None, dest="cache_dir",
-                        help="artifact-cache directory for shard summaries "
-                             "(repeat runs over the same instance skip "
-                             "summarisation)")
     parser.add_argument("--max-rss-gib", type=float, default=8.0,
                         help="fail if peak RSS exceeds this (default: 8)")
     args = parser.parse_args(argv)
@@ -75,7 +70,7 @@ def main(argv=None) -> int:
         f"{args.users * args.items * 8 / 2**30:.1f} GiB)"
     )
 
-    engine = ShardedFormation(shards=args.shards, cache_dir=args.cache_dir)
+    engine = ShardedFormation(shards=args.shards)
     t0 = time.perf_counter()
     result = engine.run(store, args.groups, args.k, args.semantics, args.aggregation)
     form_seconds = time.perf_counter() - t0

@@ -14,9 +14,6 @@ small scale through both engine backends and fails when
 * (``--shards N``, N > 1) the sharded execution path disagrees with the
   unsharded engine on this integer-rated instance (where the documented
   bound is bit-identity); or
-* (``--cache-dir DIR``) a warm :class:`repro.execution.cache.ArtifactCache`
-  run fails to skip TopKIndex construction (verified by the index build
-  counter) or the cached, memory-mapped index changes any result; or
 * (``--kernel-gate``) the numpy or the compiled top-k path disagrees with
   the reference backend on any formation result (the compiled leg is
   skipped with a note when no C compiler is available).  The combined
@@ -111,10 +108,6 @@ def main(argv=None) -> int:
     parser.add_argument("--shards", type=int, default=None,
                         help="also gate the sharded path (bit-identical on this "
                              "integer-rated instance) with this many shards")
-    parser.add_argument("--cache-dir", default=None, dest="cache_dir", metavar="DIR",
-                        help="also gate the artifact cache in DIR: a warm run "
-                             "must skip TopKIndex construction (build counter) "
-                             "and the mmap-loaded index must not change results")
     parser.add_argument("--service", action="store_true",
                         help="also run the online-service bench at small scale "
                              "as a non-blocking trend report")
@@ -248,41 +241,6 @@ def main(argv=None) -> int:
                 f"{figure} GRD-{semantics.upper()}-MIN sharded x{args.shards}: "
                 f"{sharded_best * 1000:7.1f} ms | {status}"
             )
-
-    if args.cache_dir is not None:
-        from repro.core.engine import coerce_store
-        from repro.core.topk_index import TopKIndex
-        from repro.execution.cache import ArtifactCache
-
-        cache = ArtifactCache(args.cache_dir)
-        store = coerce_store(ratings)
-        cold_builds = TopKIndex.builds
-        cold_index, cold_hit = cache.get_or_build_index(store, args.k)
-        warm_builds = TopKIndex.builds
-        warm_index, warm_hit = cache.get_or_build_index(store, args.k)
-        after_warm = TopKIndex.builds
-        status = "ok"
-        if warm_hit is not True or after_warm != warm_builds:
-            status = "CACHE MISS"
-            failures.append(
-                "artifact cache: warm run did not skip TopKIndex construction "
-                f"(hit={warm_hit}, builds {warm_builds} -> {after_warm})"
-            )
-        else:
-            cached_result = engines["numpy"].run(
-                store, args.groups, args.k, "lm", "min", topk=warm_index
-            )
-            fresh_result = engines["numpy"].run(store, args.groups, args.k, "lm", "min")
-            if not results_identical(cached_result, fresh_result):
-                status = "PARITY MISMATCH"
-                failures.append(
-                    "artifact cache: mmap-loaded index changes formation results"
-                )
-        print(
-            f"artifact cache ({instance}): cold hit={cold_hit} "
-            f"(builds +{warm_builds - cold_builds}), warm hit={warm_hit} "
-            f"(builds +{after_warm - warm_builds}) | {status}"
-        )
 
     if args.kernel_gate:
         from bench_kernels import numpy_top_k

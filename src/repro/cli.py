@@ -41,14 +41,8 @@ from repro.experiments import (
     table4,
 )
 from repro.core.kernels import get_kernel_threads, set_kernel_threads
-from repro.experiments.config import (
-    BACKENDS,
-    DEFAULT_BACKEND,
-    DEFAULT_STORE,
-    STORES,
-    normalize_backend,
-    normalize_store,
-)
+from repro.experiments.config import normalize_backend, normalize_store
+from repro.service.config import add_formation_arguments
 
 __all__ = ["main", "build_parser"]
 
@@ -84,58 +78,7 @@ def build_parser() -> argparse.ArgumentParser:
         help="experiment preset (default: bench)",
     )
     parser.add_argument("--seed", type=int, default=0, help="master random seed")
-    parser.add_argument(
-        "--backend",
-        default=DEFAULT_BACKEND,
-        choices=list(BACKENDS),
-        help=(
-            "formation engine backend for the GRD algorithms; both produce "
-            f"bit-identical results (default: {DEFAULT_BACKEND})"
-        ),
-    )
-    parser.add_argument(
-        "--store",
-        default=DEFAULT_STORE,
-        choices=list(STORES),
-        help=(
-            "rating storage the pipeline runs on: the historical dense ndarray "
-            "or the CSR sparse store; results are bit-identical "
-            f"(default: {DEFAULT_STORE})"
-        ),
-    )
-    parser.add_argument(
-        "--kernel-threads",
-        type=int,
-        default=None,
-        dest="kernel_threads",
-        metavar="T",
-        help=(
-            "thread count for the compiled top-k kernels (default: the "
-            "REPRO_KERNEL_THREADS environment variable, else the CPU count); "
-            "thread count never changes results, only wall-clock time"
-        ),
-    )
-    parser.add_argument(
-        "--shards",
-        type=int,
-        default=None,
-        metavar="N",
-        help=(
-            "run the GRD algorithms through the sharded formation path with N "
-            "contiguous user shards (default: unsharded)"
-        ),
-    )
-    parser.add_argument(
-        "--cache-dir",
-        default=None,
-        dest="cache_dir",
-        metavar="DIR",
-        help=(
-            "artifact-cache directory: per-instance top-k indexes (and shard "
-            "summaries on the sharded path) are persisted by content "
-            "fingerprint, so repeat runs skip ranking entirely"
-        ),
-    )
+    add_formation_arguments(parser, shards=None)
     parser.add_argument(
         "--json",
         default=None,
@@ -152,7 +95,6 @@ def _run_experiment(
     backend: str | None = None,
     store: str | None = None,
     shards: int | None = None,
-    cache_dir: str | None = None,
 ) -> tuple[str, list[Any]]:
     """Run one experiment and return (rendered text, raw result objects)."""
     if name in _FIGURES:
@@ -162,7 +104,6 @@ def _run_experiment(
             backend=backend,
             store=store,
             shards=shards,
-            cache_dir=cache_dir,
         )
         text = "\n\n".join(format_experiment(result) for result in results)
         return text, [result.as_dict() for result in results]
@@ -251,15 +192,11 @@ def main(argv: Sequence[str] | None = None) -> int:
     )
     backend = normalize_backend(args.backend)
     store = normalize_store(args.store)
-    if args.kernel_threads is not None and args.kernel_threads < 1:
-        parser.error("--kernel-threads must be a positive integer")
     set_kernel_threads(args.kernel_threads)
     try:
         get_kernel_threads()
     except ValueError as exc:
         parser.error(str(exc))
-    if args.shards is not None and args.shards < 1:
-        parser.error("--shards must be a positive integer")
     collected: dict[str, Any] = {}
     for name in names:
         text, raw = _run_experiment(
@@ -269,7 +206,6 @@ def main(argv: Sequence[str] | None = None) -> int:
             backend,
             store=store,
             shards=args.shards,
-            cache_dir=args.cache_dir,
         )
         print(f"\n===== {name} =====")
         print(text)

@@ -713,7 +713,6 @@ class FormationEngine:
         ratings: RatingStore | RatingMatrix | np.ndarray,
         configs: Sequence[FormationConfig],
         topk: TopKIndex | None = None,
-        cache: "Any | None" = None,
     ) -> list[GroupFormationResult]:
         """Run a batch of ``configs`` over one ``ratings`` instance.
 
@@ -736,10 +735,6 @@ class FormationEngine:
             The ``(k, ℓ, semantics, aggregation)`` sweep points.
         topk:
             Optional prebuilt index covering the sweep's largest ``k``.
-        cache:
-            Optional :class:`~repro.execution.cache.ArtifactCache`: when
-            ``topk`` is not supplied, the sweep's index is loaded from (or
-            built into) the cache instead of being rebuilt per invocation.
         """
         store = coerce_store(ratings)
         if not configs:
@@ -753,14 +748,7 @@ class FormationEngine:
                 )
         if topk is None:
             k_sweep = max(int(config.k) for config in configs)
-            if cache is not None:
-                topk, _ = cache.get_or_build_index(
-                    store, k_sweep, table_fn=self.backend.index_kernel
-                )
-            else:
-                topk = TopKIndex.build(
-                    store, k_sweep, table_fn=self.backend.index_kernel
-                )
+            topk = TopKIndex.build(store, k_sweep, table_fn=self.backend.index_kernel)
         form_cache: dict[Any, Any] = {}
         return [
             self._run_one(

@@ -39,7 +39,6 @@ def _run_greedy(
     aggregation: Aggregation,
     backend: str | None = None,
     shards: int | None = None,
-    cache_dir: str | None = None,
     topk: object | None = None,
     **kwargs: object,
 ) -> GroupFormationResult:
@@ -55,15 +54,8 @@ def _run_greedy(
             )
         from repro.core.sharded import ShardedFormation
 
-        return ShardedFormation(shards=int(shards), cache_dir=cache_dir).run_variant(
+        return ShardedFormation(shards=int(shards)).run_variant(
             ratings, max_groups, k, make_variant(semantics, aggregation)
-        )
-    if cache_dir is not None and topk is None:
-        from repro.core.engine import coerce_store
-        from repro.execution.cache import ArtifactCache
-
-        topk, _ = ArtifactCache(cache_dir).get_or_build_index(
-            coerce_store(ratings), k
         )
     return run_greedy(
         ratings,
@@ -216,9 +208,7 @@ def form_groups(
         ``backend=`` for the greedy engine, ``rng=`` for the clustering
         baseline, ``time_limit=`` for the exact solvers).  The greedy
         family additionally accepts ``shards=`` (sharded formation, see
-        :class:`~repro.core.sharded.ShardedFormation`) and ``cache_dir=``
-        (persist and re-use ranking artifacts via
-        :class:`~repro.execution.cache.ArtifactCache`).
+        :class:`~repro.core.sharded.ShardedFormation`).
 
     Returns
     -------

@@ -37,9 +37,7 @@ and falls back to a numpy kernel otherwise.  It is bit-identical to
 :func:`top_k_table` on the densified rows.
 
 ``tests/core/test_kernels.py`` checks every path against the
-specifications.  :data:`KERNEL_GENERATION` feeds the artifact-cache key so
-artifacts persisted by older kernel layouts are invalidated rather than
-mixed.
+specifications.
 
 Inputs are assumed NaN-free (every rating store validates completeness);
 ``±inf`` is handled exactly by the compiled and partition-select paths,
@@ -66,7 +64,6 @@ from repro.obs.registry import (
 from repro.obs.runtime import observed
 
 __all__ = [
-    "KERNEL_GENERATION",
     "KERNEL_THREADS_ENV",
     "bucket_reduce",
     "bucketize",
@@ -86,14 +83,6 @@ __all__ = [
 
 #: Environment variable supplying the default kernel thread count.
 KERNEL_THREADS_ENV = "REPRO_KERNEL_THREADS"
-
-#: Monotone cache-key component: bumped whenever the kernels change in a
-#: way that alters *persisted artifact layout or provenance* (e.g. the
-#: packed-key encoding), so :class:`~repro.execution.cache.ArtifactCache`
-#: entries written by older kernels are invalidated instead of silently
-#: mixed with new ones.  The compiled and numpy top-k paths produce the
-#: same bytes, so the choice between them does not enter the key.
-KERNEL_GENERATION = 2
 
 _scratch = threading.local()
 

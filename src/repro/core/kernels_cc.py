@@ -386,7 +386,7 @@ void repro_csr_topk_rows(const double *data, const void *indices,
 }
 """
 
-def _cache_dir() -> Path:
+def _library_dir() -> Path:
     """The directory compiled libraries are cached in (created on demand)."""
     override = os.environ.get(CACHE_ENV)
     if override:
@@ -633,7 +633,7 @@ class _LazyLibrary:
                 )
                 return None
             digest = hashlib.sha256(self.source.encode("utf-8")).hexdigest()[:16]
-            library_path = _cache_dir() / f"{self.stem}_{digest}.so"
+            library_path = _library_dir() / f"{self.stem}_{digest}.so"
             if not library_path.exists():
                 _compile(compiler, self.source, library_path)
             self.backend = self.facade(ctypes.CDLL(str(library_path)))

@@ -351,12 +351,8 @@ class ShardedFormation:
     Parameters
     ----------
     shards:
-        Number of contiguous user partitions (≥ 1).
-    cache_dir:
-        Optional :class:`~repro.execution.cache.ArtifactCache` directory:
-        per-shard summaries are persisted keyed by (store fingerprint,
-        ``k``, variant, shard range), so repeat runs over unchanged
-        ratings skip summarisation entirely.
+        Number of contiguous user partitions (≥ 1).  Shards are
+        summarised in-process, one after another.
 
     Examples
     --------
@@ -370,13 +366,8 @@ class ShardedFormation:
     11.0
     """
 
-    def __init__(
-        self,
-        shards: int = 1,
-        cache_dir: "str | None" = None,
-    ) -> None:
+    def __init__(self, shards: int = 1) -> None:
         self.shards = require_positive_int(shards, "shards")
-        self.cache_dir = cache_dir
 
     def run(
         self,
@@ -452,7 +443,12 @@ class ShardedFormation:
 
         watch = Stopwatch()
         with watch.lap("formation"):
-            summaries, bookkeeping = self._summarise(store, bounds, k, variant)
+            summaries = [
+                summarise_store_shard(
+                    store, int(bounds[shard]), int(bounds[shard + 1]), k, variant
+                )
+                for shard in range(n_shards)
+            ]
             plan, selected_items_rows = plan_from_summaries(
                 summaries, variant, n_users, max_groups
             )
@@ -469,69 +465,8 @@ class ShardedFormation:
             extra_extras={
                 "n_shards": int(n_shards),
                 "store": type(store).__name__,
-                **bookkeeping,
             },
         )
-
-    # ------------------------------------------------------------------ #
-
-    def _summarise(
-        self,
-        store: RatingStore,
-        bounds: np.ndarray,
-        k: int,
-        variant: GreedyVariant,
-    ) -> tuple[list[ShardSummary], dict]:
-        """Summarise every shard in-process, one after another.
-
-        With a ``cache_dir``, shard summaries are first looked up in the
-        :class:`~repro.execution.cache.ArtifactCache` and only the missing
-        shards are computed (and persisted).
-
-        Parameters
-        ----------
-        store:
-            Rating storage the shards are read from.
-        bounds:
-            Shard boundaries from :func:`shard_bounds`.
-        k:
-            Top-k prefix length of the run.
-        variant:
-            The greedy variant being executed.
-
-        Returns
-        -------
-        tuple
-            ``(summaries, bookkeeping)`` — one digest per shard in
-            ascending user order, plus the artifact-cache hit and miss
-            counts.
-        """
-        cache = fingerprint = None
-        summaries: list[ShardSummary | None] = [None] * (bounds.size - 1)
-        cache_hits = 0
-        if self.cache_dir is not None:
-            from repro.execution.cache import ArtifactCache, store_fingerprint
-
-            cache = ArtifactCache(self.cache_dir)
-            fingerprint = store_fingerprint(store)
-            for shard in range(bounds.size - 1):
-                summaries[shard] = cache.load_summary(
-                    fingerprint, k, variant, int(bounds[shard]), int(bounds[shard + 1])
-                )
-            cache_hits = sum(1 for s in summaries if s is not None)
-
-        missing = [s for s in range(bounds.size - 1) if summaries[s] is None]
-        for shard in missing:
-            start, stop = int(bounds[shard]), int(bounds[shard + 1])
-            summary = summarise_store_shard(store, start, stop, k, variant)
-            summaries[shard] = summary
-            if cache is not None:
-                cache.save_summary(fingerprint, k, variant, start, stop, summary)
-        bookkeeping = {
-            "summary_cache_hits": int(cache_hits),
-            "summary_cache_misses": int(len(missing)),
-        }
-        return [s for s in summaries if s is not None], bookkeeping
 
 
 def summarise_tables(

@@ -59,11 +59,6 @@ class TopKIndex:
         preserved across save/load).
     """
 
-    #: Process-wide count of full blockwise builds performed by
-    #: :meth:`build`.  The artifact-cache gates read it to verify that a
-    #: warm-cache run skipped index construction entirely.
-    builds: int = 0
-
     def __init__(self, items: np.ndarray, values: np.ndarray, n_items: int) -> None:
         items = np.asarray(items, dtype=np.int64)
         values = np.asarray(values, dtype=np.float64)
@@ -119,7 +114,6 @@ class TopKIndex:
         """
         from repro.recsys.store import DEFAULT_BLOCK_USERS, DenseStore, as_store
 
-        TopKIndex.builds += 1
         store = as_store(ratings)
         n_users, n_items = store.shape
         k_max = int(k_max)
@@ -273,12 +267,10 @@ class MutableTopKIndex(TopKIndex):
         (default ``0.25``).  ``None`` disables automatic compaction.
     base:
         Optional prebuilt :class:`TopKIndex` over the *current* contents of
-        ``store`` (e.g. loaded from an
-        :class:`~repro.execution.cache.ArtifactCache`).  Its tables are
-        copied into writable arrays and adopted instead of building from
-        scratch — the caller is responsible for the base actually matching
-        the store's ratings (a content-addressed cache guarantees this by
-        construction).  Shape or ``k_max`` mismatches raise.
+        ``store`` (e.g. a snapshot's saved tables).  Its tables are adopted
+        in place instead of building from scratch, and repair writes into
+        them — the caller is responsible for the base actually matching
+        the store's ratings.  Shape or ``k_max`` mismatches raise.
 
     Raises
     ------
@@ -331,14 +323,6 @@ class MutableTopKIndex(TopKIndex):
                 raise GroupFormationError(
                     f"base index k_max ({base.k_max}) does not match the requested "
                     f"k_max ({k_max})"
-                )
-            # The base may be a read-only memory-map from the artifact
-            # cache, and repair writes rows — copy those into writable
-            # arrays.  Writable bases (e.g. shared-memory attachments in
-            # replica workers, which never mutate) are adopted in place.
-            if not (base.items.flags.writeable and base.values.flags.writeable):
-                base = TopKIndex(
-                    np.array(base.items), np.array(base.values), base.n_items
                 )
         else:
             base = TopKIndex.build(store, k_max, table_fn=table_fn)

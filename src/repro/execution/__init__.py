@@ -1,20 +1,15 @@
-"""Shared memory and the artifact cache.
+"""Shared memory for multi-process serving.
 
-This package holds the two pieces of infrastructure the formation work
-runs on besides the formation code itself: zero-copy shared-memory
-adapters (:mod:`repro.execution.shm`) that let the serving layer's replica
-processes view the writer's store and index without copying them, and
-the content-addressed :class:`~repro.execution.cache.ArtifactCache` that
-lets repeat runs and cold service starts load their ranking artifacts back
-instead of rebuilding them.  Neither changes a result: shard summaries
-always run in-process, and cached artifacts are bit-identical to rebuilt
-ones (asserted by the suites in ``tests/execution/``).
+Zero-copy shared-memory adapters (:mod:`repro.execution.shm`) let the
+serving layer's replica processes view the writer's store and index
+without copying them.  They never change a result: attached arrays view
+the same physical pages as the originals (asserted by the suite in
+``tests/execution/``).
 
-See ``docs/architecture.md`` ("Shared memory and the artifact cache") for
-the shared-memory lifetime/ownership rules and the cache key format.
+See ``docs/architecture.md`` ("Shared memory") for the lifetime and
+ownership rules.
 """
 
-from repro.execution.cache import ArtifactCache, store_fingerprint
 from repro.execution.shm import (
     ArraySpec,
     SharedExports,
@@ -27,8 +22,6 @@ from repro.execution.shm import (
 )
 
 __all__ = [
-    "ArtifactCache",
-    "store_fingerprint",
     "ArraySpec",
     "SharedExports",
     "StoreSpec",

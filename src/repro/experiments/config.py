@@ -25,6 +25,7 @@ from __future__ import annotations
 from dataclasses import dataclass, field
 
 from repro.core.engine import BACKENDS, DEFAULT_BACKEND, get_backend
+from repro.recsys.store import DEFAULT_STORE, STORES
 
 __all__ = [
     "BACKENDS",
@@ -38,12 +39,6 @@ __all__ = [
     "quality_defaults",
     "scalability_defaults",
 ]
-
-#: Rating-store implementations selectable via ``--store``.
-STORES: tuple[str, ...] = ("dense", "sparse")
-
-#: Store used when none is requested explicitly.
-DEFAULT_STORE = "dense"
 
 
 def normalize_store(name: str | None) -> str:

@@ -45,7 +45,6 @@ def figure1(
     backend: str | None = None,
     store: str | None = None,
     shards: int | None = None,
-    cache_dir: str | None = None,
 ) -> list[ExperimentResult]:
     """Figure 1(a–c): objective value under LM-Max vs #users / #items / #groups.
 
@@ -66,7 +65,6 @@ def figure1(
         backend=backend,
         store=store,
         shards=shards,
-        cache_dir=cache_dir,
     )
     return [
         sweep("fig1a", "Objective value, varying number of users (LM-Max)",
@@ -85,7 +83,6 @@ def figure2(
     backend: str | None = None,
     store: str | None = None,
     shards: int | None = None,
-    cache_dir: str | None = None,
 ) -> list[ExperimentResult]:
     """Figure 2(a, b): objective value vs top-k under LM-Min and LM-Sum."""
     preset = get_scale(scale)
@@ -102,7 +99,6 @@ def figure2(
         backend=backend,
         store=store,
         shards=shards,
-        cache_dir=cache_dir,
     )
     return [
         sweep("fig2a", "Objective value, varying top-k (LM-Min)",
@@ -119,7 +115,6 @@ def figure3(
     backend: str | None = None,
     store: str | None = None,
     shards: int | None = None,
-    cache_dir: str | None = None,
 ) -> list[ExperimentResult]:
     """Figure 3(a–d): average group satisfaction over the top-k list (AV-Min,
     MovieLens) vs #users / #items / #groups / top-k."""
@@ -138,7 +133,6 @@ def figure3(
         backend=backend,
         store=store,
         shards=shards,
-        cache_dir=cache_dir,
     )
     return [
         sweep("fig3a", "Avg satisfaction on top-k itemset, varying number of users (AV-Min)",
@@ -159,7 +153,6 @@ def figure4(
     backend: str | None = None,
     store: str | None = None,
     shards: int | None = None,
-    cache_dir: str | None = None,
 ) -> list[ExperimentResult]:
     """Figure 4(a–c): runtime of LM-Min group formation vs #users / #items / #groups."""
     preset = get_scale(scale)
@@ -177,7 +170,6 @@ def figure4(
         backend=backend,
         store=store,
         shards=shards,
-        cache_dir=cache_dir,
     )
     return [
         sweep("fig4a", "Run time, varying number of users (LM-Min)",
@@ -196,7 +188,6 @@ def figure5(
     backend: str | None = None,
     store: str | None = None,
     shards: int | None = None,
-    cache_dir: str | None = None,
 ) -> list[ExperimentResult]:
     """Figure 5(a–d): runtime vs top-k for LM-Min, LM-Sum, AV-Min and AV-Sum."""
     preset = get_scale(scale)
@@ -213,7 +204,6 @@ def figure5(
         backend=backend,
         store=store,
         shards=shards,
-        cache_dir=cache_dir,
     )
     panels = [
         ("fig5a", "lm", "min", "Run time, varying top-k (LM-Min)"),
@@ -235,7 +225,6 @@ def figure6(
     backend: str | None = None,
     store: str | None = None,
     shards: int | None = None,
-    cache_dir: str | None = None,
 ) -> list[ExperimentResult]:
     """Figure 6(a–c): runtime of AV-Min group formation vs #users / #items / #groups."""
     preset = get_scale(scale)
@@ -253,7 +242,6 @@ def figure6(
         backend=backend,
         store=store,
         shards=shards,
-        cache_dir=cache_dir,
     )
     return [
         sweep("fig6a", "Run time, varying number of users (AV-Min)",

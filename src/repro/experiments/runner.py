@@ -186,7 +186,6 @@ def run_algorithms(
     backend: str | None = None,
     store: str | None = None,
     shards: int | None = None,
-    cache_dir: str | None = None,
 ) -> dict[str, tuple[GroupFormationResult, float]]:
     """Run the requested algorithms on one instance.
 
@@ -221,12 +220,6 @@ def run_algorithms(
         When > 1, the GRD algorithm runs through
         :class:`~repro.core.sharded.ShardedFormation` with this many user
         shards.
-    cache_dir:
-        Optional :class:`~repro.execution.cache.ArtifactCache` directory:
-        the per-instance :class:`~repro.core.topk_index.TopKIndex` (and,
-        on the sharded path, shard summaries) is loaded from / saved to
-        the cache, so repeat invocations over the same instances skip
-        ranking entirely.
 
     Returns
     -------
@@ -259,30 +252,15 @@ def run_algorithms(
     topk_seconds = 0.0
     if index_consumers:
         k_index = ratings.n_items if "baseline" in keys else k
-        if cache_dir is not None:
-            from repro.core.engine import coerce_store
-            from repro.execution.cache import ArtifactCache
-
-            def build_cached(instance, k_value):
-                index, _ = ArtifactCache(cache_dir).get_or_build_index(
-                    coerce_store(instance), k_value
-                )
-                return index
-
-            topk, topk_seconds = time_call(build_cached, data, k_index)
-        else:
-            topk, topk_seconds = time_call(TopKIndex.build, data, k_index)
+        topk, topk_seconds = time_call(TopKIndex.build, data, k_index)
 
     for algorithm in algorithms:
         key = algorithm.strip().lower()
         if key == "grd":
             if sharded:
-                runner_fn = ShardedFormation(
-                    shards=int(shards),
-                    cache_dir=cache_dir,
-                ).run
                 result, seconds = time_call(
-                    runner_fn, data, max_groups, k, semantics_obj, aggregation_obj
+                    ShardedFormation(shards=int(shards)).run,
+                    data, max_groups, k, semantics_obj, aggregation_obj,
                 )
             else:
                 result, seconds = time_call(
@@ -415,7 +393,6 @@ def sweep(
     backend: str | None = None,
     store: str | None = None,
     shards: int | None = None,
-    cache_dir: str | None = None,
 ) -> ExperimentResult:
     """Vary one parameter and collect one metric per algorithm per value.
 
@@ -447,8 +424,8 @@ def sweep(
         Optional override for the metric's axis label.
     backend:
         Formation backend for the GRD runs (see :func:`run_algorithms`).
-    store, shards, cache_dir:
-        Rating-store / sharding / artifact-cache selection per instance (see
+    store, shards:
+        Rating-store / sharding selection per instance (see
         :func:`run_algorithms`); recorded in the result metadata.
     """
     if varying not in {"n_users", "n_items", "n_groups", "k"}:
@@ -477,7 +454,6 @@ def sweep(
                 backend=backend,
                 store=store,
                 shards=shards,
-                cache_dir=cache_dir,
             )
             for name, (result, seconds) in outcomes.items():
                 totals.setdefault(name, []).append(
@@ -518,6 +494,5 @@ def sweep(
             "backend": backend,
             "store": normalize_store(store),
             "shards": shards,
-            "cache_dir": cache_dir,
         },
     )

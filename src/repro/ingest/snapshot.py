@@ -13,13 +13,13 @@ reconstruct a :class:`~repro.core.MutableTopKIndex` and its backing
 * ``applied_seq`` — the newest WAL sequence number folded into this state,
   which is where replay resumes.
 
-Files are named ``snapshot-%016d.npz`` by ``applied_seq`` and written with
-the same atomic idiom as :class:`~repro.execution.cache.ArtifactCache`:
-serialise to a temp file in the same directory, fsync, then ``os.replace``
-— a crash mid-save leaves at most an ignorable ``*.tmp``, never a torn
-snapshot.  :meth:`SnapshotManager.load_latest` additionally skips snapshots
-that fail to parse, so a torn file from a pre-fsync crash degrades to the
-previous snapshot plus a longer replay, not a failed recovery.
+Files are named ``snapshot-%016d.npz`` by ``applied_seq`` and written
+atomically: serialise to a temp file in the same directory, fsync, then
+``os.replace`` — a crash mid-save leaves at most an ignorable ``*.tmp``,
+never a torn snapshot.  :meth:`SnapshotManager.load_latest` additionally
+skips snapshots that fail to parse, so a torn file from a pre-fsync crash
+degrades to the previous snapshot plus a longer replay, not a failed
+recovery.
 """
 
 from __future__ import annotations

@@ -54,7 +54,15 @@ __all__ = [
     "SparseStore",
     "as_store",
     "DEFAULT_BLOCK_USERS",
+    "DEFAULT_STORE",
+    "STORES",
 ]
+
+#: Rating-store implementations selectable via ``--store``.
+STORES: tuple[str, ...] = ("dense", "sparse")
+
+#: Store used when none is requested explicitly.
+DEFAULT_STORE = "dense"
 
 #: Default number of users densified at a time by block iteration.  Sized so
 #: a block of a 10k-item catalogue costs ~160 MB — small enough to keep a

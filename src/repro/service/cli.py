@@ -30,7 +30,7 @@ import signal
 import sys
 from collections.abc import Sequence
 
-from repro.experiments.config import BACKENDS, DEFAULT_BACKEND
+from repro.service.config import add_formation_arguments
 
 __all__ = ["main", "build_parser", "bootstrap_service"]
 
@@ -67,27 +67,12 @@ def build_parser() -> argparse.ArgumentParser:
     serve.add_argument("--density", type=float, default=0.05,
                        help="explicit-rating density of the sparse bootstrap "
                             "(default: 0.05; ignored for --store dense)")
-    serve.add_argument("--store", default="dense", choices=["dense", "sparse"],
-                       help="rating storage backing the service (default: dense)")
     serve.add_argument("--seed", type=int, default=0, help="bootstrap seed")
     serve.add_argument("--k-max", type=int, default=20, dest="k_max",
                        help="largest recommended-list length served (default: 20)")
-    serve.add_argument("--shards", type=int, default=8,
-                       help="cached-summary shards (default: 8)")
-    serve.add_argument("--backend", default=DEFAULT_BACKEND, choices=list(BACKENDS),
-                       help=f"formation backend (default: {DEFAULT_BACKEND})")
-    serve.add_argument("--kernel-threads", type=int, default=None,
-                       dest="kernel_threads",
-                       help="thread count for the compiled top-k kernels "
-                            "(default: REPRO_KERNEL_THREADS, else the CPU "
-                            "count); never changes results")
     serve.add_argument("--batch-window", type=float, default=0.01,
                        help="seconds an update batch stays open to coalesce "
                             "concurrent writers (default: 0.01)")
-    serve.add_argument("--cache-dir", default=None, dest="cache_dir",
-                       help="artifact-cache directory: cold starts load the "
-                            "top-k index for the bootstrapped instance instead "
-                            "of rebuilding it")
     serve.add_argument("--wal-dir", default=None, dest="wal_dir",
                        help="durability root: write-ahead log + snapshots live "
                             "here, and restarting over the same directory "
@@ -173,6 +158,7 @@ def build_parser() -> argparse.ArgumentParser:
                        help="request/operational log format: human text, or "
                             "one JSON object per line for log shippers "
                             "(default: text)")
+    add_formation_arguments(serve, shards=8)
     return parser
 
 
@@ -276,7 +262,6 @@ async def _serve(args: argparse.Namespace, config=None) -> None:
         f"repro serve: {stats['n_users']} users x {stats['n_items']} items "
         f"({args.store} store, k_max={stats['k_max']}, {stats['shards']} shards, "
         f"{stats['backend']} backend"
-        + (", warm index cache" if stats.get("index_cache_hit") else "")
         + serving
         + durability
         + ")"

@@ -6,6 +6,9 @@ hand-plumbed the same dozen knobs through ``FormationService`` /
 parse once (``from_args``), validate once (``__post_init__``), and build
 every component the same way (:meth:`build_store`,
 :meth:`build_service`, :meth:`build_pipeline`, :meth:`build_server`).
+:func:`add_formation_arguments` defines the formation flags that
+``repro serve`` and ``repro-experiments`` share, so both parse them the
+same way.
 
 ``build_service`` doubles as the recovery factory: called with a
 :class:`~repro.ingest.snapshot.SnapshotState` it reconstructs the service
@@ -21,8 +24,10 @@ import argparse
 from dataclasses import asdict, dataclass
 from typing import TYPE_CHECKING, Any
 
+from repro.core.engine import BACKENDS, DEFAULT_BACKEND
 from repro.core.errors import IngestError
 from repro.core.kernels import get_kernel_threads, set_kernel_threads
+from repro.recsys.store import DEFAULT_STORE, STORES
 from repro.utils.validation import require_positive_int
 
 if TYPE_CHECKING:  # pragma: no cover - typing only
@@ -33,7 +38,60 @@ if TYPE_CHECKING:  # pragma: no cover - typing only
     from repro.service.pool import ReplicaPool
     from repro.service.service import FormationService
 
-__all__ = ["ServiceConfig"]
+__all__ = ["ServiceConfig", "add_formation_arguments"]
+
+
+def _positive_int(text: str) -> int:
+    """Parse a count flag: an integer >= 1, else an argparse error (rc 2)."""
+    try:
+        value = int(text)
+    except ValueError:
+        value = 0
+    if value < 1:
+        raise argparse.ArgumentTypeError(
+            f"must be a positive integer, got {text!r}"
+        )
+    return value
+
+
+def add_formation_arguments(
+    parser: argparse.ArgumentParser, *, shards: int | None
+) -> None:
+    """Register the formation flags both console scripts share.
+
+    ``--backend``, ``--kernel-threads``, ``--shards`` and ``--store`` are
+    defined here once, with one help text and one positive-integer
+    check; only the ``--shards`` default differs per script.
+
+    Parameters
+    ----------
+    parser:
+        The ``repro serve`` or ``repro-experiments`` parser.
+    shards:
+        Default shard count (``None`` runs unsharded).
+    """
+    group = parser.add_argument_group("formation")
+    group.add_argument(
+        "--backend", default=DEFAULT_BACKEND, choices=list(BACKENDS),
+        help="formation engine backend; every backend gives bit-identical "
+             f"results (default: {DEFAULT_BACKEND})",
+    )
+    group.add_argument(
+        "--kernel-threads", type=_positive_int, default=None,
+        dest="kernel_threads", metavar="T",
+        help="thread count for the compiled top-k kernels (default: "
+             "REPRO_KERNEL_THREADS, else the CPU count); never changes results",
+    )
+    group.add_argument(
+        "--shards", type=_positive_int, default=shards, metavar="N",
+        help="form groups from N contiguous user shards whose bucket "
+             f"summaries are merged (default: {shards or 'unsharded'})",
+    )
+    group.add_argument(
+        "--store", default=DEFAULT_STORE, choices=list(STORES),
+        help="rating storage: dense ndarray or CSR sparse store; results are "
+             f"bit-identical (default: {DEFAULT_STORE})",
+    )
 
 
 @dataclass
@@ -49,8 +107,6 @@ class ServiceConfig:
         Formation-service parameters (``k_max`` is clamped to ``items``;
         ``kernel_threads=None`` resolves via ``REPRO_KERNEL_THREADS``,
         then the CPU count — a malformed variable fails validation).
-    cache_dir:
-        Optional artifact-cache directory for warm index starts.
     host, port, batch_window:
         HTTP front-end bind address and update-coalescing window.
     wal_dir, snapshot_every, fsync_every:
@@ -93,7 +149,6 @@ class ServiceConfig:
     backend: str | None = None
     kernel_threads: int | None = None
     compaction_fraction: float | None = 0.25
-    cache_dir: str | None = None
     host: str = "127.0.0.1"
     port: int = 8321
     batch_window: float = 0.01
@@ -124,7 +179,7 @@ class ServiceConfig:
             require_positive_int(self.fsync_every, "fsync_every")
         except (TypeError, ValueError) as exc:
             raise IngestError(str(exc)) from exc
-        if self.store not in ("dense", "sparse"):
+        if self.store not in STORES:
             raise IngestError(
                 f"store must be 'dense' or 'sparse', got {self.store!r}"
             )
@@ -352,7 +407,6 @@ class ServiceConfig:
                 shards=self.shards,
                 backend=self.backend,
                 compaction_fraction=self.compaction_fraction,
-                cache_dir=self.cache_dir,
                 metrics=metrics,
             )
         from repro.core.topk_index import TopKIndex

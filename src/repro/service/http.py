@@ -44,6 +44,7 @@ import asyncio
 import contextvars
 import json
 import logging
+import re
 import time
 from typing import TYPE_CHECKING, Any
 from urllib.parse import parse_qs
@@ -88,6 +89,13 @@ if TYPE_CHECKING:  # pragma: no cover - typing only
 __all__ = ["ServiceServer"]
 
 _MAX_BODY = 32 * 1024 * 1024  # 32 MiB request-body cap
+_MAX_HEADERS = 100  # header lines per request; more answers 431
+_MAX_HEADER_BYTES = 64 * 1024  # total header bytes per request; more answers 431
+
+#: A client ``X-Request-Id`` is echoed only when it is a short token of
+#: visible ASCII; anything else (CR, LF, spaces, control bytes) gets a
+#: fresh id instead, so the header block can never be split.
+_REQUEST_ID = re.compile(r"[!-~]{1,128}")
 
 _LOG = logging.getLogger("repro.service")
 _REQUEST_LOG = logging.getLogger("repro.service.request")
@@ -119,6 +127,7 @@ _DEFAULT_CODES = {
     413: "payload_too_large",
     431: "header_too_large",
     500: "internal",
+    501: "not_implemented",
     503: "service_unavailable",
     504: "deadline_exceeded",
 }
@@ -380,7 +389,9 @@ class ServiceServer:
                 return
             path, _, query_string = target.partition("?")
             query = parse_qs(query_string) if query_string else {}
-            request_id = req_headers.get("x-request-id") or trace.new_request_id()
+            request_id = req_headers.get("x-request-id", "")
+            if not _REQUEST_ID.fullmatch(request_id):
+                request_id = trace.new_request_id()
             route = _ROUTE_LABELS.get(path, "other")
             handle = (
                 trace.begin(request_id)
@@ -492,6 +503,7 @@ class ServiceServer:
 
         content_length = 0
         req_headers: dict[str, str] = {}
+        header_lines = header_bytes = 0
         while True:
             try:
                 line = await reader.readline()
@@ -499,6 +511,14 @@ class ServiceServer:
                 raise _HTTPError(431, "request header line too long")
             if line in (b"\r\n", b"\n", b""):
                 break
+            header_lines += 1
+            header_bytes += len(line)
+            if header_lines > _MAX_HEADERS or header_bytes > _MAX_HEADER_BYTES:
+                raise _HTTPError(
+                    431,
+                    f"request headers exceed {_MAX_HEADERS} lines or "
+                    f"{_MAX_HEADER_BYTES} bytes",
+                )
             name, _, value = line.decode("latin-1").partition(":")
             name = name.strip().lower()
             req_headers[name] = value.strip()
@@ -507,6 +527,11 @@ class ServiceServer:
                     content_length = int(value.strip())
                 except ValueError:
                     raise _HTTPError(400, "bad Content-Length")
+        if "transfer-encoding" in req_headers:
+            raise _HTTPError(
+                501, "Transfer-Encoding is not supported; send a "
+                "Content-Length body",
+            )
         if content_length < 0:
             raise _HTTPError(400, "bad Content-Length")
         if content_length > _MAX_BODY:
@@ -550,7 +575,7 @@ class ServiceServer:
                    405: "Method Not Allowed", 409: "Conflict",
                    413: "Payload Too Large",
                    431: "Request Header Fields Too Large",
-                   500: "Internal Server Error",
+                   500: "Internal Server Error", 501: "Not Implemented",
                    503: "Service Unavailable", 504: "Gateway Timeout"}
         if isinstance(payload, _Raw):
             content_type = payload.content_type

@@ -59,7 +59,6 @@ from repro.core.sharded import (
     summarise_tables,
 )
 from repro.core.topk_index import MutableTopKIndex, TopKIndex
-from repro.execution.cache import ArtifactCache, store_fingerprint
 from repro.obs.registry import (
     G_INDEX_VERSION,
     H_RECOMMEND,
@@ -105,19 +104,12 @@ class FormationService:
         Forwarded to :class:`~repro.core.topk_index.MutableTopKIndex`.
     result_cache_size:
         Number of memoized formation results kept (LRU, default 128).
-    cache_dir:
-        Optional :class:`~repro.execution.cache.ArtifactCache` directory:
-        a cold start loads the top-k index artifact for the store's
-        content fingerprint instead of building it (and saves the artifact
-        after a cold build), so restarting a service over unchanged
-        ratings skips index construction entirely.
     base_index:
         Optional prebuilt :class:`~repro.core.topk_index.TopKIndex` over
-        the *current* contents of ``store``, adopted instead of building
-        (or consulting the artifact cache).  Crash recovery
-        (:mod:`repro.ingest`) passes the snapshot's saved tables here so
-        the recovered index keeps its incrementally-repaired state bit
-        for bit.
+        the *current* contents of ``store``, adopted instead of building.
+        Crash recovery (:mod:`repro.ingest`) passes the snapshot's saved
+        tables here so the recovered index keeps its incrementally-repaired
+        state bit for bit.
     metrics:
         Optional :class:`~repro.obs.registry.MetricsRegistry` the service
         records its counters and recommend-latency histogram into.  A
@@ -146,33 +138,15 @@ class FormationService:
         backend: str | None = None,
         compaction_fraction: float | None = 0.25,
         result_cache_size: int = DEFAULT_RESULT_CACHE,
-        cache_dir: str | None = None,
         base_index: TopKIndex | None = None,
         metrics: MetricsRegistry | None = None,
     ) -> None:
         self.metrics = metrics if metrics is not None else MetricsRegistry()
         self._backend = get_backend(backend)
         self._engine = FormationEngine(self._backend)
-        base = base_index
-        self._index_cache_hit = False
-        artifact_cache = (
-            ArtifactCache(cache_dir)
-            if cache_dir is not None and base_index is None
-            else None
-        )
-        if artifact_cache is not None:
-            fingerprint = store_fingerprint(store)
-            base = artifact_cache.load_index(fingerprint, int(k_max))
-            self._index_cache_hit = base is not None
         self._index = MutableTopKIndex(
-            store, k_max, compaction_fraction=compaction_fraction, base=base
+            store, k_max, compaction_fraction=compaction_fraction, base=base_index
         )
-        if artifact_cache is not None and base is None:
-            artifact_cache.save_index(
-                fingerprint,
-                int(k_max),
-                TopKIndex(self._index.items, self._index.values, self._index.n_items),
-            )
         self._shards = require_positive_int(shards, "shards")
         self._bounds = shard_bounds(store.n_users, self._shards)
         self._result_cache_size = require_positive_int(
@@ -232,7 +206,6 @@ class FormationService:
                 "cached_summaries": len(self._summaries),
                 "cached_results": len(self._results),
                 "backend": self._backend.name,
-                "index_cache_hit": self._index_cache_hit,
                 **counters,
             }
 

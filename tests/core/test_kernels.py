@@ -537,7 +537,7 @@ class TestFormationParity:
 
 
 class TestKernelSwitch:
-    """Kernel provenance in artifact-cache keys, and a matrix contract."""
+    """RatingMatrix duplicate-triple contract."""
 
     def test_nan_duplicate_triples_keep_historical_contract(self):
         """RatingMatrix.from_triples: NaN in a cell means "unset" — exact NaN
@@ -557,18 +557,3 @@ class TestKernelSwitch:
             RatingMatrix.from_triples([("u", "i", 5.0), ("u", "i", nan)])
         with pytest.raises(RatingDataError):
             RatingMatrix.from_triples([("u", "i", 5.0), ("u", "i", 3.0)])
-
-    def test_cache_keys_carry_kernel_generation(self, monkeypatch):
-        """Artifact-cache keys change when KERNEL_GENERATION is bumped."""
-        from repro.execution.cache import ArtifactCache
-
-        import repro.core.kernels as kernel_module
-
-        assert kernel_module.KERNEL_GENERATION == 2
-        old_index = ArtifactCache.index_key("fp", 5)
-        old_summary = ArtifactCache.summary_key("fp", 5, "GRD-LM-MIN", 0, 10)
-        monkeypatch.setattr(
-            kernel_module, "KERNEL_GENERATION", kernel_module.KERNEL_GENERATION + 1
-        )
-        assert ArtifactCache.index_key("fp", 5) != old_index
-        assert ArtifactCache.summary_key("fp", 5, "GRD-LM-MIN", 0, 10) != old_summary

@@ -1,5 +1,5 @@
-"""Service-level parity and warm index cache, and the graceful shutdown
-path (listener closed, pending update batches flushed)."""
+"""Service-level parity, and the graceful shutdown path (listener closed,
+pending update batches flushed)."""
 
 from __future__ import annotations
 
@@ -17,7 +17,6 @@ import numpy as np
 import pytest
 
 from repro.core.engine import FormationEngine
-from repro.core.topk_index import TopKIndex
 from repro.recsys.store import DenseStore
 from repro.service import FormationService, ServiceServer
 
@@ -58,44 +57,6 @@ def test_service_distinguishes_weighted_sum_schemes(values):
         cold = engine.run(values.copy(), 5, 3, "lm", scheme)
         assert served.objective == cold.objective
         assert [g.members for g in served.groups] == [g.members for g in cold.groups]
-    service.close()
-
-
-# --------------------------------------------------------------------- #
-# Warm index cache on cold start
-# --------------------------------------------------------------------- #
-
-
-def test_cold_start_with_cache_dir_skips_index_build(values, tmp_path):
-    first = FormationService(
-        DenseStore(values.copy()), k_max=5, cache_dir=str(tmp_path)
-    )
-    assert first.stats()["index_cache_hit"] is False
-    baseline = first.recommend(k=3, max_groups=5)
-    first.close()
-
-    builds = TopKIndex.builds
-    second = FormationService(
-        DenseStore(values.copy()), k_max=5, cache_dir=str(tmp_path)
-    )
-    assert TopKIndex.builds == builds, "warm cold-start must skip TopKIndex.build"
-    assert second.stats()["index_cache_hit"] is True
-    warm = second.recommend(k=3, max_groups=5)
-    assert warm.objective == baseline.objective
-    assert [g.members for g in warm.groups] == [g.members for g in baseline.groups]
-    # The warm service remains fully mutable (tables were copied writable).
-    second.apply_updates(upserts=[(1, 2, 5.0)])
-    fresh = TopKIndex.build(second.store, 5)
-    assert np.array_equal(second.index.items, fresh.items)
-    second.close()
-
-
-def test_changed_ratings_do_not_hit_the_stale_artifact(values, tmp_path):
-    FormationService(DenseStore(values.copy()), k_max=4, cache_dir=str(tmp_path)).close()
-    mutated = values.copy()
-    mutated[0, 0] = 5.0 if mutated[0, 0] != 5.0 else 4.0
-    service = FormationService(DenseStore(mutated), k_max=4, cache_dir=str(tmp_path))
-    assert service.stats()["index_cache_hit"] is False
     service.close()
 
 

@@ -212,6 +212,75 @@ def test_oversized_header_line_gets_a_431_not_a_traceback(server, caplog):
     assert not [r for r in caplog.records if r.name == "asyncio"]
 
 
+def _raw_exchange(srv: ServiceServer, raw: bytes) -> tuple[bytes, bytes]:
+    """Send raw bytes, read until close; return (status line + headers, body).
+
+    A server that rejects a request before reading all of it closes with
+    unread bytes, which may reset the connection after its response.
+    """
+    import socket
+
+    response = b""
+    with socket.create_connection(("127.0.0.1", srv.port), timeout=10) as sock:
+        try:
+            sock.sendall(raw)
+            sock.shutdown(socket.SHUT_WR)
+        except (BrokenPipeError, ConnectionResetError):
+            pass
+        try:
+            while chunk := sock.recv(4096):
+                response += chunk
+        except ConnectionResetError:
+            pass
+    head, _, body = response.partition(b"\r\n\r\n")
+    return head, body
+
+
+def test_unsafe_request_id_is_replaced_not_echoed(server):
+    srv, _ = server
+    for bad in (b"abc\rSet-Cookie: evil=1", b"two words", b"x" * 200):
+        head, _ = _raw_exchange(
+            srv,
+            b"GET /v1/healthz HTTP/1.1\r\nX-Request-Id: " + bad + b"\r\n\r\n",
+        )
+        assert head.startswith(b"HTTP/1.1 200"), head
+        assert b"Set-Cookie" not in head and b"\r" not in head.replace(b"\r\n", b"")
+        ids = [line for line in head.split(b"\r\n")
+               if line.startswith(b"X-Request-Id: ")]
+        assert len(ids) == 1
+        minted = ids[0][len(b"X-Request-Id: "):]
+        assert len(minted) == 32 and all(c in b"0123456789abcdef" for c in minted)
+
+
+def test_transfer_encoding_gets_a_structured_501(server):
+    srv, _ = server
+    before = _other_requests(srv)
+    body = b'{"k": 3, "max_groups": 4}'
+    head, payload = _raw_exchange(
+        srv,
+        b"POST /v1/recommend HTTP/1.1\r\nTransfer-Encoding: chunked\r\n\r\n"
+        + f"{len(body):x}".encode() + b"\r\n" + body + b"\r\n0\r\n\r\n",
+    )
+    assert head.startswith(b"HTTP/1.1 501"), head
+    assert json.loads(payload)["error"]["code"] == "not_implemented"
+    assert _other_requests(srv) == before + 1
+
+
+def test_too_many_or_too_large_headers_get_a_431(server):
+    srv, _ = server
+    before = _other_requests(srv)
+    for headers in (
+        b"".join(b"X-H%d: v\r\n" % i for i in range(10_000)),
+        b"".join(b"X-H%d: %s\r\n" % (i, b"a" * 2048) for i in range(40)),
+    ):
+        head, payload = _raw_exchange(
+            srv, b"GET /v1/healthz HTTP/1.1\r\n" + headers + b"\r\n"
+        )
+        assert head.startswith(b"HTTP/1.1 431"), head[:80]
+        assert json.loads(payload)["error"]["code"] == "header_too_large"
+    assert _other_requests(srv) == before + 2
+
+
 def test_fractional_coordinates_rejected_over_http(server):
     srv, _ = server
     status, payload = request(srv, "/v1/events", {"events": [rating(1.7, 2, 5.0)]})

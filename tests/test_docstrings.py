@@ -32,7 +32,6 @@ DOCUMENTED_MODULES = [
     SRC / "recsys" / "store.py",
     SRC / "execution" / "__init__.py",
     SRC / "execution" / "shm.py",
-    SRC / "execution" / "cache.py",
     SRC / "service" / "__init__.py",
     SRC / "service" / "service.py",
     SRC / "service" / "http.py",
