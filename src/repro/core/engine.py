@@ -11,18 +11,20 @@ the three-step skeleton is executed:
     hashing of bucket keys and a heap over intermediate-group scores.  It is
     the executable specification the other backends are tested against.
 ``"numpy"``
-    A vectorised implementation of the same specification: users are
-    bucketed on packed ``uint64`` key rows instead of per-user dict hashing,
-    and bucket heap scores are computed with vectorised reductions
-    (``np.bincount`` accumulates member contributions in the same
-    ascending-user order as the reference loop).  The ranking and bucketing
-    primitives live in :mod:`repro.core.kernels`: compiled top-k when a C
-    compiler is available (numpy otherwise) and numpy fingerprint
-    bucketing.  Its results are bit-identical to the reference backend —
-    the parity suite in ``tests/core/test_engine.py`` asserts this on
-    randomised, tie-heavy instances for every GRD variant, and
-    ``tests/core/test_kernels.py`` checks each kernel path against the
-    specification.
+    The vectorised implementation of the same specification, and the
+    one-shard case of :mod:`repro.core.sharded`: all users are summarised
+    as a single shard (fingerprint bucketing with
+    :func:`repro.core.kernels.bucketize`, bucket membership as one flat
+    ``member_ids``/``offsets`` segment array, heap scores from one
+    ``np.bincount`` in the reference's ascending-user order) and selected
+    by :func:`~repro.core.sharded.plan_from_summaries`.  The engine keeps no
+    bucketing or selection code of its own, so steps 1–2 have one
+    vectorised implementation shared with
+    :class:`~repro.core.sharded.ShardedFormation` and the service.  Its
+    results are bit-identical to the reference backend — the parity suite
+    in ``tests/core/test_engine.py`` asserts this on randomised, tie-heavy
+    instances for every GRD variant, and ``tests/core/test_kernels.py``
+    checks each kernel path against the specification.
 
 Rating data reaches the engine through the
 :class:`~repro.recsys.store.RatingStore` interface (a raw complete array or
@@ -34,12 +36,13 @@ ranked prefix comes from a
 :class:`~repro.core.topk_index.TopKIndex` — built on demand, or passed in to
 be shared across runs.  :meth:`FormationEngine.run_many` builds **one** index
 at the sweep's largest ``k`` and slices it per configuration, so a
-``(k, ℓ, semantics, aggregation)`` sweep computes rankings exactly once.
+``(k, ℓ, semantics, aggregation)`` sweep computes rankings exactly once,
+and the numpy backend memoises each ``(k, variant)`` summary across it.
 
 Both backends share one finalisation path (greedy selection outcome → groups,
 budget filling, left-over group), so they can only differ in how intermediate
 groups are discovered, never in how groups are scored.  The same finalisation
-is reused by the sharded execution path in :mod:`repro.core.sharded`.
+ends the sharded execution path in :mod:`repro.core.sharded`.
 
 Examples
 --------
@@ -69,20 +72,14 @@ from typing import Any
 
 import numpy as np
 
-from repro.core.aggregation import (
-    Aggregation,
-    MaxAggregation,
-    MinAggregation,
-    SumAggregation,
-    WeightedSumAggregation,
-)
+from repro.core.aggregation import Aggregation
 from repro.core.errors import GroupFormationError
 from repro.core.greedy_framework import (
     GreedyVariant,
     as_complete_values,
     make_variant,
+    variant_token,
 )
-from repro.core import kernels
 from repro.core.group_recommender import group_satisfaction
 from repro.core.grouping import Group, GroupFormationResult, build_group
 from repro.core.preferences import _top_k_table_sorted
@@ -160,37 +157,19 @@ class FormationPlan:
 class FormationBackend(ABC):
     """Strategy interface: how the formation hot path is executed.
 
-    A backend supplies the top-k table computation and the
-    bucketing/selection steps; everything downstream (scoring the selected
-    groups, budget filling, the left-over group) is shared engine code, which
-    guarantees backends can only disagree on speed, never on results.
+    A backend supplies the bucketing/selection steps and the kernel its
+    indexes are ranked with; everything downstream (scoring the selected
+    groups, budget filling, the left-over group) is shared engine code,
+    which guarantees backends can only disagree on speed, never on results.
     """
 
     #: Canonical backend name (``"reference"`` / ``"numpy"``).
     name: str = "abstract"
 
-    @abstractmethod
-    def top_k_table(self, values: np.ndarray, k: int) -> tuple[np.ndarray, np.ndarray]:
-        """Per-user top-``k`` items and scores of the complete rating array
-        ``values`` (validation already performed).
-
-        Both backends' kernels are bit-identical to
-        :meth:`~repro.core.topk_index.TopKIndex.build`, which is what the
-        engine itself uses; the method remains the backend-level seam for
-        callers that want a raw table without an index object.
-        """
-
-    @property
-    def index_kernel(
-        self,
-    ) -> "Callable[[np.ndarray, int], tuple[np.ndarray, np.ndarray]] | None":
-        """The ``table_fn`` the engine builds indexes with.
-
-        :meth:`top_k_table` itself by default; ``None`` lets the store rank
-        itself (:meth:`~repro.recsys.store.RatingStore.top_k` — the CSR
-        kernel on a sparse store), which is bit-identical.
-        """
-        return self.top_k_table
+    #: The ``table_fn`` the engine builds indexes with; ``None`` lets the
+    #: store rank itself (:meth:`~repro.recsys.store.RatingStore.top_k` —
+    #: the CSR kernel on a sparse store).  Every kernel is bit-identical.
+    index_kernel: Callable[[np.ndarray, int], tuple[np.ndarray, np.ndarray]] | None = None
 
     @abstractmethod
     def form(
@@ -214,17 +193,15 @@ class FormationBackend(ABC):
 class ReferenceBackend(FormationBackend):
     """The original loop-based implementation, preserved as the specification.
 
-    Step 1 hashes every user with a per-user Python loop over
-    ``variant.key_fn`` / ``variant.user_value_fn``; step 2 pops a heap of
-    ``(-score, representative, key)`` tuples.  Kept deliberately simple — the
-    numpy backend is validated against it bit for bit.
+    Indexes are ranked by the naive full stable sort; step 1 hashes every
+    user with a per-user Python loop over ``variant.key_fn`` /
+    ``variant.user_value_fn``; step 2 pops a heap of ``(-score,
+    representative, key)`` tuples.  Kept deliberately simple — the numpy
+    backend is validated against it bit for bit.
     """
 
     name = "reference"
-
-    def top_k_table(self, values: np.ndarray, k: int) -> tuple[np.ndarray, np.ndarray]:
-        """Per-user top-``k`` of ``values`` via the naive full stable sort."""
-        return _top_k_table_sorted(values, k)
+    index_kernel = staticmethod(_top_k_table_sorted)
 
     def form(
         self,
@@ -292,58 +269,27 @@ class ReferenceBackend(FormationBackend):
 
 
 class NumpyBackend(FormationBackend):
-    """Vectorised backend: fingerprint bucketing, no per-user loops.
+    """Vectorised backend: the one-shard case of :mod:`repro.core.sharded`.
 
-    Bit-identical to :class:`ReferenceBackend` by construction:
+    Steps 1–2 run as a single shard summary
+    (:func:`~repro.core.sharded.summarise_tables`: fingerprint bucketing
+    with :func:`repro.core.kernels.bucketize`, flat member segments) fed to
+    :func:`~repro.core.sharded.plan_from_summaries`, so the in-memory
+    engine, :class:`~repro.core.sharded.ShardedFormation` and the service
+    share one vectorised implementation.  Bit-identical to
+    :class:`ReferenceBackend` by construction:
 
-    * the top-k table uses the same tie-break (rating descending, item index
-      ascending) via :func:`repro.core.kernels.top_k_table`;
     * bucket keys compare raw ``uint64`` bit patterns of the same columns the
       reference concatenates into its byte keys, so float equality semantics
       match ``bytes`` equality exactly;
     * summed bucket scores are accumulated by ``np.bincount`` in ascending
       user order — the same sequential order as the reference dict loop —
-      so floating-point results carry the same rounding.
+      so floating-point results carry the same rounding;
+    * selection orders buckets by ``(score descending, representative)``,
+      the reference heap's total order.
     """
 
     name = "numpy"
-
-    def top_k_table(self, values: np.ndarray, k: int) -> tuple[np.ndarray, np.ndarray]:
-        """Per-user top-``k`` of ``values`` via :func:`kernels.top_k_table`."""
-        # The engine already rejected non-finite ratings, so the kernel can
-        # skip its -inf sentinel scan.
-        return kernels.top_k_table(values, k, assume_finite=True)
-
-    @property
-    def index_kernel(self) -> None:
-        """``None``: indexes are ranked by the store's own exact kernels."""
-        return None
-
-    @staticmethod
-    def _contributions(
-        scores_table: np.ndarray, aggregation: Aggregation
-    ) -> np.ndarray:
-        """Every user's personal aggregated top-k value, vectorised.
-
-        Matches ``aggregation.aggregate(scores_row.tolist())`` bit for bit:
-        Min/Max pick single columns, and the Sum/Weighted-Sum row reductions
-        use the same pairwise summation over the same contiguous k elements
-        as the reference's per-row ``np.sum``.
-        """
-        kind = type(aggregation)
-        if kind is MinAggregation:
-            return np.ascontiguousarray(scores_table[:, -1])
-        if kind is MaxAggregation:
-            return np.ascontiguousarray(scores_table[:, 0])
-        if kind is SumAggregation:
-            return scores_table.sum(axis=1)
-        if kind is WeightedSumAggregation:
-            weights = aggregation.weights(scores_table.shape[1])
-            return (scores_table * weights).sum(axis=1)
-        # Unknown user-defined aggregation: fall back to the reference rule.
-        return np.array(
-            [aggregation.aggregate(row.tolist()) for row in scores_table]
-        )
 
     def form(
         self,
@@ -353,65 +299,26 @@ class NumpyBackend(FormationBackend):
         max_groups: int,
         cache: dict[Any, Any] | None = None,
     ) -> FormationPlan:
-        """Bucket and select via fingerprint grouping and vectorised reductions.
+        """Summarise all users as one shard, then select from that summary.
 
         See :meth:`FormationBackend.form` for the meaning of
         ``items_table`` / ``scores_table`` / ``variant`` / ``max_groups``;
-        ``cache`` shares the bucketing and contribution arrays across a
-        :meth:`FormationEngine.run_many` sweep.
+        ``cache`` shares the summary across a :meth:`FormationEngine.run_many`
+        sweep, keyed by ``(k, variant_token(variant))``.
         """
-        n_users, k = items_table.shape
-        if cache is None:
-            cache = {}
+        # Looked up at call time: repro.core.sharded imports this module.
+        from repro.core import sharded
 
-        bucket_key = ("buckets", k, variant.key_scores)
-        bucket_state = cache.get(bucket_key)
-        if bucket_state is None:
-            bucket_state = kernels.bucketize(
-                items_table, scores_table, variant.key_scores
-            )
-            cache[bucket_key] = bucket_state
-        inverse, sorted_users, starts = bucket_state
-
-        contrib_key = ("contributions", k, variant.aggregation)
-        contributions = cache.get(contrib_key)
-        if contributions is None:
-            contributions = self._contributions(scores_table, variant.aggregation)
-            cache[contrib_key] = contributions
-
-        n_buckets = starts.size
-        ends = np.append(starts[1:], n_users)
-        representatives = sorted_users[starts]
-        bucket_scores = kernels.bucket_reduce(
-            inverse, contributions, n_buckets, variant.combine, representatives
+        key = (items_table.shape[1], variant_token(variant))
+        summary = None if cache is None else cache.get(key)
+        if summary is None:
+            summary = sharded.summarise_tables(items_table, scores_table, 0, variant)
+            if cache is not None:
+                cache[key] = summary
+        plan, _ = sharded.plan_from_summaries(
+            [summary], variant, items_table.shape[0], max_groups
         )
-
-        # Step 2: highest score first, ties by smallest representative —
-        # the same total order as the reference heap of (-score, rep, key).
-        n_select = min(max_groups - 1, n_buckets)
-        chosen = np.lexsort((representatives, -bucket_scores))[:n_select]
-        selected = [
-            (
-                tuple(int(user) for user in sorted_users[starts[b]:ends[b]]),
-                int(representatives[b]),
-            )
-            for b in chosen
-        ]
-        chosen_mask = np.zeros(n_buckets, dtype=bool)
-        chosen_mask[chosen] = True
-        remaining_users = [int(u) for u in np.flatnonzero(~chosen_mask[inverse])]
-
-        def user_values(
-            users: Sequence[int], _contributions: np.ndarray = contributions
-        ) -> np.ndarray:
-            return _contributions[np.asarray(users, dtype=np.int64)]
-
-        return FormationPlan(
-            selected=selected,
-            remaining_users=remaining_users,
-            n_intermediate_groups=int(n_buckets),
-            user_values=user_values,
-        )
+        return plan
 
 
 _BACKENDS: dict[str, type[FormationBackend]] = {
@@ -718,11 +625,11 @@ class FormationEngine:
 
         One :class:`~repro.core.topk_index.TopKIndex` is built at the
         sweep's largest ``k`` (unless a prebuilt ``topk`` is passed in) and
-        sliced per configuration, and (on the numpy backend) the bucketing
-        and contribution arrays are shared across configurations with the
-        same key signature — so a sweep of ``(k, ℓ, semantics,
-        aggregation)`` settings computes rankings exactly once and costs
-        little more than its distinct formation structures.  Results are
+        sliced per configuration, and (on the numpy backend) each
+        ``(k, variant)`` shard summary is shared across the configurations
+        that differ only in ``ℓ`` — so a sweep of ``(k, ℓ, semantics,
+        aggregation)`` settings computes rankings exactly once and buckets
+        each variant once per ``k``.  Results are
         returned in config order and are identical to running each config
         through :meth:`run`.
 

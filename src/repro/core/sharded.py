@@ -11,6 +11,19 @@ budget filling, left-over group) then run once on the merged bucket
 summaries, through the same
 :func:`~repro.core.engine.finalise_plan` path as the in-memory engine.
 
+This module is the one vectorised implementation of steps 1–2.  The numpy
+engine backend is its one-shard case
+(``plan_from_summaries([summarise_tables(items, scores, 0, variant)], ...)``)
+and the online service feeds it cached per-shard summaries.  A
+:class:`ShardSummary` stores bucket membership as flat segments — one
+``member_ids`` array with each bucket's members contiguous and ascending,
+cut by ``offsets`` — so summarise, merge and select run without a Python
+loop over buckets: summarise buckets through
+:func:`repro.core.kernels.bucketize`, merge groups the per-bucket key
+rows with :func:`repro.core.kernels.group_key_rows` and gathers member
+segments through ``np.repeat`` offsets, and select loops only over the
+chosen groups.
+
 Memory: ranking goes through :meth:`RatingStore.top_k
 <repro.recsys.store.RatingStore.top_k>`, so a sparse shard is ranked
 straight from its CSR rows and only the ``(n_users, k)`` top-k summaries are
@@ -51,13 +64,14 @@ from dataclasses import dataclass
 import numpy as np
 
 from repro.core import kernels
-from repro.core.aggregation import Aggregation
-from repro.core.engine import (
-    FormationPlan,
-    NumpyBackend,
-    coerce_store,
-    finalise_plan,
+from repro.core.aggregation import (
+    Aggregation,
+    MaxAggregation,
+    MinAggregation,
+    SumAggregation,
+    WeightedSumAggregation,
 )
+from repro.core.engine import FormationPlan, coerce_store, finalise_plan
 from repro.core.greedy_framework import GreedyVariant, make_variant
 from repro.core.grouping import GroupFormationResult
 from repro.core.semantics import Semantics
@@ -103,14 +117,17 @@ def shard_bounds(n_users: int, shards: int) -> np.ndarray:
 class ShardSummary:
     """Bucket-level digest of one user shard (step 1 output).
 
+    Bucket membership is one flat segment array, not a list per bucket:
+    bucket ``b``'s members are ``member_ids[offsets[b]:offsets[b + 1]]``.
+
     Attributes
     ----------
     start:
         First global user index of the shard.
     keys:
-        ``(n_buckets, width)`` packed ``uint64`` key rows (one per bucket,
-        in key-sorted order) — comparing rows for equality is exactly the
-        reference backend's byte-key equality.
+        ``(n_buckets, width)`` packed ``uint64`` key rows, one per bucket
+        (packed from the representative's top-k row) — comparing rows for
+        equality is exactly the reference backend's byte-key equality.
     items_rows:
         ``(n_buckets, k)`` shared top-k item sequence of each bucket (the
         recommended list if the bucket is selected).
@@ -119,9 +136,11 @@ class ShardSummary:
     scores:
         Bucket heap-score contribution of the shard: the full score for
         ``combine="first"`` variants, a partial sum for ``combine="sum"``.
-    members:
-        Per bucket, the ascending global user indices of the shard's
-        members.
+    member_ids:
+        ``(shard_size,)`` global user indices, each bucket's members
+        contiguous and ascending.
+    offsets:
+        ``(n_buckets + 1,)`` segment boundaries into ``member_ids``.
     contributions:
         ``(shard_size,)`` per-user personal aggregated top-k values, in
         shard-local user order.
@@ -132,7 +151,8 @@ class ShardSummary:
     items_rows: np.ndarray
     reps: np.ndarray
     scores: np.ndarray
-    members: list[np.ndarray]
+    member_ids: np.ndarray
+    offsets: np.ndarray
     contributions: np.ndarray
 
 
@@ -175,17 +195,20 @@ def summarise_store_shard(
 
 def merge_summaries(
     summaries: list[ShardSummary], combine: str
-) -> tuple[np.ndarray, np.ndarray, list[np.ndarray], np.ndarray]:
+) -> tuple[np.ndarray, np.ndarray, np.ndarray, np.ndarray, np.ndarray]:
     """Merge shard bucket digests into the global intermediate groups.
 
-    Shards must be in ascending user order; the stable key grouping
-    (:func:`repro.core.kernels.group_key_rows`, collision-checked
-    fingerprints) then keeps each merged bucket's constituents in shard
-    order, so concatenated member arrays are ascending and the first
-    constituent's representative is the global (smallest-index)
-    representative — matching the unsharded engine.  The merged buckets'
-    *enumeration order* is fingerprint order, which no consumer reads
-    (selection totally orders buckets by ``(score, representative)``).
+    One summary is already global and is returned as is.  Otherwise the
+    key rows are concatenated and grouped by
+    :func:`repro.core.kernels.group_key_rows` (collision-checked
+    fingerprints), and the members are gathered segment by segment.
+    Shards must be in ascending user order; the stable grouping then keeps
+    each merged bucket's constituents in shard order, so its gathered
+    members are ascending and its first constituent's representative is
+    the global (smallest-index) representative — matching the unsharded
+    engine.  The merged buckets' *enumeration order* is fingerprint order,
+    which no consumer reads (selection totally orders buckets by
+    ``(score, representative)``).
 
     Parameters
     ----------
@@ -197,43 +220,50 @@ def merge_summaries(
     Returns
     -------
     tuple
-        ``(scores, reps, members, items_rows)`` over the merged buckets.
+        ``(scores, reps, member_ids, offsets, items_rows)`` over the merged
+        buckets, membership in the :class:`ShardSummary` segment format.
     """
-    all_keys = np.vstack([s.keys for s in summaries])
+    if len(summaries) == 1:
+        only = summaries[0]
+        return only.scores, only.reps, only.member_ids, only.offsets, only.items_rows
     bucket_scores = np.concatenate([s.scores for s in summaries])
     bucket_reps = np.concatenate([s.reps for s in summaries])
-    bucket_members: list[np.ndarray] = [m for s in summaries for m in s.members]
     bucket_items = np.vstack([s.items_rows for s in summaries])
+    member_ids = np.concatenate([s.member_ids for s in summaries])
+    sizes = np.concatenate([np.diff(s.offsets) for s in summaries])
 
-    n_total = all_keys.shape[0]
-    order, new_segment = kernels.group_key_rows(all_keys)
+    order, new_segment = kernels.group_key_rows(
+        np.vstack([s.keys for s in summaries])
+    )
     starts = np.flatnonzero(new_segment)
-    ends = np.append(starts[1:], n_total)
+    first = order[starts]
 
-    merged_scores = np.empty(starts.size, dtype=np.float64)
-    merged_reps = np.empty(starts.size, dtype=np.int64)
-    merged_members: list[np.ndarray] = []
-    merged_items = np.empty((starts.size, bucket_items.shape[1]), dtype=np.int64)
-    for b in range(starts.size):
-        constituents = order[starts[b]:ends[b]]
-        first = constituents[0]
-        merged_reps[b] = bucket_reps[first]
-        merged_items[b] = bucket_items[first]
-        merged_members.append(
-            np.concatenate([bucket_members[c] for c in constituents])
-            if constituents.size > 1
-            else bucket_members[first]
-        )
-        if combine == "sum":
-            # Sequential fold in shard order: exact for integer-valued
-            # ratings; see the module docstring for the general FP bound.
-            total = 0.0
-            for c in constituents:
-                total += bucket_scores[c]
-            merged_scores[b] = total
-        else:
-            merged_scores[b] = bucket_scores[first]
-    return merged_scores, merged_reps, merged_members, merged_items
+    # Gather the constituents' member segments in grouped order: position
+    # j of constituent c moves from src[c] + j to dst[c] + j.
+    sorted_sizes = sizes[order]
+    src = (np.cumsum(sizes) - sizes)[order]
+    dst = np.cumsum(sorted_sizes) - sorted_sizes
+    gather = np.arange(member_ids.size) + np.repeat(src - dst, sorted_sizes)
+    merged_offsets = np.append(dst[starts], member_ids.size)
+
+    if combine == "sum":
+        # Sequential fold in shard order (0.0 + s0 + s1 + ...), one pass
+        # per constituent rank: exact for integer-valued ratings; see the
+        # module docstring for the general FP bound.
+        n_constituents = np.diff(np.append(starts, order.size))
+        merged_scores = np.zeros(starts.size, dtype=np.float64)
+        for rank in range(int(n_constituents.max())):
+            live = np.flatnonzero(n_constituents > rank)
+            merged_scores[live] += bucket_scores[order[starts[live] + rank]]
+    else:
+        merged_scores = bucket_scores[first]
+    return (
+        merged_scores,
+        bucket_reps[first],
+        member_ids[gather],
+        merged_offsets,
+        bucket_items[first],
+    )
 
 
 def plan_from_summaries(
@@ -244,10 +274,10 @@ def plan_from_summaries(
 ) -> tuple[FormationPlan, list[np.ndarray]]:
     """Merge shard summaries and greedily select under the group budget.
 
-    Steps 2 of the algorithm over already-summarised shards: merge bucket
+    Step 2 of the algorithm over already-summarised shards: merge bucket
     digests exactly by key, pick the ``max_groups - 1`` best buckets
-    (highest score first, ties by smallest representative — the engine's
-    total order), and package the outcome as the backend-independent
+    (highest score first, ties by smallest representative — the reference
+    heap's total order), and package the outcome as the backend-independent
     :class:`~repro.core.engine.FormationPlan`.
 
     Parameters
@@ -267,23 +297,26 @@ def plan_from_summaries(
         ``(plan, selected_items_rows)`` ready for
         :func:`~repro.core.engine.finalise_plan`.
     """
-    scores, reps, members, items_rows = merge_summaries(summaries, variant.combine)
+    scores, reps, member_ids, offsets, items_rows = merge_summaries(
+        summaries, variant.combine
+    )
     contributions = np.concatenate([s.contributions for s in summaries])
 
     n_buckets = scores.size
     n_select = min(max_groups - 1, n_buckets)
     chosen = np.lexsort((reps, -scores))[:n_select]
     selected = [
-        (tuple(int(u) for u in members[b]), int(reps[b])) for b in chosen
+        (tuple(member_ids[offsets[b]:offsets[b + 1]].tolist()), int(reps[b]))
+        for b in chosen
     ]
+    chosen_mask = np.zeros(n_buckets, dtype=bool)
+    chosen_mask[chosen] = True
     selected_mask = np.zeros(n_users, dtype=bool)
-    for b in chosen:
-        selected_mask[members[b]] = True
-    remaining_users = [int(u) for u in np.flatnonzero(~selected_mask)]
+    selected_mask[member_ids[np.repeat(chosen_mask, np.diff(offsets))]] = True
 
     plan = FormationPlan(
         selected=selected,
-        remaining_users=remaining_users,
+        remaining_users=np.flatnonzero(~selected_mask).tolist(),
         n_intermediate_groups=int(n_buckets),
         user_values=lambda users: contributions[np.asarray(users, dtype=np.int64)],
     )
@@ -297,6 +330,7 @@ def form_from_summaries(
     max_groups: int,
     k: int,
     extra_extras: dict | None = None,
+    watch: Stopwatch | None = None,
 ) -> GroupFormationResult:
     """Run steps 2–3 over prepared shard summaries and score the result.
 
@@ -320,6 +354,9 @@ def form_from_summaries(
         Top-k prefix length of the run.
     extra_extras:
         Extra bookkeeping merged into the result's ``extras``.
+    watch:
+        Stopwatch already carrying time spent on the summaries (a fresh
+        one when omitted); step 2 is added to its formation lap.
 
     Returns
     -------
@@ -327,7 +364,7 @@ def form_from_summaries(
         Same contract as ``FormationEngine.run`` (see the parity notes in
         the module docstring).
     """
-    watch = Stopwatch()
+    watch = Stopwatch() if watch is None else watch
     with watch.lap("formation"):
         plan, selected_items_rows = plan_from_summaries(
             summaries, variant, store.shape[0], max_groups
@@ -449,23 +486,17 @@ class ShardedFormation:
                 )
                 for shard in range(n_shards)
             ]
-            plan, selected_items_rows = plan_from_summaries(
-                summaries, variant, n_users, max_groups
-            )
-
-        return finalise_plan(
+        return form_from_summaries(
             store,
-            plan,
-            selected_items_rows,
-            k,
+            summaries,
             variant,
             max_groups,
-            watch,
-            backend_name="numpy",
+            k,
             extra_extras={
                 "n_shards": int(n_shards),
                 "store": type(store).__name__,
             },
+            watch=watch,
         )
 
 
@@ -497,31 +528,55 @@ def summarise_tables(
     ShardSummary
         The shard's bucket-level digest.
     """
-    # Pack once and reuse the matrix for both the grouping and the summary
-    # keys (kernels.bucketize would pack a second time internally).
-    packed = kernels.pack_key_rows(items_table, scores_table, variant.key_scores)
-    n_users = items_table.shape[0]
-    sorted_users, new_segment = kernels.group_key_rows(packed)
-    starts = np.flatnonzero(new_segment)
-    inverse = np.empty(n_users, dtype=np.int64)
-    inverse[sorted_users] = np.cumsum(new_segment) - 1
-    contributions = NumpyBackend._contributions(scores_table, variant.aggregation)
-    n_buckets = starts.size
-    ends = np.append(starts[1:], n_users)
+    inverse, sorted_users, starts = kernels.bucketize(
+        items_table, scores_table, variant.key_scores
+    )
+    contributions = _user_contributions(scores_table, variant.aggregation)
     reps_local = sorted_users[starts]
     scores = kernels.bucket_reduce(
-        inverse, contributions, n_buckets, variant.combine, reps_local
+        inverse, contributions, starts.size, variant.combine, reps_local
     )
-    members = [
-        sorted_users[starts[b]:ends[b]].astype(np.int64) + start
-        for b in range(n_buckets)
-    ]
+    items_rows = items_table[reps_local]
     return ShardSummary(
         start=start,
-        keys=packed[reps_local],
-        items_rows=items_table[reps_local],
-        reps=reps_local.astype(np.int64) + start,
+        keys=kernels.pack_key_rows(
+            items_rows, scores_table[reps_local], variant.key_scores
+        ),
+        items_rows=items_rows,
+        reps=reps_local + start,
         scores=scores,
-        members=members,
+        member_ids=sorted_users + start,
+        offsets=np.append(starts, items_table.shape[0]),
         contributions=contributions,
     )
+
+
+def _user_contributions(
+    scores_table: np.ndarray, aggregation: Aggregation
+) -> np.ndarray:
+    """Every user's personal aggregated top-k value, vectorised.
+
+    Matches ``aggregation.aggregate(scores_row.tolist())`` bit for bit:
+    Min/Max pick single columns, and the Sum/Weighted-Sum row reductions
+    use the same pairwise summation over the same contiguous k elements as
+    the reference's per-row ``np.sum``.
+
+    Parameters
+    ----------
+    scores_table:
+        The ``(n_users, k)`` ranked top-k scores.
+    aggregation:
+        The variant's top-k aggregation.
+    """
+    kind = type(aggregation)
+    if kind is MinAggregation:
+        return np.ascontiguousarray(scores_table[:, -1])
+    if kind is MaxAggregation:
+        return np.ascontiguousarray(scores_table[:, 0])
+    if kind is SumAggregation:
+        return scores_table.sum(axis=1)
+    if kind is WeightedSumAggregation:
+        weights = aggregation.weights(scores_table.shape[1])
+        return (scores_table * weights).sum(axis=1)
+    # Unknown user-defined aggregation: fall back to the reference rule.
+    return np.array([aggregation.aggregate(row.tolist()) for row in scores_table])

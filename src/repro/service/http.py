@@ -387,6 +387,9 @@ class ServiceServer:
                     trace.new_request_id(),
                 )
                 return
+            except Exception as exc:  # noqa: BLE001 - unreadable request
+                _LOG.debug("closing unreadable connection: %r", exc)
+                return
             path, _, query_string = target.partition("?")
             query = parse_qs(query_string) if query_string else {}
             request_id = req_headers.get("x-request-id", "")
@@ -544,8 +547,10 @@ class ServiceServer:
                 raise _HTTPError(400, "request body shorter than Content-Length")
             try:
                 body = json.loads(raw)
-            except json.JSONDecodeError as exc:
+            except (UnicodeDecodeError, json.JSONDecodeError) as exc:
                 raise _HTTPError(400, f"invalid JSON body: {exc}")
+            except RecursionError:
+                raise _HTTPError(400, "invalid JSON body: nested too deeply")
             if not isinstance(body, dict):
                 raise _HTTPError(400, "JSON body must be an object")
         return method, path, body, req_headers

@@ -17,11 +17,15 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 from scipy import sparse as sp
 
-from repro.core import FormationEngine, MutableTopKIndex, TopKIndex, get_backend
+from repro.core import FormationEngine, MutableTopKIndex, TopKIndex, kernels
 from repro.core.errors import GroupFormationError, RatingDataError
+from repro.core.preferences import _top_k_table_sorted
 from repro.recsys import DenseStore, SparseStore
 
 BACKENDS = ("reference", "numpy")
+#: The dense top-k kernel of each backend: the reference's naive full sort
+#: and the numpy backend's blocked kernel (which its stores rank with).
+KERNELS = {"reference": _top_k_table_sorted, "numpy": kernels.top_k_table}
 STORES = ("dense", "sparse")
 
 
@@ -68,14 +72,14 @@ def update_sequences(draw):
 @settings(max_examples=25, deadline=None)
 def test_incremental_matches_fresh_build(store_kind, backend_name, data):
     values, k_max, batches = data
-    backend = get_backend(backend_name)
+    table_fn = KERNELS[backend_name]
     store = make_store(values, store_kind)
     index = MutableTopKIndex(
-        store, k_max, table_fn=backend.top_k_table, compaction_fraction=None
+        store, k_max, table_fn=table_fn, compaction_fraction=None
     )
     for upserts, deletes in batches:
         index.apply(upserts=upserts, deletes=deletes)
-        fresh = TopKIndex.build(store, k_max, table_fn=backend.top_k_table)
+        fresh = TopKIndex.build(store, k_max, table_fn=table_fn)
         assert np.array_equal(index.items, fresh.items)
         assert np.array_equal(index.values, fresh.values)
 

@@ -5,8 +5,13 @@ from __future__ import annotations
 import numpy as np
 import pytest
 
+from scipy import sparse as sp
+
 from repro.core import FormationEngine, ShardedFormation
 from repro.core.errors import GroupFormationError
+from repro.core.greedy_framework import make_variant
+from repro.core.preferences import _top_k_table_sorted
+from repro.core.sharded import merge_summaries, shard_bounds, summarise_tables
 from repro.datasets import (
     synthetic_sparse_store,
     synthetic_yahoo_music,
@@ -111,6 +116,116 @@ class TestMultiShardBound:
         sharded_result = ShardedFormation(shards=4).run(values, max_groups, k, "av", "sum")
         bound = max_groups * k * r_max
         assert abs(engine_result.objective - sharded_result.objective) <= bound
+
+
+def explicit_fill_store(n_users, n_items, fill, rng):
+    """A tie-heavy CSR store that stores fill-valued cells explicitly."""
+    rng = np.random.default_rng(rng)
+    stored = rng.random((n_users, n_items)) < 0.4
+    values = rng.integers(1, 6, size=(n_users, n_items)).astype(float)
+    # A third of the stored cells hold exactly the fill value.
+    values[stored & (rng.random((n_users, n_items)) < 0.33)] = fill
+    rows, cols = np.nonzero(stored)
+    csr = sp.csr_matrix(
+        (values[rows, cols], (rows, cols)), shape=(n_users, n_items)
+    )
+    store = SparseStore(csr, fill_value=fill)
+    assert (store.csr.data == fill).any()
+    return store
+
+
+class TestExplicitFillCSRParity:
+    """CSR stores with explicitly stored fill values and heavy ties: the
+    sharded path and the numpy engine both equal the reference backend."""
+
+    N_USERS = 90
+
+    @pytest.fixture(scope="class", params=[1.0, 3.0], ids=["fill1", "fill3"])
+    def store(self, request):
+        return explicit_fill_store(self.N_USERS, 7, request.param, rng=5)
+
+    @pytest.mark.parametrize("semantics", SEMANTICS)
+    @pytest.mark.parametrize("aggregation", AGGREGATIONS)
+    def test_every_variant_matches_reference(self, store, semantics, aggregation):
+        for k in (1, 3):
+            expected = FormationEngine("reference").run(
+                store, 8, k, semantics, aggregation
+            )
+            got = FormationEngine("numpy").run(store, 8, k, semantics, aggregation)
+            assert_results_identical(expected, got, ("numpy", k))
+            for shards in (1, 2, 3, 7, self.N_USERS):
+                got = ShardedFormation(shards=shards).run(
+                    store, 8, k, semantics, aggregation
+                )
+                assert_results_identical(expected, got, (shards, k))
+
+
+def _shard_summaries(items, scores, shards, variant):
+    bounds = shard_bounds(items.shape[0], shards)
+    return [
+        summarise_tables(items[a:b], scores[a:b], int(a), variant)
+        for a, b in zip(bounds[:-1].tolist(), bounds[1:].tolist())
+    ]
+
+
+def _constituents(summaries, members):
+    """Per shard (in order), the index of the shard bucket holding part of
+    a merged bucket's ``members``."""
+    found = []
+    for summary in summaries:
+        bucket_of = np.repeat(
+            np.arange(summary.scores.size), np.diff(summary.offsets)
+        )
+        hit = np.flatnonzero(np.isin(summary.member_ids, members))
+        if hit.size:
+            assert np.unique(bucket_of[hit]).size == 1
+            found.append((summary, int(bucket_of[hit[0]])))
+    return found
+
+
+class TestMergeFoldOrder:
+    """AV merges fold bucket partial sums sequentially in shard order
+    (``0.0 + s0 + s1 + ...``); LM merges take the first constituent."""
+
+    # Fractional ratings whose sums depend on association order.
+    LEVELS = np.array([0.1, 0.2, 0.3, 0.7, 1.0 / 3.0])
+
+    def tables(self):
+        rng = np.random.default_rng(11)
+        values = rng.choice(self.LEVELS, size=(120, 3))
+        return _top_k_table_sorted(values, 1)
+
+    @pytest.mark.parametrize("shards", [2, 3, 7])
+    def test_av_scores_are_the_shard_order_fold(self, shards):
+        items, scores = self.tables()
+        variant = make_variant("av", "sum")
+        summaries = _shard_summaries(items, scores, shards, variant)
+        merged, _, member_ids, offsets, _ = merge_summaries(summaries, "sum")
+        unsharded = summarise_tables(items, scores, 0, variant)
+        reassociated = 0
+        for b in range(merged.size):
+            members = member_ids[offsets[b]:offsets[b + 1]]
+            total = 0.0
+            for summary, bucket in _constituents(summaries, members):
+                total += summary.scores[bucket]
+            assert merged[b].tobytes() == np.float64(total).tobytes()
+            whole = np.flatnonzero(unsharded.reps == members[0])[0]
+            reassociated += unsharded.scores[whole] != merged[b]
+        # The data must make the fold order observable.
+        assert reassociated > 0
+
+    @pytest.mark.parametrize("shards", [2, 3, 7])
+    def test_lm_scores_take_the_first_constituent(self, shards):
+        items, scores = self.tables()
+        variant = make_variant("lm", "sum")
+        summaries = _shard_summaries(items, scores, shards, variant)
+        merged, reps, member_ids, offsets, _ = merge_summaries(summaries, "first")
+        for b in range(merged.size):
+            members = member_ids[offsets[b]:offsets[b + 1]]
+            assert np.all(np.diff(members) > 0)
+            summary, bucket = _constituents(summaries, members)[0]
+            assert merged[b] == summary.scores[bucket]
+            assert reps[b] == summary.reps[bucket] == members[0]
 
 
 class TestExecutionModes:

@@ -236,6 +236,22 @@ def _raw_exchange(srv: ServiceServer, raw: bytes) -> tuple[bytes, bytes]:
     return head, body
 
 
+def test_undecodable_or_too_deep_bodies_get_a_structured_400(server, caplog):
+    srv, _ = server
+    before = _other_requests(srv)
+    with caplog.at_level(logging.ERROR, logger="asyncio"):
+        for body in (b'{"k": "\xff"}', b"[" * 200_000):
+            head, payload = _raw_exchange(
+                srv,
+                b"POST /v1/recommend HTTP/1.1\r\nContent-Length: %d\r\n\r\n"
+                % len(body) + body,
+            )
+            assert head.startswith(b"HTTP/1.1 400"), head[:80]
+            assert json.loads(payload)["error"]["code"] == "bad_request"
+    assert _other_requests(srv) == before + 2
+    assert not [r for r in caplog.records if r.name == "asyncio"]
+
+
 def test_unsafe_request_id_is_replaced_not_echoed(server):
     srv, _ = server
     for bad in (b"abc\rSet-Cookie: evil=1", b"two words", b"x" * 200):
