@@ -76,15 +76,18 @@ def main(argv=None) -> int:
     form_seconds = time.perf_counter() - t0
     rss = peak_rss_gib()
     print(f"  {result.summary()}")
+    recommendation_seconds = result.extras["recommendation_seconds"]
     print(
-        f"  formation {form_seconds:.1f}s (groups={result.n_groups}, "
+        f"  formation {form_seconds:.1f}s (scoring lap "
+        f"{recommendation_seconds:.2f}s, groups={result.n_groups}, "
         f"intermediate={result.extras['n_intermediate_groups']:,}), "
         f"peak RSS {rss:.2f} GiB"
     )
     write_bench_json("sharded_scale", [bench_entry(
         instance, form_seconds, backend="numpy", store="sparse",
-        shards=args.shards, generate_seconds=gen_seconds,
-        peak_rss_gib=round(rss, 3), objective=result.objective,
+        shards=args.shards, recommendation_seconds=recommendation_seconds,
+        generate_seconds=gen_seconds, peak_rss_gib=round(rss, 3),
+        objective=result.objective,
     )])
 
     if rss > args.max_rss_gib:

@@ -132,26 +132,36 @@ class FormationConfig:
 class FormationPlan:
     """Backend-independent outcome of the formation steps (1 and 2).
 
+    The selected groups are flat segments, the format bucketing and
+    merging already use: group ``g`` is
+    ``member_ids[offsets[g]:offsets[g + 1]]``.
+
     Attributes
     ----------
-    selected:
-        The greedily selected intermediate groups, best first, as
-        ``(sorted member tuple, representative user)`` pairs.  The
-        representative's top-k row is the group's recommended list.
+    member_ids:
+        ``int64`` members of the greedily selected intermediate groups,
+        best group first, each group's members contiguous and ascending.
+    offsets:
+        ``(n_selected + 1,)`` segment boundaries into ``member_ids``.
+    reps:
+        ``(n_selected,)`` representative user of each selected group; its
+        top-k row is the group's recommended list.
     remaining_users:
-        Ascending user indices merged into the left-over ℓ-th group (empty
-        when every intermediate group was selected).
+        Ascending ``int64`` user indices merged into the left-over ℓ-th
+        group (empty when every intermediate group was selected).
     n_intermediate_groups:
         Number of distinct bucket keys found in step 1.
     user_values:
-        Maps a list of user indices to the array of their personal top-k
+        Maps an array of user indices to the array of their personal top-k
         contributions (used for the left-over group's pseudocode score).
     """
 
-    selected: list[tuple[tuple[int, ...], int]]
-    remaining_users: list[int]
+    member_ids: np.ndarray
+    offsets: np.ndarray
+    reps: np.ndarray
+    remaining_users: np.ndarray
     n_intermediate_groups: int
-    user_values: Callable[[Sequence[int]], np.ndarray]
+    user_values: Callable[[np.ndarray], np.ndarray]
 
 
 class FormationBackend(ABC):
@@ -251,9 +261,9 @@ class ReferenceBackend(FormationBackend):
         remaining_users = sorted(
             user for _, _, key in heap for user in buckets[key]
         )
-        selected = [
-            (tuple(sorted(buckets[key])), bucket_rep[key]) for key in selected_keys
-        ]
+        selected = [sorted(buckets[key]) for key in selected_keys]
+        offsets = np.zeros(len(selected) + 1, dtype=np.int64)
+        np.cumsum([len(members) for members in selected], out=offsets[1:])
 
         def user_values(users: Sequence[int]) -> np.ndarray:
             return np.array(
@@ -261,8 +271,12 @@ class ReferenceBackend(FormationBackend):
             )
 
         return FormationPlan(
-            selected=selected,
-            remaining_users=remaining_users,
+            member_ids=np.array(
+                [user for members in selected for user in members], dtype=np.int64
+            ),
+            offsets=offsets,
+            reps=np.array([bucket_rep[key] for key in selected_keys], dtype=np.int64),
+            remaining_users=np.array(remaining_users, dtype=np.int64),
             n_intermediate_groups=len(buckets),
             user_values=user_values,
         )
@@ -391,7 +405,7 @@ def _validate_index(topk: TopKIndex, store: RatingStore, k: int) -> None:
 def finalise_plan(
     store: RatingStore,
     plan: FormationPlan,
-    selected_items_rows: Sequence[np.ndarray],
+    selected_items_rows: np.ndarray,
     k: int,
     variant: GreedyVariant,
     max_groups: int,
@@ -409,14 +423,16 @@ def finalise_plan(
     Parameters
     ----------
     store:
-        Rating storage used to score groups (only ``(members, items)``
-        sub-matrices of the selected groups are densified; the left-over
-        group is scored by :meth:`~repro.recsys.store.RatingStore.item_scores`).
+        Rating storage used to score groups.  The selected groups are
+        scored together by one
+        :meth:`~repro.recsys.store.RatingStore.segment_item_scores` call
+        (only their ``(members, k)`` cells are read); the left-over group
+        is scored by :meth:`~repro.recsys.store.RatingStore.item_scores`.
     plan:
         The backend's selection outcome.
     selected_items_rows:
-        Per selected group, its recommended top-``k`` item row
-        (``selected_items_rows[i]`` belongs to ``plan.selected[i]``).
+        ``(n_selected, k)`` recommended top-``k`` item rows, row ``g``
+        belonging to the plan's selected group ``g``.
     k:
         Recommended-list length.
     variant:
@@ -439,19 +455,26 @@ def finalise_plan(
     n_users = store.shape[0]
     # Dense stores score through the raw array — the exact historical path.
     values_or_store: Any = store.values if isinstance(store, DenseStore) else store
+    items_rows = np.asarray(selected_items_rows, dtype=np.int64).reshape(-1, k)
 
     groups: list[Group] = []
     with watch.lap("recommendation"):
-        for (members, _representative), items_row in zip(
-            plan.selected, selected_items_rows
+        # One vectorised reduction scores every selected group, each
+        # bit-identical to build_group on its own.
+        scores = store.segment_item_scores(
+            plan.member_ids, plan.offsets, items_rows, variant.semantics
+        )
+        member_ids, bounds = plan.member_ids.tolist(), plan.offsets.tolist()
+        for g, (items, item_scores) in enumerate(
+            zip(items_rows.tolist(), scores.tolist())
         ):
+            item_scores = tuple(item_scores)
             groups.append(
-                build_group(
-                    values_or_store,
-                    members,
-                    items_row,
-                    variant.semantics,
-                    variant.aggregation,
+                Group(
+                    members=tuple(member_ids[bounds[g]:bounds[g + 1]]),
+                    items=tuple(items),
+                    item_scores=item_scores,
+                    satisfaction=variant.aggregation.aggregate(item_scores),
                 )
             )
 
@@ -464,7 +487,8 @@ def finalise_plan(
         # shares the key the group was hashed on, splitting never lowers
         # a group's LM satisfaction and preserves the summed AV
         # satisfaction, so this step only helps.
-        if not plan.remaining_users:
+        remaining = plan.remaining_users
+        if not remaining.size:
             target_groups = min(max_groups, n_users)
             while len(groups) < target_groups:
                 splittable = [i for i, g in enumerate(groups) if g.size > 1]
@@ -490,14 +514,13 @@ def finalise_plan(
                 )
 
         last_group_pseudocode_score = None
-        if plan.remaining_users:
-            members = tuple(plan.remaining_users)
+        if remaining.size:
             items, scores, satisfaction = group_satisfaction(
-                values_or_store, members, k, variant.semantics, variant.aggregation
+                values_or_store, remaining, k, variant.semantics, variant.aggregation
             )
             groups.append(
                 Group(
-                    members=members,
+                    members=tuple(remaining.tolist()),
                     items=items,
                     item_scores=scores,
                     satisfaction=satisfaction,
@@ -506,7 +529,7 @@ def finalise_plan(
             # The score Algorithm 1 (line 18) would assign: aggregate
             # each remaining user's *personal* top-k scores, then combine
             # per the semantics (min across users for LM, sum for AV).
-            personal = plan.user_values(plan.remaining_users)
+            personal = plan.user_values(remaining)
             if variant.semantics is Semantics.LEAST_MISERY:
                 last_group_pseudocode_score = float(personal.min())
             else:
@@ -704,13 +727,10 @@ class FormationEngine:
                 items_table, scores_table, variant, max_groups, cache=form_cache
             )
 
-        selected_items_rows = [
-            items_table[representative] for _, representative in plan.selected
-        ]
         return finalise_plan(
             store,
             plan,
-            selected_items_rows,
+            items_table[plan.reps],
             k,
             variant,
             max_groups,

@@ -10,15 +10,16 @@ baselines and the exact solvers.
 
 Ratings may be a dense array or a :class:`~repro.recsys.store.RatingStore`,
 which scores a group itself (``store.item_scores(members, semantics)``).  A
-sparse CSR store never densifies the left-over group: it gathers the
-members' stored entries and reduces them per item with ``bincount`` —
-LM-min is the minimum of the stored values, folded with the fill where a
-member lacks the item; AV-sum is the stored sum plus ``fill x`` the members
-lacking it.  The result is bit-identical to the dense reduction because of
-an exactness gate checked on every call: AV takes the sparse path only on
-integer values and fill (integer ``float64`` sums are exact in any order),
-LM only without ``-0.0`` (signed zeros make ``min`` order-dependent); any
-other input keeps the dense streaming reduction.
+sparse CSR store never densifies the left-over group: one column-reduce
+pass over the members' stored entries
+(:func:`repro.core.kernels.csr_item_scores`) — LM-min is the minimum of
+the stored values, folded with the fill where a member lacks the item;
+AV-sum is the stored sum plus ``fill x`` the members lacking it.  The
+result is bit-identical to the dense reduction because of an exactness
+gate checked on every call: AV takes the sparse path only on integer
+values and fill (integer ``float64`` sums are exact in any order), LM only
+without ``-0.0`` (signed zeros make ``min`` order-dependent); any other
+input keeps the dense streaming reduction.
 """
 
 from __future__ import annotations

@@ -183,7 +183,11 @@ def build_group(
     """
     members = tuple(int(user) for user in members)
     items = tuple(int(item) for item in items)
-    member_array = np.asarray(members)
+    member_array = np.asarray(members, dtype=np.int64)
+    n_users = values.shape[0]
+    if member_array.size and (member_array.min() < 0 or member_array.max() >= n_users):
+        # numpy and scipy would silently wrap a negative id to another user.
+        raise GroupFormationError(f"group member ids must lie in [0, {n_users})")
     if isinstance(values, np.ndarray):
         scores = tuple(
             semantics.item_score(values, member_array, item) for item in items

@@ -36,8 +36,15 @@ compiled (:mod:`repro.core.kernels_cc`) when a C compiler is available,
 and falls back to a numpy kernel otherwise.  It is bit-identical to
 :func:`top_k_table` on the densified rows.
 
-``tests/core/test_kernels.py`` checks every path against the
-specifications.
+**Group scoring** (step 3) has two kernels, both behind an exactness gate
+that admits only inputs whose reduction order cannot change a bit (no
+``-0.0``; for AV sums, integer values bounded by ``2**53``):
+:func:`csr_item_scores` reduces the left-over group's CSR rows in place
+(compiled, numpy fallback), and :func:`segment_scores` reduces every
+selected group at once over flat ``(member_ids, offsets)`` segments.
+
+``tests/core/test_kernels.py`` and ``tests/core/test_segment_scoring.py``
+check every path against the specifications.
 
 Inputs are assumed NaN-free (every rating store validates completeness);
 ``±inf`` is handled exactly by the compiled and partition-select paths,
@@ -54,9 +61,12 @@ from contextlib import contextmanager
 
 import numpy as np
 
+from repro.core.errors import GroupFormationError
 from repro.core.preferences import _top_k_table_sorted
+from repro.core.semantics import Semantics
 from repro.obs.registry import (
     H_KERNEL_BUCKETIZE,
+    H_KERNEL_SCORE,
     H_KERNEL_TOPK,
     K_KERNEL_BUCKETIZE_CALLS,
     K_KERNEL_TOPK_CALLS,
@@ -68,6 +78,8 @@ __all__ = [
     "bucket_reduce",
     "bucketize",
     "clear_scratch",
+    "csr_cells",
+    "csr_item_scores",
     "csr_top_k_table",
     "fingerprint_rows",
     "float_to_ordinal",
@@ -76,6 +88,7 @@ __all__ = [
     "group_key_rows",
     "pack_key_rows",
     "parallel_available",
+    "segment_scores",
     "set_kernel_threads",
     "top_k_table",
     "use_kernel_threads",
@@ -99,6 +112,13 @@ _MIN_BLOCK_ROWS = 64
 
 #: Odd 64-bit multiplier (2^64 / golden ratio) for the polynomial row hash.
 _FINGERPRINT_MULTIPLIER = 0x9E3779B97F4A7C15
+
+#: Bit pattern of ``-0.0``: it compares equal to ``+0.0`` with different
+#: bits, so ``min`` (and an all-zero sum) depends on reduction order.
+_NEGATIVE_ZERO_BITS = np.uint64(1 << 63)
+
+#: Largest magnitude below which every integer-valued float64 sum is exact.
+_EXACT_INTEGER_LIMIT = float(2**53)
 
 
 def _load_parallel():
@@ -407,6 +427,52 @@ def top_k_table(
         return _top_k_table_numpy(values, k)
 
 
+def _csr_row_entries(
+    indptr: np.ndarray, rows: np.ndarray
+) -> tuple[np.ndarray, np.ndarray]:
+    """Every stored entry of the CSR ``rows``, row by row in ``rows`` order.
+
+    Returns
+    -------
+    (entry_row, positions):
+        Per entry, its row's position in ``rows`` and its position in the
+        matrix's ``data``/``indices`` arrays.
+    """
+    starts = indptr[rows].astype(np.int64)
+    counts = indptr[rows + 1].astype(np.int64) - starts
+    entry_row = np.repeat(np.arange(rows.size), counts)
+    positions = np.arange(entry_row.size) + np.repeat(
+        starts - (np.cumsum(counts) - counts), counts
+    )
+    return entry_row, positions
+
+
+def _lookup_cells(
+    entry_row: np.ndarray,
+    items: np.ndarray,
+    values: np.ndarray,
+    n_items: int,
+    row: np.ndarray,
+    item: np.ndarray,
+    fill: float,
+) -> np.ndarray:
+    """Cells ``(row, item)`` (broadcast) among gathered entries, else ``fill``.
+
+    The entries (``entry_row``, ``items``, ``values`` from
+    :func:`_csr_row_entries`) are keyed ``entry_row * n_items + item``,
+    ascending because each row's indices are sorted, so one
+    ``searchsorted`` finds every wanted cell.
+    """
+    wanted = row * np.int64(n_items) + item
+    cells = np.full(wanted.shape, fill, dtype=np.float64)
+    if values.size:
+        keys = entry_row * np.int64(n_items) + items
+        at = np.minimum(np.searchsorted(keys, wanted), keys.size - 1)
+        found = keys[at] == wanted
+        cells[found] = values[at[found]]
+    return cells
+
+
 def _csr_top_k_numpy(
     data: np.ndarray,
     indices: np.ndarray,
@@ -432,12 +498,7 @@ def _csr_top_k_numpy(
     dense kernels.
     """
     n_rows = rows.size
-    starts = indptr[rows].astype(np.int64)
-    counts = indptr[rows + 1].astype(np.int64) - starts
-    entry_row = np.repeat(np.arange(n_rows), counts)
-    positions = np.arange(entry_row.size) + np.repeat(
-        starts - (np.cumsum(counts) - counts), counts
-    )
+    entry_row, positions = _csr_row_entries(indptr, rows)
     items = indices[positions].astype(np.int64)
     values = data[positions]
 
@@ -457,13 +518,9 @@ def _csr_top_k_numpy(
     )
     valid = fill_item < n_items
     fill_row, fill_item = fill_row[valid], fill_item[valid]
-    fill_values = np.full(fill_item.size, fill, dtype=np.float64)
-    if values.size:
-        cells = entry_row * np.int64(n_items) + items
-        wanted = fill_row * np.int64(n_items) + fill_item
-        at = np.minimum(np.searchsorted(cells, wanted), cells.size - 1)
-        stored = cells[at] == wanted
-        fill_values[stored] = values[at[stored]]
+    fill_values = _lookup_cells(
+        entry_row, items, values, n_items, fill_row, fill_item, fill
+    )
 
     cand_row = np.concatenate((other_row, fill_row))
     cand_item = np.concatenate((other_item, fill_item))
@@ -519,6 +576,211 @@ def csr_top_k_table(
         return _csr_top_k_numpy(
             csr.data, csr.indices, csr.indptr, rows, n_items, k, fill
         )
+
+
+# --------------------------------------------------------------------------- #
+# Group scoring kernels
+# --------------------------------------------------------------------------- #
+
+
+def csr_cells(
+    csr, rows: np.ndarray, columns: np.ndarray, fill: float
+) -> np.ndarray:
+    """Cells ``(rows[i], columns[i, j])`` of CSR rows read with ``fill`` elsewhere.
+
+    The rows' stored entries are gathered once and every cell is looked
+    up with one ``searchsorted``; no dense row is built.
+
+    Parameters
+    ----------
+    csr:
+        ``scipy.sparse`` CSR matrix with sorted, unique column indices per
+        row (the :class:`~repro.recsys.store.SparseStore` invariant).
+    rows:
+        ``(n,)`` validated ``int64`` row ids.
+    columns:
+        ``(n, k)`` item ids, row ``i`` read from ``rows[i]``.
+    fill:
+        Value of every unstored cell.
+
+    Returns
+    -------
+    numpy.ndarray
+        ``(n, k)`` float64 cells (stored bits kept, else ``fill``).
+    """
+    entry_row, positions = _csr_row_entries(csr.indptr, rows)
+    return _lookup_cells(
+        entry_row, csr.indices[positions], csr.data[positions], csr.shape[1],
+        np.arange(rows.size, dtype=np.int64)[:, None], columns, fill,
+    )
+
+
+def _has_negative_zero(values: np.ndarray | float) -> bool:
+    """Whether any element of the float64 ``values`` is ``-0.0``."""
+    bits = np.asarray(values, dtype=np.float64).view(np.uint64)
+    return bool((bits == _NEGATIVE_ZERO_BITS).any())
+
+
+def _csr_column_reduce_numpy(
+    csr, members: np.ndarray, least_misery: bool
+) -> tuple[np.ndarray, np.ndarray] | None:
+    """The numpy column reduce (used when no C compiler is available).
+
+    Gathers the members' rows and reduces them per item with ``bincount``
+    / ``np.minimum.at``; same contract as
+    :meth:`repro.core.kernels_cc.CompiledCsrKernels.column_reduce`, except
+    that AV sums come back as (exact) float64.
+    """
+    gathered = csr[members]
+    values, items = gathered.data, gathered.indices
+    if _has_negative_zero(values):
+        return None
+    n_items = csr.shape[1]
+    counts = np.bincount(items, minlength=n_items)
+    if least_misery:
+        low = np.full(n_items, np.inf)
+        np.minimum.at(low, items, values)
+        return counts, low
+    largest = float(np.abs(values).max(initial=0.0))
+    if (
+        largest * members.size > _EXACT_INTEGER_LIMIT
+        or not bool((np.trunc(values) == values).all())
+    ):
+        return None
+    return counts, np.bincount(items, weights=values, minlength=n_items)
+
+
+def csr_item_scores(
+    csr, members: np.ndarray, fill: float, semantics: Semantics
+) -> np.ndarray | None:
+    """Group score of every item for ``members``, reduced from CSR rows.
+
+    Rows read densely with ``fill`` in every unstored cell: LM-min is the
+    minimum of the stored values, folded with ``fill`` where some member
+    lacks the item; AV-sum is the stored sum plus ``fill`` times the
+    members lacking it.  The compiled kernel
+    (:mod:`repro.core.kernels_cc`) reads the members' rows in place in one
+    threaded pass; without a C compiler a numpy kernel gathers and reduces
+    them.
+
+    Exactness gate: the result must equal the dense reduction in any
+    order, so it is only computed when the order cannot matter.  LM needs
+    no ``-0.0`` among the stored values and the fill (signed zeros make
+    ``min`` order-dependent).  AV additionally needs every value and the
+    fill integer-valued with ``max|v| * len(members) <= 2**53``, where
+    float64 sums are exact in any order (the compiled kernel sums in int64
+    and converts once).
+
+    Parameters
+    ----------
+    csr:
+        ``scipy.sparse`` CSR matrix with sorted, unique column indices per
+        row (the :class:`~repro.recsys.store.SparseStore` invariant).
+    members:
+        Non-empty user (row) ids; duplicates count once per occurrence.
+    fill:
+        Rating of every unstored cell.
+    semantics:
+        :class:`~repro.core.semantics.Semantics` to reduce under.
+
+    Returns
+    -------
+    numpy.ndarray or None
+        ``(n_items,)`` float64 group scores, or ``None`` when the gate
+        fails (the caller then runs the dense streaming reduction).
+
+    Raises
+    ------
+    GroupFormationError
+        When ``members`` is empty or holds an id outside ``[0, n_rows)``
+        (checked before any kernel reads ``indptr``).
+    """
+    members = np.asarray(members, dtype=np.int64).ravel()
+    if members.size == 0:
+        raise GroupFormationError("cannot score items for an empty group")
+    if members.min() < 0 or members.max() >= csr.shape[0]:
+        raise GroupFormationError(
+            f"group member ids must lie in [0, {csr.shape[0]})"
+        )
+    least_misery = semantics is Semantics.LEAST_MISERY
+    if _has_negative_zero(fill) or (
+        not least_misery
+        and (
+            not float(fill).is_integer()
+            or abs(fill) * members.size > _EXACT_INTEGER_LIMIT
+        )
+    ):
+        return None
+    with observed("kernel.score", H_KERNEL_SCORE):
+        backend = _load_csr()
+        if backend is not None:
+            reduced = backend.column_reduce(
+                csr.data, csr.indices, csr.indptr, members, csr.shape[1],
+                least_misery, get_kernel_threads(),
+            )
+        else:
+            reduced = _csr_column_reduce_numpy(csr, members, least_misery)
+        if reduced is None:
+            return None
+        counts, reduced = reduced
+        if least_misery:
+            lacking = counts < members.size
+            reduced[lacking] = np.minimum(reduced[lacking], fill)
+            return reduced
+        return reduced.astype(np.float64) + fill * (members.size - counts)
+
+
+def segment_scores(
+    cells: np.ndarray, offsets: np.ndarray, semantics: Semantics
+) -> np.ndarray:
+    """Per-group, per-column LM minimum / AV sum of stacked member cells.
+
+    Group ``g``'s members are the rows ``cells[offsets[g]:offsets[g + 1]]``
+    and each column is one item of the group's list.  Every group is
+    reduced by one ``np.minimum.reduceat`` / ``np.add.reduceat`` over
+    ``offsets``, behind the exactness gate of :func:`csr_item_scores`
+    (checked per group, on the cells): LM needs no ``-0.0`` among them, AV
+    integer-valued cells with ``max|v| * size <= 2**53``.  A group that
+    fails the gate has each column reduced on its own, in member order —
+    the reduction :func:`repro.core.grouping.build_group` runs — so every
+    group's scores are bit-identical to that path.
+
+    Parameters
+    ----------
+    cells:
+        ``(n_members, k)`` float64 ratings, group segments stacked.
+    offsets:
+        ``(n_groups + 1,)`` segment boundaries; every segment non-empty.
+    semantics:
+        :class:`~repro.core.semantics.Semantics` to reduce under.
+
+    Returns
+    -------
+    numpy.ndarray
+        ``(n_groups, k)`` float64 group scores.
+    """
+    starts = offsets[:-1]
+    if starts.size == 0:
+        return np.empty((0, cells.shape[1]))
+    signed_zero = (cells.view(np.uint64) == _NEGATIVE_ZERO_BITS).any(axis=1)
+    if semantics is Semantics.LEAST_MISERY:
+        scores = np.minimum.reduceat(cells, starts, axis=0)
+        inexact = np.logical_or.reduceat(signed_zero, starts)
+    else:
+        scores = np.add.reduceat(cells, starts, axis=0)
+        fractional = (np.trunc(cells) != cells).any(axis=1)
+        largest = np.maximum.reduceat(np.abs(cells).max(axis=1), starts)
+        inexact = np.logical_or.reduceat(signed_zero | fractional, starts) | (
+            largest * np.diff(offsets) > _EXACT_INTEGER_LIMIT
+        )
+    for group in np.flatnonzero(inexact):
+        columns = np.ascontiguousarray(cells[offsets[group]:offsets[group + 1]].T)
+        scores[group] = (
+            columns.min(axis=1)
+            if semantics is Semantics.LEAST_MISERY
+            else columns.sum(axis=1)
+        )
+    return scores
 
 
 # --------------------------------------------------------------------------- #

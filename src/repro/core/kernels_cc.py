@@ -10,14 +10,21 @@ box without one runs the numpy kernel instead.
 Design constraints the C source honours:
 
 * **Bit-identical results.**  The kernels perform no floating-point
-  arithmetic — only IEEE-754 comparisons — so no compiler flag, FMA
-  contraction or vectorisation choice can change a result.  The top-k
-  selection reproduces the library tie-break (rating descending, item
-  index ascending; ``-0.0 == +0.0`` under comparison, resolved by index).
+  arithmetic — only IEEE-754 comparisons plus exact ``int64`` sums behind
+  an exactness gate — so no compiler flag, FMA contraction or
+  vectorisation choice can change a result.  The top-k selection
+  reproduces the library tie-break (rating descending, item index
+  ascending; ``-0.0 == +0.0`` under comparison, resolved by index).  The
+  CSR column reduce (group scoring) takes minima by comparison and sums
+  in ``int64``, and only where its gate holds (no ``-0.0``; for sums,
+  integer-valued values with ``max|v| * n_members <= 2**53``), so the
+  single ``float64`` conversion the caller does afterwards is exact.
 * **Thread-count independence.**  Rows are independent and the driver
   only partitions the row loop into contiguous chunks (a deterministic
   function of ``(n_rows, n_threads)``), so any thread count produces the
-  same bytes.
+  same bytes.  The column reduce gives each chunk its own partial arrays
+  and merges them after the join; counts, ``int64`` sums and minima are
+  order-independent.
 * **Fork safety.**  Threads are plain POSIX threads created per call and
   joined before the call returns — no persistent pool and no runtime
   state that survives a ``fork()``.  OpenMP was deliberately avoided:
@@ -27,12 +34,13 @@ Design constraints the C source honours:
   without the flag; if no compiler works, :func:`load_compiled` reports
   the reason and the caller runs the numpy kernel.
 
-A second, separate library holds the CSR top-k kernel of
-:func:`repro.core.kernels.csr_top_k_table` (:func:`load_csr`): it is built
-and loaded on the first call that ranks a sparse store, so a dense-store
+A second, separate library holds the CSR kernels (:func:`load_csr`): the
+top-k of :func:`repro.core.kernels.csr_top_k_table` and the column reduce
+of :func:`repro.core.kernels.csr_item_scores`.  It is built and loaded on
+the first call that ranks or scores a sparse store, so a dense-store
 process never builds or loads it.  It follows the same rules —
-comparisons only, row-parallel on the same thread loop, numpy fallback
-when no compiler works.
+row-parallel on the same thread loop, numpy fallback when no compiler
+works.
 
 Compiled libraries are cached by source hash under
 ``$REPRO_KERNEL_CACHE`` (default: ``~/.cache/repro-kernels``), so a
@@ -69,6 +77,13 @@ CC_ENV = "REPRO_KERNEL_CC"
 CACHE_ENV = "REPRO_KERNEL_CACHE"
 
 _DISABLE_VALUES = {"none", "off", "0", "disabled"}
+
+#: The C driver's thread cap (``MAX_THREADS`` in the source).
+_MAX_THREADS = 128
+
+#: Cap on the column reduce's per-chunk partial cells (chunks x items), so
+#: a wide catalogue runs on fewer threads instead of large partials.
+_SCORE_PARTIAL_ELEMENTS = 1 << 24
 
 _THREADS_SOURCE = r"""
 #include <pthread.h>
@@ -384,6 +399,104 @@ void repro_csr_topk_rows(const double *data, const void *indices,
                    items_out, values_out};
     run_rows(csr_range, &ctx, n_rows, n_threads);
 }
+
+/* Per-item column reduction of the member rows, read in place: the
+ * stored-entry count plus either the LM minimum (comparisons only) or the
+ * AV sum accumulated in int64.  The exactness gate is checked in the same
+ * pass: no stored -0.0, and for AV every value integer-valued with
+ * |v| * n_members <= 2**53 (the caller checks the fill), so the int64 sum
+ * converts to the float64 sum of any summation order exactly.  Each
+ * chunk of the row loop owns one partial slice; int64 sums, counts and
+ * minima are order-independent, so the merge after the join gives the
+ * same bytes for every thread count. */
+#define NEGATIVE_ZERO_BITS 0x8000000000000000ULL
+#define EXACT_INTEGER_LIMIT 9007199254740992.0 /* 2**53 */
+
+typedef struct {
+    const double *data;
+    const void *indices, *indptr;
+    int32_t wide, lm;
+    const int64_t *rows;
+    int64_t n_rows, n_items, n_chunks;
+    double n_members;
+    int64_t *counts;   /* n_chunks x n_items */
+    double *mins;      /* n_chunks x n_items, +inf initialised (LM only) */
+    int64_t *sums;     /* n_chunks x n_items, zero initialised (AV only) */
+    int32_t *failed;   /* n_chunks */
+} score_ctx;
+
+static void score_range(void *vctx, int64_t start, int64_t stop)
+{
+    score_ctx *c = (score_ctx *)vctx;
+    /* run_rows' chunk i starts at n_rows * i / n_chunks; chunks are
+     * non-empty, so the start identifies the chunk. */
+    int64_t chunk = 0;
+    while (c->n_rows * chunk / c->n_chunks != start)
+        ++chunk;
+    int64_t *count = c->counts + chunk * c->n_items;
+    double *low = c->lm ? c->mins + chunk * c->n_items : NULL;
+    int64_t *sum = c->lm ? NULL : c->sums + chunk * c->n_items;
+    for (int64_t r = start; r < stop; ++r) {
+        int64_t row = c->rows[r];
+        int64_t hi = csr_index(c->indptr, c->wide, row + 1);
+        for (int64_t p = csr_index(c->indptr, c->wide, row); p < hi; ++p) {
+            double v = c->data[p];
+            uint64_t bits;
+            memcpy(&bits, &v, sizeof bits);
+            if (bits == NEGATIVE_ZERO_BITS) {
+                c->failed[chunk] = 1;
+                return;
+            }
+            int64_t j = csr_index(c->indices, c->wide, p);
+            ++count[j];
+            if (c->lm) {
+                if (v < low[j])
+                    low[j] = v;
+                continue;
+            }
+            double magnitude = v < 0 ? -v : v;
+            if (!(magnitude * c->n_members <= EXACT_INTEGER_LIMIT)
+                || (double)(int64_t)v != v) {
+                c->failed[chunk] = 1;
+                return;
+            }
+            sum[j] += (int64_t)v;
+        }
+    }
+}
+
+/* Returns 1 when the gate failed (outputs then undefined), else 0 with
+ * the merged count/min/sum in the first partial slice. */
+int32_t repro_csr_column_reduce(const double *data, const void *indices,
+                                const void *indptr, int32_t wide,
+                                const int64_t *rows, int64_t n_rows,
+                                int64_t n_items, int32_t lm,
+                                int64_t *counts, double *mins, int64_t *sums,
+                                int32_t *failed, int32_t n_chunks)
+{
+    score_ctx ctx = {data, indices, indptr, wide, lm, rows, n_rows, n_items,
+                     n_chunks, (double)n_rows, counts, mins, sums, failed};
+    run_rows(score_range, &ctx, n_rows, n_chunks);
+    for (int32_t t = 0; t < n_chunks; ++t)
+        if (failed[t])
+            return 1;
+    for (int32_t t = 1; t < n_chunks; ++t) {
+        const int64_t *count = counts + (int64_t)t * n_items;
+        for (int64_t j = 0; j < n_items; ++j)
+            counts[j] += count[j];
+        if (lm) {
+            const double *low = mins + (int64_t)t * n_items;
+            for (int64_t j = 0; j < n_items; ++j)
+                if (low[j] < mins[j])
+                    mins[j] = low[j];
+        } else {
+            const int64_t *sum = sums + (int64_t)t * n_items;
+            for (int64_t j = 0; j < n_items; ++j)
+                sums[j] += sum[j];
+        }
+    }
+    return 0;
+}
 """
 
 def _library_dir() -> Path:
@@ -527,6 +640,84 @@ class CompiledCsrKernels:
             p(f64), ctypes.c_void_p, ctypes.c_void_p, i32, p(i64), i64,
             i64, i64, f64, p(i64), p(f64), i32,
         ]
+        library.repro_csr_column_reduce.restype = i32
+        library.repro_csr_column_reduce.argtypes = [
+            p(f64), ctypes.c_void_p, ctypes.c_void_p, i32, p(i64), i64, i64,
+            i32, p(i64), ctypes.c_void_p, ctypes.c_void_p, p(i32), i32,
+        ]
+
+    @staticmethod
+    def _check_index_arrays(indices: np.ndarray, indptr: np.ndarray) -> None:
+        if indices.dtype != indptr.dtype or indices.dtype not in (np.int32, np.int64):
+            raise ValueError(
+                f"CSR index arrays must share int32 or int64, got "
+                f"{indices.dtype} and {indptr.dtype}"
+            )
+
+    def column_reduce(
+        self,
+        data: np.ndarray,
+        indices: np.ndarray,
+        indptr: np.ndarray,
+        rows: np.ndarray,
+        n_items: int,
+        least_misery: bool,
+        n_threads: int,
+    ) -> tuple[np.ndarray, np.ndarray] | None:
+        """Per-item count and LM minimum / AV int64 sum of CSR rows, in place.
+
+        Parameters
+        ----------
+        data, indices, indptr:
+            Arrays of a CSR matrix (as in :meth:`top_k`), read in place.
+        rows:
+            Non-empty ``int64`` row ids, every one in ``[0, n_rows)`` of the
+            matrix (the caller validates them: the kernel reads ``indptr``
+            at each id without a bounds check).
+        n_items:
+            Column count of the matrix.
+        least_misery:
+            Reduce the minimum (LM) instead of the int64 sum (AV).
+        n_threads:
+            Number of row chunks, each with its own partial arrays
+            (results are identical for every value).
+
+        Returns
+        -------
+        (counts, reduced) or None:
+            ``int64`` stored-entry counts per item and the float64 minima
+            (``+inf`` where no entry is stored) or int64 sums; ``None``
+            when the exactness gate fails (a stored ``-0.0``, or for AV a
+            fractional value or ``|v| * len(rows) > 2**53``).
+        """
+        self._check_index_arrays(indices, indptr)
+        data = np.ascontiguousarray(data, dtype=np.float64)
+        indices = np.ascontiguousarray(indices)
+        indptr = np.ascontiguousarray(indptr)
+        rows = np.ascontiguousarray(rows, dtype=np.int64)
+        chunks = max(1, min(int(n_threads), rows.size, _MAX_THREADS,
+                            _SCORE_PARTIAL_ELEMENTS // max(1, int(n_items))))
+        counts = np.zeros((chunks, n_items), dtype=np.int64)
+        if least_misery:
+            reduced = np.full((chunks, n_items), np.inf)
+        else:
+            reduced = np.zeros((chunks, n_items), dtype=np.int64)
+        failed = np.zeros(chunks, dtype=np.int32)
+        status = self._lib.repro_csr_column_reduce(
+            data.ctypes.data_as(ctypes.POINTER(ctypes.c_double)),
+            indices.ctypes.data, indptr.ctypes.data,
+            int(indices.dtype == np.int64),
+            rows.ctypes.data_as(ctypes.POINTER(ctypes.c_int64)), rows.size,
+            int(n_items), int(least_misery),
+            counts.ctypes.data_as(ctypes.POINTER(ctypes.c_int64)),
+            reduced.ctypes.data if least_misery else None,
+            None if least_misery else reduced.ctypes.data,
+            failed.ctypes.data_as(ctypes.POINTER(ctypes.c_int32)),
+            chunks,
+        )
+        if status:
+            return None
+        return counts[0], reduced[0]
 
     def top_k(
         self,
@@ -566,11 +757,7 @@ class CompiledCsrKernels:
             bit-identical to :func:`repro.core.kernels.top_k_table` on the
             densified rows.
         """
-        if indices.dtype != indptr.dtype or indices.dtype not in (np.int32, np.int64):
-            raise ValueError(
-                f"CSR index arrays must share int32 or int64, got "
-                f"{indices.dtype} and {indptr.dtype}"
-            )
+        self._check_index_arrays(indices, indptr)
         data = np.ascontiguousarray(data, dtype=np.float64)
         indices = np.ascontiguousarray(indices)
         indptr = np.ascontiguousarray(indptr)

@@ -21,8 +21,10 @@ cut by ``offsets`` — so summarise, merge and select run without a Python
 loop over buckets: summarise buckets through
 :func:`repro.core.kernels.bucketize`, merge groups the per-bucket key
 rows with :func:`repro.core.kernels.group_key_rows` and gathers member
-segments through ``np.repeat`` offsets, and select loops only over the
-chosen groups.
+segments through ``np.repeat`` offsets, and select slices the chosen
+segments out in selection order — the format the plan carries on to
+step 3, where all selected groups are scored by one
+:meth:`~repro.recsys.store.RatingStore.segment_item_scores` call.
 
 Memory: ranking goes through :meth:`RatingStore.top_k
 <repro.recsys.store.RatingStore.top_k>`, so a sparse shard is ranked
@@ -295,7 +297,9 @@ def plan_from_summaries(
     -------
     tuple
         ``(plan, selected_items_rows)`` ready for
-        :func:`~repro.core.engine.finalise_plan`.
+        :func:`~repro.core.engine.finalise_plan`: the plan carries the
+        chosen groups as flat segments in selection order, and
+        ``selected_items_rows`` is their ``(n_selected, k)`` item rows.
     """
     scores, reps, member_ids, offsets, items_rows = merge_summaries(
         summaries, variant.combine
@@ -305,22 +309,27 @@ def plan_from_summaries(
     n_buckets = scores.size
     n_select = min(max_groups - 1, n_buckets)
     chosen = np.lexsort((reps, -scores))[:n_select]
-    selected = [
-        (tuple(member_ids[offsets[b]:offsets[b + 1]].tolist()), int(reps[b]))
-        for b in chosen
+    # Slice the chosen segments out in selection order: position j of
+    # chosen bucket c moves from offsets[c] + j to its new start + j.
+    sizes = np.diff(offsets)[chosen]
+    selected_offsets = np.zeros(n_select + 1, dtype=np.int64)
+    np.cumsum(sizes, out=selected_offsets[1:])
+    selected_ids = member_ids[
+        np.arange(selected_offsets[-1])
+        + np.repeat(offsets[chosen] - selected_offsets[:-1], sizes)
     ]
-    chosen_mask = np.zeros(n_buckets, dtype=bool)
-    chosen_mask[chosen] = True
     selected_mask = np.zeros(n_users, dtype=bool)
-    selected_mask[member_ids[np.repeat(chosen_mask, np.diff(offsets))]] = True
+    selected_mask[selected_ids] = True
 
     plan = FormationPlan(
-        selected=selected,
-        remaining_users=np.flatnonzero(~selected_mask).tolist(),
+        member_ids=selected_ids,
+        offsets=selected_offsets,
+        reps=reps[chosen],
+        remaining_users=np.flatnonzero(~selected_mask),
         n_intermediate_groups=int(n_buckets),
         user_values=lambda users: contributions[np.asarray(users, dtype=np.int64)],
     )
-    return plan, [items_rows[b] for b in chosen]
+    return plan, items_rows[chosen]
 
 
 def form_from_summaries(

@@ -248,6 +248,7 @@ H_QUEUE_WAIT = "repro_pool_queue_wait_seconds"
 H_REPLICA_CALL = "repro_pool_replica_call_seconds"
 H_KERNEL_TOPK = "repro_kernel_topk_seconds"
 H_KERNEL_BUCKETIZE = "repro_kernel_bucketize_seconds"
+H_KERNEL_SCORE = "repro_kernel_score_seconds"
 H_WAL_APPEND = "repro_wal_append_seconds"
 H_WAL_FSYNC = "repro_wal_fsync_seconds"
 H_SNAPSHOT = "repro_snapshot_seconds"
@@ -328,6 +329,8 @@ def _catalogue() -> tuple[MetricSpec, ...]:
     histogram(H_REPLICA_CALL, "Round-trip time of one replica recommend call.")
     histogram(H_KERNEL_TOPK, "top_k_table kernel latency.")
     histogram(H_KERNEL_BUCKETIZE, "bucketize kernel latency.")
+    histogram(H_KERNEL_SCORE, "csr_item_scores kernel latency (sparse "
+              "left-over group scoring).")
     histogram(H_WAL_APPEND, "WAL append latency (excluding group-commit fsync).")
     histogram(H_WAL_FSYNC, "WAL fsync latency.")
     histogram(H_SNAPSHOT, "Snapshot write latency.")

@@ -3,9 +3,10 @@ dense / CSR-sparse implementations.
 
 The greedy group-formation algorithms of the paper only ever consume rating
 data through a handful of access patterns — each user's *top-k* prefix,
-the *group score* of every item for the left-over group, and small dense
-``(members, items)`` *gathers* for scoring a formed group on its
-recommended list.  :class:`RatingStore` captures exactly those patterns, so
+the *group score* of every item for the left-over group, and the
+*segment scores* of the selected groups, each on its own recommended list
+(groups as flat ``(member_ids, offsets)`` segments, scored in one
+vectorised reduction).  :class:`RatingStore` captures exactly those patterns, so
 every layer above (preferences, engine, baselines, exact solvers,
 experiments) can run off either storage:
 
@@ -20,19 +21,23 @@ experiments) can run off either storage:
     explicit-feedback data (MovieLens, Yahoo! Music) is >95% sparse, so the
     store ranks and scores straight from its CSR arrays and never builds a
     dense ``n_users x n_items`` canvas: :meth:`SparseStore.top_k` runs the
-    CSR top-k kernel (``O(nnz + k)`` per row) and
-    :meth:`SparseStore.item_scores` reduces the members' stored entries with
-    ``bincount``.  Only ``block``/``rows``/``gather``/``to_dense`` (and the
-    scoring fallback below) densify.
+    CSR top-k kernel (``O(nnz + k)`` per row),
+    :meth:`SparseStore.item_scores` reduces the members' stored entries in
+    place (:func:`repro.core.kernels.csr_item_scores`) and
+    :meth:`SparseStore.segment_item_scores` looks the selected groups'
+    cells up with one ``searchsorted``.  Only
+    ``block``/``rows``/``gather``/``to_dense`` (and the scoring fallback
+    below) densify.
 
 Densification of a ``SparseStore`` block writes the stored ratings over a
 ``fill_value`` canvas (no arithmetic on the stored values), so a
 ``SparseStore`` built from a complete matrix reproduces that matrix bit for
 bit — the dense↔sparse parity suite in ``tests/core/test_store_parity.py``
 relies on this.  The CSR paths keep that bit-identity by construction:
-top-k only compares values, and sparse scoring is used only where its
-arithmetic is order-independent (the exactness gate of
-:meth:`SparseStore.item_scores`).
+top-k only compares values, and the scoring reductions run only where
+their arithmetic is order-independent (the exactness gates of
+:func:`repro.core.kernels.csr_item_scores` and
+:func:`repro.core.kernels.segment_scores`).
 """
 
 from __future__ import annotations
@@ -77,13 +82,6 @@ DEFAULT_BLOCK_USERS = 2048
 #: min is associative — and for the integer-valued ratings all bundled
 #: datasets produce).
 _STREAM_TARGET_ELEMENTS = 1 << 25
-
-#: Bit pattern of ``-0.0``: it compares equal to ``+0.0`` with different
-#: bits, so ``min`` (and an all-zero sum) depends on reduction order.
-_NEGATIVE_ZERO_BITS = np.uint64(1 << 63)
-
-#: Largest magnitude below which every integer-valued float64 sum is exact.
-_EXACT_INTEGER_LIMIT = float(2**53)
 
 
 @runtime_checkable
@@ -166,6 +164,32 @@ class RatingStore(Protocol):
 
         The minimum over members for LM, the sum for AV (Definitions 1 and
         2 of the paper), bit-identical to the dense reduction.
+        """
+        ...
+
+    def segment_item_scores(
+        self,
+        member_ids: np.ndarray,
+        offsets: np.ndarray,
+        items_rows: np.ndarray,
+        semantics: Semantics,
+    ) -> np.ndarray:
+        """``(n_groups, k)`` scores of many groups, each on its own item list.
+
+        Parameters
+        ----------
+        member_ids:
+            Group members, each group's ids contiguous.
+        offsets:
+            ``(n_groups + 1,)`` segment boundaries: group ``g`` is
+            ``member_ids[offsets[g]:offsets[g + 1]]`` (never empty).
+        items_rows:
+            ``(n_groups, k)`` item list of each group.
+        semantics:
+            LM (minimum over members) or AV (sum over members).
+
+        Every score equals the single-group reduction of
+        :func:`repro.core.grouping.build_group` bit for bit.
         """
         ...
 
@@ -365,18 +389,67 @@ def _stream_item_scores(
     return accumulated
 
 
-def _group_members(members: Sequence[int] | np.ndarray) -> np.ndarray:
-    """``members`` as an ``int64`` array; an empty group cannot be scored."""
+def _group_members(members: Sequence[int] | np.ndarray, n_users: int) -> np.ndarray:
+    """``members`` as a validated ``int64`` array of user ids.
+
+    Raises
+    ------
+    GroupFormationError
+        When the group is empty or an id lies outside ``[0, n_users)`` —
+        numpy and scipy would silently wrap a negative id to another user.
+    """
     members = np.asarray(members, dtype=np.int64).ravel()
     if members.size == 0:
         raise GroupFormationError("cannot score items for an empty group")
+    if members.min() < 0 or members.max() >= n_users:
+        raise GroupFormationError(
+            f"group member ids must lie in [0, {n_users})"
+        )
     return members
 
 
-def _has_negative_zero(values: np.ndarray | float) -> bool:
-    """Whether any element of the float64 ``values`` is ``-0.0``."""
-    bits = np.asarray(values, dtype=np.float64).view(np.uint64)
-    return bool((bits == _NEGATIVE_ZERO_BITS).any())
+def _group_segments(
+    member_ids: np.ndarray,
+    offsets: np.ndarray,
+    items_rows: np.ndarray,
+    n_users: int,
+) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
+    """Validate flat group segments for :meth:`RatingStore.segment_item_scores`.
+
+    Returns
+    -------
+    tuple
+        ``(member_ids, offsets, columns)``: the ids and offsets as
+        ``int64``, and each member's group list as an ``(n_members, k)``
+        item array (row ``i`` is the list of the group member ``i``
+        belongs to).
+
+    Raises
+    ------
+    GroupFormationError
+        On a malformed segment array, an empty group, or a member id
+        outside ``[0, n_users)``.
+    """
+    offsets = np.asarray(offsets, dtype=np.int64).ravel()
+    items_rows = np.asarray(items_rows, dtype=np.int64)
+    member_ids = np.asarray(member_ids, dtype=np.int64).ravel()
+    sizes = np.diff(offsets)
+    if (
+        offsets.size == 0
+        or offsets[0] != 0
+        or offsets[-1] != member_ids.size
+        or items_rows.ndim != 2
+        or items_rows.shape[0] != sizes.size
+    ):
+        raise GroupFormationError(
+            "group segments need offsets from 0 to len(member_ids) and one "
+            "item row per group"
+        )
+    if (sizes <= 0).any():
+        raise GroupFormationError("cannot score items for an empty group")
+    if member_ids.size:
+        _group_members(member_ids, n_users)
+    return member_ids, offsets, np.repeat(items_rows, sizes, axis=0)
 
 
 def _canonical_csr(csr: sp.csr_matrix) -> sp.csr_matrix:
@@ -530,7 +603,31 @@ class DenseStore:
         Member rows are reduced in chunks of the wrapped array (the
         streaming path every store shares).
         """
-        return _stream_item_scores(self, _group_members(members), semantics)
+        return _stream_item_scores(
+            self, _group_members(members, self.n_users), semantics
+        )
+
+    def segment_item_scores(
+        self,
+        member_ids: np.ndarray,
+        offsets: np.ndarray,
+        items_rows: np.ndarray,
+        semantics: Semantics,
+    ) -> np.ndarray:
+        """Scores of every group on its own list (see :class:`RatingStore`).
+
+        The ``(n_members, k)`` cells of ``member_ids`` x their group's
+        ``items_rows`` row are one fancy index into the array;
+        :func:`repro.core.kernels.segment_scores` reduces every group
+        under ``semantics`` over ``offsets``.
+        """
+        from repro.core import kernels
+
+        member_ids, offsets, columns = _group_segments(
+            member_ids, offsets, items_rows, self.n_users
+        )
+        cells = self._values[member_ids[:, None], columns]
+        return kernels.segment_scores(cells, offsets, semantics)
 
     # ------------------------------------------------------------------ #
     # MutableRatingStore interface
@@ -930,45 +1027,56 @@ class SparseStore:
     ) -> np.ndarray:
         """Group score of every item for ``members`` under ``semantics``.
 
-        The members' CSR rows are gathered and reduced per item with
-        ``bincount``-style passes: LM-min is the minimum of the stored
-        values, folded with ``fill_value`` where some member lacks the
-        item; AV-sum is the stored sum plus ``fill_value`` times the
-        members lacking the item.  No dense canvas is built.
+        The members' CSR rows are reduced per item in place by
+        :func:`repro.core.kernels.csr_item_scores`: LM-min is the minimum
+        of the stored values, folded with ``fill_value`` where some member
+        lacks the item; AV-sum is the stored sum plus ``fill_value`` times
+        the members lacking the item.  No dense canvas is built.
 
-        Exactness gate, checked on the gathered input of every call: the
-        result must equal the dense streaming reduction bit for bit, so
-        the sparse path only runs where its reduction order cannot matter.
-        LM requires that no value (or the fill) is ``-0.0`` — signed zeros
-        make ``min`` order-dependent.  AV additionally requires every value
-        and the fill to be an integer with every partial sum below
-        ``2**53``, where float64 sums are exact in any order.  Any other
-        input (e.g. fractional ratings for AV) takes the dense streaming
-        path.
+        The kernel runs behind an exactness gate, checked on the members'
+        stored values in the same pass: the result must equal the dense
+        streaming reduction bit for bit, so the sparse path only runs
+        where its reduction order cannot matter.  LM requires that no
+        value (or the fill) is ``-0.0`` — signed zeros make ``min``
+        order-dependent.  AV additionally requires every value and the
+        fill to be an integer with every partial sum below ``2**53``,
+        where sums are exact in any order.  Any other input (e.g.
+        fractional ratings for AV) takes the dense streaming path.
         """
-        members = _group_members(members)
-        fill = self.fill_value
-        gathered = self._csr[members]
-        values, items = gathered.data, gathered.indices
-        signed_zero = _has_negative_zero(values) or _has_negative_zero(fill)
-        if semantics is Semantics.LEAST_MISERY:
-            if signed_zero:
-                return _stream_item_scores(self, members, semantics)
-            lacking = np.bincount(items, minlength=self.n_items) < members.size
-            scores = np.full(self.n_items, np.inf)
-            np.minimum.at(scores, items, values)
-            scores[lacking] = np.minimum(scores[lacking], fill)
-            return scores
-        largest = max(abs(fill), float(np.abs(values).max(initial=0.0)))
-        if (
-            signed_zero
-            or largest * members.size > _EXACT_INTEGER_LIMIT
-            or not fill.is_integer()
-            or not bool((np.trunc(values) == values).all())
-        ):
+        from repro.core import kernels
+
+        members = _group_members(members, self.n_users)
+        scores = kernels.csr_item_scores(
+            self._csr, members, self.fill_value, semantics
+        )
+        if scores is None:
             return _stream_item_scores(self, members, semantics)
-        missing = members.size - np.bincount(items, minlength=self.n_items)
-        return np.bincount(items, weights=values, minlength=self.n_items) + fill * missing
+        return scores
+
+    def segment_item_scores(
+        self,
+        member_ids: np.ndarray,
+        offsets: np.ndarray,
+        items_rows: np.ndarray,
+        semantics: Semantics,
+    ) -> np.ndarray:
+        """Scores of every group on its own list (see :class:`RatingStore`).
+
+        The cells of ``member_ids`` x their group's ``items_rows`` row are
+        read from the CSR arrays by :func:`repro.core.kernels.csr_cells`
+        (the members' rows gathered once, one ``searchsorted``; unstored
+        cells read ``fill_value``), so nothing beyond the ``(n_members,
+        k)`` cells is densified;
+        :func:`repro.core.kernels.segment_scores` reduces them under
+        ``semantics`` over ``offsets``.
+        """
+        from repro.core import kernels
+
+        member_ids, offsets, columns = _group_segments(
+            member_ids, offsets, items_rows, self.n_users
+        )
+        cells = kernels.csr_cells(self._csr, member_ids, columns, self.fill_value)
+        return kernels.segment_scores(cells, offsets, semantics)
 
     # ------------------------------------------------------------------ #
     # MutableRatingStore interface

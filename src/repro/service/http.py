@@ -91,6 +91,7 @@ __all__ = ["ServiceServer"]
 _MAX_BODY = 32 * 1024 * 1024  # 32 MiB request-body cap
 _MAX_HEADERS = 100  # header lines per request; more answers 431
 _MAX_HEADER_BYTES = 64 * 1024  # total header bytes per request; more answers 431
+_READ_DEADLINE_S = 30.0  # seconds to receive a whole request; slower answers 408
 
 #: A client ``X-Request-Id`` is echoed only when it is a short token of
 #: visible ASCII; anything else (CR, LF, spaces, control bytes) gets a
@@ -123,6 +124,7 @@ _DEFAULT_CODES = {
     400: "bad_request",
     404: "not_found",
     405: "method_not_allowed",
+    408: "request_timeout",
     409: "conflict",
     413: "payload_too_large",
     431: "header_too_large",
@@ -377,9 +379,20 @@ class ServiceServer:
         t0 = time.perf_counter()
         try:
             try:
-                method, target, body, req_headers = await self._read_request(
-                    reader
+                # An idle or slow-drip client must not hold the connection:
+                # the whole request (line, headers, body) has one deadline.
+                method, target, body, req_headers = await asyncio.wait_for(
+                    self._read_request(reader), _READ_DEADLINE_S
                 )
+            except asyncio.TimeoutError:
+                await self._respond(writer, 408, _error_payload(
+                    408, f"request not received within {_READ_DEADLINE_S:g} s"
+                ))
+                self._account(
+                    "other", 408, time.perf_counter() - t0,
+                    trace.new_request_id(),
+                )
+                return
             except _HTTPError as exc:
                 await self._respond(writer, exc.status, exc.payload())
                 self._account(
@@ -577,7 +590,8 @@ class ServiceServer:
             Extra response headers.
         """
         reasons = {200: "OK", 400: "Bad Request", 404: "Not Found",
-                   405: "Method Not Allowed", 409: "Conflict",
+                   405: "Method Not Allowed", 408: "Request Timeout",
+                   409: "Conflict",
                    413: "Payload Too Large",
                    431: "Request Header Fields Too Large",
                    500: "Internal Server Error", 501: "Not Implemented",

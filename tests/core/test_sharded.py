@@ -264,8 +264,8 @@ class TestExecutionModes:
         assert result.n_groups <= 4
 
     def test_never_densifies_more_than_a_block(self, monkeypatch):
-        # Ranking and left-over scoring read the CSR arrays directly; only
-        # the selected groups' (members x k) gathers are ever densified.
+        # Ranking, left-over scoring and the selected groups' segment
+        # scoring all read the CSR arrays directly: nothing is densified.
         store = synthetic_sparse_store(500, 50, density=0.1, rng=2)
         densified = []
         original = SparseStore._densify
@@ -281,4 +281,4 @@ class TestExecutionModes:
             )
             assert result.n_users == 500
             assert result.n_groups <= 6
-        assert densified and all(cols == 3 for _, cols in densified)
+        assert densified == []

@@ -210,3 +210,41 @@ class TestAsStore:
         matrix = RatingMatrix(values, scale=RatingScale(1.0, 6.0))
         store = as_store(matrix)
         assert store.scale == matrix.scale
+
+
+class TestMemberIdValidation:
+    """Out-of-range member ids raise instead of wrapping to another user."""
+
+    @pytest.mark.parametrize("kind", ["dense", "sparse"])
+    @pytest.mark.parametrize("bad", [[-1], [0, -3], [23], [5, 99]])
+    def test_scoring_rejects_ids_outside_the_store(self, request, kind, bad):
+        from repro.core.aggregation import get_aggregation
+        from repro.core.errors import GroupFormationError
+        from repro.core.group_recommender import group_item_scores
+        from repro.core.grouping import build_group
+        from repro.core.semantics import Semantics
+
+        store = request.getfixturevalue(kind)
+        for semantics in ("lm", "av"):
+            with pytest.raises(GroupFormationError, match="member ids"):
+                group_item_scores(store, bad, semantics)
+        with pytest.raises(GroupFormationError, match="member ids"):
+            build_group(store, bad, [0, 1], Semantics.AGGREGATE_VOTING,
+                        get_aggregation("sum"))
+        with pytest.raises(GroupFormationError, match="member ids"):
+            store.segment_item_scores(
+                np.array(bad), np.array([0, len(bad)]), np.array([[0, 1]]),
+                Semantics.LEAST_MISERY,
+            )
+
+    def test_csr_kernel_rejects_ids_before_reading_indptr(self, sparse):
+        from repro.core import kernels
+        from repro.core.errors import GroupFormationError
+        from repro.core.semantics import Semantics
+
+        for bad in ([-1], [sparse.n_users]):
+            with pytest.raises(GroupFormationError, match="member ids"):
+                kernels.csr_item_scores(
+                    sparse.csr, np.array(bad), sparse.fill_value,
+                    Semantics.AGGREGATE_VOTING,
+                )

@@ -297,6 +297,29 @@ def test_too_many_or_too_large_headers_get_a_431(server):
     assert _other_requests(srv) == before + 2
 
 
+def test_partial_request_gets_a_408_and_a_close(server, monkeypatch, caplog):
+    # A client that sends part of a header and then idles must not hold the
+    # connection: the read deadline answers 408 and closes.
+    import socket
+
+    from repro.service import http
+
+    monkeypatch.setattr(http, "_READ_DEADLINE_S", 0.3)
+    srv, _ = server
+    before = _other_requests(srv)
+    with caplog.at_level(logging.ERROR):
+        with socket.create_connection(("127.0.0.1", srv.port), timeout=10) as sock:
+            sock.sendall(b"GET /v1/healthz HTTP/1.1\r\nX-Partial: ")
+            response = b""
+            while chunk := sock.recv(4096):  # returns b"" once the server closes
+                response += chunk
+    head, _, payload = response.partition(b"\r\n\r\n")
+    assert head.startswith(b"HTTP/1.1 408"), head[:80]
+    assert json.loads(payload)["error"]["code"] == "request_timeout"
+    assert _other_requests(srv) == before + 1
+    assert not [r for r in caplog.records if r.exc_info]
+
+
 def test_fractional_coordinates_rejected_over_http(server):
     srv, _ = server
     status, payload = request(srv, "/v1/events", {"events": [rating(1.7, 2, 5.0)]})
