@@ -88,6 +88,7 @@ __all__ = [
     "group_key_rows",
     "pack_key_rows",
     "parallel_available",
+    "segment_positions",
     "segment_scores",
     "set_kernel_threads",
     "top_k_table",
@@ -427,6 +428,24 @@ def top_k_table(
         return _top_k_table_numpy(values, k)
 
 
+def segment_positions(starts: np.ndarray, sizes: np.ndarray) -> np.ndarray:
+    """Positions of the segments ``[starts[i], starts[i] + sizes[i])``, concatenated.
+
+    The gather index that packs those segments contiguously in the given
+    order (position ``j`` of segment ``i`` lands at its packed start +
+    ``j``), without a Python loop over segments.
+
+    Parameters
+    ----------
+    starts:
+        ``int64`` first position of each segment in the source array.
+    sizes:
+        ``int64`` length of each segment.
+    """
+    packed_starts = np.cumsum(sizes) - sizes
+    return np.arange(int(sizes.sum())) + np.repeat(starts - packed_starts, sizes)
+
+
 def _csr_row_entries(
     indptr: np.ndarray, rows: np.ndarray
 ) -> tuple[np.ndarray, np.ndarray]:
@@ -440,11 +459,7 @@ def _csr_row_entries(
     """
     starts = indptr[rows].astype(np.int64)
     counts = indptr[rows + 1].astype(np.int64) - starts
-    entry_row = np.repeat(np.arange(rows.size), counts)
-    positions = np.arange(entry_row.size) + np.repeat(
-        starts - (np.cumsum(counts) - counts), counts
-    )
-    return entry_row, positions
+    return np.repeat(np.arange(rows.size), counts), segment_positions(starts, counts)
 
 
 def _lookup_cells(

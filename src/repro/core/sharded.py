@@ -240,13 +240,12 @@ def merge_summaries(
     starts = np.flatnonzero(new_segment)
     first = order[starts]
 
-    # Gather the constituents' member segments in grouped order: position
-    # j of constituent c moves from src[c] + j to dst[c] + j.
+    # Gather the constituents' member segments in grouped order.
     sorted_sizes = sizes[order]
-    src = (np.cumsum(sizes) - sizes)[order]
-    dst = np.cumsum(sorted_sizes) - sorted_sizes
-    gather = np.arange(member_ids.size) + np.repeat(src - dst, sorted_sizes)
-    merged_offsets = np.append(dst[starts], member_ids.size)
+    gather = kernels.segment_positions((np.cumsum(sizes) - sizes)[order], sorted_sizes)
+    merged_offsets = np.append(
+        (np.cumsum(sorted_sizes) - sorted_sizes)[starts], member_ids.size
+    )
 
     if combine == "sum":
         # Sequential fold in shard order (0.0 + s0 + s1 + ...), one pass
@@ -309,15 +308,11 @@ def plan_from_summaries(
     n_buckets = scores.size
     n_select = min(max_groups - 1, n_buckets)
     chosen = np.lexsort((reps, -scores))[:n_select]
-    # Slice the chosen segments out in selection order: position j of
-    # chosen bucket c moves from offsets[c] + j to its new start + j.
+    # Slice the chosen segments out, in selection order.
     sizes = np.diff(offsets)[chosen]
     selected_offsets = np.zeros(n_select + 1, dtype=np.int64)
     np.cumsum(sizes, out=selected_offsets[1:])
-    selected_ids = member_ids[
-        np.arange(selected_offsets[-1])
-        + np.repeat(offsets[chosen] - selected_offsets[:-1], sizes)
-    ]
+    selected_ids = member_ids[kernels.segment_positions(offsets[chosen], sizes)]
     selected_mask = np.zeros(n_users, dtype=bool)
     selected_mask[selected_ids] = True
 

@@ -277,6 +277,18 @@ def test_column_reduce_reads_int64_index_arrays():
         assert np.array_equal(bits(got), bits(semantics.item_scores(dense, members)))
 
 
+def test_column_reduce_is_observed_in_the_score_histogram():
+    from repro.obs.registry import H_KERNEL_SCORE
+    from repro.obs.runtime import get_registry
+
+    rng = np.random.default_rng(12)
+    _, _, store = stores(rng, 20, 5, (1.0, 2.0), 1.0)
+    before = get_registry().histogram(H_KERNEL_SCORE)["count"]
+    store.item_scores(np.arange(20), LM)
+    store.item_scores(np.arange(20), AV)
+    assert get_registry().histogram(H_KERNEL_SCORE)["count"] == before + 2
+
+
 # --------------------------------------------------------------------------- #
 # End to end: engine backends and shard counts
 # --------------------------------------------------------------------------- #

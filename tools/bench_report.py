@@ -40,7 +40,7 @@ _NOTE_KEYS = (
     "speedup", "speedup_vs_numpy", "updates_per_second", "events_per_second",
     "requests_per_second", "scaling_vs_single", "physical_cap",
     "batches_replayed",
-    "peak_rss_gib", "objective", "generate_seconds",
+    "peak_rss_gib", "objective", "recommendation_seconds", "generate_seconds",
     "server_p50_le", "server_p99_le", "queue_wait_mean", "service_time_mean",
     "obs_overhead", "faults_overhead",
     "availability", "replica_kills", "respawns", "respawn_failures",
