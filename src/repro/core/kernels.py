@@ -462,6 +462,33 @@ def _csr_row_entries(
     return np.repeat(np.arange(rows.size), counts), segment_positions(starts, counts)
 
 
+def _cell_positions(
+    entry_row: np.ndarray,
+    items: np.ndarray,
+    n_items: int,
+    row: np.ndarray,
+    item: np.ndarray,
+) -> tuple[np.ndarray, np.ndarray]:
+    """Where the cells ``(row, item)`` (broadcast) sit among gathered entries.
+
+    The entries (``entry_row``, ``items`` from :func:`_csr_row_entries`)
+    are keyed ``entry_row * n_items + item``, ascending because each row's
+    indices are sorted, so one ``searchsorted`` places every wanted cell.
+
+    Returns
+    -------
+    (at, found):
+        Per cell, its insertion point among the entries and whether the
+        entry there is the cell itself (a stored cell).
+    """
+    wanted = row * np.int64(n_items) + item
+    if not items.size:
+        return np.zeros(wanted.shape, dtype=np.int64), np.zeros(wanted.shape, dtype=bool)
+    keys = entry_row * np.int64(n_items) + items
+    at = np.searchsorted(keys, wanted)
+    return at, keys[np.minimum(at, keys.size - 1)] == wanted
+
+
 def _lookup_cells(
     entry_row: np.ndarray,
     items: np.ndarray,
@@ -473,18 +500,12 @@ def _lookup_cells(
 ) -> np.ndarray:
     """Cells ``(row, item)`` (broadcast) among gathered entries, else ``fill``.
 
-    The entries (``entry_row``, ``items``, ``values`` from
-    :func:`_csr_row_entries`) are keyed ``entry_row * n_items + item``,
-    ascending because each row's indices are sorted, so one
-    ``searchsorted`` finds every wanted cell.
+    The entries are ``entry_row``, ``items``, ``values`` from
+    :func:`_csr_row_entries`, located by :func:`_cell_positions`.
     """
-    wanted = row * np.int64(n_items) + item
-    cells = np.full(wanted.shape, fill, dtype=np.float64)
-    if values.size:
-        keys = entry_row * np.int64(n_items) + items
-        at = np.minimum(np.searchsorted(keys, wanted), keys.size - 1)
-        found = keys[at] == wanted
-        cells[found] = values[at[found]]
+    at, found = _cell_positions(entry_row, items, n_items, row, item)
+    cells = np.full(found.shape, fill, dtype=np.float64)
+    cells[found] = values[at[found]]
     return cells
 
 

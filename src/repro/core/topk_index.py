@@ -35,6 +35,8 @@ import numpy as np
 
 from repro.core import kernels
 from repro.core.errors import GroupFormationError
+from repro.obs.registry import H_STORE_WRITE
+from repro.obs.runtime import observed
 
 if TYPE_CHECKING:  # pragma: no cover - import cycle guard, typing only
     from repro.recsys.matrix import RatingMatrix
@@ -523,11 +525,15 @@ class MutableTopKIndex(TopKIndex):
         # Write through to the store (validates and may raise before any
         # index state changed).
         if up.size:
-            self._store.upsert(
-                up[:, 0].astype(np.int64), up[:, 1].astype(np.int64), up[:, 2]
-            )
+            with observed("store.write", H_STORE_WRITE):
+                self._store.upsert(
+                    up[:, 0].astype(np.int64), up[:, 1].astype(np.int64), up[:, 2]
+                )
         if de.size:
-            self._store.delete(de[:, 0].astype(np.int64), de[:, 1].astype(np.int64))
+            with observed("store.write", H_STORE_WRITE):
+                self._store.delete(
+                    de[:, 0].astype(np.int64), de[:, 1].astype(np.int64)
+                )
 
         dirty_users = np.asarray(sorted(dirty), dtype=np.int64)
         self._repair(dirty_users)

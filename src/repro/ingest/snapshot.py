@@ -1,7 +1,7 @@
 """Atomic store + index snapshots for the durable ingestion pipeline.
 
-A snapshot is one compressed ``.npz`` holding everything recovery needs to
-reconstruct a :class:`~repro.core.MutableTopKIndex` and its backing
+A snapshot is one uncompressed ``.npz`` holding everything recovery needs
+to reconstruct a :class:`~repro.core.MutableTopKIndex` and its backing
 :class:`~repro.recsys.store.MutableRatingStore` exactly as they were:
 
 * the store payload (dense values, or CSR ``data``/``indices``/``indptr``
@@ -20,6 +20,14 @@ never a torn snapshot.  :meth:`SnapshotManager.load_latest` additionally
 skips snapshots that fail to parse, so a torn file from a pre-fsync crash
 degrades to the previous snapshot plus a longer replay, not a failed
 recovery.
+
+Snapshots are written with ``np.savez``, not ``np.savez_compressed``: the
+save blocks the writer under the ingest lock, and zlib made it ~26x
+slower for a ~6x smaller file.  On a 20k x 2k store with 792k ratings
+(2-core Xeon) a save takes 0.03 s instead of 0.84 s and a load 29 ms
+instead of 59 ms, for a 16 MB file instead of 2.8 MB (64 MB at the
+default ``retain=4``).  ``np.load`` reads both formats, so compressed
+snapshots from earlier versions still recover.
 """
 
 from __future__ import annotations
@@ -198,7 +206,7 @@ class SnapshotManager:
         try:
             fault_fire("snapshot.write")
             with tmp.open("wb") as handle:
-                np.savez_compressed(handle, **payload)
+                np.savez(handle, **payload)
                 handle.flush()
                 os.fsync(handle.fileno())
             fault_fire("snapshot.replace")

@@ -187,6 +187,10 @@ HTTP_ROUTES = (
 HTTP_HIST_ROUTES = ("recommend", "events", "other")
 RESPONSE_CLASSES = ("2xx", "4xx", "5xx")
 REJECT_REASONS = ("overloaded", "shutdown")
+HTTP_REJECT_REASONS = (
+    "bad_request", "request_timeout", "payload_too_large", "header_too_large",
+    "not_implemented",
+)
 
 K_HTTP_REQUESTS = {
     r: sample_key("repro_http_requests_total", route=r) for r in HTTP_ROUTES
@@ -194,6 +198,10 @@ K_HTTP_REQUESTS = {
 K_HTTP_RESPONSES = {
     c: sample_key("repro_http_responses_total", **{"class": c})
     for c in RESPONSE_CLASSES
+}
+K_HTTP_REJECTED = {
+    r: sample_key("repro_http_rejected_total", reason=r)
+    for r in HTTP_REJECT_REASONS
 }
 K_COALESCED = "repro_coalesced_recommends_total"
 K_BATCHED_UPDATES = "repro_batched_update_requests_total"
@@ -253,6 +261,7 @@ H_WAL_APPEND = "repro_wal_append_seconds"
 H_WAL_FSYNC = "repro_wal_fsync_seconds"
 H_SNAPSHOT = "repro_snapshot_seconds"
 H_INGEST_APPLY = "repro_ingest_apply_seconds"
+H_STORE_WRITE = "repro_store_write_seconds"
 H_RESPAWN_BACKOFF = "repro_pool_respawn_backoff_seconds"
 
 
@@ -273,6 +282,9 @@ def _catalogue() -> tuple[MetricSpec, ...]:
     for c in RESPONSE_CLASSES:
         counter("repro_http_responses_total", "HTTP responses by status class.",
                 **{"class": c})
+    for r in HTTP_REJECT_REASONS:
+        counter("repro_http_rejected_total",
+                "HTTP requests rejected before routing, by error code.", reason=r)
     counter(K_COALESCED, "Recommend requests answered by piggy-backing on an "
             "identical in-flight computation.")
     counter(K_BATCHED_UPDATES, "Update requests folded into a batch window.")
@@ -335,6 +347,8 @@ def _catalogue() -> tuple[MetricSpec, ...]:
     histogram(H_WAL_FSYNC, "WAL fsync latency.")
     histogram(H_SNAPSHOT, "Snapshot write latency.")
     histogram(H_INGEST_APPLY, "Ingest batch fold+apply latency.")
+    histogram(H_STORE_WRITE, "Rating-store write latency (one upsert or "
+              "delete call of an index batch).")
     histogram(H_RESPAWN_BACKOFF,
               "Backoff delay scheduled before a replica respawn attempt.")
     return tuple(specs)

@@ -487,6 +487,37 @@ def _canonical_csr(csr: sp.csr_matrix) -> sp.csr_matrix:
     return canonical
 
 
+def _index_dtype(csr: sp.csr_matrix, nnz: int) -> np.dtype:
+    """Index dtype of ``csr`` once it holds ``nnz`` entries (scipy's rule).
+
+    int32 ``indices``/``indptr`` widen to int64 when ``nnz`` passes the
+    int32 range; int64 ones stay int64.
+    """
+    wide = csr.indices.dtype == np.int64 or csr.indptr.dtype == np.int64
+    if wide or nnz > np.iinfo(np.int32).max:
+        return np.dtype(np.int64)
+    return np.dtype(np.int32)
+
+
+def _splice(
+    array: np.ndarray, at: np.ndarray, new: np.ndarray, dtype: np.dtype
+) -> np.ndarray:
+    """``array`` with ``new[j]`` inserted before position ``at[j]``, as ``dtype``.
+
+    ``at`` is ascending.  One ``np.concatenate`` of the runs between the
+    insertion points interleaved with the new elements (``np.insert``
+    would build an ``array``-sized mask).
+    """
+    new = new.astype(dtype, copy=False)
+    parts = []
+    start = 0
+    for j, stop in enumerate(at.tolist()):
+        parts += (array[start:stop], new[j:j + 1])
+        start = stop
+    parts.append(array[start:])
+    return np.concatenate(parts, dtype=dtype)
+
+
 class DenseStore:
     """A :class:`RatingStore` over one complete in-memory ``float64`` array.
 
@@ -1082,22 +1113,59 @@ class SparseStore:
     # MutableRatingStore interface
     # ------------------------------------------------------------------ #
 
-    def _set_cells(self, users: np.ndarray, items: np.ndarray, values: np.ndarray) -> None:
-        """Write validated cells through scipy's CSR assignment.
+    def _set_cells(
+        self,
+        users: np.ndarray,
+        items: np.ndarray,
+        values: np.ndarray,
+        insert: bool = True,
+    ) -> None:
+        """Write validated, unique cells by splicing only the touched CSR rows.
 
-        Changing the sparsity structure of a CSR matrix is O(nnz) — scipy
-        flags it with a ``SparseEfficiencyWarning`` — which is the price the
-        serving layer pays per *batch*, not per update; the warning is
-        silenced because the cost is a documented property of this method.
+        The cells are sorted by ``(user, item)`` and placed among the
+        touched rows' entries with one ``searchsorted``
+        (:func:`repro.core.kernels._cell_positions`).  Stored cells are
+        overwritten in place, so a batch of stored cells reallocates
+        nothing.  Unstored cells are inserted when ``insert`` is true
+        (upserts) and skipped otherwise (deletes): the new ``indices`` and
+        ``data`` are one ``np.concatenate`` of the untouched runs
+        interleaved with the new cells, and ``indptr`` shifts by the
+        cumulative per-row insert counts.  The cost is O(touched rows)
+        plus one copy of the arrays, and the result is the sorted,
+        canonical CSR scipy's assignment would build.  The arrays are
+        swapped without a lock: callers serialise writes with reads
+        (:class:`~repro.service.FormationService` holds its lock around
+        both).
         """
         if not users.size:
             return
-        import warnings
+        from repro.core import kernels
 
-        with warnings.catch_warnings():
-            warnings.simplefilter("ignore", sp.SparseEfficiencyWarning)
-            self._csr[users, items] = values
-        self._csr.sort_indices()
+        csr = self._csr
+        order = np.lexsort((items, users))
+        users, items, values = users[order], items[order], values[order]
+        rows, cell_row = np.unique(users, return_inverse=True)
+        entry_row, positions = kernels._csr_row_entries(csr.indptr, rows)
+        at, found = kernels._cell_positions(
+            entry_row, csr.indices[positions], self.n_items, cell_row, items
+        )
+        csr.data[positions[at[found]]] = values[found]
+        new = ~found
+        if not insert or not new.any():
+            return
+        users, items, values = users[new], items[new], values[new]
+        # A new cell's place is its row's start plus its rank among the
+        # row's stored entries (``at`` minus the row's first gathered entry).
+        rank = at[new] - np.searchsorted(entry_row, cell_row[new])
+        splice_at = csr.indptr[users].astype(np.int64) + rank
+        nnz = int(csr.indptr[-1])
+        dtype = _index_dtype(csr, nnz + users.size)
+        indptr = csr.indptr.astype(dtype)
+        indptr[1:] += np.cumsum(np.bincount(users, minlength=self.n_users), dtype=dtype)
+        csr.indices = _splice(csr.indices[:nnz], splice_at, items, dtype)
+        csr.data = _splice(csr.data[:nnz], splice_at, values, np.float64)
+        csr.indptr = indptr
+        csr.has_canonical_format = True  # implies has_sorted_indices
 
     def upsert(
         self,
@@ -1131,10 +1199,13 @@ class SparseStore:
     ) -> None:
         """Revert individual cells to :attr:`fill_value`, in place.
 
-        The cells become indistinguishable from never-rated cells on the
-        dense read side (densification writes stored ratings over a
-        ``fill_value`` canvas, so an explicit ``fill_value`` entry and a
-        missing entry read back identically).
+        A stored cell is overwritten with an explicit ``fill_value``
+        entry; an unstored cell already reads ``fill_value`` and is left
+        alone, so deletes never grow the CSR.  Either way the cell is
+        indistinguishable from a never-rated one on every read path
+        (densification writes stored ratings over a ``fill_value``
+        canvas, and the CSR kernels treat a stored ``fill_value`` like a
+        missing entry).
 
         Parameters
         ----------
@@ -1150,7 +1221,10 @@ class SparseStore:
             users, items, self.shape, None, self._scale
         )
         self._set_cells(
-            users, items, np.full(users.shape, self.fill_value, dtype=np.float64)
+            users,
+            items,
+            np.full(users.shape, self.fill_value, dtype=np.float64),
+            insert=False,
         )
 
     def clear_rows(self, users: Sequence[int] | np.ndarray) -> None:

@@ -70,6 +70,7 @@ from repro.obs.registry import (
     K_BATCHED_UPDATES,
     K_COALESCED,
     K_DEGRADED_TRANSITIONS,
+    K_HTTP_REJECTED,
     K_HTTP_REQUESTS,
     K_HTTP_RESPONSES,
     K_TRACES_DUMPED,
@@ -385,20 +386,13 @@ class ServiceServer:
                     self._read_request(reader), _READ_DEADLINE_S
                 )
             except asyncio.TimeoutError:
-                await self._respond(writer, 408, _error_payload(
+                exc = _HTTPError(
                     408, f"request not received within {_READ_DEADLINE_S:g} s"
-                ))
-                self._account(
-                    "other", 408, time.perf_counter() - t0,
-                    trace.new_request_id(),
                 )
+                await self._reject(writer, exc, t0)
                 return
             except _HTTPError as exc:
-                await self._respond(writer, exc.status, exc.payload())
-                self._account(
-                    "other", exc.status, time.perf_counter() - t0,
-                    trace.new_request_id(),
-                )
+                await self._reject(writer, exc, t0)
                 return
             except Exception as exc:  # noqa: BLE001 - unreadable request
                 _LOG.debug("closing unreadable connection: %r", exc)
@@ -448,6 +442,27 @@ class ServiceServer:
                 await writer.wait_closed()
             except Exception:  # pragma: no cover - socket already gone
                 pass
+
+    async def _reject(
+        self, writer: asyncio.StreamWriter, exc: _HTTPError, t0: float
+    ) -> None:
+        """Answer a request rejected before routing and count it.
+
+        Parameters
+        ----------
+        writer:
+            The connection's stream writer.
+        exc:
+            The rejection; its error code labels ``repro_http_rejected_total``.
+        t0:
+            ``perf_counter`` at request start.
+        """
+        payload = exc.payload()
+        await self._respond(writer, exc.status, payload)
+        self.metrics.inc(K_HTTP_REJECTED[payload["error"]["code"]])
+        self._account(
+            "other", exc.status, time.perf_counter() - t0, trace.new_request_id()
+        )
 
     def _finish_trace(self, handle, t0: float) -> None:
         """Close the request trace, dumping its span tree when too slow.

@@ -50,6 +50,38 @@ def test_snapshot_round_trip_is_bit_identical(kind, tmp_path):
         assert state.store.fill_value == index.store.fill_value
 
 
+@pytest.mark.parametrize("kind", ["dense", "sparse"])
+def test_compressed_snapshot_from_earlier_versions_still_loads(kind, tmp_path):
+    # Earlier versions wrote snapshots with np.savez_compressed; rewrite one
+    # in that format and check it recovers bit-identically.
+    import zipfile
+
+    index = make_index(kind)
+    index.apply(upserts=[(0, 1, 5.0), (3, 2, 4.0)], deletes=[(1, 0)])
+    manager = SnapshotManager(tmp_path)
+    path = manager.save(index, applied_seq=5)
+    with zipfile.ZipFile(path) as archive:
+        assert {i.compress_type for i in archive.infolist()} == {zipfile.ZIP_STORED}
+    fresh = manager.load_latest()
+    with np.load(path) as data:
+        payload = {name: data[name] for name in data.files}
+    with path.open("wb") as handle:
+        np.savez_compressed(handle, **payload)
+    with zipfile.ZipFile(path) as archive:
+        assert {i.compress_type for i in archive.infolist()} == {zipfile.ZIP_DEFLATED}
+
+    state = manager.load_latest()
+    assert state.applied_seq == 5 and state.version == fresh.version
+    assert state.index_items.tobytes() == fresh.index_items.tobytes()
+    assert state.index_values.tobytes() == fresh.index_values.tobytes()
+    if kind == "sparse":
+        for name in ("data", "indices", "indptr"):
+            got, want = getattr(state.store.csr, name), getattr(fresh.store.csr, name)
+            assert got.dtype == want.dtype and got.tobytes() == want.tobytes()
+    else:
+        assert state.store.values.tobytes() == fresh.store.values.tobytes()
+
+
 def test_retention_prunes_oldest(tmp_path):
     index = make_index("dense")
     manager = SnapshotManager(tmp_path, retain=2)

@@ -44,6 +44,17 @@ def server():
             raise RuntimeError("server did not start")
         time.sleep(0.01)
     yield srv, values
+
+    async def settle() -> None:
+        # A handler still closing its connection when the loop stops stays
+        # pending; destroyed later with the loop, it logs an asyncio error
+        # into whichever test runs then.  Finish every task first.
+        tasks = [t for t in asyncio.all_tasks() if t is not asyncio.current_task()]
+        for task in tasks:
+            task.cancel()
+        await asyncio.gather(*tasks, return_exceptions=True)
+
+    asyncio.run_coroutine_threadsafe(settle(), loop).result(timeout=5)
     loop.call_soon_threadsafe(loop.stop)
     thread.join(timeout=5)
 
@@ -318,6 +329,49 @@ def test_partial_request_gets_a_408_and_a_close(server, monkeypatch, caplog):
     assert json.loads(payload)["error"]["code"] == "request_timeout"
     assert _other_requests(srv) == before + 1
     assert not [r for r in caplog.records if r.exc_info]
+
+
+def test_each_pre_routing_rejection_counts_under_its_own_reason(
+    server, monkeypatch
+):
+    import socket
+
+    from repro.obs.registry import HTTP_REJECT_REASONS, K_HTTP_REJECTED
+    from repro.service import http
+
+    srv, _ = server
+    monkeypatch.setattr(http, "_READ_DEADLINE_S", 0.3)
+    cases = {
+        "bad_request": b"GARBAGE\r\n\r\n",
+        "request_timeout": b"GET /v1/healthz HTTP/1.1\r\nX-Partial: ",
+        "payload_too_large": b"POST /v1/events HTTP/1.1\r\nContent-Length: %d"
+        b"\r\n\r\n" % (http._MAX_BODY + 1),
+        "header_too_large": b"GET /v1/healthz HTTP/1.1\r\n"
+        + b"".join(b"X-H%d: v\r\n" % i for i in range(http._MAX_HEADERS + 1))
+        + b"\r\n",
+        "not_implemented": b"POST /v1/events HTTP/1.1\r\n"
+        b"Transfer-Encoding: chunked\r\n\r\n0\r\n\r\n",
+    }
+    assert set(cases) == set(HTTP_REJECT_REASONS)
+
+    def counts() -> dict[str, float]:
+        return {r: srv.metrics.value(K_HTTP_REJECTED[r]) for r in HTTP_REJECT_REASONS}
+
+    for reason, raw in cases.items():
+        before = counts()
+        if reason == "request_timeout":
+            # Send part of a header and idle until the read deadline fires.
+            with socket.create_connection(("127.0.0.1", srv.port), timeout=10) as sock:
+                sock.sendall(raw)
+                response = b""
+                while chunk := sock.recv(4096):
+                    response += chunk
+            head, _, payload = response.partition(b"\r\n\r\n")
+        else:
+            head, payload = _raw_exchange(srv, raw)
+        assert json.loads(payload)["error"]["code"] == reason, head[:80]
+        after = counts()
+        assert after == {**before, reason: before[reason] + 1}, reason
 
 
 def test_fractional_coordinates_rejected_over_http(server):

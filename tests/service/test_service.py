@@ -173,3 +173,22 @@ def test_result_cache_is_bounded():
     for k in (1, 2, 3, 4):
         service.recommend(k=k, max_groups=3)
     assert service.stats()["cached_results"] == 2
+
+
+def test_store_writes_are_observed_once_per_write():
+    from repro.obs.registry import H_STORE_WRITE
+    from repro.obs.runtime import get_registry
+
+    store, _ = make_instance("sparse")
+    service = FormationService(store, k_max=4, shards=2)
+
+    def count() -> int:
+        return get_registry().histogram(H_STORE_WRITE)["count"]
+
+    before = count()
+    service.apply_updates(upserts=[(0, 1, 4.0), (2, 3, 2.0)])
+    assert count() == before + 1
+    service.apply_updates(upserts=[(1, 1, 3.0)], deletes=[(5, 2)])
+    assert count() == before + 3
+    service.apply_updates(deletes=[(4, 4)])
+    assert count() == before + 4
