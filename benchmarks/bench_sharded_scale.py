@@ -6,7 +6,9 @@ CSR :class:`~repro.recsys.store.SparseStore` (no dense matrix is ever
 materialised — the dense equivalent of the default 1M x 10k instance would
 need ~80 GB), then forms groups through
 :class:`~repro.core.sharded.ShardedFormation` and reports wall time and peak
-RSS.  The default configuration is the PR acceptance check::
+RSS, both right after generation (``generate_peak_rss_gib``) and at the
+end of the run (``peak_rss_gib``).  The default configuration is the scale
+acceptance check::
 
     PYTHONPATH=src python benchmarks/bench_sharded_scale.py
 
@@ -64,8 +66,10 @@ def main(argv=None) -> int:
         args.users, args.items, density=args.density, rng=args.seed
     )
     gen_seconds = time.perf_counter() - t0
+    gen_rss = peak_rss_gib()
     print(
-        f"  generated in {gen_seconds:.1f}s: nnz={store.csr.nnz:,} "
+        f"  generated in {gen_seconds:.1f}s (peak RSS {gen_rss:.2f} GiB): "
+        f"nnz={store.csr.nnz:,} "
         f"({store.nbytes / 2**30:.2f} GiB CSR; dense would be "
         f"{args.users * args.items * 8 / 2**30:.1f} GiB)"
     )
@@ -86,7 +90,8 @@ def main(argv=None) -> int:
     write_bench_json("sharded_scale", [bench_entry(
         instance, form_seconds, backend="numpy", store="sparse",
         shards=args.shards, recommendation_seconds=recommendation_seconds,
-        generate_seconds=gen_seconds, peak_rss_gib=round(rss, 3),
+        generate_seconds=gen_seconds, generate_peak_rss_gib=round(gen_rss, 3),
+        peak_rss_gib=round(rss, 3),
         objective=result.objective,
     )])
 

@@ -37,6 +37,7 @@ from repro.core import kernels
 from repro.core.errors import GroupFormationError
 from repro.obs.registry import H_STORE_WRITE
 from repro.obs.runtime import observed
+from repro.utils.arrays import sorted_unique
 
 if TYPE_CHECKING:  # pragma: no cover - import cycle guard, typing only
     from repro.recsys.matrix import RatingMatrix
@@ -592,7 +593,7 @@ class MutableTopKIndex(TopKIndex):
             User indices to remove.  Removing an already-removed user is a
             no-op.
         """
-        users = np.unique(np.asarray(users, dtype=np.int64).ravel())
+        users = sorted_unique(np.asarray(users, dtype=np.int64))
         if users.size and (users.min() < 0 or users.max() >= self.n_users):
             raise GroupFormationError("remove_users index out of range")
         if not users.size:

@@ -70,10 +70,12 @@ class RatingScale:
     def contains(self, values: np.ndarray | float) -> bool:
         """Return ``True`` when every finite entry of ``values`` is within scale."""
         arr = np.asarray(values, dtype=float)
-        finite = arr[np.isfinite(arr)]
-        if finite.size == 0:
-            return True
-        return bool((finite >= self.minimum).all() and (finite <= self.maximum).all())
+        # Masked reductions, not ``arr[np.isfinite(arr)]``: no full-size copy
+        # of a store-sized array.  With no finite entry the initials win.
+        finite = np.isfinite(arr)
+        low = np.min(arr, where=finite, initial=np.inf)
+        high = np.max(arr, where=finite, initial=-np.inf)
+        return bool(low >= self.minimum and high <= self.maximum)
 
     def integer_levels(self) -> np.ndarray:
         """All integer rating levels in the scale (used by synthetic generators)."""

@@ -72,6 +72,7 @@ from repro.obs.registry import (
 )
 from repro.obs.runtime import observed
 from repro.recsys.store import DenseStore, MutableRatingStore
+from repro.utils.arrays import sorted_unique
 from repro.utils.validation import require_positive_int
 
 __all__ = ["FormationService"]
@@ -524,7 +525,7 @@ class FormationService:
         if validate:
             if users.size == 0:
                 raise GroupFormationError("recommend needs at least one user")
-            if np.unique(users).size != users.size:
+            if sorted_unique(users).size != users.size:
                 raise GroupFormationError("user_ids contains duplicates")
             if users.min() < 0 or users.max() >= self._index.n_users:
                 raise GroupFormationError("user_ids out of range")

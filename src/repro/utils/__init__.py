@@ -2,11 +2,13 @@
 
 The helpers here intentionally stay free of any domain logic: deterministic
 random-number handling (:mod:`repro.utils.rng`), lightweight timing helpers
-used by the scalability experiments (:mod:`repro.utils.timing`), and argument
+used by the scalability experiments (:mod:`repro.utils.timing`), argument
 validation helpers shared by the public API entry points
-(:mod:`repro.utils.validation`).
+(:mod:`repro.utils.validation`), and array helpers
+(:mod:`repro.utils.arrays`).
 """
 
+from repro.utils.arrays import sorted_unique
 from repro.utils.rng import derive_seed, ensure_rng
 from repro.utils.timing import Stopwatch, time_call
 from repro.utils.validation import (
@@ -25,4 +27,5 @@ __all__ = [
     "require_positive_int",
     "require_probability",
     "require_range",
+    "sorted_unique",
 ]

@@ -36,6 +36,49 @@ class TestRatingScale:
         assert scale.contains(np.array([1.0, 5.0, np.nan]))
         assert not scale.contains(np.array([0.5]))
 
+    @pytest.mark.parametrize(
+        ("values", "expected"),
+        [
+            (np.array([]), True),
+            (np.empty((0, 3)), True),
+            (np.array([np.nan, np.nan]), True),
+            (np.full((2, 2), np.nan), True),
+            (np.array([np.inf, -np.inf, np.nan]), True),
+            (np.array([1.0, np.inf, 5.0, -np.inf]), True),
+            (np.array([[1.0, 3.0], [np.nan, 5.0]]), True),
+            (np.array([np.nan, 5.5]), False),
+            (np.array([np.inf, 0.999]), False),
+            (np.array([[1.0, 2.0], [3.0, -1.0]]), False),
+            (3.0, True),
+            (1.0, True),
+            (5.0, True),
+            (5.0001, False),
+            (0.0, False),
+            (np.nan, True),
+            (np.inf, True),
+            (-np.inf, True),
+            (np.float64(4.0), True),
+            (np.array(6.0), False),
+            ([1, 2, 7], False),
+            ([[1, 2], [3, 4]], True),
+        ],
+    )
+    def test_contains_truth_table(self, values, expected):
+        scale = RatingScale(1, 5)
+        assert scale.contains(values) is expected
+        # The finite-subset definition, written out.
+        arr = np.asarray(values, dtype=float)
+        finite = arr[np.isfinite(arr)]
+        assert expected == bool(
+            ((finite >= 1.0) & (finite <= 5.0)).all()
+        )
+
+    def test_contains_leaves_the_input_untouched(self):
+        values = np.array([[1.0, np.nan], [np.inf, 4.0]])
+        before = values.copy()
+        assert RatingScale(1, 5).contains(values)
+        np.testing.assert_array_equal(values, before)
+
     def test_integer_levels(self):
         assert RatingScale(1, 5).integer_levels().tolist() == [1, 2, 3, 4, 5]
 

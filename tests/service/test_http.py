@@ -391,6 +391,22 @@ def test_error_responses(server):
     assert status == 400 and "error" in payload
 
 
+def test_duplicate_subset_user_ids_get_a_structured_400(server):
+    srv, _ = server
+    for user_ids in ([3, 1, 3], [7, 7], [0, 59, 12, 59]):
+        status, payload = request(
+            srv, "/v1/recommend", {"k": 2, "max_groups": 3, "user_ids": user_ids}
+        )
+        assert status == 400
+        assert payload["error"] == {
+            "code": "validation", "message": "user_ids contains duplicates",
+        }
+    status, _ = request(
+        srv, "/v1/recommend", {"k": 2, "max_groups": 3, "user_ids": [3, 1, 59]}
+    )
+    assert status == 200
+
+
 def test_errors_are_structured_payloads(server):
     srv, _ = server
     status, payload = request(srv, "/nope")
