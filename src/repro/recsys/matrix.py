@@ -70,8 +70,8 @@ class RatingScale:
     def contains(self, values: np.ndarray | float) -> bool:
         """Return ``True`` when every finite entry of ``values`` is within scale."""
         arr = np.asarray(values, dtype=float)
-        # Masked reductions, not ``arr[np.isfinite(arr)]``: no full-size copy
-        # of a store-sized array.  With no finite entry the initials win.
+        # Masked reductions never copy a store-sized input; with no finite
+        # entry the initials make both bounds hold.
         finite = np.isfinite(arr)
         low = np.min(arr, where=finite, initial=np.inf)
         high = np.max(arr, where=finite, initial=-np.inf)

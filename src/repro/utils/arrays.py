@@ -28,9 +28,9 @@ def sorted_unique(values: np.ndarray, overwrite_input: bool = False) -> np.ndarr
     values:
         Array-like of any shape; it is flattened.
     overwrite_input:
-        Sort ``values`` in place instead of a copy — for a caller that owns
-        a large, contiguous one-dimensional array and has no further use for
-        it.  The input is left sorted (with its duplicates).
+        When ``values`` is a one-dimensional ndarray, sort it in place
+        instead of a copy — for a caller that owns a large array and has no
+        further use for it.  The input is left sorted, duplicates included.
 
     Examples
     --------

@@ -41,6 +41,7 @@ _NOTE_KEYS = (
     "requests_per_second", "scaling_vs_single", "physical_cap",
     "batches_replayed",
     "peak_rss_gib", "objective", "recommendation_seconds", "generate_seconds",
+    "generate_peak_rss_gib",
     "server_p50_le", "server_p99_le", "queue_wait_mean", "service_time_mean",
     "obs_overhead", "faults_overhead",
     "availability", "replica_kills", "respawns", "respawn_failures",
