@@ -67,7 +67,7 @@ from __future__ import annotations
 import heapq
 from abc import ABC, abstractmethod
 from collections.abc import Callable, Sequence
-from dataclasses import dataclass
+from dataclasses import dataclass, replace
 from typing import Any
 
 import numpy as np
@@ -134,34 +134,62 @@ class FormationPlan:
 
     The selected groups are flat segments, the format bucketing and
     merging already use: group ``g`` is
-    ``member_ids[offsets[g]:offsets[g + 1]]``.
+    ``member_ids[offsets[g]:offsets[g + 1]]``.  User ids index the tables
+    the plan was formed on; :meth:`remapped` carries a plan formed on a
+    restricted index over to the ids of the full store.
 
     Attributes
     ----------
     member_ids:
         ``int64`` members of the greedily selected intermediate groups,
-        best group first, each group's members contiguous and ascending.
+        best group first, each group's members contiguous and in
+        ascending table order.
     offsets:
         ``(n_selected + 1,)`` segment boundaries into ``member_ids``.
     reps:
         ``(n_selected,)`` representative user of each selected group; its
         top-k row is the group's recommended list.
     remaining_users:
-        Ascending ``int64`` user indices merged into the left-over ℓ-th
-        group (empty when every intermediate group was selected).
+        ``int64`` users merged into the left-over ℓ-th group, in ascending
+        table order (empty when every intermediate group was selected).
+    remaining_values:
+        Personal top-k contribution of each of ``remaining_users`` (used
+        for the left-over group's pseudocode score).
     n_intermediate_groups:
         Number of distinct bucket keys found in step 1.
-    user_values:
-        Maps an array of user indices to the array of their personal top-k
-        contributions (used for the left-over group's pseudocode score).
+    n_users:
+        Number of users the plan partitions; budget filling forms at most
+        this many groups.
     """
 
     member_ids: np.ndarray
     offsets: np.ndarray
     reps: np.ndarray
     remaining_users: np.ndarray
+    remaining_values: np.ndarray
     n_intermediate_groups: int
-    user_values: Callable[[np.ndarray], np.ndarray]
+    n_users: int
+
+    def remapped(self, users: np.ndarray) -> "FormationPlan":
+        """This plan with every table-row id ``u`` replaced by ``users[u]``.
+
+        One fancy index per id array; segment order and the member order
+        inside each segment are kept, so a store scoring the remapped
+        groups gathers their rows in the order the restricted tables gave
+        them, and sums round exactly as on the gathered rows.
+
+        Parameters
+        ----------
+        users:
+            ``int64`` global id of each row of the tables the plan was
+            formed on.
+        """
+        return replace(
+            self,
+            member_ids=users[self.member_ids],
+            reps=users[self.reps],
+            remaining_users=users[self.remaining_users],
+        )
 
 
 class FormationBackend(ABC):
@@ -265,11 +293,6 @@ class ReferenceBackend(FormationBackend):
         offsets = np.zeros(len(selected) + 1, dtype=np.int64)
         np.cumsum([len(members) for members in selected], out=offsets[1:])
 
-        def user_values(users: Sequence[int]) -> np.ndarray:
-            return np.array(
-                [variant.user_value_fn(scores_table[user]) for user in users]
-            )
-
         return FormationPlan(
             member_ids=np.array(
                 [user for members in selected for user in members], dtype=np.int64
@@ -277,8 +300,11 @@ class ReferenceBackend(FormationBackend):
             offsets=offsets,
             reps=np.array([bucket_rep[key] for key in selected_keys], dtype=np.int64),
             remaining_users=np.array(remaining_users, dtype=np.int64),
+            remaining_values=np.array(
+                [variant.user_value_fn(scores_table[user]) for user in remaining_users]
+            ),
             n_intermediate_groups=len(buckets),
-            user_values=user_values,
+            n_users=n_users,
         )
 
 
@@ -423,8 +449,11 @@ def finalise_plan(
     Parameters
     ----------
     store:
-        Rating storage used to score groups.  The selected groups are
-        scored together by one
+        Rating storage used to score groups, indexed by the plan's user
+        ids: the store the plan was formed on, or the full store for a
+        :meth:`FormationPlan.remapped` subset plan (the group budget is
+        capped at ``plan.n_users``, never the store's size).  The
+        selected groups are scored together by one
         :meth:`~repro.recsys.store.RatingStore.segment_item_scores` call
         (only their ``(members, k)`` cells are read); the left-over group
         is scored by :meth:`~repro.recsys.store.RatingStore.item_scores`.
@@ -452,7 +481,6 @@ def finalise_plan(
     GroupFormationResult
         The fully scored formation outcome.
     """
-    n_users = store.shape[0]
     # Dense stores score through the raw array — the exact historical path.
     values_or_store: Any = store.values if isinstance(store, DenseStore) else store
     items_rows = np.asarray(selected_items_rows, dtype=np.int64).reshape(-1, k)
@@ -489,7 +517,7 @@ def finalise_plan(
         # satisfaction, so this step only helps.
         remaining = plan.remaining_users
         if not remaining.size:
-            target_groups = min(max_groups, n_users)
+            target_groups = min(max_groups, plan.n_users)
             while len(groups) < target_groups:
                 splittable = [i for i, g in enumerate(groups) if g.size > 1]
                 if not splittable:
@@ -529,7 +557,7 @@ def finalise_plan(
             # The score Algorithm 1 (line 18) would assign: aggregate
             # each remaining user's *personal* top-k scores, then combine
             # per the semantics (min across users for LM, sum for AV).
-            personal = plan.user_values(remaining)
+            personal = plan.remaining_values
             if variant.semantics is Semantics.LEAST_MISERY:
                 last_group_pseudocode_score = float(personal.min())
             else:

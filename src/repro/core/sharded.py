@@ -316,13 +316,15 @@ def plan_from_summaries(
     selected_mask = np.zeros(n_users, dtype=bool)
     selected_mask[selected_ids] = True
 
+    remaining = np.flatnonzero(~selected_mask)
     plan = FormationPlan(
         member_ids=selected_ids,
         offsets=selected_offsets,
         reps=reps[chosen],
-        remaining_users=np.flatnonzero(~selected_mask),
+        remaining_users=remaining,
+        remaining_values=contributions[remaining],
         n_intermediate_groups=int(n_buckets),
-        user_values=lambda users: contributions[np.asarray(users, dtype=np.int64)],
+        n_users=n_users,
     )
     return plan, items_rows[chosen]
 

@@ -49,6 +49,8 @@ import time
 from typing import TYPE_CHECKING, Any
 from urllib.parse import parse_qs
 
+import numpy as np
+
 from repro.core.errors import ReproError
 from repro.faults import check as fault_check
 from repro.faults import execute as fault_execute
@@ -153,6 +155,39 @@ def _error_payload(status: int, message: str, code: str | None = None) -> dict:
             "message": message,
         }
     }
+
+
+def _int_field(body: dict[str, Any], name: str, default: int) -> int:
+    """The JSON integer ``body[name]`` (``default`` when absent).
+
+    Floats, strings and booleans are rejected rather than truncated:
+    ``2.7`` must not run as ``2``, nor ``true`` as ``1``.
+    """
+    value = body.get(name, default)
+    if type(value) is not int:
+        raise _HTTPError(400, f"{name} must be an integer", code="validation")
+    return value
+
+
+def _user_ids_field(value: Any) -> np.ndarray | None:
+    """A ``user_ids`` body field as one ``int64`` array (``None`` stays ``None``).
+
+    Every element must be a JSON integer that fits 64 bits; anything else
+    (strings, ``null``, lists, floats, booleans) is a 400, never a
+    truncation or a 500.
+    """
+    if value is None:
+        return None
+    if not isinstance(value, list):
+        raise _HTTPError(400, "user_ids must be a list or null", code="validation")
+    if not set(map(type, value)) <= {int}:
+        raise _HTTPError(400, "user_ids must be a list of integers", code="validation")
+    try:
+        return np.array(value, dtype=np.int64)
+    except OverflowError:
+        raise _HTTPError(
+            400, "user_ids must be 64-bit integers", code="validation"
+        ) from None
 
 
 class _HTTPError(Exception):
@@ -803,24 +838,17 @@ class ServiceServer:
 
     async def _recommend(self, body: dict[str, Any]) -> dict[str, Any]:
         """Run (or join) one coalesced recommend computation."""
-        try:
-            k = int(body.get("k", 5))
-            max_groups = int(body.get("max_groups", 8))
-        except (TypeError, ValueError):
-            raise _HTTPError(400, "k and max_groups must be integers")
+        k = _int_field(body, "k", 5)
+        max_groups = _int_field(body, "max_groups", 8)
         semantics = str(body.get("semantics", "lm"))
         aggregation = str(body.get("aggregation", "min"))
-        user_ids = body.get("user_ids")
-        if user_ids is not None:
-            if not isinstance(user_ids, list):
-                raise _HTTPError(400, "user_ids must be a list or null")
-            user_ids = [int(u) for u in user_ids]
+        user_ids = _user_ids_field(body.get("user_ids"))
 
         loop = asyncio.get_running_loop()
         routed = self.pool is not None
         key = (
             k, max_groups, semantics, aggregation,
-            None if user_ids is None else tuple(user_ids),
+            None if user_ids is None else user_ids.tobytes(),
             self.pool.version if routed else self.service.version,
         )
         future = self._inflight.get(key)

@@ -48,10 +48,14 @@ from typing import Any
 
 import numpy as np
 
-from repro.core.engine import FormationEngine, get_backend
+# finalise_plan is looked up on the engine module at call time, so
+# wrappers installed on repro.core.engine (perfbench's tracer) also see
+# subset reads.
+from repro.core import engine
+from repro.core.engine import get_backend
 from repro.core.errors import GroupFormationError
 from repro.core.greedy_framework import GreedyVariant, make_variant, variant_token
-from repro.core.grouping import Group, GroupFormationResult
+from repro.core.grouping import GroupFormationResult
 from repro.core.sharded import (
     ShardSummary,
     form_from_summaries,
@@ -71,8 +75,9 @@ from repro.obs.registry import (
     MetricsRegistry,
 )
 from repro.obs.runtime import observed
-from repro.recsys.store import DenseStore, MutableRatingStore
+from repro.recsys.store import MutableRatingStore
 from repro.utils.arrays import sorted_unique
+from repro.utils.timing import Stopwatch
 from repro.utils.validation import require_positive_int
 
 __all__ = ["FormationService"]
@@ -144,7 +149,6 @@ class FormationService:
     ) -> None:
         self.metrics = metrics if metrics is not None else MetricsRegistry()
         self._backend = get_backend(backend)
-        self._engine = FormationEngine(self._backend)
         self._index = MutableTopKIndex(
             store, k_max, compaction_fraction=compaction_fraction, base=base_index
         )
@@ -435,9 +439,10 @@ class FormationService:
                 f"k={k} exceeds the service's k_max ({self._index.k_max})"
             )
         variant = make_variant(semantics, aggregation)
+        users = None if user_ids is None else np.asarray(user_ids, dtype=np.int64)
         with self._lock:
             self.metrics.inc(K_REQUESTS)
-            users_key = None if user_ids is None else tuple(int(u) for u in user_ids)
+            users_key = None if users is None else users.tobytes()
             key = (k, max_groups, variant_token(variant), users_key, self._index.version)
             cached = self._results.get(key)
             if cached is not None:
@@ -446,17 +451,16 @@ class FormationService:
                 return cached
 
             with observed("service.recommend", H_RECOMMEND, registry=self.metrics):
-                if users_key is None and not self._index.removed:
+                if users is None and not self._index.removed:
                     result = self._recommend_all(k, max_groups, variant)
-                else:
-                    explicit = users_key is not None
-                    users = (
-                        np.asarray(users_key, dtype=np.int64)
-                        if explicit
-                        else self._index.active_users()
-                    )
+                elif users is None:
                     result = self._recommend_subset(
-                        users, k, max_groups, variant, validate=explicit
+                        self._index.active_users(), k, max_groups, variant,
+                        validate=False,
+                    )
+                else:
+                    result = self._recommend_subset(
+                        users, k, max_groups, variant, validate=True
                     )
 
             self._results[key] = result
@@ -516,13 +520,22 @@ class FormationService:
     ) -> GroupFormationResult:
         """Form groups over an explicit user subset (request-sized path).
 
-        The subset's rows are gathered into a dense request-local store and
-        the index restricted with
-        :meth:`~repro.core.topk_index.TopKIndex.for_users`, so rankings are
-        never recomputed; group members are mapped back to global user
-        indices before the result is returned.
+        Steps 1–2 run on the index restricted with
+        :meth:`~repro.core.topk_index.TopKIndex.for_users` (table row ``i``
+        is user ``users[i]``, so rankings are never recomputed and the
+        order of ``users`` sets the tie-break).  The plan is mapped to
+        global ids with one fancy index
+        (:meth:`~repro.core.engine.FormationPlan.remapped`) and scored by
+        the shared :func:`~repro.core.engine.finalise_plan` on the
+        service's own store, which reads only the selected groups'
+        ``(members, k)`` cells and the left-over group's rows — the
+        subset's rows are never copied.  Members keep their order within
+        the restricted tables, so every score is bit-identical to the
+        engine run on the gathered rows.
         """
         if validate:
+            if users.ndim != 1:
+                raise GroupFormationError("user_ids must be a flat sequence")
             if users.size == 0:
                 raise GroupFormationError("recommend needs at least one user")
             if sorted_unique(users).size != users.size:
@@ -530,34 +543,23 @@ class FormationService:
             if users.min() < 0 or users.max() >= self._index.n_users:
                 raise GroupFormationError("user_ids out of range")
             removed = self._index.removed
-            if removed and any(int(u) in removed for u in users):
+            if removed and np.isin(users, list(removed)).any():
                 raise GroupFormationError("user_ids names removed users")
-        sub_store = DenseStore(
-            self.store.rows(users), scale=self.store.scale, validate=False
-        )
-        sub_index = self._index.for_users(users)
-        local = self._engine.run_variant(
-            sub_store, max_groups, k, variant, topk=sub_index
-        )
-        groups = [
-            Group(
-                members=tuple(int(users[m]) for m in group.members),
-                items=group.items,
-                item_scores=group.item_scores,
-                satisfaction=group.satisfaction,
-            )
-            for group in local.groups
-        ]
-        extras = dict(local.extras)
-        extras["service_version"] = self._index.version
-        extras["subset_size"] = int(users.size)
-        return GroupFormationResult(
-            groups=groups,
-            objective=local.objective,
-            algorithm=local.algorithm,
-            semantics=local.semantics,
-            aggregation=local.aggregation,
-            k=k,
-            max_groups=max_groups,
-            extras=extras,
+        watch = Stopwatch()
+        with watch.lap("formation"):
+            items_table, scores_table = self._index.for_users(users).top_k(k)
+            plan = self._backend.form(items_table, scores_table, variant, max_groups)
+        return engine.finalise_plan(
+            self.store,
+            plan.remapped(users),
+            items_table[plan.reps],
+            k,
+            variant,
+            max_groups,
+            watch,
+            self._backend.name,
+            extra_extras={
+                "service_version": self._index.version,
+                "subset_size": int(users.size),
+            },
         )

@@ -407,6 +407,36 @@ def test_duplicate_subset_user_ids_get_a_structured_400(server):
     assert status == 200
 
 
+@pytest.mark.parametrize(
+    "field",
+    [
+        {"user_ids": [1, "x"]},
+        {"user_ids": [1, None]},
+        {"user_ids": [[1], 2]},
+        {"user_ids": [2**70]},
+        {"user_ids": [1.5, 2]},
+        {"user_ids": [3, 1.0]},
+        {"user_ids": [True, 4]},
+        {"user_ids": "1,2"},
+        {"k": 2.7},
+        {"k": True},
+        {"k": "3"},
+        {"k": None},
+        {"max_groups": 3.5},
+        {"max_groups": False},
+        {"max_groups": [3]},
+    ],
+    ids=repr,
+)
+def test_malformed_recommend_fields_get_a_structured_400(server, field):
+    srv, _ = server
+    body = {"k": 2, "max_groups": 3, "user_ids": [3, 1, 5], **field}
+    status, payload = request(srv, "/v1/recommend", body)
+    assert status == 400
+    assert payload["error"]["code"] == "validation"
+    assert next(iter(field)) in payload["error"]["message"]
+
+
 def test_errors_are_structured_payloads(server):
     srv, _ = server
     status, payload = request(srv, "/nope")

@@ -21,9 +21,24 @@ SEMANTICS = ("lm", "av")
 AGGREGATIONS = ("min", "sum")
 
 
-def make_instance(store_kind: str, n_users: int = 48, n_items: int = 12, seed: int = 0):
+def make_instance(
+    store_kind: str,
+    n_users: int = 48,
+    n_items: int = 12,
+    seed: int = 0,
+    fractional: bool = False,
+):
+    """``(store, shadow)``: two equal stores over integer ratings 1-4.
+
+    ``fractional`` adds one random decimal to every rating: AV sums then
+    depend on the order rows are added, and a sparse store's left-over
+    scoring takes the dense streaming path (its exactness gate refuses
+    them).
+    """
     rng = np.random.default_rng(seed)
     values = rng.integers(1, 5, size=(n_users, n_items)).astype(float)
+    if fractional:
+        values = np.round(values + rng.integers(0, 10, size=values.shape) / 10, 1)
     if store_kind == "dense":
         return DenseStore(values.copy()), DenseStore(values.copy())
     return (
@@ -113,18 +128,117 @@ def test_skipped_updates_keep_summaries_but_refresh_results():
     assert second.extras["shards_recycled"] == 2
 
 
-def test_subset_requests_match_engine_on_gathered_rows():
-    store, shadow = make_instance("dense")
+SUBSET = np.random.default_rng(5).choice(48, size=16, replace=False)
+ORDERS = {
+    "sorted": np.sort(SUBSET),
+    "shuffled": SUBSET,
+    "reversed": np.sort(SUBSET)[::-1],
+}
+
+
+@pytest.mark.parametrize("store_kind", ("dense", "sparse"))
+@pytest.mark.parametrize("values_kind", ("integer", "fractional"))
+@pytest.mark.parametrize("variant", (("lm", "min"), ("av", "sum")), ids=("lm", "av"))
+@pytest.mark.parametrize("order", sorted(ORDERS))
+@pytest.mark.parametrize("budget", ("leftover", "fill"))
+def test_subset_requests_match_engine_on_gathered_rows(
+    store_kind, values_kind, variant, order, budget
+):
+    """Subset reads equal the reference backend on the gathered rows, bit for bit.
+
+    ``budget="fill"`` asks for more groups than the subset has users, so
+    every intermediate group is selected and budget filling splits them.
+    """
+    store, shadow = make_instance(store_kind, seed=3, fractional=values_kind == "fractional")
     service = FormationService(store, k_max=4, shards=4)
-    engine = FormationEngine("numpy")
-    subset = [7, 3, 21, 40, 11, 30]
-    got = service.recommend(k=2, max_groups=3, user_ids=subset)
-    want = engine.run(DenseStore(shadow.rows(subset)), 3, 2, "lm", "min")
-    assert got.objective == want.objective
-    assert [g.members for g in got.groups] == [
-        tuple(subset[m] for m in g.members) for g in want.groups
-    ]
-    assert [g.items for g in got.groups] == [g.items for g in want.groups]
+    subset = [int(u) for u in ORDERS[order]]
+    semantics, aggregation = variant
+    max_groups = 5 if budget == "leftover" else len(subset) + 2
+    for k in (1, 2):
+        got = service.recommend(
+            k=k, max_groups=max_groups, semantics=semantics,
+            aggregation=aggregation, user_ids=subset,
+        )
+        want = FormationEngine("reference").run(
+            DenseStore(shadow.rows(subset)), max_groups, k, semantics, aggregation
+        )
+        context = (k, budget)
+        assert got.objective == want.objective, context
+        assert len(got.groups) == len(want.groups), context
+        for got_group, want_group in zip(got.groups, want.groups):
+            assert got_group.members == tuple(
+                subset[m] for m in want_group.members
+            ), context
+            assert got_group.items == want_group.items, context
+            assert got_group.item_scores == want_group.item_scores, context
+            assert got_group.satisfaction == want_group.satisfaction, context
+        for key in ("last_group_pseudocode_score", "n_intermediate_groups"):
+            assert got.extras[key] == want.extras[key], (key, context)
+        if budget == "fill":
+            assert got.extras["last_group_pseudocode_score"] is None
+            assert len(got.groups) == len(subset)
+
+
+@pytest.fixture()
+def densified_rows(monkeypatch):
+    """Count the store rows densified or gathered whole, outermost calls only."""
+    counter = {"rows": 0, "depth": 0}
+
+    def counting(method, n_rows):
+        def wrapper(self, arg):
+            counter["depth"] += 1
+            try:
+                if counter["depth"] == 1:
+                    counter["rows"] += n_rows(arg)
+                return method(self, arg)
+            finally:
+                counter["depth"] -= 1
+
+        return wrapper
+
+    monkeypatch.setattr(DenseStore, "rows", counting(DenseStore.rows, len))
+    monkeypatch.setattr(SparseStore, "rows", counting(SparseStore.rows, len))
+    monkeypatch.setattr(
+        SparseStore, "_densify",
+        counting(SparseStore._densify, lambda csr: csr.shape[0]),
+    )
+    return counter
+
+
+def leftover_size(result) -> int:
+    """Size of the left-over group (0 when budget filling left none)."""
+    if result.extras["last_group_pseudocode_score"] is None:
+        return 0
+    return result.groups[-1].size
+
+
+@pytest.mark.parametrize("store_kind", ("dense", "sparse"))
+@pytest.mark.parametrize("values_kind", ("integer", "fractional"))
+@pytest.mark.parametrize("variant", (("lm", "min"), ("av", "sum")), ids=("lm", "av"))
+def test_subset_reads_never_densify_the_whole_subset(
+    densified_rows, store_kind, values_kind, variant
+):
+    store, _ = make_instance(store_kind, seed=3, fractional=values_kind == "fractional")
+    service = FormationService(store, k_max=4, shards=4)
+    semantics, aggregation = variant
+    subset = [int(u) for u in ORDERS["shuffled"]]
+    densified_rows["rows"] = 0
+    result = service.recommend(
+        k=2, max_groups=5, semantics=semantics, aggregation=aggregation,
+        user_ids=subset,
+    )
+    assert leftover_size(result) > 0
+    assert densified_rows["rows"] <= leftover_size(result)
+
+    # A full read after a removal forms over the active users the same way.
+    service.apply_updates(remove_users=[0, 7, 31])
+    densified_rows["rows"] = 0
+    result = service.recommend(
+        k=2, max_groups=5, semantics=semantics, aggregation=aggregation
+    )
+    assert result.extras["subset_size"] == 45
+    assert leftover_size(result) > 0
+    assert densified_rows["rows"] <= leftover_size(result)
 
 
 def test_subset_request_validation():
@@ -136,6 +250,8 @@ def test_subset_request_validation():
         service.recommend(k=2, max_groups=3, user_ids=[1, 1])
     with pytest.raises(GroupFormationError):
         service.recommend(k=2, max_groups=3, user_ids=[999])
+    with pytest.raises(GroupFormationError):
+        service.recommend(k=2, max_groups=3, user_ids=[[1, 2]])
     with pytest.raises(GroupFormationError):
         service.recommend(k=99, max_groups=3)
 
