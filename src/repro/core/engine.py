@@ -81,7 +81,7 @@ from repro.core.greedy_framework import (
     variant_token,
 )
 from repro.core.group_recommender import group_satisfaction
-from repro.core.grouping import Group, GroupFormationResult, build_group
+from repro.core.grouping import GroupFormationResult, build_group
 from repro.core.preferences import _top_k_table_sorted
 from repro.core.semantics import Semantics
 from repro.core.topk_index import TopKIndex
@@ -481,79 +481,35 @@ def finalise_plan(
     GroupFormationResult
         The fully scored formation outcome.
     """
-    # Dense stores score through the raw array — the exact historical path.
-    values_or_store: Any = store.values if isinstance(store, DenseStore) else store
     items_rows = np.asarray(selected_items_rows, dtype=np.int64).reshape(-1, k)
+    aggregate = variant.aggregation.aggregate
+    member_ids, offsets = plan.member_ids, plan.offsets
 
-    groups: list[Group] = []
     with watch.lap("recommendation"):
         # One vectorised reduction scores every selected group, each
         # bit-identical to build_group on its own.
         scores = store.segment_item_scores(
-            plan.member_ids, plan.offsets, items_rows, variant.semantics
+            member_ids, offsets, items_rows, variant.semantics
         )
-        member_ids, bounds = plan.member_ids.tolist(), plan.offsets.tolist()
-        for g, (items, item_scores) in enumerate(
-            zip(items_rows.tolist(), scores.tolist())
-        ):
-            item_scores = tuple(item_scores)
-            groups.append(
-                Group(
-                    members=tuple(member_ids[bounds[g]:bounds[g + 1]]),
-                    items=tuple(items),
-                    item_scores=item_scores,
-                    satisfaction=variant.aggregation.aggregate(item_scores),
-                )
-            )
+        satisfactions = [aggregate(row) for row in scores.tolist()]
 
-        # Budget filling: when every intermediate group was selected (no
-        # users remain for an ℓ-th group) and fewer than min(ℓ, n) groups
-        # exist, split homogeneous selected groups until the budget is
-        # used.  The paper observes that "Obj is maximized when all ℓ
-        # groups are formed" and Theorem 2's domination argument assumes
-        # ℓ greedy groups exist; because every member of a selected group
-        # shares the key the group was hashed on, splitting never lowers
-        # a group's LM satisfaction and preserves the summed AV
-        # satisfaction, so this step only helps.
         remaining = plan.remaining_users
         if not remaining.size:
-            target_groups = min(max_groups, plan.n_users)
-            while len(groups) < target_groups:
-                splittable = [i for i, g in enumerate(groups) if g.size > 1]
-                if not splittable:
-                    break
-                source_idx = max(splittable, key=lambda i: groups[i].satisfaction)
-                source = groups[source_idx]
-                groups[source_idx] = build_group(
-                    values_or_store,
-                    source.members[:-1],
-                    source.items,
-                    variant.semantics,
-                    variant.aggregation,
-                )
-                groups.append(
-                    build_group(
-                        values_or_store,
-                        source.members[-1:],
-                        source.items,
-                        variant.semantics,
-                        variant.aggregation,
-                    )
-                )
+            member_ids, offsets, items_rows, scores, satisfactions = _fill_budget(
+                store, member_ids, offsets, items_rows, scores, satisfactions,
+                min(max_groups, plan.n_users), variant,
+            )
 
         last_group_pseudocode_score = None
         if remaining.size:
-            items, scores, satisfaction = group_satisfaction(
-                values_or_store, remaining, k, variant.semantics, variant.aggregation
+            items, left_scores, satisfaction = group_satisfaction(
+                store, remaining, k, variant.semantics, variant.aggregation
             )
-            groups.append(
-                Group(
-                    members=tuple(remaining.tolist()),
-                    items=items,
-                    item_scores=scores,
-                    satisfaction=satisfaction,
-                )
-            )
+            member_ids = np.concatenate([member_ids, remaining])
+            offsets = np.append(offsets, member_ids.size)
+            items_rows = np.vstack([items_rows, [items]])
+            scores = np.vstack([scores, [left_scores]])
+            satisfactions.append(satisfaction)
             # The score Algorithm 1 (line 18) would assign: aggregate
             # each remaining user's *personal* top-k scores, then combine
             # per the semantics (min across users for LM, sum for AV).
@@ -563,7 +519,6 @@ def finalise_plan(
             else:
                 last_group_pseudocode_score = float(personal.sum())
 
-    objective = float(sum(group.satisfaction for group in groups))
     extras = {
         "n_intermediate_groups": plan.n_intermediate_groups,
         "last_group_pseudocode_score": last_group_pseudocode_score,
@@ -573,15 +528,84 @@ def finalise_plan(
     }
     if extra_extras:
         extras.update(extra_extras)
-    return GroupFormationResult(
-        groups=groups,
-        objective=objective,
+    return GroupFormationResult.from_segments(
+        member_ids,
+        offsets,
+        items_rows,
+        scores,
+        satisfactions,
         algorithm=variant.name,
         semantics=variant.semantics,
         aggregation=variant.aggregation,
         k=k,
         max_groups=max_groups,
         extras=extras,
+    )
+
+
+def _fill_budget(
+    store: RatingStore,
+    member_ids: np.ndarray,
+    offsets: np.ndarray,
+    items_rows: np.ndarray,
+    scores: np.ndarray,
+    satisfactions: list[float],
+    target_groups: int,
+    variant: GreedyVariant,
+) -> tuple[np.ndarray, np.ndarray, np.ndarray, np.ndarray, list[float]]:
+    """Split selected groups until ``target_groups`` groups exist.
+
+    Runs when every intermediate group was selected (no users remain for
+    an ℓ-th group) and fewer than ``min(ℓ, n)`` groups exist.  The paper
+    observes that "Obj is maximized when all ℓ groups are formed" and
+    Theorem 2's domination argument assumes ℓ greedy groups exist;
+    because every member of a selected group shares the key the group
+    was hashed on, splitting never lowers a group's LM satisfaction and
+    preserves the summed AV satisfaction, so this step only helps.  Each
+    split takes the most satisfied splittable group, keeps all but its
+    last member in place and appends the last member as a new group on
+    the same list, both rescored by :func:`build_group`.
+
+    Returns
+    -------
+    tuple
+        The new ``(member_ids, offsets, items_rows, scores,
+        satisfactions)``; the inputs themselves when nothing splits.
+    """
+    if len(satisfactions) >= target_groups:
+        return member_ids, offsets, items_rows, scores, satisfactions
+    bounds = offsets.tolist()
+    groups = [
+        [members, items, group_scores, satisfaction]
+        for members, items, group_scores, satisfaction in zip(
+            [member_ids[lo:hi].tolist() for lo, hi in zip(bounds, bounds[1:])],
+            items_rows.tolist(), scores.tolist(), satisfactions,
+        )
+    ]
+    while len(groups) < target_groups:
+        splittable = [i for i, group in enumerate(groups) if len(group[0]) > 1]
+        if not splittable:
+            break
+        source = groups[max(splittable, key=lambda i: groups[i][3])]
+        members, items = source[0], source[1]
+        for part, slot in ((members[:-1], source), (members[-1:], None)):
+            scored = build_group(
+                store, part, items, variant.semantics, variant.aggregation
+            )
+            rescored = [part, items, list(scored.item_scores), scored.satisfaction]
+            if slot is None:
+                groups.append(rescored)
+            else:
+                slot[:] = rescored
+    sizes = [len(group[0]) for group in groups]
+    offsets = np.zeros(len(groups) + 1, dtype=np.int64)
+    np.cumsum(sizes, out=offsets[1:])
+    return (
+        np.array([user for group in groups for user in group[0]], dtype=np.int64),
+        offsets,
+        np.array([group[1] for group in groups], dtype=np.int64),
+        np.array([group[2] for group in groups], dtype=np.float64),
+        [group[3] for group in groups],
     )
 
 

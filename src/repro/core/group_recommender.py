@@ -10,8 +10,10 @@ baselines and the exact solvers.
 
 Ratings may be a dense array or a :class:`~repro.recsys.store.RatingStore`,
 which scores a group itself (``store.item_scores(members, semantics)``).  A
-sparse CSR store never densifies the left-over group: one column-reduce
-pass over the members' stored entries
+dense store reduces the members' rows in place
+(:func:`repro.core.kernels.dense_item_scores`), without the row copy and
+NaN pass of the array path.  A sparse CSR store never densifies the
+left-over group: one column-reduce pass over the members' stored entries
 (:func:`repro.core.kernels.csr_item_scores`) — LM-min is the minimum of
 the stored values, folded with the fill where a member lacks the item;
 AV-sum is the stored sum plus ``fill x`` the members lacking it.  The
@@ -61,9 +63,9 @@ def group_item_scores(
     names.  ``values`` may also be a :class:`~repro.recsys.store.RatingStore`,
     which scores the group itself
     (:meth:`~repro.recsys.store.RatingStore.item_scores`): a dense store
-    reduces densified member-row chunks, a sparse CSR store reduces the
-    members' stored entries directly, so even a million-user left-over group
-    never materialises the full matrix.
+    reduces the members' rows of its array in place, a sparse CSR store
+    reduces the members' stored entries directly, so even a million-user
+    left-over group never materialises the full matrix.
     """
     semantics = get_semantics(semantics)
     members = np.asarray(members, dtype=int)

@@ -14,6 +14,7 @@ from __future__ import annotations
 
 from collections.abc import Iterable, Sequence
 from dataclasses import dataclass, field
+from functools import cached_property
 from typing import TYPE_CHECKING, Any
 
 import numpy as np
@@ -73,18 +74,38 @@ class Group:
         }
 
 
-@dataclass
+@dataclass(eq=False)
 class GroupFormationResult:
     """The outcome of running a group-formation algorithm on an instance.
 
+    Groups are stored as flat segments, the format formation and scoring
+    already use: group ``g`` is ``member_ids[offsets[g]:offsets[g + 1]]``
+    with the list ``items[g]``, its scores ``item_scores[g]`` and the
+    satisfaction ``satisfactions[g]``.  :meth:`as_dict` (the
+    ``/v1/recommend`` body) is built straight from these arrays;
+    :attr:`groups` derives :class:`Group` objects from them for library
+    callers.  Results compare by identity (the ``==`` of numpy arrays is
+    elementwise); compare fields to test equality.
+
     Attributes
     ----------
-    groups:
-        The formed groups (at most ``max_groups`` of them), each a
-        :class:`Group`.
+    member_ids:
+        ``int64`` members of every group, group after group.
+    offsets:
+        ``(n_groups + 1,)`` ``int64`` segment boundaries into
+        ``member_ids``.
+    items:
+        ``(n_groups, k)`` ``int64`` top-k item indices recommended to each
+        group, best first.
+    item_scores:
+        ``(n_groups, k)`` float64 group preference scores (under the
+        result's semantics) of ``items``.
+    satisfactions:
+        ``(n_groups,)`` float64 aggregated satisfaction ``gs(I^k_g)`` of
+        each group with its list.
     objective:
-        ``sum(g.satisfaction for g in groups)`` — the quantity maximised by
-        the paper's optimisation problem.
+        ``sum(satisfactions)``, added as Python floats in group order —
+        the quantity maximised by the paper's optimisation problem.
     algorithm:
         Human-readable algorithm name, e.g. ``"GRD-LM-MIN"`` or
         ``"Baseline-AV-SUM"``.
@@ -101,7 +122,11 @@ class GroupFormationResult:
         pseudocode score of the left-over group, solver gap, ...).
     """
 
-    groups: list[Group]
+    member_ids: np.ndarray
+    offsets: np.ndarray
+    items: np.ndarray
+    item_scores: np.ndarray
+    satisfactions: np.ndarray
     objective: float
     algorithm: str
     semantics: Semantics
@@ -110,20 +135,80 @@ class GroupFormationResult:
     max_groups: int
     extras: dict[str, Any] = field(default_factory=dict)
 
+    @classmethod
+    def from_segments(
+        cls,
+        member_ids: np.ndarray,
+        offsets: np.ndarray,
+        items: "np.ndarray | Sequence[Sequence[int]]",
+        item_scores: "np.ndarray | Sequence[Sequence[float]]",
+        satisfactions: Sequence[float],
+        **fields: Any,
+    ) -> "GroupFormationResult":
+        """Build a result from group segments; ``objective`` is derived.
+
+        Parameters
+        ----------
+        member_ids, offsets:
+            The group segments (see the class attributes).
+        items, item_scores:
+            Each group's list and its scores, one row per group.
+        satisfactions:
+            Each group's satisfaction, as Python floats in group order;
+            ``objective`` is their built-in ``sum``, whose left-to-right
+            additions a numpy sum would reassociate.
+        **fields:
+            The remaining attributes (``algorithm``, ``semantics``,
+            ``aggregation``, ``k``, ``max_groups``, ``extras``).
+        """
+        k = fields["k"]
+        return cls(
+            member_ids=np.asarray(member_ids, dtype=np.int64),
+            offsets=np.asarray(offsets, dtype=np.int64),
+            items=np.asarray(items, dtype=np.int64).reshape(-1, k),
+            item_scores=np.asarray(item_scores, dtype=np.float64).reshape(-1, k),
+            satisfactions=np.asarray(satisfactions, dtype=np.float64),
+            objective=float(sum(satisfactions)),
+            **fields,
+        )
+
+    @cached_property
+    def groups(self) -> list[Group]:
+        """The formed groups as :class:`Group` objects (derived, cached).
+
+        Built once per result from the segment arrays.  Concurrent first
+        readers may each build the list, but every reader gets a complete
+        one: it is published only after it is built.
+        """
+        members = self.member_ids.tolist()
+        bounds = self.offsets.tolist()
+        return [
+            Group(
+                members=tuple(members[lo:hi]),
+                items=tuple(items),
+                item_scores=tuple(scores),
+                satisfaction=satisfaction,
+            )
+            for lo, hi, items, scores, satisfaction in zip(
+                bounds, bounds[1:], self.items.tolist(),
+                self.item_scores.tolist(), self.satisfactions.tolist(),
+            )
+        ]
+
     @property
     def n_groups(self) -> int:
         """Number of groups actually formed."""
-        return len(self.groups)
+        return self.offsets.size - 1
 
     @property
     def group_sizes(self) -> list[int]:
         """Sizes of the formed groups, in formation order."""
-        return [group.size for group in self.groups]
+        return np.diff(self.offsets).tolist()
 
     @property
     def n_users(self) -> int:
         """Total number of users covered by the grouping."""
-        return sum(self.group_sizes)
+        return int(self.offsets[-1])
 
     def members_partition(self) -> list[tuple[int, ...]]:
         """The member tuples of every group (the raw partition)."""
@@ -131,19 +216,26 @@ class GroupFormationResult:
 
     def average_satisfaction(self) -> float:
         """Mean group satisfaction across the formed groups."""
-        if not self.groups:
+        if not self.n_groups:
             return 0.0
-        return self.objective / len(self.groups)
+        return self.objective / self.n_groups
 
     def group_of_user(self, user: int) -> int:
         """Index (within ``groups``) of the group containing ``user``."""
-        for idx, group in enumerate(self.groups):
-            if user in group.members:
-                return idx
-        raise KeyError(f"user {user} is not part of any group in this result")
+        found = np.flatnonzero(self.member_ids == user)
+        if not found.size:
+            raise KeyError(f"user {user} is not part of any group in this result")
+        return int(np.searchsorted(self.offsets, found[0], side="right")) - 1
 
     def as_dict(self) -> dict[str, Any]:
-        """Plain-dict view of the result (useful for JSON reporting)."""
+        """Plain-dict view of the result (useful for JSON reporting).
+
+        Built from the segment arrays with one ``tolist`` each; every
+        group dict carries ``members``, ``items``, ``item_scores``,
+        ``satisfaction`` and ``size`` (as :meth:`Group.as_dict`).
+        """
+        members = self.member_ids.tolist()
+        bounds = self.offsets.tolist()
         return {
             "algorithm": self.algorithm,
             "semantics": self.semantics.value,
@@ -152,7 +244,19 @@ class GroupFormationResult:
             "max_groups": self.max_groups,
             "objective": self.objective,
             "n_groups": self.n_groups,
-            "groups": [group.as_dict() for group in self.groups],
+            "groups": [
+                {
+                    "members": members[lo:hi],
+                    "items": items,
+                    "item_scores": scores,
+                    "satisfaction": satisfaction,
+                    "size": hi - lo,
+                }
+                for lo, hi, items, scores, satisfaction in zip(
+                    bounds, bounds[1:], self.items.tolist(),
+                    self.item_scores.tolist(), self.satisfactions.tolist(),
+                )
+            ],
             "extras": dict(self.extras),
         }
 
@@ -301,27 +405,22 @@ def evaluate_partition(
     semantics = get_semantics(semantics)
     aggregation = get_aggregation(aggregation)
     blocks = validate_partition(partition, values.shape[0], max_groups)
-    groups: list[Group] = []
-    for members in blocks:
-        items, scores, satisfaction = group_satisfaction(
-            values, members, k, semantics, aggregation
-        )
-        groups.append(
-            Group(
-                members=members,
-                items=items,
-                item_scores=scores,
-                satisfaction=satisfaction,
-            )
-        )
-    objective = float(sum(group.satisfaction for group in groups))
-    return GroupFormationResult(
-        groups=groups,
-        objective=objective,
+    scored = [
+        group_satisfaction(values, members, k, semantics, aggregation)
+        for members in blocks
+    ]
+    offsets = np.zeros(len(blocks) + 1, dtype=np.int64)
+    np.cumsum([len(members) for members in blocks], out=offsets[1:])
+    return GroupFormationResult.from_segments(
+        [user for members in blocks for user in members],
+        offsets,
+        [items for items, _, _ in scored],
+        [scores for _, scores, _ in scored],
+        [satisfaction for _, _, satisfaction in scored],
         algorithm=algorithm,
         semantics=semantics,
         aggregation=aggregation,
         k=k,
-        max_groups=max_groups if max_groups is not None else len(groups),
+        max_groups=max_groups if max_groups is not None else len(blocks),
         extras=dict(extras or {}),
     )

@@ -38,13 +38,16 @@ and falls back to a numpy kernel otherwise.  It is bit-identical to
 
 **Group scoring** (step 3) has two kernels, both behind an exactness gate
 that admits only inputs whose reduction order cannot change a bit (no
-``-0.0``; for AV sums, integer values bounded by ``2**53``):
-:func:`csr_item_scores` reduces the left-over group's CSR rows in place
-(compiled, numpy fallback), and :func:`segment_scores` reduces every
-selected group at once over flat ``(member_ids, offsets)`` segments.
+``-0.0``; for AV sums, integer values bounded by ``2**53``): the compiled
+column reduce scores the left-over group in place, from a sparse store's
+CSR rows (:func:`csr_item_scores`, numpy fallback) or a dense store's
+array rows (:func:`dense_item_scores`), and :func:`segment_scores`
+reduces every selected group at once over flat ``(member_ids, offsets)``
+segments.
 
-``tests/core/test_kernels.py`` and ``tests/core/test_segment_scoring.py``
-check every path against the specifications.
+``tests/core/test_kernels.py``, ``tests/core/test_segment_scoring.py`` and
+``tests/core/test_dense_scoring.py`` check every path against the
+specifications.
 
 Inputs are assumed NaN-free (every rating store validates completeness);
 ``±inf`` is handled exactly by the compiled and partition-select paths,
@@ -81,6 +84,7 @@ __all__ = [
     "csr_cells",
     "csr_item_scores",
     "csr_top_k_table",
+    "dense_item_scores",
     "fingerprint_rows",
     "float_to_ordinal",
     "fused_fingerprint_rows",
@@ -103,6 +107,10 @@ _scratch = threading.local()
 #: Explicit kernel thread count (``None`` = auto: the
 #: :data:`KERNEL_THREADS_ENV` environment variable, else the CPU count).
 _threads: int | None = None
+
+#: The CPU count, read once: ``os.cpu_count()`` costs tens of microseconds
+#: on some hosts, and every kernel call asks for its thread count.
+_CPU_COUNT = os.cpu_count() or 1
 
 #: Peak bytes of the reusable float64 scratch block (per thread); the numpy
 #: top-k kernel sizes its row blocks so one block fits in cache and the
@@ -174,7 +182,7 @@ def get_kernel_threads() -> int:
                 f"{KERNEL_THREADS_ENV} must be a positive integer, got {env!r}"
             )
         return value
-    return os.cpu_count() or 1
+    return _CPU_COUNT
 
 
 def set_kernel_threads(n: int | None) -> int | None:
@@ -664,8 +672,7 @@ def _csr_column_reduce_numpy(
 
     Gathers the members' rows and reduces them per item with ``bincount``
     / ``np.minimum.at``; same contract as
-    :meth:`repro.core.kernels_cc.CompiledCsrKernels.column_reduce`, except
-    that AV sums come back as (exact) float64.
+    :meth:`repro.core.kernels_cc.CompiledCsrKernels.column_reduce`.
     """
     gathered = csr[members]
     values, items = gathered.data, gathered.indices
@@ -686,6 +693,20 @@ def _csr_column_reduce_numpy(
     return counts, np.bincount(items, weights=values, minlength=n_items)
 
 
+def _score_members(members: np.ndarray, n_rows: int) -> np.ndarray:
+    """``members`` as a non-empty ``int64`` array of row ids in ``[0, n_rows)``.
+
+    Checked before any kernel reads a row: the compiled kernel has no
+    bounds check.
+    """
+    members = np.asarray(members, dtype=np.int64).ravel()
+    if members.size == 0:
+        raise GroupFormationError("cannot score items for an empty group")
+    if members.min() < 0 or members.max() >= n_rows:
+        raise GroupFormationError(f"group member ids must lie in [0, {n_rows})")
+    return members
+
+
 def csr_item_scores(
     csr, members: np.ndarray, fill: float, semantics: Semantics
 ) -> np.ndarray | None:
@@ -704,8 +725,7 @@ def csr_item_scores(
     no ``-0.0`` among the stored values and the fill (signed zeros make
     ``min`` order-dependent).  AV additionally needs every value and the
     fill integer-valued with ``max|v| * len(members) <= 2**53``, where
-    float64 sums are exact in any order (the compiled kernel sums in int64
-    and converts once).
+    float64 sums are exact in any order.
 
     Parameters
     ----------
@@ -731,13 +751,7 @@ def csr_item_scores(
         When ``members`` is empty or holds an id outside ``[0, n_rows)``
         (checked before any kernel reads ``indptr``).
     """
-    members = np.asarray(members, dtype=np.int64).ravel()
-    if members.size == 0:
-        raise GroupFormationError("cannot score items for an empty group")
-    if members.min() < 0 or members.max() >= csr.shape[0]:
-        raise GroupFormationError(
-            f"group member ids must lie in [0, {csr.shape[0]})"
-        )
+    members = _score_members(members, csr.shape[0])
     least_misery = semantics is Semantics.LEAST_MISERY
     if _has_negative_zero(fill) or (
         not least_misery
@@ -763,7 +777,58 @@ def csr_item_scores(
             lacking = counts < members.size
             reduced[lacking] = np.minimum(reduced[lacking], fill)
             return reduced
-        return reduced.astype(np.float64) + fill * (members.size - counts)
+        return reduced + fill * (members.size - counts)
+
+
+def dense_item_scores(
+    values: np.ndarray, members: np.ndarray, semantics: Semantics
+) -> np.ndarray | None:
+    """Group score of every item for ``members``, reduced from dense rows.
+
+    The column reduce of :func:`csr_item_scores` with a dense row source:
+    the compiled kernel reads the members' rows of ``values`` in place (no
+    row copy) and reduces them per item, behind the same exactness gate
+    (no ``-0.0``; for AV integer values with ``max|v| * len(members) <=
+    2**53``), so the result equals
+    :meth:`~repro.core.semantics.Semantics.item_scores` bit for bit.
+
+    Parameters
+    ----------
+    values:
+        Complete ``(n_users, n_items)`` float64 rating array.
+    members:
+        Non-empty user (row) ids; duplicates count once per occurrence.
+    semantics:
+        :class:`~repro.core.semantics.Semantics` to reduce under.
+
+    Returns
+    -------
+    numpy.ndarray or None
+        ``(n_items,)`` float64 group scores, or ``None`` when the gate
+        fails, no compiled kernel is available, or ``values`` is not a
+        C-contiguous float64 array (the caller then runs the streaming
+        reduction).
+
+    Raises
+    ------
+    GroupFormationError
+        When ``members`` is empty or holds an id outside ``[0, n_users)``.
+    """
+    members = _score_members(members, values.shape[0])
+    backend = _load_parallel()
+    if (
+        backend is None
+        or values.dtype != np.float64
+        or not values.flags.c_contiguous
+    ):
+        return None
+    least_misery = semantics is Semantics.LEAST_MISERY
+    with observed("kernel.score", H_KERNEL_SCORE):
+        reduced = backend.column_reduce(
+            values, None, None, members, values.shape[1], least_misery,
+            get_kernel_threads(),
+        )
+    return None if reduced is None else reduced[1]
 
 
 def segment_scores(

@@ -15,15 +15,15 @@ Design constraints the C source honours:
   vectorisation choice can change a result.  The top-k selection
   reproduces the library tie-break (rating descending, item index
   ascending; ``-0.0 == +0.0`` under comparison, resolved by index).  The
-  CSR column reduce (group scoring) takes minima by comparison and sums
-  in ``int64``, and only where its gate holds (no ``-0.0``; for sums,
-  integer-valued values with ``max|v| * n_members <= 2**53``), so the
-  single ``float64`` conversion the caller does afterwards is exact.
+  column reduce (group scoring) takes minima by comparison and sums
+  only where its gate holds (no ``-0.0``; for sums, integer-valued values
+  with ``max|v| * n_members <= 2**53``), where every ``float64`` partial
+  sum is an exact integer, so summation order cannot change a bit.
 * **Thread-count independence.**  Rows are independent and the driver
   only partitions the row loop into contiguous chunks (a deterministic
   function of ``(n_rows, n_threads)``), so any thread count produces the
   same bytes.  The column reduce gives each chunk its own partial arrays
-  and merges them after the join; counts, ``int64`` sums and minima are
+  and merges them after the join; counts, exact sums and minima are
   order-independent.
 * **Fork safety.**  Threads are plain POSIX threads created per call and
   joined before the call returns — no persistent pool and no runtime
@@ -35,12 +35,15 @@ Design constraints the C source honours:
   the reason and the caller runs the numpy kernel.
 
 A second, separate library holds the CSR kernels (:func:`load_csr`): the
-top-k of :func:`repro.core.kernels.csr_top_k_table` and the column reduce
-of :func:`repro.core.kernels.csr_item_scores`.  It is built and loaded on
-the first call that ranks or scores a sparse store, so a dense-store
-process never builds or loads it.  It follows the same rules —
+top-k of :func:`repro.core.kernels.csr_top_k_table`.  It is built and
+loaded on the first call that ranks or scores a sparse store, so a
+dense-store process never builds or loads it.  It follows the same rules —
 row-parallel on the same thread loop, numpy fallback when no compiler
-works.
+works.  Both libraries carry the one column reduce (its C source is
+shared), reading its rows from CSR arrays
+(:func:`repro.core.kernels.csr_item_scores`) or from a dense array
+(:func:`repro.core.kernels.dense_item_scores`), so each store scores its
+left-over group with the library its ranking already loaded at boot.
 
 Compiled libraries are cached by source hash under
 ``$REPRO_KERNEL_CACHE`` (default: ``~/.cache/repro-kernels``), so a
@@ -84,6 +87,10 @@ _MAX_THREADS = 128
 #: Cap on the column reduce's per-chunk partial cells (chunks x items), so
 #: a wide catalogue runs on fewer threads instead of large partials.
 _SCORE_PARTIAL_ELEMENTS = 1 << 24
+
+#: Fewest dense cells per column-reduce chunk: starting a thread costs
+#: more than reducing a smaller chunk inline.
+_SCORE_MIN_CHUNK_CELLS = 1 << 17
 
 _THREADS_SOURCE = r"""
 #include <pthread.h>
@@ -158,8 +165,226 @@ static void run_rows(row_range_fn fn, void *ctx, int64_t n_rows,
 }
 """
 
-#: The dense library: per-row top-k.
-_SOURCE = _THREADS_SOURCE + r"""
+#: The column reduce (group scoring), part of both libraries so each store
+#: scores its left-over group with the library its ranking already loaded:
+#: a dense-store process never builds the CSR library, and a sparse-store
+#: process never builds the dense one.
+_REDUCE_SOURCE = r"""
+/* CSR index arrays are int32 or int64 (scipy picks per matrix); `wide`
+ * selects the width, so neither array is ever copied or converted. */
+static inline int64_t csr_index(const void *array, int32_t wide, int64_t i)
+{
+    return wide ? ((const int64_t *)array)[i] : (int64_t)((const int32_t *)array)[i];
+}
+
+/* Per-item column reduction of the member rows, read in place: LM minima
+ * (comparisons only) or AV sums, plus, for CSR rows, the stored-entry
+ * count per item.  Rows come from one of two sources: CSR arrays
+ * (`indptr` set; unstored cells are the caller's fill) or a dense
+ * row-major array of `n_items` cells per row (`indptr` NULL; every cell
+ * is stored, so no counts are kept).
+ *
+ * The exactness gate is checked in the same pass: no -0.0, and for AV
+ * every value integer-valued with |v| * n_members <= 2**53 (the caller
+ * checks the fill).  Under the gate every partial sum is an integer of
+ * magnitude <= 2**53, so each float64 addition is exact and the sums
+ * equal the float64 sum of any summation order.  Each chunk of the row
+ * loop owns one partial slice; exact sums, counts and minima are
+ * order-independent, so the merge after the join gives the same bytes
+ * for every thread count. */
+#define NEGATIVE_ZERO_BITS 0x8000000000000000ULL
+#define EXACT_INTEGER_LIMIT 9007199254740992.0 /* 2**53 */
+
+typedef struct {
+    const double *data;
+    const void *indices, *indptr;   /* indptr NULL: dense rows */
+    int32_t wide, lm;
+    const int64_t *rows;
+    int64_t n_rows, n_items, n_chunks;
+    double n_members;
+    int64_t *counts;   /* n_chunks x n_items, zero initialised (CSR only) */
+    double *acc;       /* n_chunks x n_items: +inf (LM) or zero (AV) */
+    int32_t *failed;   /* n_chunks */
+} score_ctx;
+
+static inline int is_negative_zero(double v)
+{
+    uint64_t bits;
+    memcpy(&bits, &v, sizeof bits);
+    return bits == NEGATIVE_ZERO_BITS;
+}
+
+/* The gate on one cell, checked exactly. */
+static inline int cell_is_exact(double v, int32_t lm, double n_members)
+{
+    if (is_negative_zero(v))
+        return 0;
+    if (lm)
+        return 1;
+    double magnitude = v < 0 ? -v : v;
+    return magnitude * n_members <= EXACT_INTEGER_LIMIT
+           && (double)(int64_t)v == v;
+}
+
+/* Fold one cell into its minimum (LM) or sum (AV). */
+static inline void fold_cell(double v, int32_t lm, double *acc)
+{
+    if (!lm)
+        *acc += v;
+    else if (v < *acc)
+        *acc = v;
+}
+
+/* Columns [from, n_items) of `m` dense rows, gate checked cell by cell;
+ * 0 when a cell fails it. */
+static int score_dense_cells(const score_ctx *c, const double *const *cells,
+                             int m, int64_t from, double *acc)
+{
+    for (int64_t j = from; j < c->n_items; ++j)
+        for (int r = 0; r < m; ++r) {
+            if (!cell_is_exact(cells[r][j], c->lm, c->n_members))
+                return 0;
+            fold_cell(cells[r][j], c->lm, acc + j);
+        }
+    return 1;
+}
+
+/* Four dense rows at once; 0 when a cell fails the gate.  With SSE2 the
+ * rows are folded two columns at a time (MINPD is the `v < low ? v : low`
+ * select; under the gate every sum is exact, so adding the four rows
+ * before the accumulator cannot change a bit) while a screen flags any
+ * cell that might fail the gate: a zero (it may be -0.0) and, for AV, a
+ * value that does not survive the int32 round trip (a fraction, or
+ * |v| >= 2**31, which the gate admits only below 2**53 / n_members).
+ * Only a block with a flagged cell is re-checked cell by cell.  Rows are
+ * read from DRAM at random, so each cache line of the next block's rows
+ * is prefetched while the same columns of this block are folded. */
+static int score_dense_block(const score_ctx *c, const int64_t *rows,
+                             int has_next, double *acc)
+{
+    const double *cells[4];
+    for (int r = 0; r < 4; ++r)
+        cells[r] = c->data + rows[r] * c->n_items;
+    int64_t j = 0;
+#if defined(__SSE2__)
+    const double *next[4];
+    for (int r = 0; r < 4; ++r)
+        next[r] = has_next ? c->data + rows[4 + r] * c->n_items : cells[r];
+    const double *a = cells[0], *b = cells[1], *d = cells[2], *e = cells[3];
+    __m128d zero = _mm_setzero_pd();
+    /* Integers below 2**31 pass |v| * n <= 2**53 for n <= 2**22; a
+     * larger AV group is always checked cell by cell. */
+    __m128d flagged = c->lm || c->n_members <= 4194304.0
+        ? zero : _mm_cmpeq_pd(zero, zero);
+    for (; j + 2 <= c->n_items; j += 2) {
+        if (!(j & 7))
+            for (int r = 0; r < 4; ++r)
+                _mm_prefetch((const char *)(next[r] + j), _MM_HINT_T0);
+        __m128d va = _mm_loadu_pd(a + j), vb = _mm_loadu_pd(b + j);
+        __m128d vd = _mm_loadu_pd(d + j), ve = _mm_loadu_pd(e + j);
+        flagged = _mm_or_pd(flagged, _mm_or_pd(
+            _mm_or_pd(_mm_cmpeq_pd(va, zero), _mm_cmpeq_pd(vb, zero)),
+            _mm_or_pd(_mm_cmpeq_pd(vd, zero), _mm_cmpeq_pd(ve, zero))));
+        __m128d folded = _mm_loadu_pd(acc + j);
+        if (c->lm) {
+            folded = _mm_min_pd(
+                _mm_min_pd(_mm_min_pd(va, vb), _mm_min_pd(vd, ve)), folded);
+        } else {
+#define ROUND_TRIP(v) _mm_cmpneq_pd(_mm_cvtepi32_pd(_mm_cvttpd_epi32(v)), (v))
+            flagged = _mm_or_pd(flagged, _mm_or_pd(
+                _mm_or_pd(ROUND_TRIP(va), ROUND_TRIP(vb)),
+                _mm_or_pd(ROUND_TRIP(vd), ROUND_TRIP(ve))));
+#undef ROUND_TRIP
+            folded = _mm_add_pd(
+                _mm_add_pd(_mm_add_pd(va, vb), _mm_add_pd(vd, ve)), folded);
+        }
+        _mm_storeu_pd(acc + j, folded);
+    }
+    if (_mm_movemask_pd(flagged))
+        for (int r = 0; r < 4; ++r)
+            for (int64_t i = 0; i < j; ++i)
+                if (!cell_is_exact(cells[r][i], c->lm, c->n_members))
+                    return 0;
+#else
+    (void)has_next;
+#endif
+    return score_dense_cells(c, cells, 4, j, acc);
+}
+
+/* One CSR row's stored entries; 0 when an entry fails the gate. */
+static int score_csr_row(const score_ctx *c, int64_t row, int64_t *count,
+                         double *acc)
+{
+    int64_t hi = csr_index(c->indptr, c->wide, row + 1);
+    for (int64_t p = csr_index(c->indptr, c->wide, row); p < hi; ++p) {
+        double v = c->data[p];
+        if (!cell_is_exact(v, c->lm, c->n_members))
+            return 0;
+        int64_t j = csr_index(c->indices, c->wide, p);
+        ++count[j];
+        fold_cell(v, c->lm, acc + j);
+    }
+    return 1;
+}
+
+static void score_range(void *vctx, int64_t start, int64_t stop)
+{
+    score_ctx *c = (score_ctx *)vctx;
+    /* run_rows' chunk i starts at n_rows * i / n_chunks; chunks are
+     * non-empty, so the start identifies the chunk. */
+    int64_t chunk = 0;
+    while (c->n_rows * chunk / c->n_chunks != start)
+        ++chunk;
+    int64_t offset = chunk * c->n_items;
+    double *acc = c->acc + offset;
+    int64_t r = start;
+    if (!c->indptr)
+        for (; r + 4 <= stop; r += 4)
+            if (!score_dense_block(c, c->rows + r, r + 8 <= stop, acc)) {
+                c->failed[chunk] = 1;
+                return;
+            }
+    for (; r < stop; ++r) {
+        const double *cells = c->data + c->rows[r] * c->n_items;
+        int ok = c->indptr
+            ? score_csr_row(c, c->rows[r], c->counts + offset, acc)
+            : score_dense_cells(c, &cells, 1, 0, acc);
+        if (!ok) {
+            c->failed[chunk] = 1;
+            return;
+        }
+    }
+}
+
+/* Returns 1 when the gate failed (outputs then undefined), else 0 with
+ * the merged counts and minima/sums in the first partial slice.
+ * `counts` is ignored (and may be NULL) for dense rows. */
+int32_t repro_column_reduce(const double *data, const void *indices,
+                            const void *indptr, int32_t wide,
+                            const int64_t *rows, int64_t n_rows,
+                            int64_t n_items, int32_t lm, int64_t *counts,
+                            double *acc, int32_t *failed, int32_t n_chunks)
+{
+    score_ctx ctx = {data, indices, indptr, wide, lm, rows, n_rows, n_items,
+                     n_chunks, (double)n_rows, counts, acc, failed};
+    run_rows(score_range, &ctx, n_rows, n_chunks);
+    for (int32_t t = 0; t < n_chunks; ++t)
+        if (failed[t])
+            return 1;
+    for (int32_t t = 1; t < n_chunks; ++t) {
+        const double *part = acc + (int64_t)t * n_items;
+        if (indptr)
+            for (int64_t j = 0; j < n_items; ++j)
+                counts[j] += counts[(int64_t)t * n_items + j];
+        for (int64_t j = 0; j < n_items; ++j)
+            fold_cell(part[j], lm, acc + j);
+    }
+    return 0;
+}
+"""
+
+#: The dense library: per-row top-k, plus the column reduce over dense rows.
+_SOURCE = _THREADS_SOURCE + _REDUCE_SOURCE + r"""
 /* Top-k of one row under the library tie-break: rating descending, item
  * index ascending.  The output buffer is kept sorted by (value desc,
  * index asc); a new item is inserted after every incumbent with an equal
@@ -286,16 +511,10 @@ void repro_topk_rows(const double *values, int64_t n_users, int64_t n_items,
 
 """
 
-#: The CSR library: per-row top-k straight from a SparseStore's arrays.  A
-#: separate library, so a dense-store process never builds or loads it.
-_CSR_SOURCE = _THREADS_SOURCE + r"""
-/* CSR index arrays are int32 or int64 (scipy picks per matrix); `wide`
- * selects the width, so neither array is ever copied or converted. */
-static inline int64_t csr_index(const void *array, int32_t wide, int64_t i)
-{
-    return wide ? ((const int64_t *)array)[i] : (int64_t)((const int32_t *)array)[i];
-}
-
+#: The CSR library: per-row top-k straight from a SparseStore's arrays, plus
+#: the column reduce over CSR rows.  A separate library, so a dense-store
+#: process never builds or loads it.
+_CSR_SOURCE = _THREADS_SOURCE + _REDUCE_SOURCE + r"""
 /* Insert (v, idx) into a buffer of `n` entries (capacity `cap`) kept
  * sorted by (value desc, index asc).  Candidates arrive in ascending index
  * order, so an equal value goes after the incumbents and a full buffer
@@ -400,103 +619,6 @@ void repro_csr_topk_rows(const double *data, const void *indices,
     run_rows(csr_range, &ctx, n_rows, n_threads);
 }
 
-/* Per-item column reduction of the member rows, read in place: the
- * stored-entry count plus either the LM minimum (comparisons only) or the
- * AV sum accumulated in int64.  The exactness gate is checked in the same
- * pass: no stored -0.0, and for AV every value integer-valued with
- * |v| * n_members <= 2**53 (the caller checks the fill), so the int64 sum
- * converts to the float64 sum of any summation order exactly.  Each
- * chunk of the row loop owns one partial slice; int64 sums, counts and
- * minima are order-independent, so the merge after the join gives the
- * same bytes for every thread count. */
-#define NEGATIVE_ZERO_BITS 0x8000000000000000ULL
-#define EXACT_INTEGER_LIMIT 9007199254740992.0 /* 2**53 */
-
-typedef struct {
-    const double *data;
-    const void *indices, *indptr;
-    int32_t wide, lm;
-    const int64_t *rows;
-    int64_t n_rows, n_items, n_chunks;
-    double n_members;
-    int64_t *counts;   /* n_chunks x n_items */
-    double *mins;      /* n_chunks x n_items, +inf initialised (LM only) */
-    int64_t *sums;     /* n_chunks x n_items, zero initialised (AV only) */
-    int32_t *failed;   /* n_chunks */
-} score_ctx;
-
-static void score_range(void *vctx, int64_t start, int64_t stop)
-{
-    score_ctx *c = (score_ctx *)vctx;
-    /* run_rows' chunk i starts at n_rows * i / n_chunks; chunks are
-     * non-empty, so the start identifies the chunk. */
-    int64_t chunk = 0;
-    while (c->n_rows * chunk / c->n_chunks != start)
-        ++chunk;
-    int64_t *count = c->counts + chunk * c->n_items;
-    double *low = c->lm ? c->mins + chunk * c->n_items : NULL;
-    int64_t *sum = c->lm ? NULL : c->sums + chunk * c->n_items;
-    for (int64_t r = start; r < stop; ++r) {
-        int64_t row = c->rows[r];
-        int64_t hi = csr_index(c->indptr, c->wide, row + 1);
-        for (int64_t p = csr_index(c->indptr, c->wide, row); p < hi; ++p) {
-            double v = c->data[p];
-            uint64_t bits;
-            memcpy(&bits, &v, sizeof bits);
-            if (bits == NEGATIVE_ZERO_BITS) {
-                c->failed[chunk] = 1;
-                return;
-            }
-            int64_t j = csr_index(c->indices, c->wide, p);
-            ++count[j];
-            if (c->lm) {
-                if (v < low[j])
-                    low[j] = v;
-                continue;
-            }
-            double magnitude = v < 0 ? -v : v;
-            if (!(magnitude * c->n_members <= EXACT_INTEGER_LIMIT)
-                || (double)(int64_t)v != v) {
-                c->failed[chunk] = 1;
-                return;
-            }
-            sum[j] += (int64_t)v;
-        }
-    }
-}
-
-/* Returns 1 when the gate failed (outputs then undefined), else 0 with
- * the merged count/min/sum in the first partial slice. */
-int32_t repro_csr_column_reduce(const double *data, const void *indices,
-                                const void *indptr, int32_t wide,
-                                const int64_t *rows, int64_t n_rows,
-                                int64_t n_items, int32_t lm,
-                                int64_t *counts, double *mins, int64_t *sums,
-                                int32_t *failed, int32_t n_chunks)
-{
-    score_ctx ctx = {data, indices, indptr, wide, lm, rows, n_rows, n_items,
-                     n_chunks, (double)n_rows, counts, mins, sums, failed};
-    run_rows(score_range, &ctx, n_rows, n_chunks);
-    for (int32_t t = 0; t < n_chunks; ++t)
-        if (failed[t])
-            return 1;
-    for (int32_t t = 1; t < n_chunks; ++t) {
-        const int64_t *count = counts + (int64_t)t * n_items;
-        for (int64_t j = 0; j < n_items; ++j)
-            counts[j] += count[j];
-        if (lm) {
-            const double *low = mins + (int64_t)t * n_items;
-            for (int64_t j = 0; j < n_items; ++j)
-                if (low[j] < mins[j])
-                    mins[j] = low[j];
-        } else {
-            const int64_t *sum = sums + (int64_t)t * n_items;
-            for (int64_t j = 0; j < n_items; ++j)
-                sums[j] += sum[j];
-        }
-    }
-    return 0;
-}
 """
 
 def _library_dir() -> Path:
@@ -565,7 +687,104 @@ def _compile(compiler: str, source: str, destination: Path) -> None:
         raise RuntimeError(f"compilation failed: {'; '.join(errors)}")
 
 
-class CompiledKernels:
+def _check_index_arrays(indices: np.ndarray, indptr: np.ndarray) -> None:
+    if indices.dtype != indptr.dtype or indices.dtype not in (np.int32, np.int64):
+        raise ValueError(
+            f"CSR index arrays must share int32 or int64, got "
+            f"{indices.dtype} and {indptr.dtype}"
+        )
+
+
+class _ColumnReduce:
+    """The column reduce every compiled library carries (``_REDUCE_SOURCE``).
+
+    Parameters
+    ----------
+    library:
+        The loaded :class:`ctypes.CDLL`.
+    """
+
+    def __init__(self, library: ctypes.CDLL) -> None:
+        self._lib = library
+        i64, i32 = ctypes.c_int64, ctypes.c_int32
+        # Raw addresses (``ndarray.ctypes.data``) for every array: a call
+        # scores one group per read, where building typed pointers would
+        # cost more than a small group's reduce.
+        void = ctypes.c_void_p
+        library.repro_column_reduce.restype = i32
+        library.repro_column_reduce.argtypes = [
+            void, void, void, i32, void, i64, i64, i32, void, void, void, i32,
+        ]
+
+    def column_reduce(
+        self,
+        data: np.ndarray,
+        indices: np.ndarray | None,
+        indptr: np.ndarray | None,
+        rows: np.ndarray,
+        n_items: int,
+        least_misery: bool,
+        n_threads: int,
+    ) -> tuple[np.ndarray | None, np.ndarray] | None:
+        """Per-item LM minimum / AV sum of matrix rows, read in place.
+
+        Parameters
+        ----------
+        data, indices, indptr:
+            Arrays of a CSR matrix (as in :meth:`CompiledCsrKernels.top_k`),
+            or a dense row source: a C-contiguous ``(n_rows, n_items)``
+            float64 matrix as ``data`` with ``indices`` and ``indptr``
+            ``None``, whose every cell is stored.
+        rows:
+            Non-empty ``int64`` row ids, every one in ``[0, n_rows)`` of the
+            matrix (the caller validates them: the kernel reads each row
+            without a bounds check).
+        n_items:
+            Column count of the matrix.
+        least_misery:
+            Reduce the minimum (LM) instead of the sum (AV).
+        n_threads:
+            Number of row chunks, each with its own partial arrays
+            (results are identical for every value).
+
+        Returns
+        -------
+        (counts, reduced) or None:
+            ``int64`` stored-entry counts per item (``None`` for dense
+            rows) and the float64 minima (``+inf`` where no entry is
+            stored) or exact sums; ``None`` when the exactness gate fails
+            (a ``-0.0``, or for AV a fractional value or
+            ``|v| * len(rows) > 2**53``).
+        """
+        dense = indptr is None
+        if not dense:
+            _check_index_arrays(indices, indptr)
+            indices = np.ascontiguousarray(indices)
+            indptr = np.ascontiguousarray(indptr)
+        data = np.ascontiguousarray(data, dtype=np.float64)
+        rows = np.ascontiguousarray(rows, dtype=np.int64)
+        chunks = max(1, min(int(n_threads), rows.size, _MAX_THREADS,
+                            _SCORE_PARTIAL_ELEMENTS // max(1, int(n_items))))
+        if dense:
+            chunks = max(1, min(chunks, rows.size * n_items // _SCORE_MIN_CHUNK_CELLS))
+        counts = None if dense else np.zeros((chunks, n_items), dtype=np.int64)
+        reduced = np.full((chunks, n_items), np.inf if least_misery else 0.0)
+        failed = np.zeros(chunks, dtype=np.int32)
+        status = self._lib.repro_column_reduce(
+            data.ctypes.data,
+            None if dense else indices.ctypes.data,
+            None if dense else indptr.ctypes.data,
+            int(not dense and indices.dtype == np.int64),
+            rows.ctypes.data, rows.size, int(n_items), int(least_misery),
+            None if dense else counts.ctypes.data,
+            reduced.ctypes.data, failed.ctypes.data, chunks,
+        )
+        if status:
+            return None
+        return (None if dense else counts[0]), reduced[0]
+
+
+class CompiledKernels(_ColumnReduce):
     """ctypes facade over the compiled top-k library.
 
     Wrapper methods validate/coerce array layouts once and hand raw
@@ -579,7 +798,7 @@ class CompiledKernels:
     """
 
     def __init__(self, library: ctypes.CDLL) -> None:
-        self._lib = library
+        super().__init__(library)
         i64, f64, i32 = ctypes.c_int64, ctypes.c_double, ctypes.c_int32
         p = ctypes.POINTER
         library.repro_topk_rows.restype = None
@@ -622,7 +841,7 @@ class CompiledKernels:
             )
         return items_out, values_out
 
-class CompiledCsrKernels:
+class CompiledCsrKernels(_ColumnReduce):
     """ctypes facade over the compiled CSR library.
 
     Parameters
@@ -632,7 +851,7 @@ class CompiledCsrKernels:
     """
 
     def __init__(self, library: ctypes.CDLL) -> None:
-        self._lib = library
+        super().__init__(library)
         i64, f64, i32 = ctypes.c_int64, ctypes.c_double, ctypes.c_int32
         p = ctypes.POINTER
         library.repro_csr_topk_rows.restype = None
@@ -640,84 +859,6 @@ class CompiledCsrKernels:
             p(f64), ctypes.c_void_p, ctypes.c_void_p, i32, p(i64), i64,
             i64, i64, f64, p(i64), p(f64), i32,
         ]
-        library.repro_csr_column_reduce.restype = i32
-        library.repro_csr_column_reduce.argtypes = [
-            p(f64), ctypes.c_void_p, ctypes.c_void_p, i32, p(i64), i64, i64,
-            i32, p(i64), ctypes.c_void_p, ctypes.c_void_p, p(i32), i32,
-        ]
-
-    @staticmethod
-    def _check_index_arrays(indices: np.ndarray, indptr: np.ndarray) -> None:
-        if indices.dtype != indptr.dtype or indices.dtype not in (np.int32, np.int64):
-            raise ValueError(
-                f"CSR index arrays must share int32 or int64, got "
-                f"{indices.dtype} and {indptr.dtype}"
-            )
-
-    def column_reduce(
-        self,
-        data: np.ndarray,
-        indices: np.ndarray,
-        indptr: np.ndarray,
-        rows: np.ndarray,
-        n_items: int,
-        least_misery: bool,
-        n_threads: int,
-    ) -> tuple[np.ndarray, np.ndarray] | None:
-        """Per-item count and LM minimum / AV int64 sum of CSR rows, in place.
-
-        Parameters
-        ----------
-        data, indices, indptr:
-            Arrays of a CSR matrix (as in :meth:`top_k`), read in place.
-        rows:
-            Non-empty ``int64`` row ids, every one in ``[0, n_rows)`` of the
-            matrix (the caller validates them: the kernel reads ``indptr``
-            at each id without a bounds check).
-        n_items:
-            Column count of the matrix.
-        least_misery:
-            Reduce the minimum (LM) instead of the int64 sum (AV).
-        n_threads:
-            Number of row chunks, each with its own partial arrays
-            (results are identical for every value).
-
-        Returns
-        -------
-        (counts, reduced) or None:
-            ``int64`` stored-entry counts per item and the float64 minima
-            (``+inf`` where no entry is stored) or int64 sums; ``None``
-            when the exactness gate fails (a stored ``-0.0``, or for AV a
-            fractional value or ``|v| * len(rows) > 2**53``).
-        """
-        self._check_index_arrays(indices, indptr)
-        data = np.ascontiguousarray(data, dtype=np.float64)
-        indices = np.ascontiguousarray(indices)
-        indptr = np.ascontiguousarray(indptr)
-        rows = np.ascontiguousarray(rows, dtype=np.int64)
-        chunks = max(1, min(int(n_threads), rows.size, _MAX_THREADS,
-                            _SCORE_PARTIAL_ELEMENTS // max(1, int(n_items))))
-        counts = np.zeros((chunks, n_items), dtype=np.int64)
-        if least_misery:
-            reduced = np.full((chunks, n_items), np.inf)
-        else:
-            reduced = np.zeros((chunks, n_items), dtype=np.int64)
-        failed = np.zeros(chunks, dtype=np.int32)
-        status = self._lib.repro_csr_column_reduce(
-            data.ctypes.data_as(ctypes.POINTER(ctypes.c_double)),
-            indices.ctypes.data, indptr.ctypes.data,
-            int(indices.dtype == np.int64),
-            rows.ctypes.data_as(ctypes.POINTER(ctypes.c_int64)), rows.size,
-            int(n_items), int(least_misery),
-            counts.ctypes.data_as(ctypes.POINTER(ctypes.c_int64)),
-            reduced.ctypes.data if least_misery else None,
-            None if least_misery else reduced.ctypes.data,
-            failed.ctypes.data_as(ctypes.POINTER(ctypes.c_int32)),
-            chunks,
-        )
-        if status:
-            return None
-        return counts[0], reduced[0]
 
     def top_k(
         self,
@@ -757,7 +898,7 @@ class CompiledCsrKernels:
             bit-identical to :func:`repro.core.kernels.top_k_table` on the
             densified rows.
         """
-        self._check_index_arrays(indices, indptr)
+        _check_index_arrays(indices, indptr)
         data = np.ascontiguousarray(data, dtype=np.float64)
         indices = np.ascontiguousarray(indices)
         indptr = np.ascontiguousarray(indptr)

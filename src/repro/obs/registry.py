@@ -341,8 +341,8 @@ def _catalogue() -> tuple[MetricSpec, ...]:
     histogram(H_REPLICA_CALL, "Round-trip time of one replica recommend call.")
     histogram(H_KERNEL_TOPK, "top_k_table kernel latency.")
     histogram(H_KERNEL_BUCKETIZE, "bucketize kernel latency.")
-    histogram(H_KERNEL_SCORE, "csr_item_scores kernel latency (sparse "
-              "left-over group scoring).")
+    histogram(H_KERNEL_SCORE, "Column-reduce kernel latency (left-over "
+              "group scoring on a sparse or dense store).")
     histogram(H_WAL_APPEND, "WAL append latency (excluding group-commit fsync).")
     histogram(H_WAL_FSYNC, "WAL fsync latency.")
     histogram(H_SNAPSHOT, "Snapshot write latency.")

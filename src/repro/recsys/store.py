@@ -631,12 +631,22 @@ class DenseStore:
     ) -> np.ndarray:
         """Group score of every item for ``members`` under ``semantics``.
 
-        Member rows are reduced in chunks of the wrapped array (the
-        streaming path every store shares).
+        The members' rows are reduced per item in place by
+        :func:`repro.core.kernels.dense_item_scores` (the compiled column
+        reduce with a dense row source; no row is copied).  Where its
+        exactness gate declines (``-0.0``, or fractional ratings for AV) or
+        no compiled kernel is available, member rows are reduced in chunks
+        of the wrapped array (the streaming path every store shares).
         """
-        return _stream_item_scores(
-            self, _group_members(members, self.n_users), semantics
-        )
+        from repro.core import kernels
+
+        # The kernel validates the member ids (and raises) before it can
+        # decline, so only the fallback validates them again.
+        scores = kernels.dense_item_scores(self._values, members, semantics)
+        if scores is None:
+            members = _group_members(members, self.n_users)
+            return _stream_item_scores(self, members, semantics)
+        return scores
 
     def segment_item_scores(
         self,
@@ -1076,11 +1086,11 @@ class SparseStore:
         """
         from repro.core import kernels
 
-        members = _group_members(members, self.n_users)
         scores = kernels.csr_item_scores(
             self._csr, members, self.fill_value, semantics
         )
         if scores is None:
+            members = _group_members(members, self.n_users)
             return _stream_item_scores(self, members, semantics)
         return scores
 

@@ -610,7 +610,9 @@ class ServiceServer:
                 raise _HTTPError(400, "request body shorter than Content-Length")
             try:
                 body = json.loads(raw)
-            except (UnicodeDecodeError, json.JSONDecodeError) as exc:
+            except ValueError as exc:
+                # Undecodable bytes, malformed JSON, or an integer literal
+                # past the interpreter's digit limit.
                 raise _HTTPError(400, f"invalid JSON body: {exc}")
             except RecursionError:
                 raise _HTTPError(400, "invalid JSON body: nested too deeply")

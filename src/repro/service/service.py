@@ -432,13 +432,16 @@ class FormationService:
             On out-of-range ``k``, unknown semantics/aggregation, or a
             request naming removed/unknown users.
         """
-        k = require_positive_int(k, "k")
-        max_groups = require_positive_int(max_groups, "max_groups")
+        try:
+            k = require_positive_int(k, "k")
+            max_groups = require_positive_int(max_groups, "max_groups")
+            variant = make_variant(semantics, aggregation)
+        except (TypeError, ValueError) as exc:
+            raise GroupFormationError(str(exc)) from None
         if k > self._index.k_max:
             raise GroupFormationError(
                 f"k={k} exceeds the service's k_max ({self._index.k_max})"
             )
-        variant = make_variant(semantics, aggregation)
         users = None if user_ids is None else np.asarray(user_ids, dtype=np.int64)
         with self._lock:
             self.metrics.inc(K_REQUESTS)

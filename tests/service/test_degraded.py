@@ -8,9 +8,7 @@ periodic disk probe must re-enable writes once the injected outage ends.
 
 from __future__ import annotations
 
-import asyncio
 import json
-import threading
 import time
 import urllib.error
 import urllib.request
@@ -51,37 +49,10 @@ def json_request(srv, path, body=None, method=None, headers=None):
     return status, json.loads(raw), resp_headers
 
 
-class _RunningServer:
-    """Start ``srv`` on a background event loop; stop on __exit__."""
-
-    def __init__(self, srv):
-        self.srv = srv
-        self.loop = asyncio.new_event_loop()
-        self.thread = threading.Thread(target=self._run, daemon=True)
-
-    def _run(self):
-        asyncio.set_event_loop(self.loop)
-        self.loop.run_until_complete(self.srv.start())
-        self.loop.run_forever()
-
-    def __enter__(self):
-        self.thread.start()
-        deadline = time.time() + 5
-        while self.srv._server is None:
-            if time.time() > deadline:  # pragma: no cover - startup failure
-                raise RuntimeError("server did not start")
-            time.sleep(0.01)
-        return self.srv
-
-    def __exit__(self, *exc):
-        self.loop.call_soon_threadsafe(self.loop.stop)
-        self.thread.join(timeout=5)
-
-
 EVENT = {"events": [{"kind": "rating", "user": 0, "item": 1, "score": 5.0}]}
 
 
-def test_degraded_read_only_lifecycle(tmp_path):
+def test_degraded_read_only_lifecycle(tmp_path, background_server):
     config = ServiceConfig(
         users=30, items=8, wal_dir=str(tmp_path), batch_window=0.02,
         degraded_probe_interval=0.1, port=0,
@@ -91,7 +62,7 @@ def test_degraded_read_only_lifecycle(tmp_path):
     # Hit 1 is the write's group-commit fsync; hit 2 the first heal probe.
     faults.configure("wal.fsync=enospc@first:2")
     try:
-        with _RunningServer(srv):
+        with background_server(srv):
             status, payload, _ = json_request(srv, "/v1/events", EVENT)
             assert status == 503
             assert payload["error"]["code"] == "degraded_read_only"
@@ -128,13 +99,12 @@ def test_degraded_read_only_lifecycle(tmp_path):
             # one is the first acknowledged record.
             assert payload["wal_seq"] == 1
     finally:
-        asyncio.run(srv.shutdown())
         pipeline.close()
         pipeline.service.close()
         config.close_metrics()
 
 
-def test_degraded_write_never_leaves_phantom_state(tmp_path):
+def test_degraded_write_never_leaves_phantom_state(tmp_path, background_server):
     config = ServiceConfig(
         users=20, items=6, wal_dir=str(tmp_path), batch_window=0.02,
         degraded_probe_interval=0.05, port=0,
@@ -143,7 +113,7 @@ def test_degraded_write_never_leaves_phantom_state(tmp_path):
     srv = config.build_server(pipeline.service, pipeline)
     faults.configure("wal.fsync=enospc@first:1")
     try:
-        with _RunningServer(srv):
+        with background_server(srv):
             status, _, _ = json_request(srv, "/v1/events", EVENT)
             assert status == 503
             deadline = time.time() + 5
@@ -157,17 +127,16 @@ def test_degraded_write_never_leaves_phantom_state(tmp_path):
             assert pipeline.wal.acked_seq == 0
             assert pipeline.service.version == 0
     finally:
-        asyncio.run(srv.shutdown())
         pipeline.close()
         pipeline.service.close()
         config.close_metrics()
 
 
-def test_request_deadline_returns_structured_504():
+def test_request_deadline_returns_structured_504(background_server):
     values = np.random.default_rng(5).integers(1, 6, size=(30, 8)).astype(float)
     service = FormationService(DenseStore(values), k_max=4, shards=2)
     srv = ServiceServer(service, port=0, request_timeout_ms=100.0)
-    with _RunningServer(srv):
+    with background_server(srv):
         faults.configure("http.dispatch=delay:3000@once:1")
         status, payload, headers = json_request(
             srv, "/v1/recommend", {"k": 3, "max_groups": 4},

@@ -11,7 +11,6 @@ import asyncio
 import concurrent.futures
 import json
 import logging
-import threading
 import time
 import urllib.error
 import urllib.request
@@ -25,38 +24,11 @@ from repro.service import FormationService, ServiceServer
 
 
 @pytest.fixture()
-def server():
+def server(background_server):
     values = np.random.default_rng(17).integers(1, 6, size=(60, 15)).astype(float)
     service = FormationService(DenseStore(values.copy()), k_max=5, shards=3)
-    srv = ServiceServer(service, port=0, batch_window=0.2)
-    loop = asyncio.new_event_loop()
-
-    def run() -> None:
-        asyncio.set_event_loop(loop)
-        loop.run_until_complete(srv.start())
-        loop.run_forever()
-
-    thread = threading.Thread(target=run, daemon=True)
-    thread.start()
-    deadline = time.time() + 5
-    while srv._server is None:
-        if time.time() > deadline:  # pragma: no cover - startup failure
-            raise RuntimeError("server did not start")
-        time.sleep(0.01)
-    yield srv, values
-
-    async def settle() -> None:
-        # A handler still closing its connection when the loop stops stays
-        # pending; destroyed later with the loop, it logs an asyncio error
-        # into whichever test runs then.  Finish every task first.
-        tasks = [t for t in asyncio.all_tasks() if t is not asyncio.current_task()]
-        for task in tasks:
-            task.cancel()
-        await asyncio.gather(*tasks, return_exceptions=True)
-
-    asyncio.run_coroutine_threadsafe(settle(), loop).result(timeout=5)
-    loop.call_soon_threadsafe(loop.stop)
-    thread.join(timeout=5)
+    with background_server(ServiceServer(service, port=0, batch_window=0.2)) as srv:
+        yield srv, values
 
 
 def rating(user, item, score):

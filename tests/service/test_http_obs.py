@@ -3,9 +3,7 @@ and the healthz durability block."""
 
 from __future__ import annotations
 
-import asyncio
 import json
-import threading
 import time
 import urllib.error
 import urllib.request
@@ -27,27 +25,11 @@ def _reset_faults():
 
 
 @pytest.fixture()
-def server():
+def server(background_server):
     values = np.random.default_rng(23).integers(1, 6, size=(50, 12)).astype(float)
     service = FormationService(DenseStore(values.copy()), k_max=5, shards=3)
-    srv = ServiceServer(service, port=0, batch_window=0.05)
-    loop = asyncio.new_event_loop()
-
-    def run() -> None:
-        asyncio.set_event_loop(loop)
-        loop.run_until_complete(srv.start())
-        loop.run_forever()
-
-    thread = threading.Thread(target=run, daemon=True)
-    thread.start()
-    deadline = time.time() + 5
-    while srv._server is None:
-        if time.time() > deadline:  # pragma: no cover - startup failure
-            raise RuntimeError("server did not start")
-        time.sleep(0.01)
-    yield srv
-    loop.call_soon_threadsafe(loop.stop)
-    thread.join(timeout=5)
+    with background_server(ServiceServer(service, port=0, batch_window=0.05)) as srv:
+        yield srv
 
 
 def raw_request(srv, path, body=None, method=None, headers=None):
@@ -140,7 +122,7 @@ def test_http_latency_histogram_matches_request_count(server):
     assert hist["p50"] is not None
 
 
-def test_healthz_durability_block(tmp_path):
+def test_healthz_durability_block(tmp_path, background_server):
     from repro.service.config import ServiceConfig
 
     config = ServiceConfig(
@@ -149,66 +131,33 @@ def test_healthz_durability_block(tmp_path):
     )
     pipeline = config.build_pipeline()
     srv = config.build_server(pipeline.service, pipeline)
-    loop = asyncio.new_event_loop()
-
-    def run() -> None:
-        asyncio.set_event_loop(loop)
-        loop.run_until_complete(srv.start())
-        loop.run_forever()
-
-    thread = threading.Thread(target=run, daemon=True)
-    thread.start()
-    deadline = time.time() + 5
-    while srv._server is None:
-        if time.time() > deadline:  # pragma: no cover - startup failure
-            raise RuntimeError("server did not start")
-        time.sleep(0.01)
     try:
-        status, health, _ = json_request(srv, "/v1/healthz")
-        assert status == 200 and health["durable"] is True
-        durability = health["durability"]
-        assert durability["wal_backlog"] == 0
-        assert "last_snapshot_age_seconds" in durability
-        assert "last_fsync_seconds" in durability
-        # One applied event batch raises the backlog until the next snapshot.
-        status, _, _ = json_request(
-            srv, "/v1/events",
-            {"events": [{"kind": "rating", "user": 0, "item": 1, "score": 5.0}]},
-        )
-        assert status == 200
-        _, health, _ = json_request(srv, "/v1/healthz")
-        assert health["durability"]["wal_backlog"] >= 1
-        assert health["durability"]["last_fsync_seconds"] > 0
-        # The WAL backlog gauge mirrors the healthz readout.
-        _, metrics, _ = json_request(srv, "/v1/metrics?format=json")
-        assert metrics["gauges"]["repro_wal_backlog_records"] >= 1
+        with background_server(srv):
+            status, health, _ = json_request(srv, "/v1/healthz")
+            assert status == 200 and health["durable"] is True
+            durability = health["durability"]
+            assert durability["wal_backlog"] == 0
+            assert "last_snapshot_age_seconds" in durability
+            assert "last_fsync_seconds" in durability
+            # One applied event batch raises the backlog until the next snapshot.
+            status, _, _ = json_request(
+                srv, "/v1/events",
+                {"events": [{"kind": "rating", "user": 0, "item": 1, "score": 5.0}]},
+            )
+            assert status == 200
+            _, health, _ = json_request(srv, "/v1/healthz")
+            assert health["durability"]["wal_backlog"] >= 1
+            assert health["durability"]["last_fsync_seconds"] > 0
+            # The WAL backlog gauge mirrors the healthz readout.
+            _, metrics, _ = json_request(srv, "/v1/metrics?format=json")
+            assert metrics["gauges"]["repro_wal_backlog_records"] >= 1
     finally:
-        loop.call_soon_threadsafe(loop.stop)
-        thread.join(timeout=5)
         pipeline.close()
         pipeline.service.close()
         config.close_metrics()
 
 
-def _run_threaded(srv):
-    loop = asyncio.new_event_loop()
-
-    def run() -> None:
-        asyncio.set_event_loop(loop)
-        loop.run_until_complete(srv.start())
-        loop.run_forever()
-
-    thread = threading.Thread(target=run, daemon=True)
-    thread.start()
-    deadline = time.time() + 5
-    while srv._server is None:
-        if time.time() > deadline:  # pragma: no cover - startup failure
-            raise RuntimeError("server did not start")
-        time.sleep(0.01)
-    return loop, thread
-
-
-def test_degraded_and_fault_metrics_end_to_end(tmp_path):
+def test_degraded_and_fault_metrics_end_to_end(tmp_path, background_server):
     from repro.service.config import ServiceConfig
 
     config = ServiceConfig(
@@ -218,49 +167,46 @@ def test_degraded_and_fault_metrics_end_to_end(tmp_path):
     pipeline = config.build_pipeline()
     srv = config.build_server(pipeline.service, pipeline)
     faults.configure("wal.fsync=enospc@first:1")
-    loop, thread = _run_threaded(srv)
     try:
-        _, metrics, _ = json_request(srv, "/v1/metrics?format=json")
-        assert metrics["gauges"].get("repro_service_state", 0) == 0
-
-        status, _, _ = json_request(
-            srv, "/v1/events",
-            {"events": [{"kind": "rating", "user": 0, "item": 1, "score": 5.0}]},
-        )
-        assert status == 503
-        _, metrics, _ = json_request(srv, "/v1/metrics?format=json")
-        counters = metrics["counters"]
-        assert counters["repro_faults_injected_total"] >= 1
-        assert counters['repro_degraded_transitions_total{direction="enter"}'] == 1
-        assert metrics["gauges"]["repro_service_state"] == 1
-
-        deadline = time.time() + 5
-        while True:
+        with background_server(srv):
             _, metrics, _ = json_request(srv, "/v1/metrics?format=json")
-            if metrics["gauges"]["repro_service_state"] == 0:
-                break
-            if time.time() > deadline:  # pragma: no cover - stuck probe
-                raise AssertionError("service_state gauge never recovered")
-            time.sleep(0.05)
-        counters = metrics["counters"]
-        assert counters['repro_degraded_transitions_total{direction="exit"}'] == 1
+            assert metrics["gauges"].get("repro_service_state", 0) == 0
 
-        # The same story renders in the Prometheus text exposition.
-        status, raw, _ = raw_request(srv, "/v1/metrics")
-        text = raw.decode()
-        assert "# TYPE repro_service_state gauge" in text
-        assert "repro_service_state 0" in text
-        assert 'repro_degraded_transitions_total{direction="enter"} 1' in text
+            status, _, _ = json_request(
+                srv, "/v1/events",
+                {"events": [{"kind": "rating", "user": 0, "item": 1, "score": 5.0}]},
+            )
+            assert status == 503
+            _, metrics, _ = json_request(srv, "/v1/metrics?format=json")
+            counters = metrics["counters"]
+            assert counters["repro_faults_injected_total"] >= 1
+            assert counters['repro_degraded_transitions_total{direction="enter"}'] == 1
+            assert metrics["gauges"]["repro_service_state"] == 1
+
+            deadline = time.time() + 5
+            while True:
+                _, metrics, _ = json_request(srv, "/v1/metrics?format=json")
+                if metrics["gauges"]["repro_service_state"] == 0:
+                    break
+                if time.time() > deadline:  # pragma: no cover - stuck probe
+                    raise AssertionError("service_state gauge never recovered")
+                time.sleep(0.05)
+            counters = metrics["counters"]
+            assert counters['repro_degraded_transitions_total{direction="exit"}'] == 1
+
+            # The same story renders in the Prometheus text exposition.
+            status, raw, _ = raw_request(srv, "/v1/metrics")
+            text = raw.decode()
+            assert "# TYPE repro_service_state gauge" in text
+            assert "repro_service_state 0" in text
+            assert 'repro_degraded_transitions_total{direction="enter"} 1' in text
     finally:
-        loop.call_soon_threadsafe(loop.stop)
-        thread.join(timeout=5)
         pipeline.close()
         pipeline.service.close()
         config.close_metrics()
 
 
-def test_respawn_backoff_histogram_through_v1_metrics():
-    import asyncio as _asyncio
+def test_respawn_backoff_histogram_through_v1_metrics(background_server):
     import os
     import signal
 
@@ -271,27 +217,24 @@ def test_respawn_backoff_histogram_through_v1_metrics():
     pool = config.build_pool(service)
     pool.start()
     srv = config.build_server(service, None, pool)
-    loop, thread = _run_threaded(srv)
     try:
-        os.kill(pool._slots[0].process.pid, signal.SIGKILL)
-        # The next read detects the crash, retries, and schedules the
-        # respawn — which records one backoff observation (0 s: first
-        # death after a healthy run respawns immediately).
-        deadline = time.time() + 30
-        while pool.counters["respawns"] < 1:
-            json_request(srv, "/v1/recommend", {"k": 3, "max_groups": 4})
-            if time.time() > deadline:  # pragma: no cover - no respawn
-                raise AssertionError("replica was never respawned")
-            time.sleep(0.05)
-        _, metrics, _ = json_request(srv, "/v1/metrics?format=json")
-        hist = metrics["histograms"]["repro_pool_respawn_backoff_seconds"]
-        assert hist["count"] >= 1
-        assert metrics["counters"].get("repro_pool_respawn_failures_total", 0) == 0
-        status, raw, _ = raw_request(srv, "/v1/metrics")
-        assert "# TYPE repro_pool_respawn_backoff_seconds histogram" in raw.decode()
+        with background_server(srv):
+            os.kill(pool._slots[0].process.pid, signal.SIGKILL)
+            # The next read detects the crash, retries, and schedules the
+            # respawn — which records one backoff observation (0 s: first
+            # death after a healthy run respawns immediately).
+            deadline = time.time() + 30
+            while pool.counters["respawns"] < 1:
+                json_request(srv, "/v1/recommend", {"k": 3, "max_groups": 4})
+                if time.time() > deadline:  # pragma: no cover - no respawn
+                    raise AssertionError("replica was never respawned")
+                time.sleep(0.05)
+            _, metrics, _ = json_request(srv, "/v1/metrics?format=json")
+            hist = metrics["histograms"]["repro_pool_respawn_backoff_seconds"]
+            assert hist["count"] >= 1
+            assert metrics["counters"].get("repro_pool_respawn_failures_total", 0) == 0
+            status, raw, _ = raw_request(srv, "/v1/metrics")
+            assert "# TYPE repro_pool_respawn_backoff_seconds histogram" in raw.decode()
     finally:
-        _asyncio.run_coroutine_threadsafe(srv.shutdown(), loop).result(timeout=30)
-        loop.call_soon_threadsafe(loop.stop)
-        thread.join(timeout=5)
         service.close()
         config.close_metrics()

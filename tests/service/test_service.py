@@ -12,8 +12,9 @@ import numpy as np
 import pytest
 from scipy import sparse as sp
 
-from repro.core import FormationEngine
+from repro.core import FormationEngine, kernels
 from repro.core.errors import GroupFormationError
+from repro.core.semantics import Semantics
 from repro.recsys import DenseStore, SparseStore
 from repro.service import FormationService
 
@@ -239,6 +240,36 @@ def test_subset_reads_never_densify_the_whole_subset(
     assert result.extras["subset_size"] == 45
     assert leftover_size(result) > 0
     assert densified_rows["rows"] <= leftover_size(result)
+
+
+@pytest.mark.skipif(
+    not kernels.parallel_available(), reason="compiled kernels unavailable"
+)
+@pytest.mark.parametrize("variant", (("lm", "min"), ("av", "sum")), ids=("lm", "av"))
+def test_dense_leftover_reads_copy_no_row(densified_rows, monkeypatch, variant):
+    # The compiled column reduce reads the left-over rows in place: no
+    # store row is copied and the copying spec reduction never runs.
+    spec_calls = []
+    spec = Semantics.item_scores
+    monkeypatch.setattr(
+        Semantics, "item_scores",
+        lambda self, *args: spec_calls.append(self) or spec(self, *args),
+    )
+    store, _ = make_instance("dense", seed=3)
+    service = FormationService(store, k_max=4, shards=4)
+    semantics, aggregation = variant
+    densified_rows["rows"] = 0
+    result = service.recommend(
+        k=2, max_groups=5, semantics=semantics, aggregation=aggregation,
+        user_ids=[int(u) for u in ORDERS["shuffled"]],
+    )
+    assert leftover_size(result) > 0
+    service.apply_updates(remove_users=[0, 7, 31])
+    result = service.recommend(k=2, max_groups=5, semantics=semantics,
+                               aggregation=aggregation)
+    assert leftover_size(result) > 0
+    assert densified_rows["rows"] == 0
+    assert spec_calls == []
 
 
 def test_subset_request_validation():
