@@ -22,12 +22,16 @@ variable).
 **Bucketing** always runs in numpy: each bucket key is hashed to one
 64-bit polynomial **fingerprint** in a fused pass over the top-k tables
 (the packed key matrix is never materialised), users are grouped by one
-stable integer argsort, the groups are verified against the exact keys,
-and an exact lexsort over the packed keys takes over only when a
+integer argsort (re-sorted within fingerprint runs only when some run
+holds more than one user), the groups are verified against the exact
+keys, and an exact lexsort over the packed keys takes over only when a
 fingerprint collision is detected.  The partition and the ascending member
 order per bucket equal the lexsort's; only bucket *enumeration order*
 differs, which no consumer depends on (greedy selection totally orders
-buckets by ``(score, representative)``).
+buckets by ``(score, representative)``).  **Selection**
+(:func:`select_best_buckets`) finds the ``ℓ - 1`` best buckets in that
+order with one partition and a sort of the few candidates, not a full
+lexsort.
 
 A :class:`~repro.recsys.store.SparseStore` is ranked by a separate CSR
 top-k kernel (:func:`csr_top_k_table`): it selects over each row's stored
@@ -94,6 +98,7 @@ __all__ = [
     "parallel_available",
     "segment_positions",
     "segment_scores",
+    "select_best_buckets",
     "set_kernel_threads",
     "top_k_table",
     "use_kernel_threads",
@@ -1041,15 +1046,24 @@ def _group_by_fingerprint(
         have unequal keys (the sparse verification path).
     """
     n_rows = fingerprints.shape[0]
-    # Stable argsort (radix for integers): users with equal keys stay in
-    # ascending user order, so each bucket's first member is its
-    # representative, exactly as in the lexsort grouping.
-    order = np.argsort(fingerprints, kind="stable")
+    order = np.argsort(fingerprints)
     sorted_fp = fingerprints[order]
     same_fp = sorted_fp[1:] == sorted_fp[:-1]
     new_segment = np.empty(n_rows, dtype=bool)
     new_segment[0] = True
     np.logical_not(same_fp, out=new_segment[1:])
+    if not new_segment.all():
+        # The unstable argsort may scramble rows within a fingerprint run.
+        # One sort of ``run * n_rows + row`` puts each run's rows back in
+        # ascending order (runs keep their positions), so each bucket's
+        # first member is its representative, exactly as in the lexsort
+        # grouping.
+        run_base = np.cumsum(new_segment, dtype=np.int64)
+        run_base -= 1
+        run_base *= n_rows
+        order += run_base
+        order.sort()
+        order -= run_base
     # Verify every adjacent same-fingerprint pair against the exact keys:
     # a genuine bucket is a run of identical rows, so any difference inside
     # a same-fingerprint run proves a collision.  (An interleaved run like
@@ -1208,3 +1222,51 @@ def bucket_reduce(
     if combine == "sum":
         return np.bincount(inverse, weights=contributions, minlength=n_buckets)
     return contributions[representatives]
+
+
+def select_best_buckets(
+    scores: np.ndarray, reps: np.ndarray, count: int
+) -> np.ndarray:
+    """Indices of the ``count`` best buckets, best first (step 2 of GRD).
+
+    Equal to ``np.lexsort((reps, -scores))[:count]`` — score descending,
+    ties by ascending representative, then by index — in ``O(n)`` for
+    ``count < n``: a partition finds the ``count``-th best score, every
+    bucket strictly above it is taken, the tied buckets with the smallest
+    representatives fill the rest, and only that candidate set is sorted.
+
+    Parameters
+    ----------
+    scores:
+        ``(n_buckets,)`` heap score of each bucket.
+    reps:
+        ``(n_buckets,)`` representative (smallest member) of each bucket.
+    count:
+        How many buckets to select; clamped to ``[0, n_buckets]``.
+    """
+    n_buckets = scores.size
+    count = max(0, min(count, n_buckets))
+    negated = -scores
+    if count == 0:
+        return np.empty(0, dtype=np.int64)
+    if count < n_buckets:
+        # Tie-heavy scores (few rating levels) often tie ``count`` buckets
+        # at the best score, and the partition is slowest on ties.
+        threshold = negated.min()
+        if np.count_nonzero(negated == threshold) < count:
+            threshold = np.partition(negated, count - 1)[count - 1]
+        # NaN sorts last in both the partition and lexsort, so a NaN
+        # threshold leaves no strict order to select on: sort everything.
+        if not np.isnan(threshold):
+            above = np.flatnonzero(negated < threshold)
+            tied = np.flatnonzero(negated == threshold)
+            need = count - above.size
+            if need < tied.size:
+                tied_reps = reps[tied]
+                cut = np.partition(tied_reps, need - 1)[need - 1]
+                below_cut = tied[tied_reps < cut]
+                at_cut = tied[tied_reps == cut][: need - below_cut.size]
+                tied = np.concatenate((below_cut, at_cut))
+            candidates = np.sort(np.concatenate((above, tied)))
+            return candidates[np.lexsort((reps[candidates], negated[candidates]))]
+    return np.lexsort((reps, negated))[:count]

@@ -7,52 +7,63 @@ with step 1 of the algorithm — each shard can be ranked and bucketed
 independently, and shard-level buckets with equal keys are *exactly* the
 global intermediate groups once merged.
 Step 2 (greedy selection under the ℓ-group budget) and step 3 (scoring,
-budget filling, left-over group) then run once on the merged bucket
-summaries, through the same
-:func:`~repro.core.engine.finalise_plan` path as the in-memory engine.
+budget filling, left-over group) then run once on the bucket summaries,
+through the same :func:`~repro.core.engine.finalise_plan` path as the
+in-memory engine.
 
-This module is the one vectorised implementation of steps 1–2.  The numpy
-engine backend is its one-shard case
-(``plan_from_summaries([summarise_tables(items, scores, 0, variant)], ...)``)
-and the online service feeds it cached per-shard summaries.  A
-:class:`ShardSummary` stores bucket membership as flat segments — one
+This module is the one vectorised implementation of steps 1–2, with two
+callers of different shape:
+
+* **Batch** (:class:`ShardedFormation`) is one pass.  The users are ranked
+  in shard-sized chunks into one ``(n_users, k)`` top-k table
+  (:func:`summarise_store_shard`), the table is summarised once
+  (:func:`summarise_tables`) and selected from directly
+  (``plan_from_summaries([summary], ...)``) — the numpy engine backend's
+  path, so nothing is merged.  ``shards`` only bounds the ranking chunks.
+* **Serving** (:class:`~repro.service.FormationService`) caches one
+  summary per shard of its top-k index and recomputes only the shards
+  whose users changed; :func:`merge_summaries` folds them into the global
+  buckets before selection.
+
+A :class:`ShardSummary` stores bucket membership as flat segments — one
 ``member_ids`` array with each bucket's members contiguous and ascending,
 cut by ``offsets`` — so summarise, merge and select run without a Python
 loop over buckets: summarise buckets through
 :func:`repro.core.kernels.bucketize`, merge groups the per-bucket key
 rows with :func:`repro.core.kernels.group_key_rows` and gathers member
-segments through ``np.repeat`` offsets, and select slices the chosen
-segments out in selection order — the format the plan carries on to
-step 3, where all selected groups are scored by one
+segments through ``np.repeat`` offsets, and select picks the ℓ − 1 best
+buckets with :func:`repro.core.kernels.select_best_buckets` and slices
+their segments out in selection order — the format the plan carries on
+to step 3, where all selected groups are scored by one
 :meth:`~repro.recsys.store.RatingStore.segment_item_scores` call.
 
 Memory: ranking goes through :meth:`RatingStore.top_k
-<repro.recsys.store.RatingStore.top_k>`, so a sparse shard is ranked
-straight from its CSR rows and only the ``(n_users, k)`` top-k summaries are
+<repro.recsys.store.RatingStore.top_k>`, so a sparse store is ranked
+straight from its CSR rows and only the ``(n_users, k)`` top-k tables are
 dense; the left-over group is scored from its members' stored entries
 (:meth:`~repro.recsys.store.SparseStore.item_scores`).  That is what lets a
 1M-user x 10k-item sparse instance form groups in the memory of its stored
 ratings where the dense matrix alone would need ~80 GB.
 
-Objective-loss bound (documented contract, asserted by
-``tests/core/test_sharded.py``):
+Parity contract (asserted by ``tests/core/test_sharded.py``):
 
-* ``shards=1`` is **bit-identical** to ``FormationEngine.run`` on the same
-  backend-independent result — same groups, objective and bookkeeping.
-* For ``shards > 1`` the merge is exact at the bucket level, so the *only*
-  possible deviation from the unsharded run is floating-point
-  re-association when an AV variant's per-bucket member-contribution sums
-  are folded across shards (LM variants share one contribution per bucket
-  and are always bit-identical).  A perturbed sum can only swap the
-  selection order of two buckets whose scores differ by less than the
-  accumulated rounding error ``n_g · ε · max|contribution|`` (``n_g`` =
-  bucket size, ``ε`` = machine epsilon); each swap changes the objective by
-  at most the satisfaction gap of the swapped buckets, itself bounded by
-  ``k · r_max``.  Hence ``|Obj_sharded − Obj_unsharded| ≤ ℓ · k · r_max``
-  in the adversarial worst case — and **zero** (bit-identical) whenever
-  ratings are integer-valued on the scale, as in every bundled dataset,
-  because small-integer sums are exact in ``float64`` regardless of
-  association.
+* Batch runs are **bit-identical** to ``FormationEngine.run`` and to the
+  ``reference`` backend for every shard count and every rating alphabet,
+  fractional ratings included — same groups, objective and bookkeeping —
+  because ranking is row-independent and everything after it sees one
+  table.
+* Only the service's merged summaries may deviate, and only for AV
+  variants on fractional ratings: the merge folds per-shard partial sums
+  (``0.0 + s0 + s1 + ...``), which re-associates the bucket's
+  member-contribution sum.  A perturbed sum can only swap the selection
+  order of two buckets whose scores differ by less than the accumulated
+  rounding error ``n_g · ε · max|contribution|`` (``n_g`` = bucket size,
+  ``ε`` = machine epsilon); each swap changes the objective by at most the
+  satisfaction gap of the swapped buckets, itself bounded by ``k ·
+  r_max``, so ``|Obj_merged − Obj_unsharded| ≤ ℓ · k · r_max``.  LM
+  variants share one contribution per bucket, and small-integer sums are
+  exact in ``float64`` regardless of association, so both stay
+  bit-identical.
 * Left-over group scoring adds no deviation: a sparse store sums AV scores
   in its own order only behind an exactness gate (integer inputs, see
   :meth:`~repro.recsys.store.SparseStore.item_scores`) and keeps the dense
@@ -62,6 +73,7 @@ Objective-loss bound (documented contract, asserted by
 from __future__ import annotations
 
 from dataclasses import dataclass
+from functools import cached_property
 
 import numpy as np
 
@@ -126,13 +138,14 @@ class ShardSummary:
     ----------
     start:
         First global user index of the shard.
-    keys:
-        ``(n_buckets, width)`` packed ``uint64`` key rows, one per bucket
-        (packed from the representative's top-k row) — comparing rows for
-        equality is exactly the reference backend's byte-key equality.
     items_rows:
         ``(n_buckets, k)`` shared top-k item sequence of each bucket (the
         recommended list if the bucket is selected).
+    rep_scores:
+        ``(n_buckets, k)`` top-k scores of each bucket's representative.
+    key_scores:
+        Which score columns join the bucket key (the variant's
+        ``key_scores``).
     reps:
         Global index of each bucket's first (smallest-index) member.
     scores:
@@ -149,13 +162,24 @@ class ShardSummary:
     """
 
     start: int
-    keys: np.ndarray
     items_rows: np.ndarray
+    rep_scores: np.ndarray
+    key_scores: str
     reps: np.ndarray
     scores: np.ndarray
     member_ids: np.ndarray
     offsets: np.ndarray
     contributions: np.ndarray
+
+    @cached_property
+    def keys(self) -> np.ndarray:
+        """``(n_buckets, width)`` packed ``uint64`` key rows, one per bucket.
+
+        Packed from the representatives' rows on first use — only
+        :func:`merge_summaries` reads them.  Comparing rows for equality
+        is exactly the reference backend's byte-key equality.
+        """
+        return kernels.pack_key_rows(self.items_rows, self.rep_scores, self.key_scores)
 
 
 def summarise_store_shard(
@@ -164,34 +188,43 @@ def summarise_store_shard(
     stop: int,
     k: int,
     variant: GreedyVariant,
+    chunks: int = 1,
 ) -> ShardSummary:
     """Rank, bucket and score users ``start:stop`` of a store.
 
-    This is the per-shard unit of work shared by :class:`ShardedFormation`
-    and the online :class:`~repro.service.FormationService` (which caches
-    summaries per shard and recomputes only the shards whose users
-    changed).  Ranking goes through :meth:`RatingStore.top_k
-    <repro.recsys.store.RatingStore.top_k>`: a dense store ranks a view of
-    its rows, a sparse store ranks straight from its CSR arrays without
-    building a dense block.
+    The users are ranked through :meth:`RatingStore.top_k
+    <repro.recsys.store.RatingStore.top_k>` in ``chunks`` contiguous
+    blocks written into one ``(stop - start, k)`` table, which is then
+    summarised once by :func:`summarise_tables`.  A dense store ranks a
+    view of its rows, a sparse store ranks straight from its CSR arrays;
+    the chunks only bound the ranking kernel's temporaries (the numpy
+    fallback's scratch grows with the rows it ranks at once).
 
     Parameters
     ----------
     store:
-        Rating storage the shard is read from.
+        Rating storage the users are read from.
     start, stop:
-        Global user range of the shard.
+        Global user range to summarise.
     k:
         Top-k prefix length of the run.
     variant:
         The greedy variant being executed.
+    chunks:
+        Number of ranking blocks (capped at the user count).
 
     Returns
     -------
     ShardSummary
-        The shard's bucket-level digest.
+        The range's bucket-level digest.
     """
-    items_table, scores_table = store.top_k(slice(start, stop), k)
+    bounds = shard_bounds(stop - start, chunks).tolist()
+    items_table = np.empty((stop - start, k), dtype=np.int64)
+    scores_table = np.empty((stop - start, k), dtype=np.float64)
+    for lo, hi in zip(bounds[:-1], bounds[1:]):
+        items_table[lo:hi], scores_table[lo:hi] = store.top_k(
+            slice(start + lo, start + hi), k
+        )
     return summarise_tables(items_table, scores_table, start, variant)
 
 
@@ -200,8 +233,8 @@ def merge_summaries(
 ) -> tuple[np.ndarray, np.ndarray, np.ndarray, np.ndarray, np.ndarray]:
     """Merge shard bucket digests into the global intermediate groups.
 
-    One summary is already global and is returned as is.  Otherwise the
-    key rows are concatenated and grouped by
+    The key rows (:attr:`ShardSummary.keys`, packed here on first use)
+    are concatenated and grouped by
     :func:`repro.core.kernels.group_key_rows` (collision-checked
     fingerprints), and the members are gathered segment by segment.
     Shards must be in ascending user order; the stable grouping then keeps
@@ -225,9 +258,6 @@ def merge_summaries(
         ``(scores, reps, member_ids, offsets, items_rows)`` over the merged
         buckets, membership in the :class:`ShardSummary` segment format.
     """
-    if len(summaries) == 1:
-        only = summaries[0]
-        return only.scores, only.reps, only.member_ids, only.offsets, only.items_rows
     bucket_scores = np.concatenate([s.scores for s in summaries])
     bucket_reps = np.concatenate([s.reps for s in summaries])
     bucket_items = np.vstack([s.items_rows for s in summaries])
@@ -276,9 +306,11 @@ def plan_from_summaries(
     """Merge shard summaries and greedily select under the group budget.
 
     Step 2 of the algorithm over already-summarised shards: merge bucket
-    digests exactly by key, pick the ``max_groups - 1`` best buckets
-    (highest score first, ties by smallest representative — the reference
-    heap's total order), and package the outcome as the backend-independent
+    digests exactly by key (:func:`merge_summaries`; a single summary is
+    already global and is read as is), pick the ``max_groups - 1`` best
+    buckets (:func:`repro.core.kernels.select_best_buckets`: highest score
+    first, ties by smallest representative — the reference heap's total
+    order), and package the outcome as the backend-independent
     :class:`~repro.core.engine.FormationPlan`.
 
     Parameters
@@ -300,14 +332,22 @@ def plan_from_summaries(
         chosen groups as flat segments in selection order, and
         ``selected_items_rows`` is their ``(n_selected, k)`` item rows.
     """
-    scores, reps, member_ids, offsets, items_rows = merge_summaries(
-        summaries, variant.combine
-    )
-    contributions = np.concatenate([s.contributions for s in summaries])
+    if len(summaries) == 1:
+        # One summary is already global: nothing to merge.
+        only = summaries[0]
+        scores, reps, member_ids, offsets, items_rows = (
+            only.scores, only.reps, only.member_ids, only.offsets, only.items_rows
+        )
+        contributions = only.contributions
+    else:
+        scores, reps, member_ids, offsets, items_rows = merge_summaries(
+            summaries, variant.combine
+        )
+        contributions = np.concatenate([s.contributions for s in summaries])
 
     n_buckets = scores.size
-    n_select = min(max_groups - 1, n_buckets)
-    chosen = np.lexsort((reps, -scores))[:n_select]
+    chosen = kernels.select_best_buckets(scores, reps, max_groups - 1)
+    n_select = chosen.size
     # Slice the chosen segments out, in selection order.
     sizes = np.diff(offsets)[chosen]
     selected_offsets = np.zeros(n_select + 1, dtype=np.int64)
@@ -389,13 +429,19 @@ def form_from_summaries(
 
 
 class ShardedFormation:
-    """Greedy formation over user shards with bounded peak memory.
+    """Greedy formation over a store, ranked in bounded user chunks.
+
+    One pass: the users are ranked ``shards`` contiguous chunks at a time
+    into one ``(n_users, k)`` top-k table
+    (:func:`summarise_store_shard`), which is summarised once and fed to
+    the same selection and scoring as the unsharded engine — so results
+    are bit-identical to ``FormationEngine`` for every shard count.
 
     Parameters
     ----------
     shards:
-        Number of contiguous user partitions (≥ 1).  Shards are
-        summarised in-process, one after another.
+        Number of contiguous ranking chunks (≥ 1).  They bound the ranking
+        kernel's temporaries, never the result.
 
     Examples
     --------
@@ -481,20 +527,16 @@ class ShardedFormation:
             raise GroupFormationError(
                 f"k={k} exceeds the number of items ({n_items})"
             )
-        bounds = shard_bounds(n_users, self.shards)
-        n_shards = bounds.size - 1
+        n_shards = min(self.shards, n_users)
 
         watch = Stopwatch()
         with watch.lap("formation"):
-            summaries = [
-                summarise_store_shard(
-                    store, int(bounds[shard]), int(bounds[shard + 1]), k, variant
-                )
-                for shard in range(n_shards)
-            ]
+            summary = summarise_store_shard(
+                store, 0, n_users, k, variant, chunks=n_shards
+            )
         return form_from_summaries(
             store,
-            summaries,
+            [summary],
             variant,
             max_groups,
             k,
@@ -512,13 +554,15 @@ def summarise_tables(
     start: int,
     variant: GreedyVariant,
 ) -> ShardSummary:
-    """:func:`summarise_store_shard` for already-ranked top-k tables.
+    """Bucket and score already-ranked top-k tables (step 1).
 
-    This is how the serving layer summarises a shard straight from its
-    incrementally maintained :class:`~repro.core.topk_index.MutableTopKIndex`
-    slices — skipping densification and ranking entirely — which is
-    bit-identical to summarising from the store because the index maintains
-    build parity.
+    :func:`summarise_store_shard` ends here, the numpy engine backend
+    summarises its whole table here, and the serving layer summarises
+    each shard straight from its incrementally maintained
+    :class:`~repro.core.topk_index.MutableTopKIndex` slices — skipping
+    ranking entirely — which is bit-identical to summarising from the
+    store because the index maintains build parity.  The packed key rows
+    a merge needs are left to :attr:`ShardSummary.keys`.
 
     Parameters
     ----------
@@ -542,13 +586,13 @@ def summarise_tables(
     scores = kernels.bucket_reduce(
         inverse, contributions, starts.size, variant.combine, reps_local
     )
-    items_rows = items_table[reps_local]
     return ShardSummary(
         start=start,
-        keys=kernels.pack_key_rows(
-            items_rows, scores_table[reps_local], variant.key_scores
-        ),
-        items_rows=items_rows,
+        # np.take gathers whole rows several times faster than fancy
+        # indexing does.
+        items_rows=np.take(items_table, reps_local, axis=0),
+        rep_scores=np.take(scores_table, reps_local, axis=0),
+        key_scores=variant.key_scores,
         reps=reps_local + start,
         scores=scores,
         member_ids=sorted_users + start,

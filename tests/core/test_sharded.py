@@ -71,12 +71,10 @@ class TestShardsOneBitIdentical:
 
 
 class TestMultiShardBound:
-    """Documented bound: bit-identical for LM always and for integer data.
+    """Batch runs are bit-identical for every shard count.
 
-    The only possible deviation is floating-point re-association of AV
-    bucket sums across shards; all bundled datasets produce integer-valued
-    ratings, for which small-integer float64 sums are exact — so the bound
-    collapses to bit-identity, which is what these tests pin down.
+    ``shards`` only cuts the ranking into chunks; bucketing, selection and
+    scoring see one table, so no bucket sum is ever re-associated.
     """
 
     @pytest.mark.parametrize("shards", [2, 3, 7, 240])
@@ -106,16 +104,33 @@ class TestMultiShardBound:
                 engine_result, sharded_result, (semantics, aggregation)
             )
 
-    def test_fractional_ratings_objective_within_bound(self):
-        # Fractional ratings may legitimately re-associate AV sums; the
-        # documented worst-case bound is l * k * r_max.
+    # Bucket {1, 2, 3} sums to 0.1 + 0.2 + 0.3 = 0.6000000000000001 in
+    # user order; folding per-shard partial sums (0.1 + 0.5) gives 0.6,
+    # which ties bucket {0} and loses on its representative.
+    REASSOCIATING = np.array(
+        [[0.0, 0.6, 0.0], [0.1, 0.0, 0.0], [0.2, 0.0, 0.0], [0.3, 0.0, 0.0]]
+    )
+
+    @pytest.mark.parametrize("shards", [1, 2, 3, 7, "n_users"])
+    def test_fractional_ratings_bit_identical_to_reference(self, shards):
         rng = np.random.default_rng(4)
-        values = np.round(rng.uniform(1.0, 5.0, size=(60, 10)), 3)
-        max_groups, k, r_max = 5, 3, 5.0
-        engine_result = FormationEngine("numpy").run(values, max_groups, k, "av", "sum")
-        sharded_result = ShardedFormation(shards=4).run(values, max_groups, k, "av", "sum")
-        bound = max_groups * k * r_max
-        assert abs(engine_result.objective - sharded_result.objective) <= bound
+        random_values = np.round(rng.uniform(1.0, 5.0, size=(60, 10)), 3)
+        cases = (
+            (random_values, 5, 3),
+            (self.REASSOCIATING, 2, 1),
+        )
+        for values, max_groups, k in cases:
+            n_shards = values.shape[0] if shards == "n_users" else shards
+            for semantics, aggregation in (("av", "sum"), ("lm", "min")):
+                expected = FormationEngine("reference").run(
+                    values, max_groups, k, semantics, aggregation
+                )
+                got = ShardedFormation(shards=n_shards).run(
+                    values, max_groups, k, semantics, aggregation
+                )
+                assert_results_identical(
+                    expected, got, (values.shape, n_shards, semantics)
+                )
 
 
 def explicit_fill_store(n_users, n_items, fill, rng):
@@ -262,6 +277,33 @@ class TestExecutionModes:
         # The engine-default backend (numpy) composes with sharding fine.
         result = form_groups(clustered, 4, 2, shards=3)
         assert result.n_groups <= 4
+
+    def test_batch_path_never_merges_or_packs_keys(self, monkeypatch):
+        # A batch run ranks every chunk into one table and summarises it
+        # once: there is nothing to merge, so no key row is packed either.
+        from repro.core import kernels, sharded
+
+        store = synthetic_sparse_store(3000, 400, density=0.02, rng=6)
+        calls = []
+
+        def spy(name, original):
+            def wrapper(*args, **kwargs):
+                calls.append(name)
+                return original(*args, **kwargs)
+            return wrapper
+
+        monkeypatch.setattr(
+            sharded, "merge_summaries", spy("merge", sharded.merge_summaries)
+        )
+        monkeypatch.setattr(
+            kernels, "pack_key_rows", spy("pack", kernels.pack_key_rows)
+        )
+        for semantics, aggregation in (("lm", "min"), ("av", "sum")):
+            result = ShardedFormation(shards=4).run(
+                store, 8, 3, semantics, aggregation
+            )
+            assert result.extras["n_shards"] == 4
+        assert calls == []
 
     def test_never_densifies_more_than_a_block(self, monkeypatch):
         # Ranking, left-over scoring and the selected groups' segment
