@@ -65,7 +65,7 @@ def start_server(args: argparse.Namespace, extra: list[str],
         sys.executable, "-m", "repro.service.cli", "serve",
         "--users", str(args.users), "--items", str(args.items),
         "--store", args.store, "--seed", str(args.seed),
-        "--k-max", str(args.k_max), "--shards", str(args.shards),
+        "--k-max", str(args.k_max),
         "--port", "0", "--batch-window", "0.005", *extra,
     ]
     if faults:
@@ -497,8 +497,6 @@ def main(argv=None) -> int:
                         help="recommend request k (default: 5)")
     parser.add_argument("--groups", type=int, default=8,
                         help="recommend group budget (default: 8)")
-    parser.add_argument("--shards", type=int, default=4,
-                        help="service shards (default: 4)")
     parser.add_argument("--reads", type=int, default=18,
                         help="scripted reads in the parity leg (default: 18)")
     parser.add_argument("--seed", type=int, default=0,

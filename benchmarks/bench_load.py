@@ -152,7 +152,7 @@ def start_server(args: argparse.Namespace, replicas: int):
         sys.executable, "-m", "repro.service.cli", "serve",
         "--users", str(args.users), "--items", str(args.items),
         "--store", args.store, "--seed", str(args.seed),
-        "--k-max", str(args.k_max), "--shards", str(args.shards),
+        "--k-max", str(args.k_max),
         "--port", "0", "--batch-window", "0.005",
     ]
     if replicas:
@@ -338,8 +338,6 @@ def main(argv=None) -> int:
                         help="recommend request k (default: 10)")
     parser.add_argument("--groups", type=int, default=16,
                         help="recommend group budget (default: 16)")
-    parser.add_argument("--shards", type=int, default=8,
-                        help="service shards (default: 8)")
     parser.add_argument("--replicas", default="0,1,2",
                         help="comma-separated replica counts to sweep "
                              "(0 = single-process baseline; default: 0,1,2)")

@@ -7,8 +7,7 @@ rating updates:
 
 * **full rebuild** — ``TopKIndex.build`` over the whole store;
 * **incremental batch** — ``FormationService.apply_updates`` for a batch
-  of random upserts/deletes (store write + per-user index repair + shard
-  invalidation);
+  of random upserts/deletes (store write + per-user index repair);
 * **write + rebuild** — what the same batch costs without the incremental
   index: the identical store write on a twin store, then a full
   ``TopKIndex.build``.  The twin's rebuilt index must equal the live one
@@ -19,7 +18,7 @@ rating updates:
   kernel speeds up both sides alike;
 * **recommend latency** — p50/p99 of ``FormationService.recommend`` over a
   mixed workload that interleaves update batches (so requests alternate
-  between memo hits, shard-recycled recomputes and cold paths), plus the
+  between memo hits and fresh formations on the repaired index), plus the
   cold full-formation baseline for reference;
 * **durable ingestion** — typed events streamed through the WAL-backed
   :class:`~repro.ingest.IngestPipeline` (journal + fsync + fold + apply)
@@ -119,8 +118,6 @@ def main(argv=None) -> int:
                         help="recommend request k (default: 10)")
     parser.add_argument("--groups", type=int, default=64,
                         help="recommend request group budget (default: 64)")
-    parser.add_argument("--shards", type=int, default=8,
-                        help="service shards (default: 8)")
     parser.add_argument("--batches", type=int, default=10,
                         help="update batches timed (default: 10)")
     parser.add_argument("--batch-size", type=int, default=1000, dest="batch_size",
@@ -158,7 +155,7 @@ def main(argv=None) -> int:
         rebuild_seconds = min(rebuild_seconds, time.perf_counter() - t0)
     print(f"  full index rebuild: {rebuild_seconds * 1000:8.1f} ms")
 
-    service = FormationService(store, k_max=args.k_max, shards=args.shards)
+    service = FormationService(store, k_max=args.k_max)
     twin = build_store(args)
     failures = []
 
@@ -217,7 +214,7 @@ def main(argv=None) -> int:
     print(f"  cold rebuild+formation baseline: {cold_seconds * 1000:8.1f} ms")
 
     # Serve-latency loop: one update batch every 4 requests, so the mix
-    # covers memo hits, shard-recycled recomputes and fresh versions.
+    # covers memo hits and fresh versions.
     latencies = []
     for i in range(args.requests):
         if i % 4 == 3:
@@ -233,8 +230,7 @@ def main(argv=None) -> int:
     print(
         f"  recommend latency over {args.requests} requests: "
         f"p50 {p50 * 1000:7.1f} ms | p99 {p99 * 1000:7.1f} ms "
-        f"(stats: {service.stats()['result_hits']} memo hits, "
-        f"{service.stats()['shards_recycled']} shards recycled)"
+        f"({service.stats()['result_hits']} memo hits)"
     )
 
     # Durable ingestion: typed events through the WAL-backed pipeline,
@@ -247,7 +243,7 @@ def main(argv=None) -> int:
             if state is None:
                 return service  # first open wraps the live service
             recovered = FormationService(
-                state.store, k_max=state.k_max, shards=args.shards,
+                state.store, k_max=state.k_max,
                 base_index=TopKIndex(
                     state.index_items, state.index_values, state.store.n_items
                 ),

@@ -388,8 +388,7 @@ def main(argv=None) -> int:
 
         print("\ntelemetry overhead gate:")
         service = FormationService(
-            DenseStore(ratings.values, scale=ratings.scale),
-            k_max=args.k, shards=4,
+            DenseStore(ratings.values, scale=ratings.scale), k_max=args.k
         )
         obs_registry = service.metrics
         rng = np.random.default_rng(args.seed + 2015)
@@ -490,8 +489,7 @@ def main(argv=None) -> int:
         print("\nfailpoint overhead gate (plane disabled):")
         _faults.reset()
         service = FormationService(
-            DenseStore(ratings.values, scale=ratings.scale),
-            k_max=args.k, shards=4,
+            DenseStore(ratings.values, scale=ratings.scale), k_max=args.k
         )
         rng = np.random.default_rng(args.seed + 2015)
         subset_size = max(8, min(64, args.users // 4))

@@ -42,7 +42,7 @@ from repro.experiments import (
 )
 from repro.core.kernels import get_kernel_threads, set_kernel_threads
 from repro.experiments.config import normalize_backend, normalize_store
-from repro.service.config import add_formation_arguments
+from repro.service.config import _positive_int, add_formation_arguments
 
 __all__ = ["main", "build_parser"]
 
@@ -78,7 +78,12 @@ def build_parser() -> argparse.ArgumentParser:
         help="experiment preset (default: bench)",
     )
     parser.add_argument("--seed", type=int, default=0, help="master random seed")
-    add_formation_arguments(parser, shards=None)
+    add_formation_arguments(parser)
+    parser.add_argument(
+        "--shards", type=_positive_int, default=None, metavar="N",
+        help="form groups from N contiguous user shards, ranked shard by "
+             "shard into one table (default: unsharded)",
+    )
     parser.add_argument(
         "--json",
         default=None,

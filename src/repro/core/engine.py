@@ -355,9 +355,7 @@ class NumpyBackend(FormationBackend):
             summary = sharded.summarise_tables(items_table, scores_table, 0, variant)
             if cache is not None:
                 cache[key] = summary
-        plan, _ = sharded.plan_from_summaries(
-            [summary], variant, items_table.shape[0], max_groups
-        )
+        plan, _ = sharded.plan_from_summaries(summary, max_groups)
         return plan
 
 

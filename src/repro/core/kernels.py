@@ -1121,6 +1121,9 @@ def _table_rows_differ(
 def group_key_rows(packed: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
     """Group equal rows of a packed key matrix.
 
+    Only :func:`repro.core.sharded.merge_summaries` calls it, so no
+    production path does.
+
     Returns
     -------
     (order, new_segment):

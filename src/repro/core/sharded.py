@@ -11,19 +11,16 @@ budget filling, left-over group) then run once on the bucket summaries,
 through the same :func:`~repro.core.engine.finalise_plan` path as the
 in-memory engine.
 
-This module is the one vectorised implementation of steps 1–2, with two
-callers of different shape:
-
-* **Batch** (:class:`ShardedFormation`) is one pass.  The users are ranked
-  in shard-sized chunks into one ``(n_users, k)`` top-k table
-  (:func:`summarise_store_shard`), the table is summarised once
-  (:func:`summarise_tables`) and selected from directly
-  (``plan_from_summaries([summary], ...)``) — the numpy engine backend's
-  path, so nothing is merged.  ``shards`` only bounds the ranking chunks.
-* **Serving** (:class:`~repro.service.FormationService`) caches one
-  summary per shard of its top-k index and recomputes only the shards
-  whose users changed; :func:`merge_summaries` folds them into the global
-  buckets before selection.
+This module is the one vectorised implementation of steps 1–2.  The
+users are ranked in shard-sized chunks into one ``(n_users, k)`` top-k
+table (:func:`summarise_store_shard`), the table is summarised once
+(:func:`summarise_tables`) and selected from directly
+(:func:`plan_from_summaries`) — the numpy engine backend's path, so
+nothing is merged and ``shards`` only bounds the ranking chunks.
+:class:`~repro.service.FormationService` runs the same steps through the
+engine backend on its incrementally maintained top-k index.
+:func:`merge_summaries` (folding per-shard summaries into the global
+buckets) has no production caller.
 
 A :class:`ShardSummary` stores bucket membership as flat segments — one
 ``member_ids`` array with each bucket's members contiguous and ascending,
@@ -52,18 +49,6 @@ Parity contract (asserted by ``tests/core/test_sharded.py``):
   fractional ratings included — same groups, objective and bookkeeping —
   because ranking is row-independent and everything after it sees one
   table.
-* Only the service's merged summaries may deviate, and only for AV
-  variants on fractional ratings: the merge folds per-shard partial sums
-  (``0.0 + s0 + s1 + ...``), which re-associates the bucket's
-  member-contribution sum.  A perturbed sum can only swap the selection
-  order of two buckets whose scores differ by less than the accumulated
-  rounding error ``n_g · ε · max|contribution|`` (``n_g`` = bucket size,
-  ``ε`` = machine epsilon); each swap changes the objective by at most the
-  satisfaction gap of the swapped buckets, itself bounded by ``k ·
-  r_max``, so ``|Obj_merged − Obj_unsharded| ≤ ℓ · k · r_max``.  LM
-  variants share one contribution per bucket, and small-integer sums are
-  exact in ``float64`` regardless of association, so both stay
-  bit-identical.
 * Left-over group scoring adds no deviation: a sparse store sums AV scores
   in its own order only behind an exactness gate (integer inputs, see
   :meth:`~repro.recsys.store.SparseStore.item_scores`) and keeps the dense
@@ -98,7 +83,6 @@ from repro.core.errors import GroupFormationError
 __all__ = [
     "ShardedFormation",
     "ShardSummary",
-    "form_from_summaries",
     "merge_summaries",
     "plan_from_summaries",
     "shard_bounds",
@@ -176,8 +160,9 @@ class ShardSummary:
         """``(n_buckets, width)`` packed ``uint64`` key rows, one per bucket.
 
         Packed from the representatives' rows on first use — only
-        :func:`merge_summaries` reads them.  Comparing rows for equality
-        is exactly the reference backend's byte-key equality.
+        :func:`merge_summaries` reads them, so no production path does.
+        Comparing rows for equality is exactly the reference backend's
+        byte-key equality.
         """
         return kernels.pack_key_rows(self.items_rows, self.rep_scores, self.key_scores)
 
@@ -233,6 +218,10 @@ def merge_summaries(
 ) -> tuple[np.ndarray, np.ndarray, np.ndarray, np.ndarray, np.ndarray]:
     """Merge shard bucket digests into the global intermediate groups.
 
+    No production path merges: batch runs and the service both summarise
+    one table.  The function stays as the spec of the shard-commutation
+    property (``tests/core/test_sharded.py``).
+
     The key rows (:attr:`ShardSummary.keys`, packed here on first use)
     are concatenated and grouped by
     :func:`repro.core.kernels.group_key_rows` (collision-checked
@@ -244,6 +233,18 @@ def merge_summaries(
     engine.  The merged buckets' *enumeration order* is fingerprint order,
     which no consumer reads (selection totally orders buckets by
     ``(score, representative)``).
+
+    LM merges are bit-identical to summarising the unsharded table, as
+    are AV merges of small-integer sums (exact in ``float64`` in any
+    association).  Fractional AV sums may deviate: the merge folds
+    per-shard partial sums (``0.0 + s0 + s1 + ...``), which re-associates
+    each bucket's member-contribution sum.  A perturbed sum can only swap
+    the selection order of two buckets whose scores differ by less than
+    the accumulated rounding error ``n_g · ε · max|contribution|`` (``n_g``
+    = bucket size, ``ε`` = machine epsilon); each swap changes the
+    objective by at most the satisfaction gap of the swapped buckets,
+    itself bounded by ``k · r_max``, so ``|Obj_merged − Obj_unsharded| ≤
+    ℓ · k · r_max``.
 
     Parameters
     ----------
@@ -280,7 +281,7 @@ def merge_summaries(
     if combine == "sum":
         # Sequential fold in shard order (0.0 + s0 + s1 + ...), one pass
         # per constituent rank: exact for integer-valued ratings; see the
-        # module docstring for the general FP bound.
+        # docstring for the general FP bound.
         n_constituents = np.diff(np.append(starts, order.size))
         merged_scores = np.zeros(starts.size, dtype=np.float64)
         for rank in range(int(n_constituents.max())):
@@ -298,29 +299,21 @@ def merge_summaries(
 
 
 def plan_from_summaries(
-    summaries: list[ShardSummary],
-    variant: GreedyVariant,
-    n_users: int,
-    max_groups: int,
-) -> tuple[FormationPlan, list[np.ndarray]]:
-    """Merge shard summaries and greedily select under the group budget.
+    summary: ShardSummary, max_groups: int
+) -> tuple[FormationPlan, np.ndarray]:
+    """Greedily select from one global summary under the group budget.
 
-    Step 2 of the algorithm over already-summarised shards: merge bucket
-    digests exactly by key (:func:`merge_summaries`; a single summary is
-    already global and is read as is), pick the ``max_groups - 1`` best
-    buckets (:func:`repro.core.kernels.select_best_buckets`: highest score
-    first, ties by smallest representative — the reference heap's total
-    order), and package the outcome as the backend-independent
+    Step 2 of the algorithm: pick the ``max_groups - 1`` best buckets
+    (:func:`repro.core.kernels.select_best_buckets`: highest score first,
+    ties by smallest representative — the reference heap's total order)
+    and package the outcome as the backend-independent
     :class:`~repro.core.engine.FormationPlan`.
 
     Parameters
     ----------
-    summaries:
-        Per-shard digests in ascending user order (one per shard).
-    variant:
-        The greedy variant being executed.
-    n_users:
-        Total user count covered by the summaries.
+    summary:
+        The digest of every user (one :func:`summarise_tables` call over
+        the whole table).
     max_groups:
         Group budget ℓ.
 
@@ -332,27 +325,17 @@ def plan_from_summaries(
         chosen groups as flat segments in selection order, and
         ``selected_items_rows`` is their ``(n_selected, k)`` item rows.
     """
-    if len(summaries) == 1:
-        # One summary is already global: nothing to merge.
-        only = summaries[0]
-        scores, reps, member_ids, offsets, items_rows = (
-            only.scores, only.reps, only.member_ids, only.offsets, only.items_rows
-        )
-        contributions = only.contributions
-    else:
-        scores, reps, member_ids, offsets, items_rows = merge_summaries(
-            summaries, variant.combine
-        )
-        contributions = np.concatenate([s.contributions for s in summaries])
-
-    n_buckets = scores.size
-    chosen = kernels.select_best_buckets(scores, reps, max_groups - 1)
+    n_users = summary.member_ids.size
+    offsets = summary.offsets
+    chosen = kernels.select_best_buckets(summary.scores, summary.reps, max_groups - 1)
     n_select = chosen.size
     # Slice the chosen segments out, in selection order.
     sizes = np.diff(offsets)[chosen]
     selected_offsets = np.zeros(n_select + 1, dtype=np.int64)
     np.cumsum(sizes, out=selected_offsets[1:])
-    selected_ids = member_ids[kernels.segment_positions(offsets[chosen], sizes)]
+    selected_ids = summary.member_ids[
+        kernels.segment_positions(offsets[chosen], sizes)
+    ]
     selected_mask = np.zeros(n_users, dtype=bool)
     selected_mask[selected_ids] = True
 
@@ -360,72 +343,13 @@ def plan_from_summaries(
     plan = FormationPlan(
         member_ids=selected_ids,
         offsets=selected_offsets,
-        reps=reps[chosen],
+        reps=summary.reps[chosen],
         remaining_users=remaining,
-        remaining_values=contributions[remaining],
-        n_intermediate_groups=int(n_buckets),
+        remaining_values=summary.contributions[remaining],
+        n_intermediate_groups=int(summary.scores.size),
         n_users=n_users,
     )
-    return plan, items_rows[chosen]
-
-
-def form_from_summaries(
-    store: RatingStore,
-    summaries: list[ShardSummary],
-    variant: GreedyVariant,
-    max_groups: int,
-    k: int,
-    extra_extras: dict | None = None,
-    watch: Stopwatch | None = None,
-) -> GroupFormationResult:
-    """Run steps 2–3 over prepared shard summaries and score the result.
-
-    The entry point the online serving layer uses: shard summaries may be
-    freshly computed or recycled from a cache (only shards whose users
-    changed need recomputation), and this function turns whatever mix it
-    is given into a final scored :class:`GroupFormationResult` through the
-    exact :func:`~repro.core.engine.finalise_plan` path of the engine.
-
-    Parameters
-    ----------
-    store:
-        Rating storage used to score the selected groups.
-    summaries:
-        Per-shard digests in ascending user order covering every user.
-    variant:
-        The greedy variant being executed.
-    max_groups:
-        Group budget ℓ.
-    k:
-        Top-k prefix length of the run.
-    extra_extras:
-        Extra bookkeeping merged into the result's ``extras``.
-    watch:
-        Stopwatch already carrying time spent on the summaries (a fresh
-        one when omitted); step 2 is added to its formation lap.
-
-    Returns
-    -------
-    GroupFormationResult
-        Same contract as ``FormationEngine.run`` (see the parity notes in
-        the module docstring).
-    """
-    watch = Stopwatch() if watch is None else watch
-    with watch.lap("formation"):
-        plan, selected_items_rows = plan_from_summaries(
-            summaries, variant, store.shape[0], max_groups
-        )
-    return finalise_plan(
-        store,
-        plan,
-        selected_items_rows,
-        k,
-        variant,
-        max_groups,
-        watch,
-        backend_name="numpy",
-        extra_extras=extra_extras,
-    )
+    return plan, summary.items_rows[chosen]
 
 
 class ShardedFormation:
@@ -534,17 +458,20 @@ class ShardedFormation:
             summary = summarise_store_shard(
                 store, 0, n_users, k, variant, chunks=n_shards
             )
-        return form_from_summaries(
+            plan, selected_items_rows = plan_from_summaries(summary, max_groups)
+        return finalise_plan(
             store,
-            [summary],
+            plan,
+            selected_items_rows,
+            k,
             variant,
             max_groups,
-            k,
+            watch,
+            backend_name="numpy",
             extra_extras={
                 "n_shards": int(n_shards),
                 "store": type(store).__name__,
             },
-            watch=watch,
         )
 
 
@@ -556,13 +483,12 @@ def summarise_tables(
 ) -> ShardSummary:
     """Bucket and score already-ranked top-k tables (step 1).
 
-    :func:`summarise_store_shard` ends here, the numpy engine backend
-    summarises its whole table here, and the serving layer summarises
-    each shard straight from its incrementally maintained
-    :class:`~repro.core.topk_index.MutableTopKIndex` slices — skipping
-    ranking entirely — which is bit-identical to summarising from the
-    store because the index maintains build parity.  The packed key rows
-    a merge needs are left to :attr:`ShardSummary.keys`.
+    :func:`summarise_store_shard` ends here, and the numpy engine backend
+    summarises its whole table here — including the serving layer's
+    tables, read straight from its incrementally maintained
+    :class:`~repro.core.topk_index.MutableTopKIndex` (bit-identical to
+    ranking the store because the index maintains build parity).  The
+    packed key rows a merge needs are left to :attr:`ShardSummary.keys`.
 
     Parameters
     ----------

@@ -455,10 +455,11 @@ class MutableTopKIndex(TopKIndex):
         Returns
         -------
         dict
-            ``{"upserts", "deletes", "repaired_users", "repaired_user_ids",
-            "skipped_updates", "version", "compacted"}`` — the batch's
-            bookkeeping (``repaired_user_ids`` is what the serving layer
-            uses to invalidate only the affected shards).
+            ``{"upserts", "deletes", "repaired_users", "skipped_updates",
+            "version", "compacted"}`` — the batch's bookkeeping
+            (``repaired_users`` counts the users whose rankings were
+            recomputed; ``skipped_updates`` counts the updates that could
+            not move any ranking).
 
         Raises
         ------
@@ -489,7 +490,7 @@ class MutableTopKIndex(TopKIndex):
         if not up.size and not de.size:
             return {
                 "upserts": 0, "deletes": 0, "repaired_users": 0,
-                "repaired_user_ids": (), "skipped_updates": 0,
+                "skipped_updates": 0,
                 "version": self._version, "compacted": False,
             }
 
@@ -543,7 +544,6 @@ class MutableTopKIndex(TopKIndex):
             "upserts": int(up.shape[0]) if up.size else 0,
             "deletes": int(de.shape[0]) if de.size else 0,
             "repaired_users": int(dirty_users.size),
-            "repaired_user_ids": tuple(int(u) for u in dirty_users),
             "skipped_updates": int(skipped),
             "version": self._version,
             "compacted": compacted,

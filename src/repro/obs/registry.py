@@ -209,6 +209,8 @@ K_TRACES_DUMPED = "repro_traces_dumped_total"
 
 K_REQUESTS = "repro_service_requests_total"
 K_RESULT_HITS = "repro_service_result_cache_hits_total"
+# Retired with the service's shard-summary cache: declared (the benchmark
+# still reads them) but never incremented, so they always read 0.
 K_SHARDS_RECYCLED = "repro_service_shards_recycled_total"
 K_SHARDS_RECOMPUTED = "repro_service_shards_recomputed_total"
 K_UPDATE_BATCHES = "repro_service_update_batches_total"
@@ -292,8 +294,8 @@ def _catalogue() -> tuple[MetricSpec, ...]:
 
     counter(K_REQUESTS, "Recommend calls handled by a FormationService.")
     counter(K_RESULT_HITS, "Recommend calls served from the memoised result cache.")
-    counter(K_SHARDS_RECYCLED, "Shard summaries reused from cache during recommends.")
-    counter(K_SHARDS_RECOMPUTED, "Shard summaries recomputed during recommends.")
+    counter(K_SHARDS_RECYCLED, "Retired: always 0 (no shard-summary cache).")
+    counter(K_SHARDS_RECOMPUTED, "Retired: always 0 (no shard-summary cache).")
     counter(K_UPDATE_BATCHES, "Update batches applied to the index.")
     counter(K_UPDATES_APPLIED, "Individual rating upserts/deletes applied.")
 

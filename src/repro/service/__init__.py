@@ -4,9 +4,9 @@ Everything below this package turns the library's batch data plane into a
 system that can take traffic:
 
 * :class:`~repro.service.service.FormationService` — owns a mutable store
-  and a :class:`~repro.core.topk_index.MutableTopKIndex`, memoizes
-  formation results keyed by ``(parameters, index version)`` and recycles
-  cached per-shard bucket summaries across updates.
+  and a :class:`~repro.core.topk_index.MutableTopKIndex`, forms every
+  request on the index's ranked tables and memoizes formation results
+  keyed by ``(parameters, index version)``.
 * :class:`~repro.service.http.ServiceServer` — a dependency-free asyncio
   JSON/HTTP front end (versioned ``/v1`` API, typed event ingestion)
   with update batching and request coalescing.

@@ -158,7 +158,7 @@ def build_parser() -> argparse.ArgumentParser:
                        help="request/operational log format: human text, or "
                             "one JSON object per line for log shippers "
                             "(default: text)")
-    add_formation_arguments(serve, shards=8)
+    add_formation_arguments(serve)
     return parser
 
 
@@ -260,7 +260,7 @@ async def _serve(args: argparse.Namespace, config=None) -> None:
         )
     print(
         f"repro serve: {stats['n_users']} users x {stats['n_items']} items "
-        f"({args.store} store, k_max={stats['k_max']}, {stats['shards']} shards, "
+        f"({args.store} store, k_max={stats['k_max']}, "
         f"{stats['backend']} backend"
         + serving
         + durability

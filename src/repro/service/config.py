@@ -54,21 +54,16 @@ def _positive_int(text: str) -> int:
     return value
 
 
-def add_formation_arguments(
-    parser: argparse.ArgumentParser, *, shards: int | None
-) -> None:
+def add_formation_arguments(parser: argparse.ArgumentParser) -> None:
     """Register the formation flags both console scripts share.
 
-    ``--backend``, ``--kernel-threads``, ``--shards`` and ``--store`` are
-    defined here once, with one help text and one positive-integer
-    check; only the ``--shards`` default differs per script.
+    ``--backend``, ``--kernel-threads`` and ``--store`` are defined here
+    once, with one help text and one positive-integer check.
 
     Parameters
     ----------
     parser:
         The ``repro serve`` or ``repro-experiments`` parser.
-    shards:
-        Default shard count (``None`` runs unsharded).
     """
     group = parser.add_argument_group("formation")
     group.add_argument(
@@ -81,11 +76,6 @@ def add_formation_arguments(
         dest="kernel_threads", metavar="T",
         help="thread count for the compiled top-k kernels (default: "
              "REPRO_KERNEL_THREADS, else the CPU count); never changes results",
-    )
-    group.add_argument(
-        "--shards", type=_positive_int, default=shards, metavar="N",
-        help="form groups from N contiguous user shards whose bucket "
-             f"summaries are merged (default: {shards or 'unsharded'})",
     )
     group.add_argument(
         "--store", default=DEFAULT_STORE, choices=list(STORES),
@@ -103,7 +93,7 @@ class ServiceConfig:
     users, items, density, store, seed:
         Synthetic bootstrap instance: size, explicit-rating density (only
         meaningful for ``store="sparse"``), storage kind and RNG seed.
-    k_max, shards, backend, kernel_threads, compaction_fraction:
+    k_max, backend, kernel_threads, compaction_fraction:
         Formation-service parameters (``k_max`` is clamped to ``items``;
         ``kernel_threads=None`` resolves via ``REPRO_KERNEL_THREADS``,
         then the CPU count — a malformed variable fails validation).
@@ -145,7 +135,6 @@ class ServiceConfig:
     store: str = "dense"
     seed: int = 0
     k_max: int = 20
-    shards: int = 8
     backend: str | None = None
     kernel_threads: int | None = None
     compaction_fraction: float | None = 0.25
@@ -175,7 +164,6 @@ class ServiceConfig:
         try:
             require_positive_int(self.users, "users")
             require_positive_int(self.items, "items")
-            require_positive_int(self.shards, "shards")
             require_positive_int(self.fsync_every, "fsync_every")
         except (TypeError, ValueError) as exc:
             raise IngestError(str(exc)) from exc
@@ -404,7 +392,6 @@ class ServiceConfig:
             return FormationService(
                 self.build_store(),
                 k_max=self.effective_k_max,
-                shards=self.shards,
                 backend=self.backend,
                 compaction_fraction=self.compaction_fraction,
                 metrics=metrics,
@@ -420,7 +407,6 @@ class ServiceConfig:
         service = FormationService(
             state.store,
             k_max=state.k_max,
-            shards=self.shards,
             backend=self.backend,
             compaction_fraction=self.compaction_fraction,
             base_index=TopKIndex(

@@ -94,8 +94,6 @@ __all__ = [
 #: single-process serving bit for bit.
 BOOKKEEPING_KEYS = ("coalesced", "replica", "pool_version")
 BOOKKEEPING_EXTRAS = (
-    "shards_recycled",
-    "shards_recomputed",
     "subset_size",
     "formation_seconds",
     "recommendation_seconds",
@@ -150,9 +148,6 @@ class ReplicaSettings:
     ----------
     k_max:
         Index width served (must match the exported tables).
-    shards:
-        Cached-summary shard count (same value as the writer, so replica
-        results are bit-identical to single-process serving).
     backend:
         Formation-engine backend name (``None`` = default).
     kernel_threads:
@@ -164,7 +159,6 @@ class ReplicaSettings:
     """
 
     k_max: int
-    shards: int = 8
     backend: str | None = None
     kernel_threads: int | None = None
     compaction_fraction: float | None = 0.25
@@ -238,7 +232,6 @@ def _build_replica_service(store_spec, tables_spec, removed, staleness,
     service = FormationService(
         store,
         k_max=settings.k_max,
-        shards=settings.shards,
         backend=settings.backend,
         compaction_fraction=settings.compaction_fraction,
         base_index=base,
@@ -729,7 +722,6 @@ class ReplicaPool:
         stats = self.service.stats()
         return ReplicaSettings(
             k_max=int(stats["k_max"]),
-            shards=int(stats["shards"]),
             backend=str(stats["backend"]),
             kernel_threads=get_kernel_threads(),
         )

@@ -7,11 +7,11 @@ engine) into a request-serving component:
   :class:`~repro.core.topk_index.MutableTopKIndex`, so rating upserts and
   deletes repair only the touched users' rankings instead of rebuilding
   the index (:meth:`FormationService.apply_updates`);
-* full-population formations run through the sharded path
-  (:mod:`repro.core.sharded`): per-shard bucket summaries are **cached**
-  and an update batch invalidates only the shards whose users' rankings
-  actually changed, so the next request recomputes a few shards and
-  recycles the rest through the exact merge-by-key;
+* every request — full population, full population after removals, or
+  an explicit user subset — runs steps 1–2 through the engine backend on
+  the index's ranked tables (restricted to the requested users) and
+  scores the plan with :func:`~repro.core.engine.finalise_plan` on the
+  service's own store, so rankings are never recomputed per request;
 * finished formation results are memoized keyed by ``(parameters,
   index version)``, so identical requests between updates cost a
   dictionary lookup — and any update batch naturally invalidates them by
@@ -31,12 +31,12 @@ Examples
 ...     [[1, 4, 3], [2, 3, 5], [2, 5, 1], [2, 5, 1], [3, 1, 1], [1, 2, 5]],
 ...     dtype=float,
 ... )
->>> service = FormationService(DenseStore(ratings), k_max=2, shards=2)
+>>> service = FormationService(DenseStore(ratings), k_max=2)
 >>> service.recommend(k=1, max_groups=3).objective
 11.0
 >>> _ = service.apply_updates(upserts=[(4, 1, 5.0)])
 >>> service.recommend(k=1, max_groups=3).objective
-13.0
+14.0
 """
 
 from __future__ import annotations
@@ -50,26 +50,20 @@ import numpy as np
 
 # finalise_plan is looked up on the engine module at call time, so
 # wrappers installed on repro.core.engine (perfbench's tracer) also see
-# subset reads.
+# service reads.
 from repro.core import engine
 from repro.core.engine import get_backend
 from repro.core.errors import GroupFormationError
 from repro.core.greedy_framework import GreedyVariant, make_variant, variant_token
 from repro.core.grouping import GroupFormationResult
-from repro.core.sharded import (
-    ShardSummary,
-    form_from_summaries,
-    shard_bounds,
-    summarise_tables,
-)
+# Unused here; the benchmark's tracer still patches this module attribute.
+from repro.core.sharded import summarise_tables  # noqa: F401
 from repro.core.topk_index import MutableTopKIndex, TopKIndex
 from repro.obs.registry import (
     G_INDEX_VERSION,
     H_RECOMMEND,
     K_REQUESTS,
     K_RESULT_HITS,
-    K_SHARDS_RECOMPUTED,
-    K_SHARDS_RECYCLED,
     K_UPDATE_BATCHES,
     K_UPDATES_APPLIED,
     MetricsRegistry,
@@ -99,10 +93,6 @@ class FormationService:
     k_max:
         Largest recommended-list length the service answers
         (``1 <= k_max <= n_items``).
-    shards:
-        Number of contiguous user shards whose bucket summaries are cached
-        (default 8).  More shards make update invalidation finer-grained
-        at a small per-request merge cost.
     backend:
         Formation engine backend (default ``"numpy"``); results are
         bit-identical across backends.
@@ -140,7 +130,6 @@ class FormationService:
         self,
         store: MutableRatingStore,
         k_max: int,
-        shards: int = 8,
         backend: str | None = None,
         compaction_fraction: float | None = 0.25,
         result_cache_size: int = DEFAULT_RESULT_CACHE,
@@ -152,12 +141,9 @@ class FormationService:
         self._index = MutableTopKIndex(
             store, k_max, compaction_fraction=compaction_fraction, base=base_index
         )
-        self._shards = require_positive_int(shards, "shards")
-        self._bounds = shard_bounds(store.n_users, self._shards)
         self._result_cache_size = require_positive_int(
             result_cache_size, "result_cache_size"
         )
-        self._summaries: dict[tuple[int, int, str], ShardSummary] = {}
         self._results: OrderedDict[tuple, GroupFormationResult] = OrderedDict()
         self._lock = threading.RLock()
         #: Optional write-ahead log (:class:`repro.ingest.WriteAheadLog` or
@@ -192,8 +178,8 @@ class FormationService:
         Returns
         -------
         dict
-            Users/items/k_max/version/staleness, cache sizes, request and
-            shard recycle/recompute counters.  The counters are read from
+            Users/items/k_max/version/staleness, the result-cache size,
+            and the request and update counters.  The counters are read from
             the service's :class:`~repro.obs.registry.MetricsRegistry`;
             when that registry is slab-backed (a replica stack) they are
             aggregated across every process recording into the slab.
@@ -204,11 +190,9 @@ class FormationService:
                 "n_users": self._index.n_users,
                 "n_items": self._index.n_items,
                 "k_max": self._index.k_max,
-                "shards": int(self._bounds.size - 1),
                 "version": self._index.version,
                 "staleness": self._index.staleness,
                 "removed_users": len(self._index.removed),
-                "cached_summaries": len(self._summaries),
                 "cached_results": len(self._results),
                 "backend": self._backend.name,
                 **counters,
@@ -223,8 +207,6 @@ class FormationService:
             for name, key in (
                 ("requests", K_REQUESTS),
                 ("result_hits", K_RESULT_HITS),
-                ("shards_recycled", K_SHARDS_RECYCLED),
-                ("shards_recomputed", K_SHARDS_RECOMPUTED),
                 ("update_batches", K_UPDATE_BATCHES),
                 ("updates_applied", K_UPDATES_APPLIED),
             )
@@ -256,7 +238,7 @@ class FormationService:
         add_users: np.ndarray | None = None,
         remove_users: Sequence[int] | np.ndarray | None = None,
     ) -> dict[str, Any]:
-        """Apply one batch of mutations and invalidate exactly what changed.
+        """Apply one batch of mutations and drop the memoized results.
 
         Parameters
         ----------
@@ -273,20 +255,16 @@ class FormationService:
         Returns
         -------
         dict
-            The index's batch bookkeeping plus ``{"invalidated_shards",
-            "version", "wal_seq"}`` (``invalidated_shards`` counts the
-            cached shard summaries dropped by this batch, including
-            wholesale drops on compaction or user addition; ``wal_seq`` is
-            the journal sequence the batch was logged at, or ``None``
-            when no :attr:`journal` is attached or the batch is empty).
+            The index's batch bookkeeping plus ``{"version", "wal_seq"}``
+            (``wal_seq`` is the journal sequence the batch was logged at,
+            or ``None`` when no :attr:`journal` is attached or the batch
+            is empty).
 
         Notes
         -----
-        Shard summaries are dropped only for shards whose users' *top-k
-        rankings* changed; an update that cannot move any ranking (the
-        index's fast path) leaves every summary valid, and only the
-        memoized results are refreshed (scoring reads below-top-k ratings
-        from the store).
+        Every batch drops the memoized results, even one that moves no
+        ranking (the index's fast path): scoring reads below-top-k ratings
+        from the store.
 
         When a :attr:`journal` is attached, the batch is appended to it
         *before* any state changes (redo-log contract).  A batch that is
@@ -303,32 +281,14 @@ class FormationService:
                 if record is not None:
                     wal_seq = self.journal.append(record)
             stats = self._index.apply(upserts=upserts, deletes=deletes)
-            touched = set(stats.pop("repaired_user_ids", ()))
-            invalidated = 0
-            if stats["compacted"]:
-                # Compaction re-materialises the index arrays; cached
-                # summaries hold views/copies of old slices — drop them all.
-                invalidated += len(self._summaries)
-                self._summaries.clear()
             if remove_users is not None:
-                before = self._index.version
                 self._index.remove_users(remove_users)
-                if self._index.version != before:
-                    touched.update(int(u) for u in np.asarray(remove_users).ravel())
             if add_users is not None and np.asarray(add_users).size:
                 self._index.add_users(add_users)
-                # The user axis grew: shard boundaries shift, so every
-                # cached summary is positionally stale.
-                self._bounds = shard_bounds(self._index.n_users, self._shards)
-                invalidated += len(self._summaries)
-                self._summaries.clear()
-
-            invalidated += self._invalidate_shards(touched)
             self._results.clear()
             self.metrics.inc(K_UPDATE_BATCHES)
             self.metrics.inc(K_UPDATES_APPLIED, stats["upserts"] + stats["deletes"])
             self.metrics.gauge_set(G_INDEX_VERSION, self._index.version)
-            stats["invalidated_shards"] = invalidated
             stats["version"] = self._index.version
             stats["wal_seq"] = wal_seq
             return stats
@@ -377,19 +337,6 @@ class FormationService:
             return None
         return record
 
-    def _invalidate_shards(self, users: set[int]) -> int:
-        """Drop cached summaries of every shard containing ``users``."""
-        if not users or not self._summaries:
-            return 0
-        user_array = np.fromiter(users, dtype=np.int64)
-        shards = set(
-            np.searchsorted(self._bounds, user_array, side="right") - 1
-        )
-        stale = [key for key in self._summaries if key[0] in shards]
-        for key in stale:
-            del self._summaries[key]
-        return len(stale)
-
     # ------------------------------------------------------------------ #
     # Requests
     # ------------------------------------------------------------------ #
@@ -424,7 +371,8 @@ class FormationService:
         GroupFormationResult
             Bit-identical to a cold ``FormationEngine`` run on the current
             ratings restricted to the requested users; ``extras`` carries
-            the serving bookkeeping (version, cache hits, shard counts).
+            the serving bookkeeping (``service_version``, and
+            ``subset_size`` when the read names or skips users).
 
         Raises
         ------
@@ -454,115 +402,70 @@ class FormationService:
                 return cached
 
             with observed("service.recommend", H_RECOMMEND, registry=self.metrics):
-                if users is None and not self._index.removed:
-                    result = self._recommend_all(k, max_groups, variant)
-                elif users is None:
-                    result = self._recommend_subset(
-                        self._index.active_users(), k, max_groups, variant,
-                        validate=False,
-                    )
-                else:
-                    result = self._recommend_subset(
-                        users, k, max_groups, variant, validate=True
-                    )
+                if users is not None:
+                    self._validate_subset(users)
+                elif self._index.removed:
+                    users = self._index.active_users()
+                result = self._form(users, k, max_groups, variant)
 
             self._results[key] = result
             while len(self._results) > self._result_cache_size:
                 self._results.popitem(last=False)
             return result
 
-    def _recommend_all(
-        self, k: int, max_groups: int, variant: GreedyVariant
-    ) -> GroupFormationResult:
-        """Full-population request through cached shard summaries.
+    def _validate_subset(self, users: np.ndarray) -> None:
+        """Reject a malformed, duplicated, out-of-range or removed subset."""
+        if users.ndim != 1:
+            raise GroupFormationError("user_ids must be a flat sequence")
+        if users.size == 0:
+            raise GroupFormationError("recommend needs at least one user")
+        if sorted_unique(users).size != users.size:
+            raise GroupFormationError("user_ids contains duplicates")
+        if users.min() < 0 or users.max() >= self._index.n_users:
+            raise GroupFormationError("user_ids out of range")
+        removed = self._index.removed
+        if removed and np.isin(users, list(removed)).any():
+            raise GroupFormationError("user_ids names removed users")
 
-        Missing summaries are computed in-process straight from the
-        index's ranked top-k tables.
-        """
-        items_table, scores_table = self._index.top_k(k)
-        cached: dict[int, ShardSummary] = {}
-        missing: list[int] = []
-        for shard in range(self._bounds.size - 1):
-            summary = self._summaries.get((shard, k, variant_token(variant)))
-            if summary is None:
-                missing.append(shard)
-            else:
-                cached[shard] = summary
-        for shard in missing:
-            start, stop = int(self._bounds[shard]), int(self._bounds[shard + 1])
-            summary = summarise_tables(
-                items_table[start:stop], scores_table[start:stop], start, variant
-            )
-            self._summaries[(shard, k, variant_token(variant))] = summary
-            cached[shard] = summary
-        summaries = [cached[shard] for shard in range(self._bounds.size - 1)]
-        recycled = self._bounds.size - 1 - len(missing)
-        recomputed = len(missing)
-        self.metrics.inc(K_SHARDS_RECYCLED, recycled)
-        self.metrics.inc(K_SHARDS_RECOMPUTED, recomputed)
-        return form_from_summaries(
-            self.store,
-            summaries,
-            variant,
-            max_groups,
-            k,
-            extra_extras={
-                "service_version": self._index.version,
-                "shards_recycled": recycled,
-                "shards_recomputed": recomputed,
-            },
-        )
-
-    def _recommend_subset(
+    def _form(
         self,
-        users: np.ndarray,
+        users: np.ndarray | None,
         k: int,
         max_groups: int,
         variant: GreedyVariant,
-        validate: bool,
     ) -> GroupFormationResult:
-        """Form groups over an explicit user subset (request-sized path).
+        """Form groups over every user (``users=None``) or a user subset.
 
-        Steps 1–2 run on the index restricted with
-        :meth:`~repro.core.topk_index.TopKIndex.for_users` (table row ``i``
-        is user ``users[i]``, so rankings are never recomputed and the
-        order of ``users`` sets the tie-break).  The plan is mapped to
-        global ids with one fancy index
-        (:meth:`~repro.core.engine.FormationPlan.remapped`) and scored by
-        the shared :func:`~repro.core.engine.finalise_plan` on the
-        service's own store, which reads only the selected groups'
-        ``(members, k)`` cells and the left-over group's rows — the
-        subset's rows are never copied.  Members keep their order within
-        the restricted tables, so every score is bit-identical to the
-        engine run on the gathered rows.
+        Steps 1–2 run through the engine backend on the index's ranked
+        tables, restricted with
+        :meth:`~repro.core.topk_index.TopKIndex.for_users` for a subset
+        (table row ``i`` is user ``users[i]``, so rankings are never
+        recomputed and the order of ``users`` sets the tie-break).  A
+        subset plan is mapped to global ids with one fancy index
+        (:meth:`~repro.core.engine.FormationPlan.remapped`).  The shared
+        :func:`~repro.core.engine.finalise_plan` scores the plan on the
+        service's own store, reading only the selected groups'
+        ``(members, k)`` cells and the left-over group's rows, so every
+        score is bit-identical to the engine run on the gathered rows.
         """
-        if validate:
-            if users.ndim != 1:
-                raise GroupFormationError("user_ids must be a flat sequence")
-            if users.size == 0:
-                raise GroupFormationError("recommend needs at least one user")
-            if sorted_unique(users).size != users.size:
-                raise GroupFormationError("user_ids contains duplicates")
-            if users.min() < 0 or users.max() >= self._index.n_users:
-                raise GroupFormationError("user_ids out of range")
-            removed = self._index.removed
-            if removed and np.isin(users, list(removed)).any():
-                raise GroupFormationError("user_ids names removed users")
+        extras: dict[str, Any] = {"service_version": self._index.version}
         watch = Stopwatch()
         with watch.lap("formation"):
-            items_table, scores_table = self._index.for_users(users).top_k(k)
+            index = self._index if users is None else self._index.for_users(users)
+            items_table, scores_table = index.top_k(k)
             plan = self._backend.form(items_table, scores_table, variant, max_groups)
+        selected_items_rows = items_table[plan.reps]
+        if users is not None:
+            plan = plan.remapped(users)
+            extras["subset_size"] = int(users.size)
         return engine.finalise_plan(
             self.store,
-            plan.remapped(users),
-            items_table[plan.reps],
+            plan,
+            selected_items_rows,
             k,
             variant,
             max_groups,
             watch,
             self._backend.name,
-            extra_extras={
-                "service_version": self._index.version,
-                "subset_size": int(users.size),
-            },
+            extra_extras=extras,
         )

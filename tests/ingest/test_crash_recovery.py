@@ -23,7 +23,7 @@ import numpy as np
 from repro.ingest import FoldPolicy, event_from_dict, fold_events
 from repro.service import ServiceConfig
 
-CONFIG = dict(users=40, items=12, seed=7, shards=3, snapshot_every=3)
+CONFIG = dict(users=40, items=12, seed=7, snapshot_every=3)
 
 BATCHES = [
     [{"kind": "rating", "user": u, "item": (u * 3 + i) % 12,
@@ -44,7 +44,7 @@ def start_server(wal_dir):
     proc = subprocess.Popen(
         [sys.executable, "-m", "repro.service.cli", "serve",
          "--users", str(CONFIG["users"]), "--items", str(CONFIG["items"]),
-         "--seed", str(CONFIG["seed"]), "--shards", str(CONFIG["shards"]),
+         "--seed", str(CONFIG["seed"]),
          "--port", "0", "--batch-window", "0.001",
          "--wal-dir", str(wal_dir),
          "--snapshot-every", str(CONFIG["snapshot_every"])],

@@ -32,7 +32,7 @@ from repro.recsys import DenseStore, SparseStore
 from repro.service import FormationService
 
 
-def make_factory(values: np.ndarray, store_kind: str, k_max: int, shards: int = 3):
+def make_factory(values: np.ndarray, store_kind: str, k_max: int):
     """The ``service_factory`` recovery contract over a fixed instance."""
 
     def factory(state):
@@ -41,11 +41,10 @@ def make_factory(values: np.ndarray, store_kind: str, k_max: int, shards: int = 
                 store = DenseStore(values.copy())
             else:
                 store = SparseStore(sp.csr_matrix(values), fill_value=1.0)
-            return FormationService(store, k_max=k_max, shards=shards)
+            return FormationService(store, k_max=k_max)
         service = FormationService(
             state.store,
             k_max=state.k_max,
-            shards=shards,
             base_index=TopKIndex(
                 state.index_items, state.index_values, state.store.n_items
             ),

@@ -32,11 +32,10 @@ def make_factory(values: np.ndarray):
 
     def factory(state):
         if state is None:
-            return FormationService(DenseStore(values.copy()), k_max=3, shards=2)
+            return FormationService(DenseStore(values.copy()), k_max=3)
         service = FormationService(
             state.store,
             k_max=state.k_max,
-            shards=2,
             base_index=TopKIndex(
                 state.index_items, state.index_values, state.store.n_items
             ),

@@ -14,7 +14,6 @@ import pytest
 from scipy import sparse as sp
 
 from repro.core.errors import RatingDataError
-from repro.core.sharded import shard_bounds
 from repro.core.topk_index import MutableTopKIndex, TopKIndex
 from repro.recsys.matrix import RatingMatrix
 from repro.recsys.store import DenseStore, SparseStore
@@ -101,25 +100,22 @@ def test_duplicate_upserts_collapse_last_wins_across_stores(sparse):
 
 
 def test_batch_touching_one_user_twice_across_shard_boundaries():
-    """A service batch hitting users in different shards — twice each —
-    invalidates both shards and stays bit-identical to a cold engine run."""
+    """A service batch hitting the first and the last user — twice each —
+    keeps the last write and stays bit-identical to a cold engine run."""
     values = np.random.default_rng(2).integers(1, 6, size=(40, 10)).astype(float)
-    service = FormationService(DenseStore(values.copy()), k_max=4, shards=4)
-    bounds = shard_bounds(40, 4)
-    first_shard_user = int(bounds[0])          # shard 0
-    last_shard_user = int(bounds[-1]) - 1      # shard 3
-    service.recommend(k=3, max_groups=5)       # warm every shard summary
-    stats = service.apply_updates(
+    service = FormationService(DenseStore(values.copy()), k_max=4)
+    first_user, last_user = 0, 39
+    service.recommend(k=3, max_groups=5)       # warm the result memo
+    service.apply_updates(
         upserts=[
-            (first_shard_user, 1, 5.0),
-            (first_shard_user, 1, 2.0),        # same user+item again: last wins
-            (last_shard_user, 2, 5.0),
-            (last_shard_user, 2, 4.0),
+            (first_user, 1, 5.0),
+            (first_user, 1, 2.0),        # same user+item again: last wins
+            (last_user, 2, 5.0),
+            (last_user, 2, 4.0),
         ]
     )
-    assert stats["invalidated_shards"] == 2
-    assert service.store.to_dense()[first_shard_user, 1] == 2.0
-    assert service.store.to_dense()[last_shard_user, 2] == 4.0
+    assert service.store.to_dense()[first_user, 1] == 2.0
+    assert service.store.to_dense()[last_user, 2] == 4.0
     served = service.recommend(k=3, max_groups=5)
     from repro.core.engine import FormationEngine
 
@@ -128,8 +124,6 @@ def test_batch_touching_one_user_twice_across_shard_boundaries():
     )
     assert served.objective == cold.objective
     assert [g.members for g in served.groups] == [g.members for g in cold.groups]
-    assert served.extras["shards_recomputed"] == 2
-    assert served.extras["shards_recycled"] == 2
 
 
 def test_mutable_index_repairs_user_touched_twice_in_one_batch():

@@ -69,7 +69,7 @@ def test_build_pipeline_requires_wal_dir():
 
 def test_builders_produce_a_working_stack(tmp_path):
     config = ServiceConfig(
-        users=20, items=8, seed=3, shards=2, wal_dir=str(tmp_path),
+        users=20, items=8, seed=3, wal_dir=str(tmp_path),
         snapshot_every=2,
     )
     store = config.build_store()
@@ -83,7 +83,7 @@ def test_builders_produce_a_working_stack(tmp_path):
 
     # Reopening through the same config recovers the same stack.
     reopened = ServiceConfig(
-        users=20, items=8, seed=3, shards=2, wal_dir=str(tmp_path),
+        users=20, items=8, seed=3, wal_dir=str(tmp_path),
         snapshot_every=2,
     ).build_pipeline()
     assert np.array_equal(reopened.service.index.items, live_items)
@@ -94,7 +94,7 @@ def test_builders_produce_a_working_stack(tmp_path):
     reopened.close()
     with pytest.raises(IngestError):
         ServiceConfig(
-            users=20, items=8, seed=3, shards=2, k_max=3,
+            users=20, items=8, seed=3, k_max=3,
             wal_dir=str(tmp_path),
         ).build_pipeline()
 

@@ -134,7 +134,7 @@ def test_degraded_write_never_leaves_phantom_state(tmp_path, background_server):
 
 def test_request_deadline_returns_structured_504(background_server):
     values = np.random.default_rng(5).integers(1, 6, size=(30, 8)).astype(float)
-    service = FormationService(DenseStore(values), k_max=4, shards=2)
+    service = FormationService(DenseStore(values), k_max=4)
     srv = ServiceServer(service, port=0, request_timeout_ms=100.0)
     with background_server(srv):
         faults.configure("http.dispatch=delay:3000@once:1")
@@ -153,7 +153,7 @@ def test_request_deadline_returns_structured_504(background_server):
 
 def test_request_timeout_must_be_positive():
     values = np.random.default_rng(6).integers(1, 6, size=(10, 4)).astype(float)
-    service = FormationService(DenseStore(values), k_max=2, shards=1)
+    service = FormationService(DenseStore(values), k_max=2)
     from repro.core.errors import ReproError
 
     with pytest.raises(ReproError):

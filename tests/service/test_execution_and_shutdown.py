@@ -32,7 +32,7 @@ def values():
 
 
 def test_service_with_executor_matches_cold_engine(values):
-    with FormationService(DenseStore(values.copy()), k_max=5, shards=4) as service:
+    with FormationService(DenseStore(values.copy()), k_max=5) as service:
         served = service.recommend(k=3, max_groups=5)
         cold = FormationEngine("numpy").run(values.copy(), 5, 3, "lm", "min")
         assert served.objective == cold.objective
@@ -50,7 +50,7 @@ def test_service_with_executor_matches_cold_engine(values):
 def test_service_distinguishes_weighted_sum_schemes(values):
     """Result memo and shard-summary caches must not collide on the shared
     ``weighted-sum`` algorithm name across schemes."""
-    service = FormationService(DenseStore(values.copy()), k_max=4, shards=3)
+    service = FormationService(DenseStore(values.copy()), k_max=4)
     engine = FormationEngine("numpy")
     for scheme in ("weighted-sum-inverse", "weighted-sum-log"):
         served = service.recommend(k=3, max_groups=5, aggregation=scheme)
@@ -66,7 +66,7 @@ def test_service_distinguishes_weighted_sum_schemes(values):
 
 
 def test_shutdown_flushes_the_open_update_batch(values):
-    service = FormationService(DenseStore(values.copy()), k_max=4, shards=3)
+    service = FormationService(DenseStore(values.copy()), k_max=4)
     # A huge batch window guarantees the update is still pending at shutdown.
     server = ServiceServer(service, port=0, batch_window=30.0)
     loop = asyncio.new_event_loop()

@@ -26,7 +26,7 @@ from repro.service import FormationService, ServiceServer
 @pytest.fixture()
 def server(background_server):
     values = np.random.default_rng(17).integers(1, 6, size=(60, 15)).astype(float)
-    service = FormationService(DenseStore(values.copy()), k_max=5, shards=3)
+    service = FormationService(DenseStore(values.copy()), k_max=5)
     with background_server(ServiceServer(service, port=0, batch_window=0.2)) as srv:
         yield srv, values
 

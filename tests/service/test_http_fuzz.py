@@ -60,7 +60,7 @@ class _Recorder(logging.Handler):
 def live(background_server):
     """``(server, loop, log recorder)`` of one server shared by the module."""
     values = np.random.default_rng(31).integers(1, 6, size=(N_USERS, 10)).astype(float)
-    service = FormationService(DenseStore(values), k_max=4, shards=2)
+    service = FormationService(DenseStore(values), k_max=4)
     recorder = _Recorder()
     root = logging.getLogger()
     root.addHandler(recorder)

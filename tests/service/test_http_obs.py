@@ -27,7 +27,7 @@ def _reset_faults():
 @pytest.fixture()
 def server(background_server):
     values = np.random.default_rng(23).integers(1, 6, size=(50, 12)).astype(float)
-    service = FormationService(DenseStore(values.copy()), k_max=5, shards=3)
+    service = FormationService(DenseStore(values.copy()), k_max=5)
     with background_server(ServiceServer(service, port=0, batch_window=0.05)) as srv:
         yield srv
 

@@ -32,7 +32,7 @@ def values():
 
 @pytest.fixture
 def service(values):
-    service = FormationService(DenseStore(values.copy()), k_max=5, shards=4)
+    service = FormationService(DenseStore(values.copy()), k_max=5)
     yield service
     service.close()
 
@@ -121,8 +121,7 @@ def test_canonical_response_strips_only_bookkeeping():
         "pool_version": 7,
         "extras": {
             "service_version": 7,
-            "shards_recycled": 2,
-            "shards_recomputed": 1,
+            "subset_size": 16,
             "formation_seconds": 0.01,
             "recommendation_seconds": 0.02,
             "backend": "numpy",
@@ -258,7 +257,7 @@ def test_build_pool_carries_the_config(service):
 def test_http_shutdown_answers_queued_reads_with_503(values):
     """Reads stuck behind a wedged replica at shutdown get a structured
     ``503 shutting_down`` body, never a dropped connection."""
-    service = FormationService(DenseStore(values.copy()), k_max=5, shards=4)
+    service = FormationService(DenseStore(values.copy()), k_max=5)
     pool = ReplicaPool(
         service, replicas=1, inflight=1, queue_depth=8, request_timeout=2.0
     )

@@ -26,7 +26,7 @@ def _reset_faults():
 @pytest.fixture
 def service():
     values = np.random.default_rng(17).integers(1, 6, size=(30, 10)).astype(float)
-    service = FormationService(DenseStore(values), k_max=4, shards=2)
+    service = FormationService(DenseStore(values), k_max=4)
     yield service
     service.close()
 

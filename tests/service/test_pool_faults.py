@@ -24,7 +24,7 @@ from repro.service.pool import canonical_response
 @pytest.fixture
 def service():
     values = np.random.default_rng(11).integers(1, 6, size=(40, 12)).astype(float)
-    service = FormationService(DenseStore(values), k_max=5, shards=4)
+    service = FormationService(DenseStore(values), k_max=5)
     yield service
     service.close()
 

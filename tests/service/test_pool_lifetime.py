@@ -33,7 +33,7 @@ def test_spawn_kill_publish_churn_leaves_no_segments():
     before = shm_segments()
 
     for round_no in range(3):
-        service = FormationService(DenseStore(values.copy()), k_max=5, shards=4)
+        service = FormationService(DenseStore(values.copy()), k_max=5)
         pool = ReplicaPool(service, replicas=2, request_timeout=60.0)
         pool.start()
 
@@ -67,7 +67,7 @@ values = np.random.default_rng(5).integers(1, 6, size=(36, 10)).astype(float)
 
 async def main():
     for _ in range(2):
-        service = FormationService(DenseStore(values.copy()), k_max=5, shards=4)
+        service = FormationService(DenseStore(values.copy()), k_max=5)
         pool = ReplicaPool(service, replicas=2, request_timeout=60.0)
         pool.start()
         await pool.recommend(k=3, max_groups=5)

@@ -31,7 +31,7 @@ from repro.service import FormationService, ReplicaPool
 @pytest.fixture
 def service():
     values = np.random.default_rng(29).integers(1, 6, size=(40, 12)).astype(float)
-    service = FormationService(DenseStore(values), k_max=5, shards=4)
+    service = FormationService(DenseStore(values), k_max=5)
     yield service
     service.close()
 

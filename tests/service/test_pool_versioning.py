@@ -31,7 +31,7 @@ def make_values() -> np.ndarray:
 
 def reference_by_version(batch_list) -> dict[int, dict]:
     """Canonical single-process response after each fully-applied batch."""
-    service = FormationService(DenseStore(make_values()), k_max=5, shards=4)
+    service = FormationService(DenseStore(make_values()), k_max=5)
     try:
         refs = {0: canonical_response(service.recommend(**READ).as_dict())}
         for batch in batch_list:
@@ -61,7 +61,7 @@ def test_interleaved_reads_observe_only_published_versions(batch_list, data):
         )
     )
     refs = reference_by_version(batch_list)
-    service = FormationService(DenseStore(make_values()), k_max=5, shards=4)
+    service = FormationService(DenseStore(make_values()), k_max=5)
     pool = ReplicaPool(service, replicas=2, inflight=2, queue_depth=32)
     pool.start()
 

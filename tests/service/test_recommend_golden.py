@@ -95,7 +95,7 @@ def make_store(kind: str):
 @contextlib.contextmanager
 def running_server(kind: str):
     """A :class:`ServiceServer` over the seeded ``kind`` store, on a thread."""
-    service = FormationService(make_store(kind), k_max=4, shards=3)
+    service = FormationService(make_store(kind), k_max=4)
     srv = ServiceServer(service, port=0)
     loop = asyncio.new_event_loop()
 

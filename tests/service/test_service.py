@@ -1,9 +1,9 @@
 """FormationService: parity with the cold engine, caching, invalidation.
 
-The serving layer's contract is that memoization, shard-summary recycling
-and incremental index maintenance are *execution strategies only*: every
-response is bit-identical to a cold :class:`~repro.core.FormationEngine`
-run over the store's current ratings.
+The serving layer's contract is that memoization and incremental index
+maintenance are *execution strategies only*: every response is
+bit-identical to a cold :class:`~repro.core.FormationEngine` run over the
+store's current ratings.
 """
 
 from __future__ import annotations
@@ -17,6 +17,7 @@ from repro.core.errors import GroupFormationError
 from repro.core.semantics import Semantics
 from repro.recsys import DenseStore, SparseStore
 from repro.service import FormationService
+from repro.service.pool import canonical_response
 
 SEMANTICS = ("lm", "av")
 AGGREGATIONS = ("min", "sum")
@@ -61,7 +62,7 @@ def assert_same_result(got, want, context=""):
 @pytest.mark.parametrize("store_kind", ("dense", "sparse"))
 def test_recommend_matches_cold_engine_through_updates(store_kind):
     store, shadow = make_instance(store_kind)
-    service = FormationService(store, k_max=5, shards=4)
+    service = FormationService(store, k_max=5)
     engine = FormationEngine("numpy")
     rng = np.random.default_rng(99)
 
@@ -87,7 +88,7 @@ def test_recommend_matches_cold_engine_through_updates(store_kind):
 
 def test_memoization_and_invalidation_on_update():
     store, _ = make_instance("dense")
-    service = FormationService(store, k_max=4, shards=4)
+    service = FormationService(store, k_max=4)
     first = service.recommend(k=2, max_groups=4)
     again = service.recommend(k=2, max_groups=4)
     assert again is first  # cache hit returns the same object
@@ -99,34 +100,90 @@ def test_memoization_and_invalidation_on_update():
     assert fresh.extras["service_version"] == 1
 
 
-def test_localised_update_recycles_untouched_shards():
-    store, _ = make_instance("dense", n_users=64)
-    service = FormationService(store, k_max=4, shards=4)
-    service.recommend(k=3, max_groups=5)  # populate all 4 summaries
-    base = service.stats()
-
-    # Users 0 and 1 live in shard 0; shards 1-3 must be recycled.
-    service.apply_updates(upserts=[(0, 2, 5.0), (1, 3, 5.0)])
-    result = service.recommend(k=3, max_groups=5)
-    assert result.extras["shards_recomputed"] <= 1
-    assert result.extras["shards_recycled"] >= 3
-    stats = service.stats()
-    assert stats["shards_recycled"] - base["shards_recycled"] >= 3
-
-
-def test_skipped_updates_keep_summaries_but_refresh_results():
+def test_skipped_updates_refresh_results():
     store = DenseStore(
         np.tile(np.array([[5.0, 4.0, 3.0, 1.0]]), (16, 1))
     )
-    service = FormationService(store, k_max=2, shards=2)
+    service = FormationService(store, k_max=2)
     first = service.recommend(k=2, max_groups=3)
     # Rating 2.0 at item 3 stays below every user's top-2 boundary.
     stats = service.apply_updates(upserts=[(0, 3, 2.0)])
     assert stats["repaired_users"] == 0
-    assert stats["invalidated_shards"] == 0
     second = service.recommend(k=2, max_groups=3)
     assert second is not first  # below-top-k ratings still affect scoring
-    assert second.extras["shards_recycled"] == 2
+    want = FormationEngine("numpy").run(store.to_dense().copy(), 3, 2, "lm", "min")
+    assert_same_result(second, want)
+
+
+def canonical(result, users=None) -> dict:
+    """A result's canonical body without ``service_version``; ``users``
+    maps the engine's row indices of a gathered subset to user ids."""
+    body = canonical_response(result.as_dict())
+    body["extras"].pop("service_version", None)
+    if users is not None:
+        for group in body["groups"]:
+            group["members"] = [users[m] for m in group["members"]]
+    return body
+
+
+@pytest.mark.parametrize("store_kind", ("dense", "sparse"))
+def test_full_reads_run_the_service_backend(store_kind):
+    """A ``reference`` service forms full reads with the reference backend,
+    before and after removals, and equals the reference engine."""
+    store, shadow = make_instance(store_kind, seed=4)
+    service = FormationService(store, k_max=4, backend="reference")
+    engine = FormationEngine("reference")
+    removed = [2, 9, 40]
+    active = [u for u in range(48) if u not in removed]
+    for users in (None, active):
+        if users is not None:
+            service.apply_updates(remove_users=removed)
+        for semantics, aggregation in (("lm", "min"), ("av", "sum")):
+            got = service.recommend(
+                k=3, max_groups=5, semantics=semantics, aggregation=aggregation
+            )
+            rows = shadow if users is None else DenseStore(shadow.rows(users))
+            want = engine.run(rows, 5, 3, semantics, aggregation)
+            assert got.extras["backend"] == "reference"
+            assert canonical(got) == canonical(want, users), (users, semantics)
+
+
+def crafted_fold_instance() -> DenseStore:
+    """Two AV-sum buckets whose order depends on how a sum associates.
+
+    Users 1-3 share item 0 with top scores 0.1, 0.1 and 0.4; summed in
+    user order that is ``0.6000000000000001``, which beats user 0's lone
+    ``0.6`` on item 1.  Summed as ``0.1 + (0.1 + 0.4)`` (a per-shard
+    partial sum folded in) it is exactly 0.6, and the tie then goes to
+    user 0's smaller representative.
+    """
+    values = np.zeros((16, 3))
+    values[0, 1] = 0.6
+    values[1:4, 0] = (0.1, 0.1, 0.4)
+    values[4:, 2] = 0.01
+    return DenseStore(values)
+
+
+@pytest.mark.parametrize("instance", ("seeded", "crafted"))
+def test_fractional_av_full_reads_bit_identical_to_reference(instance):
+    if instance == "seeded":
+        store, shadow = make_instance("dense", n_users=200, seed=11, fractional=True)
+        settings = [(k, groups) for k in (1, 2, 4) for groups in (2, 6, 40)]
+    else:
+        store, shadow = crafted_fold_instance(), crafted_fold_instance()
+        settings = [(1, 2)]
+    k_max = max(k for k, _ in settings)
+    service = FormationService(store, k_max=k_max)
+    engine = FormationEngine("reference")
+    for k, max_groups in settings:
+        got = service.recommend(k=k, max_groups=max_groups, semantics="av",
+                                aggregation="sum")
+        want = engine.run(shadow, max_groups, k, "av", "sum")
+        context = (k, max_groups)
+        assert got.objective == want.objective, context
+        for got_group, want_group in zip(got.groups, want.groups, strict=True):
+            assert got_group.members == want_group.members, context
+            assert got_group.item_scores == want_group.item_scores, context
 
 
 SUBSET = np.random.default_rng(5).choice(48, size=16, replace=False)
@@ -151,7 +208,7 @@ def test_subset_requests_match_engine_on_gathered_rows(
     every intermediate group is selected and budget filling splits them.
     """
     store, shadow = make_instance(store_kind, seed=3, fractional=values_kind == "fractional")
-    service = FormationService(store, k_max=4, shards=4)
+    service = FormationService(store, k_max=4)
     subset = [int(u) for u in ORDERS[order]]
     semantics, aggregation = variant
     max_groups = 5 if budget == "leftover" else len(subset) + 2
@@ -220,7 +277,7 @@ def test_subset_reads_never_densify_the_whole_subset(
     densified_rows, store_kind, values_kind, variant
 ):
     store, _ = make_instance(store_kind, seed=3, fractional=values_kind == "fractional")
-    service = FormationService(store, k_max=4, shards=4)
+    service = FormationService(store, k_max=4)
     semantics, aggregation = variant
     subset = [int(u) for u in ORDERS["shuffled"]]
     densified_rows["rows"] = 0
@@ -256,7 +313,7 @@ def test_dense_leftover_reads_copy_no_row(densified_rows, monkeypatch, variant):
         lambda self, *args: spec_calls.append(self) or spec(self, *args),
     )
     store, _ = make_instance("dense", seed=3)
-    service = FormationService(store, k_max=4, shards=4)
+    service = FormationService(store, k_max=4)
     semantics, aggregation = variant
     densified_rows["rows"] = 0
     result = service.recommend(
@@ -289,7 +346,7 @@ def test_subset_request_validation():
 
 def test_removed_users_leave_formations():
     store, _ = make_instance("dense")
-    service = FormationService(store, k_max=4, shards=4)
+    service = FormationService(store, k_max=4)
     service.apply_updates(remove_users=[0, 1, 2])
     result = service.recommend(k=2, max_groups=5)
     formed = {u for g in result.groups for u in g.members}
@@ -300,14 +357,12 @@ def test_removed_users_leave_formations():
 
 def test_added_users_join_formations():
     store, _ = make_instance("dense")
-    service = FormationService(store, k_max=4, shards=4)
+    service = FormationService(store, k_max=4)
     rng = np.random.default_rng(3)
-    service.recommend(k=2, max_groups=5)  # populate the 4 shard summaries
-    stats = service.apply_updates(
+    service.recommend(k=2, max_groups=5)
+    service.apply_updates(
         add_users=rng.integers(1, 5, size=(4, 12)).astype(float)
     )
-    # Growing the user axis drops every cached summary — and says so.
-    assert stats["invalidated_shards"] == 4
     assert service.stats()["n_users"] == 52
     result = service.recommend(k=2, max_groups=5)
     formed = {u for g in result.groups for u in g.members}
@@ -327,7 +382,7 @@ def test_store_writes_are_observed_once_per_write():
     from repro.obs.runtime import get_registry
 
     store, _ = make_instance("sparse")
-    service = FormationService(store, k_max=4, shards=2)
+    service = FormationService(store, k_max=4)
 
     def count() -> int:
         return get_registry().histogram(H_STORE_WRITE)["count"]

@@ -9,7 +9,7 @@ from repro.cli import main as experiments_main
 from repro.service.cli import build_parser as serve_parser
 from repro.service.cli import main as serve_main
 
-FLAGS = ("--backend", "--kernel-threads", "--shards", "--store")
+FLAGS = ("--backend", "--kernel-threads", "--store")
 
 
 def _formation_actions(parser) -> dict:
@@ -28,15 +28,11 @@ def test_both_clis_define_the_same_flags_and_choices():
     assert set(serve) == set(experiments) == set(FLAGS)
     for flag in FLAGS:
         ours, theirs = serve[flag], experiments[flag]
-        assert (ours.dest, ours.choices, ours.type, ours.metavar) == (
-            theirs.dest, theirs.choices, theirs.type, theirs.metavar
+        assert (ours.dest, ours.choices, ours.type, ours.metavar,
+                ours.default, ours.help) == (
+            theirs.dest, theirs.choices, theirs.type, theirs.metavar,
+            theirs.default, theirs.help,
         ), flag
-        if flag != "--shards":
-            assert (ours.default, ours.help) == (theirs.default, theirs.help)
-    # The one per-script difference: serve caches 8 shard summaries,
-    # experiments run unsharded unless asked.
-    assert serve["--shards"].default == 8
-    assert experiments["--shards"].default is None
 
 
 @pytest.mark.parametrize(
@@ -44,7 +40,6 @@ def test_both_clis_define_the_same_flags_and_choices():
     [
         ["--backend", "reference"],
         ["--store", "sparse"],
-        ["--shards", "3"],
         ["--kernel-threads", "2"],
     ],
 )
@@ -55,21 +50,35 @@ def test_both_clis_parse_the_same_values(argv):
     assert getattr(serve, dest) == getattr(experiments, dest)
 
 
-@pytest.mark.parametrize("flag", ["--shards", "--kernel-threads"])
-@pytest.mark.parametrize(
-    "cli", [("repro serve", serve_main, "serve"),
-            ("repro-experiments", experiments_main, "table3")],
-    ids=["serve", "experiments"],
-)
-def test_non_positive_counts_exit_2_with_one_error_line(cli, flag, capsys):
-    prog, main, command = cli
+def _one_error_line(main, argv, capsys) -> str:
     with pytest.raises(SystemExit) as excinfo:
-        main([command, flag, "0"])
+        main(argv)
     assert excinfo.value.code == 2
     captured = capsys.readouterr()
     errors = [line for line in captured.err.splitlines() if "error" in line]
-    assert errors == [
-        f"{prog}: error: argument {flag}: must be a positive integer, got '0'"
-    ]
+    assert len(errors) == 1
     assert "Traceback" not in captured.err
     assert captured.out == ""
+    return errors[0]
+
+
+@pytest.mark.parametrize(
+    "cli, flag",
+    [
+        (("repro serve", serve_main, "serve"), "--kernel-threads"),
+        (("repro-experiments", experiments_main, "table3"), "--kernel-threads"),
+        (("repro-experiments", experiments_main, "table3"), "--shards"),
+    ],
+    ids=["serve-kernel-threads", "experiments-kernel-threads",
+         "experiments-shards"],
+)
+def test_non_positive_counts_exit_2_with_one_error_line(cli, flag, capsys):
+    prog, main, command = cli
+    assert _one_error_line(main, [command, flag, "0"], capsys) == (
+        f"{prog}: error: argument {flag}: must be a positive integer, got '0'"
+    )
+
+
+def test_serve_has_no_shards_flag(capsys):
+    error = _one_error_line(serve_main, ["serve", "--shards", "4"], capsys)
+    assert error == "repro: error: unrecognized arguments: --shards 4"
