@@ -164,7 +164,7 @@ def main(argv=None) -> int:
     # rebuild of its index: the work the incremental path replaces.
     batch_times = []
     baseline_times = []
-    repaired = skipped = 0
+    repaired = 0
     for _ in range(args.batches):
         upserts, deletes = random_batch(
             rng, service.index.n_users, args.items, args.batch_size
@@ -173,7 +173,6 @@ def main(argv=None) -> int:
         stats = service.apply_updates(upserts=upserts, deletes=deletes)
         batch_times.append(time.perf_counter() - t0)
         repaired += stats["repaired_users"]
-        skipped += stats["skipped_updates"]
 
         up = np.asarray(upserts, dtype=np.float64).reshape(-1, 3)
         de = np.asarray(deletes, dtype=np.int64).reshape(-1, 2)
@@ -198,7 +197,7 @@ def main(argv=None) -> int:
     print(
         f"  incremental batch ({args.batch_size} updates): "
         f"mean {batch_mean * 1000:8.1f} ms | {updates_per_second:,.0f} updates/s "
-        f"({repaired} rows repaired, {skipped} skipped)"
+        f"({repaired} rows repaired)"
     )
     print(
         f"  store write + full rebuild: mean {baseline_mean * 1000:8.1f} ms | "
@@ -248,9 +247,7 @@ def main(argv=None) -> int:
                     state.index_items, state.index_values, state.store.n_items
                 ),
             )
-            recovered.index.adopt_state(
-                state.version, state.removed, state.staleness
-            )
+            recovered.index.adopt_state(state.version, state.removed)
             return recovered
 
         # Cadence deliberately does not divide the batch count, so the

@@ -120,8 +120,6 @@ class ShardSummary:
 
     Attributes
     ----------
-    start:
-        First global user index of the shard.
     items_rows:
         ``(n_buckets, k)`` shared top-k item sequence of each bucket (the
         recommended list if the bucket is selected).
@@ -145,7 +143,6 @@ class ShardSummary:
         shard-local user order.
     """
 
-    start: int
     items_rows: np.ndarray
     rep_scores: np.ndarray
     key_scores: str
@@ -513,7 +510,6 @@ def summarise_tables(
         inverse, contributions, starts.size, variant.combine, reps_local
     )
     return ShardSummary(
-        start=start,
         # np.take gathers whole rows several times faster than fancy
         # indexing does.
         items_rows=np.take(items_table, reps_local, axis=0),

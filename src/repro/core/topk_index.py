@@ -12,9 +12,7 @@ deterministic tie-break contract:
 Because that contract defines a total order per user, the top-``k`` table
 for any ``k <= k_max`` is exactly the first ``k`` columns of the
 top-``k_max`` table — so one index, built once per ``(ratings, k_max)``,
-serves an entire ``(k, ℓ, semantics, aggregation)`` configuration sweep,
-and can be saved to disk and reloaded across processes (:meth:`TopKIndex.save`
-/ :meth:`TopKIndex.load`).
+serves an entire ``(k, ℓ, semantics, aggregation)`` configuration sweep.
 
 The index is built through :meth:`RatingStore.top_k
 <repro.recsys.store.RatingStore.top_k>`: a dense store runs the exact
@@ -28,7 +26,6 @@ is bit-identical to one built from the equivalent dense array.
 from __future__ import annotations
 
 from collections.abc import Callable, Sequence
-from pathlib import Path
 from typing import TYPE_CHECKING
 
 import numpy as np
@@ -58,8 +55,7 @@ class TopKIndex:
     values:
         Matching ``(n_users, k_max)`` float array of ratings.
     n_items:
-        Catalogue size of the source ratings (needed to validate ``k`` and
-        preserved across save/load).
+        Catalogue size of the source ratings (needed to validate ``k``).
     """
 
     def __init__(self, items: np.ndarray, values: np.ndarray, n_items: int) -> None:
@@ -184,39 +180,6 @@ class TopKIndex:
         users = np.asarray(users, dtype=np.int64)
         return TopKIndex(self.items[users], self.values[users], self.n_items)
 
-    # ------------------------------------------------------------------ #
-    # Persistence
-    # ------------------------------------------------------------------ #
-
-    def save(self, path: str | Path) -> Path:
-        """Persist the index as a compressed ``.npz`` artifact.
-
-        Parameters
-        ----------
-        path:
-            Destination path (``.npz`` appended when missing).
-
-        Returns
-        -------
-        pathlib.Path
-            The path actually written.
-        """
-        path = Path(path)
-        np.savez_compressed(
-            path,
-            items=self.items,
-            values=self.values,
-            n_items=np.int64(self.n_items),
-        )
-        # np.savez appends .npz when missing; report the real file.
-        return path if path.suffix == ".npz" else path.with_suffix(path.suffix + ".npz")
-
-    @classmethod
-    def load(cls, path: str | Path) -> "TopKIndex":
-        """Load an index previously written to ``path`` by :meth:`save`."""
-        with np.load(Path(path)) as payload:
-            return cls(payload["items"], payload["values"], int(payload["n_items"]))
-
     def __repr__(self) -> str:  # pragma: no cover - cosmetic
         return (
             f"TopKIndex(n_users={self.n_users}, k_max={self.k_max}, "
@@ -232,25 +195,16 @@ class MutableTopKIndex(TopKIndex):
     the index to *follow* a stream of rating upserts/deletes and user
     additions/removals without paying a full ``O(n_users · n_items)``
     rebuild per batch.  This class owns a **mutable backing store**
-    (:class:`~repro.recsys.store.MutableRatingStore`) and repairs the index
-    incrementally:
+    (:class:`~repro.recsys.store.MutableRatingStore`) and keeps the index
+    under one rule: every update batch is first written to the store (the
+    single source of truth), then every user the batch touched is
+    re-ranked through the exact same top-k kernel a fresh build would
+    use.  Ranking is row-independent, so the index is **bit-identical** to
+    ``TopKIndex.build(store, k_max)`` after every batch (the property suite
+    in ``tests/core/test_mutable_topk.py`` asserts this).
 
-    * every update batch is first written to the store (the single source
-      of truth), then only the *affected* user rows are re-ranked through
-      the exact same top-k kernel a fresh build would use — ranking is
-      row-independent, so the repaired index is **bit-identical** to
-      ``TopKIndex.build(store, k_max)`` after every batch (the property
-      suite in ``tests/core/test_mutable_topk.py`` asserts this);
-    * an update that provably cannot change a user's top-``k_max`` row —
-      an out-of-row item whose new rating still ranks below the row's last
-      entry under the deterministic tie-break — skips the repair entirely;
-    * a :attr:`staleness` counter tracks rows repaired since the last full
-      build; once it exceeds ``compaction_fraction · n_users`` the index
-      triggers :meth:`compact` (one fresh blockwise build), bounding drift
-      in the per-``k`` slice caches and keeping repair bookkeeping small.
-
-    Every mutating batch bumps :attr:`version` — including batches whose
-    updates all skipped repair, because formation *results* also read
+    Every mutating batch bumps :attr:`version` — including batches that
+    leave every top-k row unchanged, because formation *results* also read
     below-top-k ratings from the store when scoring groups.  The serving
     layer memoizes formation results keyed on this version.
 
@@ -265,9 +219,6 @@ class MutableTopKIndex(TopKIndex):
         Top-k kernel ``(dense_block, k) -> (items, values)``; defaults to
         the library's fastest exact kernel (same default as
         :meth:`TopKIndex.build`).
-    compaction_fraction:
-        Fraction of ``n_users`` whose repair triggers a full rebuild
-        (default ``0.25``).  ``None`` disables automatic compaction.
     base:
         Optional prebuilt :class:`TopKIndex` over the *current* contents of
         ``store`` (e.g. a snapshot's saved tables).  Its tables are adopted
@@ -290,7 +241,8 @@ class MutableTopKIndex(TopKIndex):
     >>> index = MutableTopKIndex(store, k_max=2)
     >>> index.items.tolist()
     [[0, 2], [1, 2]]
-    >>> stats = index.apply(upserts=[(0, 1, 4.0)])
+    >>> index.apply(upserts=[(0, 1, 4.0)])["repaired_users"]
+    1
     >>> index.items.tolist()
     [[0, 1], [1, 2]]
     >>> fresh = TopKIndex.build(store, 2)
@@ -303,7 +255,6 @@ class MutableTopKIndex(TopKIndex):
         store: "MutableRatingStore",
         k_max: int,
         table_fn: "Callable[[np.ndarray, int], tuple[np.ndarray, np.ndarray]] | None" = None,
-        compaction_fraction: float | None = 0.25,
         base: "TopKIndex | None" = None,
     ) -> None:
         for method in ("upsert", "delete", "clear_rows", "append_users"):
@@ -312,10 +263,6 @@ class MutableTopKIndex(TopKIndex):
                     f"MutableTopKIndex needs a mutable rating store "
                     f"(missing .{method}()); DenseStore and SparseStore both qualify"
                 )
-        if compaction_fraction is not None and not 0 < compaction_fraction <= 1:
-            raise GroupFormationError(
-                f"compaction_fraction must be in (0, 1], got {compaction_fraction}"
-            )
         if base is not None:
             if base.n_users != store.shape[0] or base.n_items != store.shape[1]:
                 raise GroupFormationError(
@@ -332,9 +279,7 @@ class MutableTopKIndex(TopKIndex):
         super().__init__(base.items, base.values, base.n_items)
         self._store = store
         self._table_fn = table_fn
-        self.compaction_fraction = compaction_fraction
         self._version = 0
-        self._staleness = 0
         self._removed: set[int] = set()
 
     # ------------------------------------------------------------------ #
@@ -355,11 +300,6 @@ class MutableTopKIndex(TopKIndex):
         key.
         """
         return self._version
-
-    @property
-    def staleness(self) -> int:
-        """User rows repaired incrementally since the last full build."""
-        return self._staleness
 
     @property
     def removed(self) -> frozenset[int]:
@@ -384,61 +324,29 @@ class MutableTopKIndex(TopKIndex):
     # Mutation
     # ------------------------------------------------------------------ #
 
-    def _rank_of_last(self, user: int) -> tuple[float, int]:
-        """The user's current k-th (boundary) entry as ``(value, item)``."""
-        return float(self.values[user, -1]), int(self.items[user, -1])
-
-    def _update_is_safe(self, user: int, item: int, value: float) -> bool:
-        """Whether writing ``value`` at ``(user, item)`` cannot move the row.
-
-        Safe exactly when the item is not currently in the user's
-        top-``k_max`` row and its new rating still ranks *below* the row's
-        boundary entry under the deterministic tie-break (rating
-        descending, item index ascending).  An in-row item is only safe
-        when its rating is unchanged.
-        """
-        row_items = self.items[user]
-        position = np.flatnonzero(row_items == item)
-        if position.size:
-            return bool(self.values[user, position[0]] == value)
-        boundary_value, boundary_item = self._rank_of_last(user)
-        return value < boundary_value or (
-            value == boundary_value and item > boundary_item
-        )
-
     def _repair(self, users: np.ndarray) -> None:
         """Re-rank ``users`` from the store with the build kernel.
 
         Row-independence of the top-k kernels makes this bit-identical to a
         fresh build restricted to those rows.
         """
-        if not users.size:
-            return
         if self._table_fn is None:
             items_t, values_t = self._store.top_k(users, self.k_max)
         else:
             items_t, values_t = self._table_fn(self._store.rows(users), self.k_max)
         self.items[users] = items_t
         self.values[users] = values_t
-        self._staleness += int(users.size)
 
-    def _finish_batch(self) -> bool:
-        """Invalidate slice caches, bump the version, maybe compact."""
+    def _finish_batch(self) -> None:
+        """Invalidate slice caches and bump the version."""
         self._slices = {self.k_max: (self.items, self.values)}
         self._version += 1
-        if (
-            self.compaction_fraction is not None
-            and self._staleness > self.compaction_fraction * self.n_users
-        ):
-            self.compact()
-            return True
-        return False
 
     def apply(
         self,
         upserts: "Sequence[tuple[int, int, float]] | np.ndarray" = (),
         deletes: "Sequence[tuple[int, int]] | np.ndarray" = (),
-    ) -> dict[str, int | bool]:
+    ) -> dict[str, int]:
         """Apply one batch of rating updates to the store and the index.
 
         Parameters
@@ -456,10 +364,9 @@ class MutableTopKIndex(TopKIndex):
         -------
         dict
             ``{"upserts", "deletes", "repaired_users", "skipped_updates",
-            "version", "compacted"}`` — the batch's bookkeeping
-            (``repaired_users`` counts the users whose rankings were
-            recomputed; ``skipped_updates`` counts the updates that could
-            not move any ranking).
+            "version"}`` — the batch's bookkeeping (``repaired_users``
+            counts the distinct users the batch touched, each re-ranked
+            once; ``skipped_updates`` is always 0).
 
         Raises
         ------
@@ -490,8 +397,7 @@ class MutableTopKIndex(TopKIndex):
         if not up.size and not de.size:
             return {
                 "upserts": 0, "deletes": 0, "repaired_users": 0,
-                "skipped_updates": 0,
-                "version": self._version, "compacted": False,
+                "skipped_updates": 0, "version": self._version,
             }
 
         # Pre-validate delete coordinates so the batch cannot fail *between*
@@ -505,48 +411,33 @@ class MutableTopKIndex(TopKIndex):
         ):
             raise GroupFormationError("delete coordinates out of range")
 
-        fill = float(self._store.fill_value)
-        # Decide the repair set against the *current* rows before writing.
-        dirty: set[int] = set()
-        skipped = 0
-        pending: list[tuple[int, int, float]] = []
-        if up.size:
-            pending.extend(
-                (int(u), int(i), float(v)) for u, i, v in up
-            )
-        if de.size:
-            pending.extend((int(u), int(i), fill) for u, i in de)
-        for user, item, value in pending:
-            if user in dirty:
-                continue
-            if self._update_is_safe(user, item, value):
-                skipped += 1
-            else:
-                dirty.add(user)
-
         # Write through to the store (validates and may raise before any
         # index state changed).
+        touched = []
         if up.size:
+            users = up[:, 0].astype(np.int64)
             with observed("store.write", H_STORE_WRITE):
-                self._store.upsert(
-                    up[:, 0].astype(np.int64), up[:, 1].astype(np.int64), up[:, 2]
-                )
+                self._store.upsert(users, up[:, 1].astype(np.int64), up[:, 2])
+            touched.append(users)
         if de.size:
+            users = de[:, 0].astype(np.int64)
             with observed("store.write", H_STORE_WRITE):
-                self._store.delete(
-                    de[:, 0].astype(np.int64), de[:, 1].astype(np.int64)
-                )
+                self._store.delete(users, de[:, 1].astype(np.int64))
+            touched.append(users)
 
-        dirty_users = np.asarray(sorted(dirty), dtype=np.int64)
+        # Re-rank every touched user: one kernel call over the distinct
+        # rows costs less than screening each update for rows it cannot move.
+        dirty_users = sorted_unique(np.concatenate(touched), overwrite_input=True)
         self._repair(dirty_users)
-        compacted = self._finish_batch()
+        self._finish_batch()
         return {
             "upserts": int(up.shape[0]) if up.size else 0,
             "deletes": int(de.shape[0]) if de.size else 0,
             "repaired_users": int(dirty_users.size),
-            "skipped_updates": int(skipped),
+            # Nothing is screened out, so nothing is skipped; the key stays
+            # because perfbench/tracer.py reads it in traced runs.
+            "skipped_updates": 0,
             "version": self._version,
-            "compacted": compacted,
         }
 
     def add_users(self, rows: np.ndarray) -> np.ndarray:
@@ -604,10 +495,7 @@ class MutableTopKIndex(TopKIndex):
         self._finish_batch()
 
     def adopt_state(
-        self,
-        version: int,
-        removed: "Sequence[int] | np.ndarray" = (),
-        staleness: int = 0,
+        self, version: int, removed: "Sequence[int] | np.ndarray" = ()
     ) -> None:
         """Restore snapshot bookkeeping onto a freshly-constructed index.
 
@@ -623,8 +511,6 @@ class MutableTopKIndex(TopKIndex):
             The :attr:`version` the index had when the snapshot was taken.
         removed:
             Tombstoned user indices recorded in the snapshot.
-        staleness:
-            Rows repaired since the snapshot's last full build.
         """
         version = int(version)
         if version < 0:
@@ -634,25 +520,9 @@ class MutableTopKIndex(TopKIndex):
             raise GroupFormationError("adopt_state removed index out of range")
         self._version = version
         self._removed = {int(u) for u in removed}
-        self._staleness = int(staleness)
-
-    def compact(self) -> None:
-        """Rebuild the whole index from the store in one blockwise pass.
-
-        The logical content is unchanged (incremental repair is already
-        bit-identical to a fresh build), so :attr:`version` does not move;
-        compaction exists to reset :attr:`staleness` and re-materialise the
-        tables contiguously after heavy churn.
-        """
-        base = TopKIndex.build(self._store, self.k_max, table_fn=self._table_fn)
-        self.items = base.items
-        self.values = base.values
-        self._slices = {self.k_max: (self.items, self.values)}
-        self._staleness = 0
 
     def __repr__(self) -> str:  # pragma: no cover - cosmetic
         return (
             f"MutableTopKIndex(n_users={self.n_users}, k_max={self.k_max}, "
-            f"n_items={self.n_items}, version={self._version}, "
-            f"staleness={self._staleness})"
+            f"n_items={self.n_items}, version={self._version})"
         )

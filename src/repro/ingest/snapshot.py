@@ -9,7 +9,7 @@ to reconstruct a :class:`~repro.core.MutableTopKIndex` and its backing
 * the index tables (``items``/``values``/``n_items``) — saved rather than
   rebuilt so recovery adopts the *incrementally repaired* tables and stays
   bit-identical without re-ranking a single row,
-* the index bookkeeping (``version``, ``staleness``, tombstoned users),
+* the index bookkeeping (``version`` and tombstoned users),
 * ``applied_seq`` — the newest WAL sequence number folded into this state,
   which is where replay resumes.
 
@@ -63,8 +63,6 @@ class SnapshotState:
         The saved top-k tables (adopted via the index's ``base=`` path).
     version:
         Index version at snapshot time.
-    staleness:
-        Rows repaired since the index's last full build.
     removed:
         Tombstoned user indices.
     applied_seq:
@@ -77,7 +75,6 @@ class SnapshotState:
         index_items: np.ndarray,
         index_values: np.ndarray,
         version: int,
-        staleness: int,
         removed: np.ndarray,
         applied_seq: int,
     ) -> None:
@@ -85,7 +82,6 @@ class SnapshotState:
         self.index_items = index_items
         self.index_values = index_values
         self.version = int(version)
-        self.staleness = int(staleness)
         self.removed = np.asarray(removed, dtype=np.int64)
         self.applied_seq = int(applied_seq)
 
@@ -180,7 +176,6 @@ class SnapshotManager:
             "index_values": index.values,
             "n_items": np.int64(index.n_items),
             "version": np.int64(index.version),
-            "staleness": np.int64(index.staleness),
             "removed": np.asarray(sorted(index.removed), dtype=np.int64),
             "applied_seq": np.int64(applied_seq),
             "scale_min": np.float64(store.scale.minimum),
@@ -298,8 +293,9 @@ class SnapshotManager:
                 store=store,
                 index_items=np.array(data["index_items"]),
                 index_values=np.array(data["index_values"]),
+                # Snapshots from earlier versions carry one more index
+                # counter key; it is left unread.
                 version=int(data["version"]),
-                staleness=int(data["staleness"]),
                 removed=np.array(data["removed"]),
                 applied_seq=int(data["applied_seq"]),
             )

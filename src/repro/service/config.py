@@ -93,7 +93,7 @@ class ServiceConfig:
     users, items, density, store, seed:
         Synthetic bootstrap instance: size, explicit-rating density (only
         meaningful for ``store="sparse"``), storage kind and RNG seed.
-    k_max, backend, kernel_threads, compaction_fraction:
+    k_max, backend, kernel_threads:
         Formation-service parameters (``k_max`` is clamped to ``items``;
         ``kernel_threads=None`` resolves via ``REPRO_KERNEL_THREADS``,
         then the CPU count — a malformed variable fails validation).
@@ -137,7 +137,6 @@ class ServiceConfig:
     k_max: int = 20
     backend: str | None = None
     kernel_threads: int | None = None
-    compaction_fraction: float | None = 0.25
     host: str = "127.0.0.1"
     port: int = 8321
     batch_window: float = 0.01
@@ -393,7 +392,6 @@ class ServiceConfig:
                 self.build_store(),
                 k_max=self.effective_k_max,
                 backend=self.backend,
-                compaction_fraction=self.compaction_fraction,
                 metrics=metrics,
             )
         from repro.core.topk_index import TopKIndex
@@ -408,13 +406,12 @@ class ServiceConfig:
             state.store,
             k_max=state.k_max,
             backend=self.backend,
-            compaction_fraction=self.compaction_fraction,
             base_index=TopKIndex(
                 state.index_items, state.index_values, state.store.n_items
             ),
             metrics=metrics,
         )
-        service.index.adopt_state(state.version, state.removed, state.staleness)
+        service.index.adopt_state(state.version, state.removed)
         return service
 
     def build_pipeline(self) -> "IngestPipeline":

@@ -153,15 +153,11 @@ class ReplicaSettings:
     kernel_threads:
         Compiled-kernel thread count adopted in the worker (``None`` =
         environment/CPU default).
-    compaction_fraction:
-        Forwarded to the replica's index wrapper (never triggers — the
-        replica applies no updates — but kept identical for parity).
     """
 
     k_max: int
     backend: str | None = None
     kernel_threads: int | None = None
-    compaction_fraction: float | None = 0.25
 
 
 @dataclass(frozen=True)
@@ -177,8 +173,6 @@ class _Publication:
         top-k tables (see :mod:`repro.execution.shm`).
     removed:
         Tombstoned user ids at this version.
-    staleness:
-        The writer index's staleness counter (adopted for stats parity).
     exports:
         The owning :class:`~repro.execution.shm.SharedExports`; closed by
         the pool once every live replica has adopted a newer publication.
@@ -188,7 +182,6 @@ class _Publication:
     store_spec: "StoreSpec"
     tables_spec: "TablesSpec"
     removed: tuple[int, ...]
-    staleness: int
     exports: "SharedExports" = field(repr=False)
 
 
@@ -204,8 +197,8 @@ def _publication_segments(store_spec, tables_spec) -> tuple[str, ...]:
     return tuple(names)
 
 
-def _build_replica_service(store_spec, tables_spec, removed, staleness,
-                           version, settings: ReplicaSettings,
+def _build_replica_service(store_spec, tables_spec, removed, version,
+                           settings: ReplicaSettings,
                            metrics: MetricsRegistry | None = None):
     """Construct the read-only serving stack over attached shared memory.
 
@@ -213,7 +206,7 @@ def _build_replica_service(store_spec, tables_spec, removed, staleness,
     ----------
     store_spec, tables_spec:
         The publication's shared-memory specs.
-    removed, staleness, version:
+    removed, version:
         Writer index state adopted so replica responses report the exact
         version (and serve the same active-user set).
     settings:
@@ -233,11 +226,10 @@ def _build_replica_service(store_spec, tables_spec, removed, staleness,
         store,
         k_max=settings.k_max,
         backend=settings.backend,
-        compaction_fraction=settings.compaction_fraction,
         base_index=base,
         metrics=metrics,
     )
-    service.index.adopt_state(version, removed, staleness)
+    service.index.adopt_state(version, removed)
     return service
 
 
@@ -312,11 +304,10 @@ def _replica_main(
                 break
             kind = message[0]
             if kind == "adopt":
-                _, version, store_spec, tables_spec, removed, staleness = message
+                _, version, store_spec, tables_spec, removed = message
                 old_service, old_segments = service, held_segments
                 service = _build_replica_service(
-                    store_spec, tables_spec, removed, staleness, version,
-                    settings, metrics,
+                    store_spec, tables_spec, removed, version, settings, metrics,
                 )
                 held_segments = _publication_segments(store_spec, tables_spec)
                 del old_service  # drop array views before detaching
@@ -464,8 +455,7 @@ class _ReplicaHandle:
         with self.lock:
             reply = self._exchange(
                 ("adopt", publication.version, publication.store_spec,
-                 publication.tables_spec, publication.removed,
-                 publication.staleness),
+                 publication.tables_spec, publication.removed),
                 timeout,
             )
         if reply[:2] != ("adopted", publication.version):
@@ -761,7 +751,6 @@ class ReplicaPool:
             store_spec=store_spec,
             tables_spec=tables_spec,
             removed=tuple(sorted(int(u) for u in index.removed)),
-            staleness=index.staleness,
             exports=exports,
         )
 

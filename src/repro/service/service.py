@@ -96,8 +96,6 @@ class FormationService:
     backend:
         Formation engine backend (default ``"numpy"``); results are
         bit-identical across backends.
-    compaction_fraction:
-        Forwarded to :class:`~repro.core.topk_index.MutableTopKIndex`.
     result_cache_size:
         Number of memoized formation results kept (LRU, default 128).
     base_index:
@@ -131,16 +129,13 @@ class FormationService:
         store: MutableRatingStore,
         k_max: int,
         backend: str | None = None,
-        compaction_fraction: float | None = 0.25,
         result_cache_size: int = DEFAULT_RESULT_CACHE,
         base_index: TopKIndex | None = None,
         metrics: MetricsRegistry | None = None,
     ) -> None:
         self.metrics = metrics if metrics is not None else MetricsRegistry()
         self._backend = get_backend(backend)
-        self._index = MutableTopKIndex(
-            store, k_max, compaction_fraction=compaction_fraction, base=base_index
-        )
+        self._index = MutableTopKIndex(store, k_max, base=base_index)
         self._result_cache_size = require_positive_int(
             result_cache_size, "result_cache_size"
         )
@@ -178,7 +173,7 @@ class FormationService:
         Returns
         -------
         dict
-            Users/items/k_max/version/staleness, the result-cache size,
+            Users/items/k_max/version, the result-cache size,
             and the request and update counters.  The counters are read from
             the service's :class:`~repro.obs.registry.MetricsRegistry`;
             when that registry is slab-backed (a replica stack) they are
@@ -191,7 +186,6 @@ class FormationService:
                 "n_items": self._index.n_items,
                 "k_max": self._index.k_max,
                 "version": self._index.version,
-                "staleness": self._index.staleness,
                 "removed_users": len(self._index.removed),
                 "cached_results": len(self._results),
                 "backend": self._backend.name,
@@ -263,8 +257,7 @@ class FormationService:
         Notes
         -----
         Every batch drops the memoized results, even one that moves no
-        ranking (the index's fast path): scoring reads below-top-k ratings
-        from the store.
+        top-k row: scoring reads below-top-k ratings from the store.
 
         When a :attr:`journal` is attached, the batch is appended to it
         *before* any state changes (redo-log contract).  A batch that is

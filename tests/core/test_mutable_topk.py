@@ -5,7 +5,7 @@ The :class:`~repro.core.topk_index.MutableTopKIndex` contract is that after
 tables are **bit-identical** to ``TopKIndex.build(store, k_max)`` over the
 store's current contents — for both store backends and for both engine
 backends' top-k kernels.  Hypothesis drives randomised tie-heavy update
-sequences; explicit tests cover the fast-path bookkeeping, compaction and
+sequences; explicit tests cover the repair bookkeeping, boundary ties and
 error handling.
 """
 
@@ -74,9 +74,7 @@ def test_incremental_matches_fresh_build(store_kind, backend_name, data):
     values, k_max, batches = data
     table_fn = KERNELS[backend_name]
     store = make_store(values, store_kind)
-    index = MutableTopKIndex(
-        store, k_max, table_fn=table_fn, compaction_fraction=None
-    )
+    index = MutableTopKIndex(store, k_max, table_fn=table_fn)
     for upserts, deletes in batches:
         index.apply(upserts=upserts, deletes=deletes)
         fresh = TopKIndex.build(store, k_max, table_fn=table_fn)
@@ -92,7 +90,7 @@ def test_formation_after_updates_matches_cold_engine(store_kind, data):
     semantics x aggregation x backend combination."""
     values, k_max, batches = data
     store = make_store(values, store_kind)
-    index = MutableTopKIndex(store, k_max, compaction_fraction=None)
+    index = MutableTopKIndex(store, k_max)
     for upserts, deletes in batches:
         index.apply(upserts=upserts, deletes=deletes)
     max_groups = min(3, store.n_users)
@@ -129,50 +127,44 @@ def test_add_and_remove_users_keep_parity(store_kind):
     assert index.active_users().tolist() == [1, 2, 3, 4] + list(range(6, 15))
 
 
-def test_fast_path_skips_sub_boundary_updates():
+def test_every_touched_user_repairs_once_at_boundary_ties():
     store = DenseStore(np.array([[5.0, 4.0, 3.0, 1.0], [3.0, 5.0, 4.0, 1.0]]))
     index = MutableTopKIndex(store, k_max=2)
-    # Item 3 rated 2.0 still ranks below user 0's k-th entry (4.0 at item 1).
-    stats = index.apply(upserts=[(0, 3, 2.0)])
-    assert stats["skipped_updates"] == 1
-    assert stats["repaired_users"] == 0
-    # ... but the store took the write.
+
+    def apply_and_check(upserts=(), deletes=()):
+        stats = index.apply(upserts=upserts, deletes=deletes)
+        touched = {u for u, *_ in upserts} | {u for u, _ in deletes}
+        assert stats["repaired_users"] == len(touched)
+        assert stats["skipped_updates"] == 0
+        fresh = TopKIndex.build(store, 2)
+        assert np.array_equal(index.items, fresh.items)
+        assert np.array_equal(index.values, fresh.values)
+
+    # Item 3 rated 2.0 ranks below user 0's k-th entry (4.0 at item 1):
+    # the row is re-ranked anyway, and the store took the write.
+    apply_and_check(upserts=[(0, 3, 2.0)])
     assert store.values[0, 3] == 2.0
-    # A tie with a larger item index than the boundary still ranks below
-    # it (rating desc, item asc) and is skipped too.
-    stats = index.apply(upserts=[(1, 3, 4.0)])
-    assert stats["skipped_updates"] == 1 and stats["repaired_users"] == 0
-    # User 1's boundary is (4.0, item 2); a tie at a *smaller* item index
-    # enters the row and must repair.
-    stats = index.apply(upserts=[(1, 0, 4.0)])
-    assert stats["repaired_users"] == 1
-    fresh = TopKIndex.build(store, 2)
-    assert np.array_equal(index.items, fresh.items)
+    assert index.items[0].tolist() == [0, 1]
+    # User 1's boundary is (4.0, item 2).  A tie at a *larger* item index
+    # ranks below it (rating desc, item asc) and stays out of the row ...
+    apply_and_check(upserts=[(1, 3, 4.0)])
+    assert index.items[1].tolist() == [1, 2]
+    # ... a tie at a *smaller* item index enters the row.
+    apply_and_check(upserts=[(1, 0, 4.0)])
     assert index.items[1].tolist() == [1, 0]
+    # Several updates to one user, across upserts and deletes, repair once.
+    apply_and_check(upserts=[(0, 2, 5.0), (0, 3, 1.0), (1, 2, 2.0)],
+                    deletes=[(0, 1), (1, 3)])
 
 
-def test_version_bumps_even_for_skipped_batches():
+def test_version_bumps_for_batches_that_move_no_row():
     store = DenseStore(np.array([[5.0, 4.0, 3.0, 1.0]]))
     index = MutableTopKIndex(store, k_max=2)
     assert index.version == 0
-    index.apply(upserts=[(0, 3, 2.0)])  # skipped repair, store changed
+    index.apply(upserts=[(0, 3, 2.0)])  # top-k row unchanged, store changed
     assert index.version == 1
     index.apply()  # genuinely empty batch
     assert index.version == 1
-
-
-def test_staleness_triggers_compaction():
-    rng = np.random.default_rng(11)
-    store = DenseStore(rng.integers(1, 6, size=(10, 5)).astype(float))
-    index = MutableTopKIndex(store, k_max=5, compaction_fraction=0.3)
-    compacted = False
-    for user in range(10):
-        stats = index.apply(upserts=[(user, 0, 5.0), (user, 4, 5.0)])
-        compacted = compacted or stats["compacted"]
-    assert compacted
-    assert index.staleness <= 3
-    fresh = TopKIndex.build(store, 5)
-    assert np.array_equal(index.items, fresh.items)
 
 
 def test_slice_caches_follow_updates():

@@ -54,20 +54,12 @@ class TestBuildContract:
             index.top_k(0)
 
 
-class TestQueriesAndPersistence:
+class TestQueries:
     def test_for_users(self, ratings):
         index = TopKIndex.build(ratings, 4)
         subset = index.for_users([5, 2, 9])
         assert np.array_equal(subset.items, index.items[[5, 2, 9]])
         assert subset.n_items == index.n_items
-
-    def test_save_load_round_trip(self, ratings, tmp_path):
-        index = TopKIndex.build(ratings, 5)
-        path = index.save(tmp_path / "topk.npz")
-        loaded = TopKIndex.load(path)
-        assert np.array_equal(loaded.items, index.items)
-        assert np.array_equal(loaded.values, index.values)
-        assert loaded.n_items == index.n_items
 
 
 class TestEngineSharing:

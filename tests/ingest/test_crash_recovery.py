@@ -110,7 +110,6 @@ def test_sigkill_recovery_is_bit_identical(tmp_path):
     assert np.array_equal(live.index.items, ref.index.items)
     assert np.array_equal(live.index.values, ref.index.values)
     assert live.index.version == ref.index.version
-    assert live.index.staleness == ref.index.staleness
     assert live.index.removed == ref.index.removed
     assert np.array_equal(live.store.to_dense(), ref.store.to_dense())
     # Spot-check the last acknowledged batch: explicit 2.0 beat the

@@ -4,10 +4,9 @@ Hypothesis drives random event streams (plus user additions/removals)
 through an :class:`~repro.ingest.IngestPipeline` with a tight snapshot
 cadence, then "crashes" by abandoning the pipeline and recovering from
 disk.  The recovered store and :class:`~repro.core.MutableTopKIndex` must
-match the live process **bit for bit** — tables, version, staleness,
-tombstones — and also match a second recovery from the *baseline*
-snapshot replaying the whole log (two different snapshot/tail splits,
-one state).
+match the live process **bit for bit** — tables, version, tombstones —
+and also match a second recovery from the *baseline* snapshot replaying
+the whole log (two different snapshot/tail splits, one state).
 """
 
 from __future__ import annotations
@@ -49,7 +48,7 @@ def make_factory(values: np.ndarray, store_kind: str, k_max: int):
                 state.index_items, state.index_values, state.store.n_items
             ),
         )
-        service.index.adopt_state(state.version, state.removed, state.staleness)
+        service.index.adopt_state(state.version, state.removed)
         return service
 
     return factory
@@ -59,7 +58,6 @@ def assert_bit_identical(recovered: FormationService, live: FormationService):
     assert np.array_equal(recovered.index.items, live.index.items)
     assert np.array_equal(recovered.index.values, live.index.values)
     assert recovered.index.version == live.index.version
-    assert recovered.index.staleness == live.index.staleness
     assert recovered.index.removed == live.index.removed
     assert np.array_equal(
         recovered.store.to_dense(), live.store.to_dense()

@@ -34,7 +34,6 @@ def test_snapshot_round_trip_is_bit_identical(kind, tmp_path):
     state = manager.load_latest()
     assert state.applied_seq == 11
     assert state.version == index.version
-    assert state.staleness == index.staleness
     assert set(int(u) for u in state.removed) == set(index.removed)
     assert state.k_max == index.k_max
     assert np.array_equal(state.index_items, index.items)
@@ -80,6 +79,26 @@ def test_compressed_snapshot_from_earlier_versions_still_loads(kind, tmp_path):
             assert got.dtype == want.dtype and got.tobytes() == want.tobytes()
     else:
         assert state.store.values.tobytes() == fresh.store.values.tobytes()
+
+
+def test_snapshot_with_a_staleness_key_still_loads(tmp_path):
+    # Earlier versions also saved the index's repair counter under
+    # ``staleness``; the loader ignores the key.
+    index = make_index("dense")
+    index.apply(upserts=[(0, 1, 5.0)])
+    manager = SnapshotManager(tmp_path)
+    path = manager.save(index, applied_seq=3)
+    with np.load(path) as data:
+        payload = {name: data[name] for name in data.files}
+    assert "staleness" not in payload
+    with path.open("wb") as handle:
+        np.savez(handle, staleness=np.int64(17), **payload)
+
+    state = manager.load_latest()
+    assert state.applied_seq == 3 and state.version == index.version
+    assert np.array_equal(state.index_items, index.items)
+    assert np.array_equal(state.index_values, index.values)
+    assert np.array_equal(state.store.values, index.store.values)
 
 
 def test_retention_prunes_oldest(tmp_path):

@@ -40,7 +40,7 @@ def make_factory(values: np.ndarray):
                 state.index_items, state.index_values, state.store.n_items
             ),
         )
-        service.index.adopt_state(state.version, state.removed, state.staleness)
+        service.index.adopt_state(state.version, state.removed)
         return service
 
     return factory

@@ -100,7 +100,7 @@ def test_memoization_and_invalidation_on_update():
     assert fresh.extras["service_version"] == 1
 
 
-def test_skipped_updates_refresh_results():
+def test_sub_boundary_updates_refresh_results():
     store = DenseStore(
         np.tile(np.array([[5.0, 4.0, 3.0, 1.0]]), (16, 1))
     )
@@ -108,7 +108,7 @@ def test_skipped_updates_refresh_results():
     first = service.recommend(k=2, max_groups=3)
     # Rating 2.0 at item 3 stays below every user's top-2 boundary.
     stats = service.apply_updates(upserts=[(0, 3, 2.0)])
-    assert stats["repaired_users"] == 0
+    assert stats["repaired_users"] == 1
     second = service.recommend(k=2, max_groups=3)
     assert second is not first  # below-top-k ratings still affect scoring
     want = FormationEngine("numpy").run(store.to_dense().copy(), 3, 2, "lm", "min")

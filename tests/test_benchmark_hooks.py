@@ -5,15 +5,23 @@ traced, and ``perfbench/layers.py`` imports counter keys from
 :mod:`repro.obs.registry` inside its functions.  A rename or deletion in
 ``src/`` would otherwise fail only a traced benchmark run.  The check runs
 in a fresh interpreter, so the patches never leak into this test session.
+A second test feeds the index's batch stats to the tracer's apply
+counters, which would otherwise fail on a missing key only in a traced run.
 """
 
 from __future__ import annotations
 
 import ast
+import importlib.util
 import os
 import subprocess
 import sys
 from pathlib import Path
+
+import numpy as np
+
+from repro.core import MutableTopKIndex
+from repro.recsys import DenseStore
 
 ROOT = Path(__file__).resolve().parents[1]
 
@@ -54,3 +62,18 @@ def test_tracer_installs_and_registry_names_resolve():
     )
     assert result.returncode == 0, result.stderr
     assert result.stdout.strip() == "ok"
+
+
+def test_index_apply_returns_every_key_the_tracer_reads():
+    """``tracer._apply_counts`` reads the batch stats of a traced apply."""
+    spec = importlib.util.spec_from_file_location(
+        "perfbench_tracer", ROOT / "perfbench" / "tracer.py"
+    )
+    tracer = importlib.util.module_from_spec(spec)
+    spec.loader.exec_module(tracer)
+    index = MutableTopKIndex(DenseStore(np.array([[5.0, 4.0, 1.0], [2.0, 3.0, 4.0]])), 2)
+    for upserts, deletes in (((), ()), ([(0, 2, 3.0)], [(1, 0)])):
+        result = index.apply(upserts=upserts, deletes=deletes)
+        assert {"upserts", "deletes", "skipped_updates"} <= result.keys()
+        counts = tracer._apply_counts((index,), {}, result, None)
+        assert counts == {"updates": len(upserts) + len(deletes), "skipped": 0}
