@@ -49,20 +49,19 @@ def test_fig6_backend_speedup_largest_instance(yahoo_scalability_large):
     assert speedup >= 3.0
 
 
-def test_fig6_sharded_parity(yahoo_scalability):
-    """Sharded formation is bit-identical to the engine under AV too.
+def test_fig6_sparse_store_parity(yahoo_scalability):
+    """A CSR store forms the same AV groups as the dense matrix.
 
-    AV variants sum member contributions across shard boundaries, so this
-    is the path where the integer-rating bit-identity contract of the
-    sharded merge actually gets exercised.
+    AV sums member contributions, so this is where the sparse left-over
+    scoring's integer-rating exactness gate gets exercised at bench scale.
     """
-    from repro.core import ShardedFormation
+    from repro.recsys import SparseStore
 
     engine = FormationEngine("numpy")
     _, baseline = best_time(engine, yahoo_scalability, 10, 5, "av")
 
-    sharded = ShardedFormation(shards=4).run(yahoo_scalability, 10, 5, "av", "min")
-    assert results_identical(baseline, sharded)
+    sparse = engine.run(SparseStore.from_matrix(yahoo_scalability), 10, 5, "av", "min")
+    assert results_identical(baseline, sparse)
 
 
 def test_fig6_reproduce_series(benchmark):

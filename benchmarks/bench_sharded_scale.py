@@ -1,11 +1,11 @@
 #!/usr/bin/env python
-"""Million-user sharded formation: the sparse data plane's scale proof.
+"""Million-user batch formation: the sparse data plane's scale proof.
 
 Generates a ``--users x --items`` instance at ``--density`` directly into a
 CSR :class:`~repro.recsys.store.SparseStore` (no dense matrix is ever
 materialised — the dense equivalent of the default 1M x 10k instance would
 need ~80 GB), then forms groups through
-:class:`~repro.core.sharded.ShardedFormation` and reports wall time and peak
+:class:`~repro.core.engine.FormationEngine` and reports wall time and peak
 RSS, both right after generation (``generate_peak_rss_gib``) and at the
 end of the run (``peak_rss_gib``).  The default configuration is the scale
 acceptance check::
@@ -13,8 +13,10 @@ acceptance check::
     PYTHONPATH=src python benchmarks/bench_sharded_scale.py
 
 which must complete with peak RSS < 8 GB.  The run is written to
-``BENCH_sharded_scale.json`` via the shared timing writer.  Shard summaries
-run one after another in-process.
+``BENCH_sharded_scale.json`` via the shared timing writer.  Without a C
+compiler (``REPRO_KERNEL_CC=none``) the numpy CSR top-k ranks in row
+blocks of a fixed entry budget; ``--users 200000 --max-rss-gib 1.0`` is the
+quick check that this bound holds.
 
 Not collected by pytest (no ``test_`` functions) — this is an operator
 script, sized in minutes, not a CI gate.
@@ -29,7 +31,7 @@ import time
 
 from _timing import bench_entry, write_bench_json
 
-from repro.core import ShardedFormation
+from repro.core import FormationEngine
 from repro.datasets import synthetic_sparse_store
 
 
@@ -48,7 +50,6 @@ def main(argv=None) -> int:
     parser.add_argument("--density", type=float, default=0.01)
     parser.add_argument("--groups", type=int, default=64, help="group budget l")
     parser.add_argument("--k", type=int, default=5)
-    parser.add_argument("--shards", type=int, default=64)
     parser.add_argument("--semantics", default="lm", choices=["lm", "av"])
     parser.add_argument("--aggregation", default="min")
     parser.add_argument("--seed", type=int, default=0)
@@ -58,7 +59,7 @@ def main(argv=None) -> int:
 
     instance = (
         f"{args.users}x{args.items} @ {args.density:.0%}, "
-        f"l={args.groups}, k={args.k}, shards={args.shards}"
+        f"l={args.groups}, k={args.k}"
     )
     print(f"generating sparse instance: {instance}")
     t0 = time.perf_counter()
@@ -74,7 +75,7 @@ def main(argv=None) -> int:
         f"{args.users * args.items * 8 / 2**30:.1f} GiB)"
     )
 
-    engine = ShardedFormation(shards=args.shards)
+    engine = FormationEngine("numpy")
     t0 = time.perf_counter()
     result = engine.run(store, args.groups, args.k, args.semantics, args.aggregation)
     form_seconds = time.perf_counter() - t0
@@ -89,7 +90,7 @@ def main(argv=None) -> int:
     )
     write_bench_json("sharded_scale", [bench_entry(
         instance, form_seconds, backend="numpy", store="sparse",
-        shards=args.shards, recommendation_seconds=recommendation_seconds,
+        recommendation_seconds=recommendation_seconds,
         generate_seconds=gen_seconds, generate_peak_rss_gib=round(gen_rss, 3),
         peak_rss_gib=round(rss, 3),
         objective=result.objective,

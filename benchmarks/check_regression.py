@@ -11,9 +11,6 @@ small scale through both engine backends and fails when
 * (``--store sparse`` / ``--store both``) the CSR sparse-store path
   disagrees with the dense baseline, or exceeds ``--max-sparse-slowdown``
   times the dense numpy runtime; or
-* (``--shards N``, N > 1) the sharded execution path disagrees with the
-  unsharded engine on this integer-rated instance (where the documented
-  bound is bit-identity); or
 * (``--kernel-gate``) the numpy or the compiled top-k path disagrees with
   the reference backend on any formation result (the compiled leg is
   skipped with a note when no C compiler is available).  The combined
@@ -58,7 +55,7 @@ backend, store, commit) so the perf trajectory is tracked across PRs.
 
 Intended for CI::
 
-    PYTHONPATH=src python benchmarks/check_regression.py --store both --shards 4
+    PYTHONPATH=src python benchmarks/check_regression.py --store both
 
 and for the full-size acceptance check locally::
 
@@ -80,7 +77,7 @@ from _timing import (
     write_bench_json,
 )
 
-from repro.core import FormationEngine, ShardedFormation
+from repro.core import FormationEngine
 from repro.datasets import synthetic_yahoo_music
 from repro.recsys import SparseStore
 
@@ -105,9 +102,6 @@ def main(argv=None) -> int:
                         help="max allowed sparse/dense numpy runtime ratio "
                              "(default: 5.0; the sparse path pays CSR "
                              "gathers on an instance that fits in RAM)")
-    parser.add_argument("--shards", type=int, default=None,
-                        help="also gate the sharded path (bit-identical on this "
-                             "integer-rated instance) with this many shards")
     parser.add_argument("--service", action="store_true",
                         help="also run the online-service bench at small scale "
                              "as a non-blocking trend report")
@@ -211,35 +205,6 @@ def main(argv=None) -> int:
             print(
                 f"{figure} GRD-{semantics.upper()}-MIN sparse store: "
                 f"{sparse_seconds * 1000:7.1f} ms | {slowdown:5.2f}x dense | {status}"
-            )
-
-        if args.shards is not None and args.shards > 1:
-            data = sparse if sparse is not None else ratings
-            store_name = "sparse" if sparse is not None else "dense"
-            sharded = ShardedFormation(shards=args.shards)
-            import time as _time
-            sharded_best = float("inf")
-            sharded_result = None
-            for _ in range(args.rounds):
-                t0 = _time.perf_counter()
-                sharded_result = sharded.run(
-                    data, args.groups, args.k, semantics, "min"
-                )
-                sharded_best = min(sharded_best, _time.perf_counter() - t0)
-            entries.append(bench_entry(
-                f"{figure} {instance}", sharded_best, backend="numpy",
-                store=store_name, semantics=semantics, shards=args.shards,
-            ))
-            status = "ok"
-            if not results_identical(results["numpy"], sharded_result):
-                status = "PARITY MISMATCH"
-                failures.append(
-                    f"{figure}: sharded ({args.shards} shards) disagrees with "
-                    f"unsharded on integer ratings"
-                )
-            print(
-                f"{figure} GRD-{semantics.upper()}-MIN sharded x{args.shards}: "
-                f"{sharded_best * 1000:7.1f} ms | {status}"
             )
 
     if args.kernel_gate:

@@ -42,7 +42,7 @@ from repro.experiments import (
 )
 from repro.core.kernels import get_kernel_threads, set_kernel_threads
 from repro.experiments.config import normalize_backend, normalize_store
-from repro.service.config import _positive_int, add_formation_arguments
+from repro.service.config import add_formation_arguments
 
 __all__ = ["main", "build_parser"]
 
@@ -80,11 +80,6 @@ def build_parser() -> argparse.ArgumentParser:
     parser.add_argument("--seed", type=int, default=0, help="master random seed")
     add_formation_arguments(parser)
     parser.add_argument(
-        "--shards", type=_positive_int, default=None, metavar="N",
-        help="form groups from N contiguous user shards, ranked shard by "
-             "shard into one table (default: unsharded)",
-    )
-    parser.add_argument(
         "--json",
         default=None,
         metavar="PATH",
@@ -99,44 +94,34 @@ def _run_experiment(
     seed: int,
     backend: str | None = None,
     store: str | None = None,
-    shards: int | None = None,
 ) -> tuple[str, list[Any]]:
     """Run one experiment and return (rendered text, raw result objects)."""
     if name in _FIGURES:
-        results = _FIGURES[name](
-            scale=scale,
-            seed=seed,
-            backend=backend,
-            store=store,
-            shards=shards,
-        )
+        results = _FIGURES[name](scale=scale, seed=seed, backend=backend, store=store)
         text = "\n\n".join(format_experiment(result) for result in results)
         return text, [result.as_dict() for result in results]
-    non_default = store not in (None, "dense") or shards is not None
+    non_default = store not in (None, "dense")
     if name in {"fig7", "userstudy"}:
         if non_default:
             print(f"note: {name} runs the user-study protocol; "
-                  "--store/--shards do not apply and are ignored")
+                  "--store does not apply and is ignored")
         results = figure7(seed=seed or 7, backend=backend)
         text = "\n\n".join(format_experiment(result) for result in results)
         return text, [result.as_dict() for result in results]
     if name == "calibration":
-        if shards is not None:
-            print("note: calibration instances are exact-solver sized; "
-                  "--shards does not apply and is ignored")
         results = optimal_calibration(seed=seed, backend=backend, store=store)
         text = "\n\n".join(format_experiment(result) for result in results)
         return text, [result.as_dict() for result in results]
     if name == "table3":
         if non_default:
             print("note: table3 only reports dataset statistics; "
-                  "--store/--shards do not apply and are ignored")
+                  "--store does not apply and is ignored")
         rows = table3(seed=seed)
         return format_table_rows(rows), rows
     if name == "table4":
         if non_default:
             print("note: table4 runs quality-sized instances dense; "
-                  "--store/--shards do not apply and are ignored")
+                  "--store does not apply and is ignored")
         rows = table4(scale=scale, seed=seed, backend=backend)
         return format_table_rows(rows), rows
     raise ValueError(f"unknown experiment {name!r}")
@@ -204,14 +189,7 @@ def main(argv: Sequence[str] | None = None) -> int:
         parser.error(str(exc))
     collected: dict[str, Any] = {}
     for name in names:
-        text, raw = _run_experiment(
-            name,
-            args.scale,
-            args.seed,
-            backend,
-            store=store,
-            shards=args.shards,
-        )
+        text, raw = _run_experiment(name, args.scale, args.seed, backend, store=store)
         print(f"\n===== {name} =====")
         print(text)
         collected[name] = raw

@@ -57,7 +57,6 @@ from repro.core.kernels import (
     set_kernel_threads,
     use_kernel_threads,
 )
-from repro.core.sharded import ShardedFormation
 from repro.core.topk_index import MutableTopKIndex, TopKIndex
 from repro.core.formation import available_algorithms, form_groups
 from repro.core.greedy_av import grd_av, grd_av_max, grd_av_min, grd_av_sum
@@ -114,7 +113,6 @@ __all__ = [
     "NumpyBackend",
     "ReferenceBackend",
     "MutableTopKIndex",
-    "ShardedFormation",
     "TopKIndex",
     "get_backend",
     # kernel layer

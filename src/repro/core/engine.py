@@ -11,16 +11,14 @@ the three-step skeleton is executed:
     hashing of bucket keys and a heap over intermediate-group scores.  It is
     the executable specification the other backends are tested against.
 ``"numpy"``
-    The vectorised implementation of the same specification, and the
-    one-shard case of :mod:`repro.core.sharded`: all users are summarised
-    as a single shard (fingerprint bucketing with
-    :func:`repro.core.kernels.bucketize`, bucket membership as one flat
-    ``member_ids``/``offsets`` segment array, heap scores from one
-    ``np.bincount`` in the reference's ascending-user order) and selected
-    by :func:`~repro.core.sharded.plan_from_summaries`.  The engine keeps no
-    bucketing or selection code of its own, so steps 1–2 have one
-    vectorised implementation shared with
-    :class:`~repro.core.sharded.ShardedFormation` and the service.  Its
+    The vectorised implementation of the same specification, run through
+    :mod:`repro.core.sharded`: all users are summarised at once
+    (fingerprint bucketing with :func:`repro.core.kernels.bucketize`,
+    bucket membership as one flat ``member_ids``/``offsets`` segment array,
+    heap scores from one ``np.bincount`` in the reference's ascending-user
+    order) and selected by :func:`~repro.core.sharded.plan_from_summaries`.
+    The engine keeps no bucketing or selection code of its own, so steps
+    1–2 have one vectorised implementation shared with the service.  Its
     results are bit-identical to the reference backend — the parity suite
     in ``tests/core/test_engine.py`` asserts this on randomised, tie-heavy
     instances for every GRD variant, and ``tests/core/test_kernels.py``
@@ -41,8 +39,8 @@ and the numpy backend memoises each ``(k, variant)`` summary across it.
 
 Both backends share one finalisation path (greedy selection outcome → groups,
 budget filling, left-over group), so they can only differ in how intermediate
-groups are discovered, never in how groups are scored.  The same finalisation
-ends the sharded execution path in :mod:`repro.core.sharded`.
+groups are discovered, never in how groups are scored.  The service's reads
+end in the same finalisation.
 
 Examples
 --------
@@ -309,14 +307,13 @@ class ReferenceBackend(FormationBackend):
 
 
 class NumpyBackend(FormationBackend):
-    """Vectorised backend: the one-shard case of :mod:`repro.core.sharded`.
+    """Vectorised backend: steps 1–2 through :mod:`repro.core.sharded`.
 
-    Steps 1–2 run as a single shard summary
+    Steps 1–2 run as one summary of the whole table
     (:func:`~repro.core.sharded.summarise_tables`: fingerprint bucketing
     with :func:`repro.core.kernels.bucketize`, flat member segments) fed to
-    :func:`~repro.core.sharded.plan_from_summaries`, so the in-memory
-    engine, :class:`~repro.core.sharded.ShardedFormation` and the service
-    share one vectorised implementation.  Bit-identical to
+    :func:`~repro.core.sharded.plan_from_summaries`, so batch formation and
+    the service share one vectorised implementation.  Bit-identical to
     :class:`ReferenceBackend` by construction:
 
     * bucket keys compare raw ``uint64`` bit patterns of the same columns the
@@ -339,7 +336,7 @@ class NumpyBackend(FormationBackend):
         max_groups: int,
         cache: dict[Any, Any] | None = None,
     ) -> FormationPlan:
-        """Summarise all users as one shard, then select from that summary.
+        """Summarise all users at once, then select from that summary.
 
         See :meth:`FormationBackend.form` for the meaning of
         ``items_table`` / ``scores_table`` / ``variant`` / ``max_groups``;
@@ -440,7 +437,7 @@ def finalise_plan(
     """Turn a :class:`FormationPlan` into the final scored result.
 
     This is the single path shared by every execution strategy (both
-    backends and the sharded engine): score the selected groups on their
+    backends and the service): score the selected groups on their
     recommended lists, fill the group budget by splitting homogeneous
     groups, and merge the remaining users into the left-over ℓ-th group.
 
@@ -699,7 +696,7 @@ class FormationEngine:
         One :class:`~repro.core.topk_index.TopKIndex` is built at the
         sweep's largest ``k`` (unless a prebuilt ``topk`` is passed in) and
         sliced per configuration, and (on the numpy backend) each
-        ``(k, variant)`` shard summary is shared across the configurations
+        ``(k, variant)`` summary is shared across the configurations
         that differ only in ``ℓ`` — so a sweep of ``(k, ℓ, semantics,
         aggregation)`` settings computes rankings exactly once and buckets
         each variant once per ``k``.  Results are

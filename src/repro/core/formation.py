@@ -38,25 +38,8 @@ def _run_greedy(
     semantics: Semantics,
     aggregation: Aggregation,
     backend: str | None = None,
-    shards: int | None = None,
     topk: object | None = None,
-    **kwargs: object,
 ) -> GroupFormationResult:
-    if shards is not None and int(shards) > 1:
-        # The sharded path runs on the vectorised numpy kernels and ranks
-        # each shard itself (a global top-k index would defeat its memory
-        # bound), so a conflicting explicit backend is an error rather than
-        # a silent substitution; a provided topk is simply not needed.
-        if backend is not None and str(backend).strip().lower() != "numpy":
-            raise ValueError(
-                f"shards={shards} runs the sharded numpy execution path and "
-                f"cannot honour backend={backend!r}; drop one of the two"
-            )
-        from repro.core.sharded import ShardedFormation
-
-        return ShardedFormation(shards=int(shards)).run_variant(
-            ratings, max_groups, k, make_variant(semantics, aggregation)
-        )
     return run_greedy(
         ratings,
         max_groups,
@@ -206,9 +189,7 @@ def form_groups(
     kwargs:
         Extra keyword arguments forwarded to the selected algorithm (e.g.
         ``backend=`` for the greedy engine, ``rng=`` for the clustering
-        baseline, ``time_limit=`` for the exact solvers).  The greedy
-        family additionally accepts ``shards=`` (sharded formation, see
-        :class:`~repro.core.sharded.ShardedFormation`).
+        baseline, ``time_limit=`` for the exact solvers).
 
     Returns
     -------

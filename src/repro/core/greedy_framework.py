@@ -304,16 +304,3 @@ def run_greedy(
         ratings, max_groups, k, variant, topk=topk
     )
 
-
-def run_greedy_for(
-    ratings: RatingMatrix | np.ndarray,
-    max_groups: int,
-    k: int,
-    semantics: Semantics | str,
-    aggregation: Aggregation | str,
-    backend: str | None = None,
-) -> GroupFormationResult:
-    """Convenience wrapper: build the variant and run it in one call."""
-    return run_greedy(
-        ratings, max_groups, k, make_variant(semantics, aggregation), backend=backend
-    )

@@ -124,6 +124,12 @@ _SCRATCH_TARGET_BYTES = 8 << 20
 _MAX_BLOCK_ROWS = 2048
 _MIN_BLOCK_ROWS = 64
 
+#: Candidates (stored entries plus ``k`` fill candidates per row) the numpy
+#: CSR top-k ranks per block, sized from the same scratch target as the
+#: dense blocks: its temporaries take ~100 bytes per candidate, so a block
+#: peaks near 13 MB however many rows one call ranks.
+_CSR_BLOCK_ENTRIES = _SCRATCH_TARGET_BYTES // 64
+
 #: Odd 64-bit multiplier (2^64 / golden ratio) for the polynomial row hash.
 _FINGERPRINT_MULTIPLIER = 0x9E3779B97F4A7C15
 
@@ -533,6 +539,40 @@ def _csr_top_k_numpy(
 ) -> tuple[np.ndarray, np.ndarray]:
     """The numpy CSR top-k kernel (used when no C compiler is available).
 
+    Ranks ``rows`` in blocks of at most :data:`_CSR_BLOCK_ENTRIES`
+    candidates (a row's stored entries plus its ``k`` fill candidates; a
+    heavier row is a block of its own), so the temporaries stay bounded
+    however many rows one call ranks.  Rows are independent, so the
+    blocks never change the result.
+    """
+    n_rows = rows.size
+    items_table = np.empty((n_rows, k), dtype=np.int64)
+    values_table = np.empty((n_rows, k), dtype=np.float64)
+    counts = indptr[rows + 1].astype(np.int64) - indptr[rows] + k
+    cost = np.cumsum(counts)
+    start = 0
+    while start < n_rows:
+        spent = int(cost[start - 1]) if start else 0
+        stop = int(np.searchsorted(cost, spent + _CSR_BLOCK_ENTRIES, side="right"))
+        stop = max(stop, start + 1)
+        items_table[start:stop], values_table[start:stop] = _csr_top_k_block(
+            data, indices, indptr, rows[start:stop], n_items, k, fill
+        )
+        start = stop
+    return items_table, values_table
+
+
+def _csr_top_k_block(
+    data: np.ndarray,
+    indices: np.ndarray,
+    indptr: np.ndarray,
+    rows: np.ndarray,
+    n_items: int,
+    k: int,
+    fill: float,
+) -> tuple[np.ndarray, np.ndarray]:
+    """One block of :func:`_csr_top_k_numpy`.
+
     A row's dense top-``k`` lies among its stored entries that differ from
     ``fill`` plus its first ``k`` fill-valued items (unstored cells, or
     stored entries equal to ``fill``, whose own bits are kept), all of
@@ -590,7 +630,9 @@ def csr_top_k_table(
     descending, item index ascending) at ``O(nnz + k)`` per row instead of
     ``O(n_items)``: no dense canvas is ever built.  Runs the compiled CSR
     kernel of :mod:`repro.core.kernels_cc` (built on the first call) and
-    falls back to the numpy kernel when no C compiler is available.
+    falls back to the numpy kernel when no C compiler is available; the
+    fallback ranks in row blocks of a fixed entry budget, so one call over
+    every row of a million-user store keeps its temporaries bounded.
 
     Parameters
     ----------

@@ -1,58 +1,43 @@
-"""Sharded greedy formation: million-user instances in bounded memory.
+"""Steps 1–2 of greedy formation, vectorised: bucket summaries and selection.
 
-The greedy GRD skeleton has a property the dense engine never exploited: the
-bucket key of a user depends only on *her own* top-k prefix, never on other
-users.  Partitioning the user axis into contiguous shards therefore commutes
-with step 1 of the algorithm — each shard can be ranked and bucketed
-independently, and shard-level buckets with equal keys are *exactly* the
-global intermediate groups once merged.
-Step 2 (greedy selection under the ℓ-group budget) and step 3 (scoring,
-budget filling, left-over group) then run once on the bucket summaries,
-through the same :func:`~repro.core.engine.finalise_plan` path as the
-in-memory engine.
-
-This module is the one vectorised implementation of steps 1–2.  The
-users are ranked in shard-sized chunks into one ``(n_users, k)`` top-k
-table (:func:`summarise_store_shard`), the table is summarised once
-(:func:`summarise_tables`) and selected from directly
-(:func:`plan_from_summaries`) — the numpy engine backend's path, so
-nothing is merged and ``shards`` only bounds the ranking chunks.
-:class:`~repro.service.FormationService` runs the same steps through the
-engine backend on its incrementally maintained top-k index.
-:func:`merge_summaries` (folding per-shard summaries into the global
-buckets) has no production caller.
+The bucket key of a user depends only on *her own* top-k prefix, never on
+other users, so step 1 of the GRD skeleton is row-independent.  This
+module is the one vectorised implementation of steps 1–2 that the numpy
+engine backend (:class:`~repro.core.engine.NumpyBackend`) and the service
+(:class:`~repro.service.FormationService`, on its incrementally maintained
+top-k index) share: a ranked ``(n_users, k)`` top-k table is summarised
+once into buckets (:func:`summarise_tables`) and the ℓ − 1 best buckets
+are selected from that summary directly (:func:`plan_from_summaries`).
+Step 3 (scoring, budget filling, left-over group) then runs through
+:func:`~repro.core.engine.finalise_plan`.
 
 A :class:`ShardSummary` stores bucket membership as flat segments — one
 ``member_ids`` array with each bucket's members contiguous and ascending,
-cut by ``offsets`` — so summarise, merge and select run without a Python
-loop over buckets: summarise buckets through
-:func:`repro.core.kernels.bucketize`, merge groups the per-bucket key
-rows with :func:`repro.core.kernels.group_key_rows` and gathers member
-segments through ``np.repeat`` offsets, and select picks the ℓ − 1 best
+cut by ``offsets`` — so summarise and select run without a Python loop
+over buckets: summarise buckets through
+:func:`repro.core.kernels.bucketize`, and select picks the ℓ − 1 best
 buckets with :func:`repro.core.kernels.select_best_buckets` and slices
-their segments out in selection order — the format the plan carries on
-to step 3, where all selected groups are scored by one
+their segments out in selection order — the format the plan carries on to
+step 3, where all selected groups are scored by one
 :meth:`~repro.recsys.store.RatingStore.segment_item_scores` call.
 
 Memory: ranking goes through :meth:`RatingStore.top_k
 <repro.recsys.store.RatingStore.top_k>`, so a sparse store is ranked
 straight from its CSR rows and only the ``(n_users, k)`` top-k tables are
-dense; the left-over group is scored from its members' stored entries
+dense; the CSR kernel bounds its own temporaries (the numpy fallback ranks
+in row blocks of a fixed entry budget, see
+:func:`repro.core.kernels.csr_top_k_table`).  The left-over group is scored
+from its members' stored entries
 (:meth:`~repro.recsys.store.SparseStore.item_scores`).  That is what lets a
 1M-user x 10k-item sparse instance form groups in the memory of its stored
 ratings where the dense matrix alone would need ~80 GB.
 
-Parity contract (asserted by ``tests/core/test_sharded.py``):
-
-* Batch runs are **bit-identical** to ``FormationEngine.run`` and to the
-  ``reference`` backend for every shard count and every rating alphabet,
-  fractional ratings included — same groups, objective and bookkeeping —
-  because ranking is row-independent and everything after it sees one
-  table.
-* Left-over group scoring adds no deviation: a sparse store sums AV scores
-  in its own order only behind an exactness gate (integer inputs, see
-  :meth:`~repro.recsys.store.SparseStore.item_scores`) and keeps the dense
-  reduction order for everything else.
+Three names stay only because the repository benchmark (``perfbench/``)
+constructs or patches them, and go with its next change:
+:class:`ShardedFormation` (the numpy engine under its former name),
+:func:`summarise_store_shard` (one ranking call plus
+:func:`summarise_tables`) and :func:`merge_summaries` (folding several
+summaries into global buckets; no production path merges).
 """
 
 from __future__ import annotations
@@ -70,45 +55,20 @@ from repro.core.aggregation import (
     SumAggregation,
     WeightedSumAggregation,
 )
-from repro.core.engine import FormationPlan, coerce_store, finalise_plan
-from repro.core.greedy_framework import GreedyVariant, make_variant
-from repro.core.grouping import GroupFormationResult
-from repro.core.semantics import Semantics
-from repro.recsys.matrix import RatingMatrix
+# finalise_plan is re-exported for perfbench's tracer, which patches it here.
+from repro.core.engine import FormationEngine, FormationPlan, finalise_plan  # noqa: F401
+from repro.core.greedy_framework import GreedyVariant
 from repro.recsys.store import RatingStore
-from repro.utils.timing import Stopwatch
 from repro.utils.validation import require_positive_int
-from repro.core.errors import GroupFormationError
 
 __all__ = [
     "ShardedFormation",
     "ShardSummary",
     "merge_summaries",
     "plan_from_summaries",
-    "shard_bounds",
     "summarise_store_shard",
     "summarise_tables",
 ]
-
-
-def shard_bounds(n_users: int, shards: int) -> np.ndarray:
-    """Contiguous shard boundaries over the user axis.
-
-    Parameters
-    ----------
-    n_users:
-        Total number of users being partitioned.
-    shards:
-        Requested shard count (capped at ``n_users``).
-
-    Returns
-    -------
-    numpy.ndarray
-        ``int64`` array of ``min(shards, n_users) + 1`` boundaries;
-        shard ``s`` covers users ``bounds[s]:bounds[s + 1]``.
-    """
-    n_shards = min(shards, n_users)
-    return np.linspace(0, n_users, n_shards + 1).astype(np.int64)
 
 
 @dataclass
@@ -170,17 +130,12 @@ def summarise_store_shard(
     stop: int,
     k: int,
     variant: GreedyVariant,
-    chunks: int = 1,
 ) -> ShardSummary:
     """Rank, bucket and score users ``start:stop`` of a store.
 
-    The users are ranked through :meth:`RatingStore.top_k
-    <repro.recsys.store.RatingStore.top_k>` in ``chunks`` contiguous
-    blocks written into one ``(stop - start, k)`` table, which is then
-    summarised once by :func:`summarise_tables`.  A dense store ranks a
-    view of its rows, a sparse store ranks straight from its CSR arrays;
-    the chunks only bound the ranking kernel's temporaries (the numpy
-    fallback's scratch grows with the rows it ranks at once).
+    One :meth:`RatingStore.top_k <repro.recsys.store.RatingStore.top_k>`
+    call followed by :func:`summarise_tables`.  Nothing in the library
+    calls it; it stays because perfbench's tracer patches it by name.
 
     Parameters
     ----------
@@ -192,21 +147,13 @@ def summarise_store_shard(
         Top-k prefix length of the run.
     variant:
         The greedy variant being executed.
-    chunks:
-        Number of ranking blocks (capped at the user count).
 
     Returns
     -------
     ShardSummary
         The range's bucket-level digest.
     """
-    bounds = shard_bounds(stop - start, chunks).tolist()
-    items_table = np.empty((stop - start, k), dtype=np.int64)
-    scores_table = np.empty((stop - start, k), dtype=np.float64)
-    for lo, hi in zip(bounds[:-1], bounds[1:]):
-        items_table[lo:hi], scores_table[lo:hi] = store.top_k(
-            slice(start + lo, start + hi), k
-        )
+    items_table, scores_table = store.top_k(slice(start, stop), k)
     return summarise_tables(items_table, scores_table, start, variant)
 
 
@@ -216,8 +163,9 @@ def merge_summaries(
     """Merge shard bucket digests into the global intermediate groups.
 
     No production path merges: batch runs and the service both summarise
-    one table.  The function stays as the spec of the shard-commutation
-    property (``tests/core/test_sharded.py``).
+    one table.  The function stays because perfbench's tracer patches it,
+    and as the spec of the shard-commutation property
+    (``tests/core/test_sharded.py``).
 
     The key rows (:attr:`ShardSummary.keys`, packed here on first use)
     are concatenated and grouped by
@@ -349,20 +297,13 @@ def plan_from_summaries(
     return plan, summary.items_rows[chosen]
 
 
-class ShardedFormation:
-    """Greedy formation over a store, ranked in bounded user chunks.
+class ShardedFormation(FormationEngine):
+    """``FormationEngine("numpy")`` under its former sharded name.
 
-    One pass: the users are ranked ``shards`` contiguous chunks at a time
-    into one ``(n_users, k)`` top-k table
-    (:func:`summarise_store_shard`), which is summarised once and fed to
-    the same selection and scoring as the unsharded engine — so results
-    are bit-identical to ``FormationEngine`` for every shard count.
-
-    Parameters
-    ----------
-    shards:
-        Number of contiguous ranking chunks (≥ 1).  They bound the ranking
-        kernel's temporaries, never the result.
+    Batch formation has one path, :class:`~repro.core.engine.FormationEngine`;
+    ``shards`` is validated and otherwise ignored, because the CSR top-k
+    kernel bounds its own temporaries.  The class stays only because
+    ``perfbench/batch_sparse.py`` constructs it.
 
     Examples
     --------
@@ -377,99 +318,8 @@ class ShardedFormation:
     """
 
     def __init__(self, shards: int = 1) -> None:
-        self.shards = require_positive_int(shards, "shards")
-
-    def run(
-        self,
-        ratings: RatingStore | RatingMatrix | np.ndarray,
-        max_groups: int,
-        k: int,
-        semantics: Semantics | str = "lm",
-        aggregation: Aggregation | str = "min",
-    ) -> GroupFormationResult:
-        """Run one greedy formation through the sharded path.
-
-        Parameters
-        ----------
-        ratings:
-            A complete array, :class:`~repro.recsys.matrix.RatingMatrix`,
-            or any :class:`~repro.recsys.store.RatingStore`.
-        max_groups:
-            Group budget ℓ.
-        k:
-            Recommended-list length.
-        semantics:
-            ``"lm"`` / ``"av"`` or a :class:`~repro.core.semantics.Semantics`.
-        aggregation:
-            ``"min"`` / ``"max"`` / ``"sum"`` / a weighted-sum name, or an
-            :class:`~repro.core.aggregation.Aggregation` instance.
-
-        Returns
-        -------
-        GroupFormationResult
-            See the module docstring for the parity guarantees versus the
-            unsharded engine.
-        """
-        return self.run_variant(
-            ratings, max_groups, k, make_variant(semantics, aggregation)
-        )
-
-    def run_variant(
-        self,
-        ratings: RatingStore | RatingMatrix | np.ndarray,
-        max_groups: int,
-        k: int,
-        variant: GreedyVariant,
-    ) -> GroupFormationResult:
-        """Run one prebuilt variant through the sharded path.
-
-        Parameters
-        ----------
-        ratings:
-            A complete array, :class:`~repro.recsys.matrix.RatingMatrix`,
-            or any :class:`~repro.recsys.store.RatingStore`.
-        max_groups:
-            Group budget ℓ.
-        k:
-            Recommended-list length.
-        variant:
-            A prebuilt :class:`~repro.core.greedy_framework.GreedyVariant`.
-
-        Returns
-        -------
-        GroupFormationResult
-            See the module docstring for the parity guarantees.
-        """
-        store = coerce_store(ratings)
-        n_users, n_items = store.shape
-        max_groups = require_positive_int(max_groups, "max_groups")
-        k = require_positive_int(k, "k")
-        if k > n_items:
-            raise GroupFormationError(
-                f"k={k} exceeds the number of items ({n_items})"
-            )
-        n_shards = min(self.shards, n_users)
-
-        watch = Stopwatch()
-        with watch.lap("formation"):
-            summary = summarise_store_shard(
-                store, 0, n_users, k, variant, chunks=n_shards
-            )
-            plan, selected_items_rows = plan_from_summaries(summary, max_groups)
-        return finalise_plan(
-            store,
-            plan,
-            selected_items_rows,
-            k,
-            variant,
-            max_groups,
-            watch,
-            backend_name="numpy",
-            extra_extras={
-                "n_shards": int(n_shards),
-                "store": type(store).__name__,
-            },
-        )
+        require_positive_int(shards, "shards")
+        super().__init__("numpy")
 
 
 def summarise_tables(
@@ -480,9 +330,8 @@ def summarise_tables(
 ) -> ShardSummary:
     """Bucket and score already-ranked top-k tables (step 1).
 
-    :func:`summarise_store_shard` ends here, and the numpy engine backend
-    summarises its whole table here — including the serving layer's
-    tables, read straight from its incrementally maintained
+    The numpy engine backend summarises its whole table here — including
+    the serving layer's tables, read straight from its incrementally maintained
     :class:`~repro.core.topk_index.MutableTopKIndex` (bit-identical to
     ranking the store because the index maintains build parity).  The
     packed key rows a merge needs are left to :attr:`ShardSummary.keys`.

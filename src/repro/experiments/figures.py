@@ -44,7 +44,6 @@ def figure1(
     dataset: str = "yahoo",
     backend: str | None = None,
     store: str | None = None,
-    shards: int | None = None,
 ) -> list[ExperimentResult]:
     """Figure 1(a–c): objective value under LM-Max vs #users / #items / #groups.
 
@@ -64,7 +63,6 @@ def figure1(
         seed=seed,
         backend=backend,
         store=store,
-        shards=shards,
     )
     return [
         sweep("fig1a", "Objective value, varying number of users (LM-Max)",
@@ -82,7 +80,6 @@ def figure2(
     dataset: str = "yahoo",
     backend: str | None = None,
     store: str | None = None,
-    shards: int | None = None,
 ) -> list[ExperimentResult]:
     """Figure 2(a, b): objective value vs top-k under LM-Min and LM-Sum."""
     preset = get_scale(scale)
@@ -98,7 +95,6 @@ def figure2(
         semantics="lm",
         backend=backend,
         store=store,
-        shards=shards,
     )
     return [
         sweep("fig2a", "Objective value, varying top-k (LM-Min)",
@@ -114,7 +110,6 @@ def figure3(
     dataset: str = "movielens",
     backend: str | None = None,
     store: str | None = None,
-    shards: int | None = None,
 ) -> list[ExperimentResult]:
     """Figure 3(a–d): average group satisfaction over the top-k list (AV-Min,
     MovieLens) vs #users / #items / #groups / top-k."""
@@ -132,7 +127,6 @@ def figure3(
         seed=seed,
         backend=backend,
         store=store,
-        shards=shards,
     )
     return [
         sweep("fig3a", "Avg satisfaction on top-k itemset, varying number of users (AV-Min)",
@@ -152,7 +146,6 @@ def figure4(
     dataset: str = "yahoo",
     backend: str | None = None,
     store: str | None = None,
-    shards: int | None = None,
 ) -> list[ExperimentResult]:
     """Figure 4(a–c): runtime of LM-Min group formation vs #users / #items / #groups."""
     preset = get_scale(scale)
@@ -169,7 +162,6 @@ def figure4(
         seed=seed,
         backend=backend,
         store=store,
-        shards=shards,
     )
     return [
         sweep("fig4a", "Run time, varying number of users (LM-Min)",
@@ -187,7 +179,6 @@ def figure5(
     dataset: str = "yahoo",
     backend: str | None = None,
     store: str | None = None,
-    shards: int | None = None,
 ) -> list[ExperimentResult]:
     """Figure 5(a–d): runtime vs top-k for LM-Min, LM-Sum, AV-Min and AV-Sum."""
     preset = get_scale(scale)
@@ -203,7 +194,6 @@ def figure5(
         seed=seed,
         backend=backend,
         store=store,
-        shards=shards,
     )
     panels = [
         ("fig5a", "lm", "min", "Run time, varying top-k (LM-Min)"),
@@ -224,7 +214,6 @@ def figure6(
     dataset: str = "yahoo",
     backend: str | None = None,
     store: str | None = None,
-    shards: int | None = None,
 ) -> list[ExperimentResult]:
     """Figure 6(a–c): runtime of AV-Min group formation vs #users / #items / #groups."""
     preset = get_scale(scale)
@@ -241,7 +230,6 @@ def figure6(
         seed=seed,
         backend=backend,
         store=store,
-        shards=shards,
     )
     return [
         sweep("fig6a", "Run time, varying number of users (AV-Min)",

@@ -28,7 +28,6 @@ from repro.core.aggregation import get_aggregation
 from repro.core.engine import FormationConfig, FormationEngine
 from repro.core.grouping import GroupFormationResult
 from repro.core.semantics import get_semantics
-from repro.core.sharded import ShardedFormation
 from repro.core.topk_index import TopKIndex
 from repro.datasets.movielens import synthetic_movielens
 from repro.datasets.synthetic import clustered_population, uniform_random_ratings
@@ -185,7 +184,6 @@ def run_algorithms(
     optimal_max_users: int = DEFAULT_MAX_USERS,
     backend: str | None = None,
     store: str | None = None,
-    shards: int | None = None,
 ) -> dict[str, tuple[GroupFormationResult, float]]:
     """Run the requested algorithms on one instance.
 
@@ -216,10 +214,6 @@ def run_algorithms(
         ``"dense"`` (default) or ``"sparse"`` — which
         :class:`~repro.recsys.store.RatingStore` implementation the pipeline
         runs on.  Results are identical; only storage and runtimes change.
-    shards:
-        When > 1, the GRD algorithm runs through
-        :class:`~repro.core.sharded.ShardedFormation` with this many user
-        shards.
 
     Returns
     -------
@@ -233,19 +227,13 @@ def run_algorithms(
     outcomes: dict[str, tuple[GroupFormationResult, float]] = {}
     engine = FormationEngine(backend)
     data = apply_store(ratings, store)
-    sharded = shards is not None and int(shards) > 1
-    if sharded and engine.backend.name != "numpy":
-        raise ValueError(
-            f"shards={shards} runs the sharded numpy execution path and cannot "
-            f"honour backend={backend!r}; drop one of the two"
-        )
 
     # Build the shared ranking artifact once per instance, lazily: only when
-    # some algorithm will actually consume it (the sharded GRD path ranks
-    # per shard itself), and over the full catalogue when the clustering
-    # baseline (which embeds users by their complete ranking) participates.
+    # some algorithm will actually consume it, and over the full catalogue
+    # when the clustering baseline (which embeds users by their complete
+    # ranking) participates.
     keys = {algorithm.strip().lower() for algorithm in algorithms}
-    index_consumers = ("grd" in keys and not sharded) or "baseline" in keys or (
+    index_consumers = "grd" in keys or "baseline" in keys or (
         "opt" in keys and ratings.n_users <= optimal_max_users
     )
     topk = None
@@ -257,26 +245,20 @@ def run_algorithms(
     for algorithm in algorithms:
         key = algorithm.strip().lower()
         if key == "grd":
-            if sharded:
-                result, seconds = time_call(
-                    ShardedFormation(shards=int(shards)).run,
-                    data, max_groups, k, semantics_obj, aggregation_obj,
-                )
-            else:
-                result, seconds = time_call(
-                    engine.run,
-                    data,
-                    max_groups,
-                    k,
-                    semantics_obj,
-                    aggregation_obj,
-                    topk=topk,
-                )
-                # The published GRD runtimes include computing the top-k
-                # lists, so the shared index build is charged to GRD — the
-                # sharing saves wall clock for the *other* consumers without
-                # changing what the scalability figures measure.
-                seconds += topk_seconds
+            result, seconds = time_call(
+                engine.run,
+                data,
+                max_groups,
+                k,
+                semantics_obj,
+                aggregation_obj,
+                topk=topk,
+            )
+            # The published GRD runtimes include computing the top-k lists,
+            # so the shared index build is charged to GRD — the sharing saves
+            # wall clock for the *other* consumers without changing what the
+            # scalability figures measure.
+            seconds += topk_seconds
             outcomes[f"GRD-{suffix}"] = (result, seconds)
         elif key == "baseline":
             result, seconds = time_call(
@@ -392,7 +374,6 @@ def sweep(
     y_label: str | None = None,
     backend: str | None = None,
     store: str | None = None,
-    shards: int | None = None,
 ) -> ExperimentResult:
     """Vary one parameter and collect one metric per algorithm per value.
 
@@ -424,9 +405,9 @@ def sweep(
         Optional override for the metric's axis label.
     backend:
         Formation backend for the GRD runs (see :func:`run_algorithms`).
-    store, shards:
-        Rating-store / sharding selection per instance (see
-        :func:`run_algorithms`); recorded in the result metadata.
+    store:
+        Rating-store selection per instance (see :func:`run_algorithms`);
+        recorded in the result metadata.
     """
     if varying not in {"n_users", "n_items", "n_groups", "k"}:
         raise ValueError(
@@ -453,7 +434,6 @@ def sweep(
                 seed=instance_seed,
                 backend=backend,
                 store=store,
-                shards=shards,
             )
             for name, (result, seconds) in outcomes.items():
                 totals.setdefault(name, []).append(
@@ -493,6 +473,5 @@ def sweep(
             "seed": seed,
             "backend": backend,
             "store": normalize_store(store),
-            "shards": shards,
         },
     )

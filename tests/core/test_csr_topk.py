@@ -16,6 +16,10 @@ one process, and must be bit-identical (items, and value *bit patterns*) to
   index, exactly like the dense kernels);
 * int32 and int64 ``indptr``/``indices``, read in place without a copy.
 
+The numpy fallback ranks in row blocks of a fixed entry budget; with the
+budget patched down, one call spans many blocks and still matches the
+dense kernel bit for bit.
+
 A process that only forms groups over dense ratings never loads the
 compiled CSR library.
 """
@@ -27,6 +31,7 @@ import subprocess
 import sys
 import tracemalloc
 from pathlib import Path
+from unittest import mock
 
 import numpy as np
 import pytest
@@ -91,12 +96,16 @@ def csr_instances(draw):
 
 @pytest.mark.parametrize("implementation", sorted(IMPLEMENTATIONS))
 @settings(max_examples=300, deadline=None)
-@given(instance=csr_instances())
-def test_matches_dense_top_k(implementation, instance):
+@given(instance=csr_instances(), budget=st.integers(min_value=1, max_value=40))
+def test_matches_dense_top_k(implementation, instance, budget):
+    # ``budget`` shrinks the numpy fallback's row blocks (the compiled
+    # kernel has none), and every selected row is ranked twice.
     csr, dense, rows, k, fill = instance
-    got = IMPLEMENTATIONS[implementation](
-        csr.data, csr.indices, csr.indptr, rows, csr.shape[1], k, fill
-    )
+    rows = np.concatenate([rows, rows[::-1]])
+    with mock.patch.object(kernels, "_CSR_BLOCK_ENTRIES", budget):
+        got = IMPLEMENTATIONS[implementation](
+            csr.data, csr.indices, csr.indptr, rows, csr.shape[1], k, fill
+        )
     if rows.size:
         expected = kernels.top_k_table(dense[rows], k)
     else:
@@ -147,6 +156,44 @@ def test_index_arrays_read_in_place(implementation, index_dtype):
     assert peak < indices.nbytes // 16
 
 
+@pytest.mark.parametrize("budget", [1, 16, 64])
+def test_numpy_row_blocks_match_dense_top_k(budget):
+    # Heavy ties (few levels), stored entries equal to the fill, empty
+    # rows 3/17/40, row 5 fully stored (30 entries, above a budget of 16),
+    # and unsorted, repeated row ids.
+    rng = np.random.default_rng(8)
+    stored = rng.random((60, 30)) < 0.3
+    stored[5] = True
+    stored[[3, 17, 40]] = False
+    values = rng.choice(LEVELS + (2.0,), size=(60, 30))
+    dense = np.where(stored, values, 2.0)
+    csr = sp.csr_matrix((values[stored], np.nonzero(stored)), shape=(60, 30))
+    assert (csr.data == 2.0).any()
+    rows = np.concatenate([rng.permutation(60), [5, 5, 3, 0]])
+    blocks = []
+    block_kernel = kernels._csr_top_k_block
+
+    def spy(data, indices, indptr, block_rows, n_items, k, fill):
+        stored = int((indptr[block_rows + 1] - indptr[block_rows]).sum())
+        blocks.append((block_rows.size, stored + k * block_rows.size))
+        return block_kernel(data, indices, indptr, block_rows, n_items, k, fill)
+
+    with mock.patch.object(kernels, "_CSR_BLOCK_ENTRIES", budget), \
+            mock.patch.object(kernels, "_csr_top_k_block", spy):
+        for k in (1, 3, 30):
+            blocks.clear()
+            got = kernels._csr_top_k_numpy(
+                csr.data, csr.indices, csr.indptr, rows, 30, k, 2.0
+            )
+            assert_bit_identical(got, kernels.top_k_table(dense[rows], k))
+            assert sum(size for size, _ in blocks) == rows.size
+            assert len(blocks) > 4
+            # Every block keeps to the budget unless it is one heavier row.
+            assert all(size == 1 or cost <= budget for size, cost in blocks)
+            if budget == 16:
+                assert any(size == 1 and cost > budget for size, cost in blocks)
+
+
 def test_dense_formation_never_loads_the_csr_library():
     # A dense-store process ranks with the dense kernels only, so it must
     # not pay the CSR library's build or load (checked in a fresh process:
@@ -154,10 +201,9 @@ def test_dense_formation_never_loads_the_csr_library():
     script = (
         "import numpy as np\n"
         "from repro.core import FormationEngine, kernels_cc\n"
-        "from repro.core.sharded import ShardedFormation\n"
         "values = np.random.default_rng(0).integers(1, 6, (60, 12)).astype(float)\n"
         "FormationEngine('numpy').run(values, 4, 3, 'av', 'sum')\n"
-        "ShardedFormation(shards=3).run(values, 4, 3, 'lm', 'min')\n"
+        "FormationEngine('numpy').run(values, 4, 3, 'lm', 'min')\n"
         "assert not kernels_cc._CSR_LIBRARY.attempted\n"
     )
     env = dict(os.environ)

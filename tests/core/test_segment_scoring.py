@@ -30,7 +30,6 @@ from repro.core.aggregation import get_aggregation
 from repro.core.group_recommender import group_satisfaction
 from repro.core.grouping import build_group
 from repro.core.semantics import Semantics
-from repro.core.sharded import ShardedFormation
 from repro.recsys.matrix import RatingScale
 from repro.recsys.store import DenseStore, SparseStore
 
@@ -290,7 +289,7 @@ def test_column_reduce_is_observed_in_the_score_histogram():
 
 
 # --------------------------------------------------------------------------- #
-# End to end: engine backends and shard counts
+# End to end: engine backends
 # --------------------------------------------------------------------------- #
 
 
@@ -311,17 +310,11 @@ def test_formations_match_reference_and_single_group_paths(
                 dense_store, max_groups, k, semantics, aggregation
             )
             for store in (dense_store, sparse_store):
-                candidates = [FormationEngine("numpy").run(
+                result = FormationEngine("numpy").run(
                     store, max_groups, k, semantics, aggregation
-                )] + [
-                    ShardedFormation(shards).run(
-                        store, max_groups, k, semantics, aggregation
-                    )
-                    for shards in (1, 3, 7)
-                ]
-                for result in candidates:
-                    assert_bitwise_identical(result, reference)
-                assert_groups_match_single_group_paths(candidates[0], dense, store)
+                )
+                assert_bitwise_identical(result, reference)
+                assert_groups_match_single_group_paths(result, dense, store)
 
 
 @pytest.mark.parametrize("store_kind", ["dense", "sparse"])
@@ -336,7 +329,7 @@ def test_budget_filling_without_a_leftover_group(store_kind):
         reference = FormationEngine("reference").run(
             dense_store, 12, 1, semantics, aggregation
         )
-        result = ShardedFormation(3).run(store, 12, 1, semantics, aggregation)
+        result = FormationEngine("numpy").run(store, 12, 1, semantics, aggregation)
         assert result.extras["last_group_pseudocode_score"] is None
         assert result.n_groups == 12
         assert_bitwise_identical(result, reference)

@@ -1,4 +1,10 @@
-"""Tests for the sharded formation path and its documented objective bound."""
+"""Tests for batch formation's steps 1–2 (:mod:`repro.core.sharded`).
+
+Batch formation has one path, ``FormationEngine``; its numpy backend
+summarises and selects through :mod:`repro.core.sharded`, and must equal
+the ``reference`` backend bit for bit.  The merge of several summaries
+(no production caller) keeps its documented fold order.
+"""
 
 from __future__ import annotations
 
@@ -7,11 +13,11 @@ import pytest
 
 from scipy import sparse as sp
 
-from repro.core import FormationEngine, ShardedFormation
+from repro.core import FormationEngine
 from repro.core.errors import GroupFormationError
 from repro.core.greedy_framework import make_variant
 from repro.core.preferences import _top_k_table_sorted
-from repro.core.sharded import merge_summaries, shard_bounds, summarise_tables
+from repro.core.sharded import ShardedFormation, merge_summaries, summarise_tables
 from repro.datasets import (
     synthetic_sparse_store,
     synthetic_yahoo_music,
@@ -53,66 +59,45 @@ def adversarial():
     return uniform_random_ratings(80, 12, rng=9)
 
 
-class TestShardsOneBitIdentical:
-    """``--shards 1`` must reproduce the engine result bit for bit."""
+class TestNumpyMatchesReference:
+    """The numpy engine reproduces the reference backend bit for bit."""
 
     @pytest.mark.parametrize("semantics", SEMANTICS)
     @pytest.mark.parametrize("aggregation", AGGREGATIONS)
     def test_every_variant(self, clustered, semantics, aggregation):
-        engine_result = FormationEngine("numpy").run(
+        expected = FormationEngine("reference").run(
             clustered, 9, 4, semantics, aggregation
         )
-        sharded_result = ShardedFormation(shards=1).run(
-            clustered, 9, 4, semantics, aggregation
-        )
-        assert_results_identical(
-            engine_result, sharded_result, (semantics, aggregation)
-        )
+        got = FormationEngine("numpy").run(clustered, 9, 4, semantics, aggregation)
+        assert_results_identical(expected, got, (semantics, aggregation))
 
-
-class TestMultiShardBound:
-    """Batch runs are bit-identical for every shard count.
-
-    ``shards`` only cuts the ranking into chunks; bucketing, selection and
-    scoring see one table, so no bucket sum is ever re-associated.
-    """
-
-    @pytest.mark.parametrize("shards", [2, 3, 7, 240])
-    def test_integer_instance_bit_identical(self, clustered, shards):
+    def test_integer_instance_bit_identical(self, clustered):
         for semantics in SEMANTICS:
-            engine_result = FormationEngine("numpy").run(
+            expected = FormationEngine("reference").run(
                 clustered, 10, 5, semantics, "min"
             )
-            sharded_result = ShardedFormation(shards=shards).run(
-                clustered, 10, 5, semantics, "min"
-            )
-            assert_results_identical(
-                engine_result, sharded_result, (semantics, shards)
-            )
+            got = FormationEngine("numpy").run(clustered, 10, 5, semantics, "min")
+            assert_results_identical(expected, got, semantics)
 
     def test_adversarial_singleton_heavy_instance(self, adversarial):
-        # Uniform random data degenerates to mostly singleton buckets — the
-        # worst case for the merge (every bucket crosses the merge path).
+        # Uniform random data degenerates to mostly singleton buckets.
         for semantics, aggregation in (("lm", "sum"), ("av", "sum"), ("lm", "max")):
-            engine_result = FormationEngine("numpy").run(
+            expected = FormationEngine("reference").run(
                 adversarial, 6, 3, semantics, aggregation
             )
-            sharded_result = ShardedFormation(shards=5).run(
+            got = FormationEngine("numpy").run(
                 adversarial, 6, 3, semantics, aggregation
             )
-            assert_results_identical(
-                engine_result, sharded_result, (semantics, aggregation)
-            )
+            assert_results_identical(expected, got, (semantics, aggregation))
 
     # Bucket {1, 2, 3} sums to 0.1 + 0.2 + 0.3 = 0.6000000000000001 in
-    # user order; folding per-shard partial sums (0.1 + 0.5) gives 0.6,
-    # which ties bucket {0} and loses on its representative.
+    # user order; folding partial sums of user chunks (0.1 + 0.5) gives
+    # 0.6, which ties bucket {0} and loses on its representative.
     REASSOCIATING = np.array(
         [[0.0, 0.6, 0.0], [0.1, 0.0, 0.0], [0.2, 0.0, 0.0], [0.3, 0.0, 0.0]]
     )
 
-    @pytest.mark.parametrize("shards", [1, 2, 3, 7, "n_users"])
-    def test_fractional_ratings_bit_identical_to_reference(self, shards):
+    def test_fractional_ratings_bit_identical_to_reference(self):
         rng = np.random.default_rng(4)
         random_values = np.round(rng.uniform(1.0, 5.0, size=(60, 10)), 3)
         cases = (
@@ -120,17 +105,14 @@ class TestMultiShardBound:
             (self.REASSOCIATING, 2, 1),
         )
         for values, max_groups, k in cases:
-            n_shards = values.shape[0] if shards == "n_users" else shards
             for semantics, aggregation in (("av", "sum"), ("lm", "min")):
                 expected = FormationEngine("reference").run(
                     values, max_groups, k, semantics, aggregation
                 )
-                got = ShardedFormation(shards=n_shards).run(
+                got = FormationEngine("numpy").run(
                     values, max_groups, k, semantics, aggregation
                 )
-                assert_results_identical(
-                    expected, got, (values.shape, n_shards, semantics)
-                )
+                assert_results_identical(expected, got, (values.shape, semantics))
 
 
 def explicit_fill_store(n_users, n_items, fill, rng):
@@ -151,7 +133,7 @@ def explicit_fill_store(n_users, n_items, fill, rng):
 
 class TestExplicitFillCSRParity:
     """CSR stores with explicitly stored fill values and heavy ties: the
-    sharded path and the numpy engine both equal the reference backend."""
+    numpy engine equals the reference backend."""
 
     N_USERS = 90
 
@@ -167,16 +149,11 @@ class TestExplicitFillCSRParity:
                 store, 8, k, semantics, aggregation
             )
             got = FormationEngine("numpy").run(store, 8, k, semantics, aggregation)
-            assert_results_identical(expected, got, ("numpy", k))
-            for shards in (1, 2, 3, 7, self.N_USERS):
-                got = ShardedFormation(shards=shards).run(
-                    store, 8, k, semantics, aggregation
-                )
-                assert_results_identical(expected, got, (shards, k))
+            assert_results_identical(expected, got, k)
 
 
 def _shard_summaries(items, scores, shards, variant):
-    bounds = shard_bounds(items.shape[0], shards)
+    bounds = np.linspace(0, items.shape[0], shards + 1).astype(np.int64)
     return [
         summarise_tables(items[a:b], scores[a:b], int(a), variant)
         for a, b in zip(bounds[:-1].tolist(), bounds[1:].tolist())
@@ -243,44 +220,42 @@ class TestMergeFoldOrder:
             assert reps[b] == summary.reps[bucket] == members[0]
 
 
-class TestExecutionModes:
-    def test_sparse_store_through_sharded_path(self, clustered):
+class TestBatchPath:
+    def test_sparse_store_matches_dense(self, clustered):
         store = SparseStore.from_matrix(clustered)
         dense_result = FormationEngine("numpy").run(clustered, 9, 5, "lm", "min")
-        sharded_sparse = ShardedFormation(shards=4).run(store, 9, 5, "lm", "min")
-        assert_results_identical(dense_result, sharded_sparse)
-        assert sharded_sparse.extras["store"] == "SparseStore"
-
-    def test_more_shards_than_users_is_clamped(self):
-        values = uniform_random_ratings(5, 6, rng=1)
-        result = ShardedFormation(shards=50).run(values, 3, 2, "lm", "min")
-        assert result.n_users == 5
-        assert result.extras["n_shards"] == 5
+        sparse_result = FormationEngine("numpy").run(store, 9, 5, "lm", "min")
+        assert_results_identical(dense_result, sparse_result)
 
     def test_validation(self, clustered):
-        with pytest.raises(ValueError):
-            ShardedFormation(shards=0)
         with pytest.raises(GroupFormationError):
-            ShardedFormation(shards=2).run(clustered, 4, 99, "lm", "min")
+            FormationEngine("numpy").run(clustered, 4, 99, "lm", "min")
 
-    def test_conflicting_backend_is_rejected_not_substituted(self, clustered):
+    def test_shards_keyword_is_gone(self, clustered):
         from repro.core import form_groups
         from repro.experiments.runner import run_algorithms
 
-        with pytest.raises(ValueError, match="sharded"):
-            form_groups(clustered, 4, 2, shards=3, backend="reference")
-        with pytest.raises(ValueError, match="sharded"):
-            run_algorithms(
-                clustered, 4, 2, "lm", "min",
-                algorithms=("GRD",), backend="reference", shards=3,
-            )
-        # The engine-default backend (numpy) composes with sharding fine.
-        result = form_groups(clustered, 4, 2, shards=3)
-        assert result.n_groups <= 4
+        with pytest.raises(TypeError):
+            form_groups(clustered, 4, 2, shards=3)
+        with pytest.raises(TypeError):
+            run_algorithms(clustered, 4, 2, "lm", "min", shards=3)
+
+    def test_sharded_formation_is_the_numpy_engine(self, clustered):
+        # The former sharded class survives only under its old name: it
+        # validates ``shards`` and otherwise is FormationEngine("numpy").
+        with pytest.raises(ValueError):
+            ShardedFormation(shards=0)
+        shim = ShardedFormation(shards=7)
+        assert isinstance(shim, FormationEngine)
+        assert shim.backend.name == "numpy"
+        assert_results_identical(
+            shim.run(clustered, 9, 4, "av", "sum"),
+            FormationEngine("numpy").run(clustered, 9, 4, "av", "sum"),
+        )
 
     def test_batch_path_never_merges_or_packs_keys(self, monkeypatch):
-        # A batch run ranks every chunk into one table and summarises it
-        # once: there is nothing to merge, so no key row is packed either.
+        # A batch run summarises one table: there is nothing to merge, so
+        # no key row is packed either.
         from repro.core import kernels, sharded
 
         store = synthetic_sparse_store(3000, 400, density=0.02, rng=6)
@@ -299,10 +274,7 @@ class TestExecutionModes:
             kernels, "pack_key_rows", spy("pack", kernels.pack_key_rows)
         )
         for semantics, aggregation in (("lm", "min"), ("av", "sum")):
-            result = ShardedFormation(shards=4).run(
-                store, 8, 3, semantics, aggregation
-            )
-            assert result.extras["n_shards"] == 4
+            FormationEngine("numpy").run(store, 8, 3, semantics, aggregation)
         assert calls == []
 
     def test_never_densifies_more_than_a_block(self, monkeypatch):
@@ -318,9 +290,7 @@ class TestExecutionModes:
 
         monkeypatch.setattr(SparseStore, "_densify", spy)
         for semantics, aggregation in (("lm", "min"), ("av", "sum")):
-            result = ShardedFormation(shards=3).run(
-                store, 6, 3, semantics, aggregation
-            )
+            result = FormationEngine("numpy").run(store, 6, 3, semantics, aggregation)
             assert result.n_users == 500
             assert result.n_groups <= 6
         assert densified == []

@@ -117,10 +117,10 @@ class TestSyntheticSparse:
         assert np.array_equal(direct.to_dense(), streamed.to_dense())
 
     def test_forms_groups_end_to_end(self):
-        from repro.core import ShardedFormation
+        from repro.core import FormationEngine
 
         store = synthetic_sparse_store(1500, 80, density=0.02, rng=5)
-        result = ShardedFormation(shards=4).run(store, 12, 5, "lm", "min")
+        result = FormationEngine().run(store, 12, 5, "lm", "min")
         assert result.n_users == 1500
         assert result.n_groups <= 12
         assert result.objective >= 0.0

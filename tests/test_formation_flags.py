@@ -67,10 +67,8 @@ def _one_error_line(main, argv, capsys) -> str:
     [
         (("repro serve", serve_main, "serve"), "--kernel-threads"),
         (("repro-experiments", experiments_main, "table3"), "--kernel-threads"),
-        (("repro-experiments", experiments_main, "table3"), "--shards"),
     ],
-    ids=["serve-kernel-threads", "experiments-kernel-threads",
-         "experiments-shards"],
+    ids=["serve-kernel-threads", "experiments-kernel-threads"],
 )
 def test_non_positive_counts_exit_2_with_one_error_line(cli, flag, capsys):
     prog, main, command = cli
@@ -79,6 +77,14 @@ def test_non_positive_counts_exit_2_with_one_error_line(cli, flag, capsys):
     )
 
 
-def test_serve_has_no_shards_flag(capsys):
-    error = _one_error_line(serve_main, ["serve", "--shards", "4"], capsys)
-    assert error == "repro: error: unrecognized arguments: --shards 4"
+@pytest.mark.parametrize(
+    "main, argv, prog",
+    [
+        (serve_main, ["serve"], "repro"),
+        (experiments_main, ["table3"], "repro-experiments"),
+    ],
+    ids=["serve", "experiments"],
+)
+def test_neither_cli_has_a_shards_flag(main, argv, prog, capsys):
+    error = _one_error_line(main, [*argv, "--shards", "4"], capsys)
+    assert error == f"{prog}: error: unrecognized arguments: --shards 4"

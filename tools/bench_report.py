@@ -31,7 +31,7 @@ END = "<!-- bench-trajectory:end -->"
 
 #: Entry keys folded into the "configuration" column, in display order.
 _CONFIG_KEYS = (
-    "backend", "store", "kernels", "threads", "stage", "semantics", "shards",
+    "backend", "store", "kernels", "threads", "stage", "semantics",
     "metric", "replicas", "clients", "read_ratio", "batch_size", "k",
     "max_groups", "requests",
 )
