@@ -548,8 +548,7 @@ def _csr_top_k_numpy(
     n_rows = rows.size
     items_table = np.empty((n_rows, k), dtype=np.int64)
     values_table = np.empty((n_rows, k), dtype=np.float64)
-    counts = indptr[rows + 1].astype(np.int64) - indptr[rows] + k
-    cost = np.cumsum(counts)
+    cost = np.cumsum(indptr[rows + 1].astype(np.int64) - indptr[rows] + k)
     start = 0
     while start < n_rows:
         spent = int(cost[start - 1]) if start else 0
