@@ -23,7 +23,7 @@ from repro.datasets import (
     synthetic_yahoo_music,
     uniform_random_ratings,
 )
-from repro.recsys import SparseStore
+from repro.recsys import RatingScale, SparseStore
 
 SEMANTICS = ("lm", "av")
 AGGREGATIONS = ("min", "max", "sum")
@@ -150,6 +150,66 @@ class TestExplicitFillCSRParity:
             )
             got = FormationEngine("numpy").run(store, 8, k, semantics, aggregation)
             assert_results_identical(expected, got, k)
+
+
+class TestCSRRowBlocks:
+    """The numpy CSR top-k ranks in row blocks of an entry budget; formation
+    over a sparse store equals the reference backend for every budget."""
+
+    @pytest.mark.parametrize("budget", [1, 16, 200, None], ids=str)
+    def test_formation_bit_identical_to_reference(self, monkeypatch, budget):
+        from repro.core import kernels
+
+        monkeypatch.setattr(kernels, "_load_csr", lambda: None)
+        if budget is not None:
+            monkeypatch.setattr(kernels, "_CSR_BLOCK_ENTRIES", budget)
+        blocks = []
+        block_kernel = kernels._csr_top_k_block
+
+        def spy(data, indices, indptr, rows, n_items, k, fill):
+            stored = int((indptr[rows + 1] - indptr[rows]).sum())
+            blocks.append((rows.size, stored + k * rows.size))
+            return block_kernel(data, indices, indptr, rows, n_items, k, fill)
+
+        monkeypatch.setattr(kernels, "_csr_top_k_block", spy)
+        rng = np.random.default_rng(4)
+        fractional = np.round(rng.uniform(1.0, 5.0, size=(60, 10)), 3)
+        fractional[rng.random(fractional.shape) < 0.5] = 0.0
+        unit = RatingScale(0.0, 1.0)
+        cases = (
+            (SparseStore(sp.csr_matrix(fractional), fill_value=1.0), 5, 3),
+            (
+                SparseStore(
+                    sp.csr_matrix(TestNumpyMatchesReference.REASSOCIATING),
+                    fill_value=0.0,
+                    scale=unit,
+                ),
+                2,
+                1,
+            ),
+            (explicit_fill_store(90, 7, 3.0, rng=5), 8, 3),
+        )
+        for store, max_groups, k in cases:
+            for semantics, aggregation in (("av", "sum"), ("lm", "min")):
+                blocks.clear()
+                expected = FormationEngine("reference").run(
+                    store, max_groups, k, semantics, aggregation
+                )
+                got = FormationEngine("numpy").run(
+                    store, max_groups, k, semantics, aggregation
+                )
+                assert_results_identical(
+                    expected, got, (store.n_users, semantics, budget)
+                )
+                # The numpy kernel ranked every row, in blocks that keep to
+                # the budget unless a block is one heavier row.
+                assert sum(size for size, _ in blocks) >= store.n_users
+                if budget is None:
+                    assert len(blocks) == 1
+                else:
+                    assert all(size == 1 or cost <= budget for size, cost in blocks)
+                    if sum(cost for _, cost in blocks) > budget:
+                        assert len(blocks) > 1
 
 
 def _shard_summaries(items, scores, shards, variant):

@@ -135,9 +135,12 @@ def test_degraded_write_never_leaves_phantom_state(tmp_path, background_server):
 def test_request_deadline_returns_structured_504(background_server):
     values = np.random.default_rng(5).integers(1, 6, size=(30, 8)).astype(float)
     service = FormationService(DenseStore(values), k_max=4)
-    srv = ServiceServer(service, port=0, request_timeout_ms=100.0)
+    # The deadline also bounds the healthy request below (~2 ms of work),
+    # so it leaves room for scheduling stalls on a loaded machine; the
+    # injected stall is far longer and is cancelled at the deadline.
+    srv = ServiceServer(service, port=0, request_timeout_ms=1000.0)
     with background_server(srv):
-        faults.configure("http.dispatch=delay:3000@once:1")
+        faults.configure("http.dispatch=delay:60000@once:1")
         status, payload, headers = json_request(
             srv, "/v1/recommend", {"k": 3, "max_groups": 4},
             headers={"X-Request-Id": "slow-1"},
