@@ -536,6 +536,7 @@ def _csr_top_k_numpy(
     n_items: int,
     k: int,
     fill: float,
+    ceiling: float = np.inf,
 ) -> tuple[np.ndarray, np.ndarray]:
     """The numpy CSR top-k kernel (used when no C compiler is available).
 
@@ -543,7 +544,9 @@ def _csr_top_k_numpy(
     candidates (a row's stored entries plus its ``k`` fill candidates; a
     heavier row is a block of its own), so the temporaries stay bounded
     however many rows one call ranks.  Rows are independent, so the
-    blocks never change the result.
+    blocks never change the result.  ``ceiling`` is accepted for parity
+    with the compiled kernel and ignored: a block is ranked by one sort,
+    with no row scan to stop early.
     """
     n_rows = rows.size
     items_table = np.empty((n_rows, k), dtype=np.int64)
@@ -621,7 +624,7 @@ def _csr_top_k_block(
 
 
 def csr_top_k_table(
-    csr, rows: np.ndarray, k: int, fill: float
+    csr, rows: np.ndarray, k: int, fill: float, ceiling: float = np.inf
 ) -> tuple[np.ndarray, np.ndarray]:
     """Per-row top-``k`` of CSR rows read as dense rows filled with ``fill``.
 
@@ -632,6 +635,12 @@ def csr_top_k_table(
     falls back to the numpy kernel when no C compiler is available; the
     fallback ranks in row blocks of a fixed entry budget, so one call over
     every row of a million-user store keeps its temporaries bounded.
+
+    The compiled kernel stops reading a row's stored entries once its
+    ``k`` best sit at ``ceiling``: a full top-k buffer admits only values
+    strictly greater than its worst, so with ``ceiling`` an upper bound of
+    every stored value nothing later can enter and the table is unchanged.
+    The default ``+inf`` is a bound for any NaN-free data.
 
     Parameters
     ----------
@@ -644,6 +653,10 @@ def csr_top_k_table(
         Top-k prefix length (``1 <= k <= n_items``).
     fill:
         Rating of every unstored cell.
+    ceiling:
+        Upper bound of every stored value (a validated store's scale
+        maximum).  A bound that some stored value exceeds gives wrong
+        tables.
 
     Returns
     -------
@@ -661,7 +674,7 @@ def csr_top_k_table(
         if backend is not None:
             return backend.top_k(
                 csr.data, csr.indices, csr.indptr, rows, n_items, k, fill,
-                get_kernel_threads(),
+                ceiling, get_kernel_threads(),
             )
         return _csr_top_k_numpy(
             csr.data, csr.indices, csr.indptr, rows, n_items, k, fill

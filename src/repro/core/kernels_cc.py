@@ -549,17 +549,26 @@ static int64_t bounded_insert(double v, int64_t idx, int64_t n, int64_t cap,
  *   2. fill-valued items (unstored, or stored equal to fill, whose stored
  *      bits are kept) in ascending item order;
  *   3. stored entries below fill, selected by value.
- * Band 2 stops after k items, so a row costs O(nnz + k), not O(n_items). */
+ * Band 2 stops after k items, so a row costs O(nnz + k), not O(n_items).
+ * `ceiling` bounds every stored value from above (a store's scale maximum,
+ * or +inf when nothing is known).  Band 1 returns as soon as the buffer is
+ * full and its worst entry has reached the ceiling: a full buffer admits
+ * only values strictly greater than its worst, and no later entry can be,
+ * so the entries it skips are exactly the ones the scan would reject. */
 static void csr_topk_row(const double *data, const void *indices,
                          int32_t wide, int64_t lo, int64_t hi,
                          int64_t n_items, int64_t k, double fill,
-                         int64_t *items_out, double *values_out)
+                         double ceiling, int64_t *items_out,
+                         double *values_out)
 {
     int64_t n = 0;
     for (int64_t p = lo; p < hi; ++p)
-        if (data[p] > fill)
+        if (data[p] > fill) {
             n = bounded_insert(data[p], csr_index(indices, wide, p), n, k,
                                items_out, values_out);
+            if (n == k && values_out[k - 1] >= ceiling)
+                return;
+        }
     int64_t p = lo;
     for (int64_t j = 0; n < k && j < n_items; ++j) {
         while (p < hi && csr_index(indices, wide, p) < j)
@@ -589,7 +598,7 @@ typedef struct {
     int32_t wide;
     const int64_t *rows;
     int64_t n_items, k;
-    double fill;
+    double fill, ceiling;
     int64_t *items_out;
     double *values_out;
 } csr_ctx;
@@ -602,7 +611,7 @@ static void csr_range(void *vctx, int64_t start, int64_t stop)
         csr_topk_row(c->data, c->indices, c->wide,
                      csr_index(c->indptr, c->wide, row),
                      csr_index(c->indptr, c->wide, row + 1),
-                     c->n_items, c->k, c->fill,
+                     c->n_items, c->k, c->fill, c->ceiling,
                      c->items_out + r * c->k, c->values_out + r * c->k);
     }
 }
@@ -611,11 +620,11 @@ void repro_csr_topk_rows(const double *data, const void *indices,
                          const void *indptr, int32_t wide,
                          const int64_t *rows, int64_t n_rows,
                          int64_t n_items, int64_t k, double fill,
-                         int64_t *items_out, double *values_out,
-                         int32_t n_threads)
+                         double ceiling, int64_t *items_out,
+                         double *values_out, int32_t n_threads)
 {
     csr_ctx ctx = {data, indices, indptr, wide, rows, n_items, k, fill,
-                   items_out, values_out};
+                   ceiling, items_out, values_out};
     run_rows(csr_range, &ctx, n_rows, n_threads);
 }
 
@@ -857,7 +866,7 @@ class CompiledCsrKernels(_ColumnReduce):
         library.repro_csr_topk_rows.restype = None
         library.repro_csr_topk_rows.argtypes = [
             p(f64), ctypes.c_void_p, ctypes.c_void_p, i32, p(i64), i64,
-            i64, i64, f64, p(i64), p(f64), i32,
+            i64, i64, f64, f64, p(i64), p(f64), i32,
         ]
 
     def top_k(
@@ -869,6 +878,7 @@ class CompiledCsrKernels(_ColumnReduce):
         n_items: int,
         k: int,
         fill: float,
+        ceiling: float,
         n_threads: int,
     ) -> tuple[np.ndarray, np.ndarray]:
         """Per-row top-``k`` of CSR rows read densely with ``fill`` elsewhere.
@@ -887,6 +897,11 @@ class CompiledCsrKernels(_ColumnReduce):
             Top-k prefix length (``1 <= k <= n_items``).
         fill:
             Value of every unstored cell.
+        ceiling:
+            Upper bound of every stored value (``math.inf`` when none is
+            known).  A row's scan stops once its ``k`` best stored values
+            reach it; a bound that some stored value exceeds gives wrong
+            tables.
         n_threads:
             Thread count for the row loop (results are identical for every
             value).
@@ -911,7 +926,7 @@ class CompiledCsrKernels(_ColumnReduce):
                 indices.ctypes.data, indptr.ctypes.data,
                 int(indices.dtype == np.int64),
                 rows.ctypes.data_as(ctypes.POINTER(ctypes.c_int64)), rows.size,
-                int(n_items), int(k), float(fill),
+                int(n_items), int(k), float(fill), float(ceiling),
                 items_out.ctypes.data_as(ctypes.POINTER(ctypes.c_int64)),
                 values_out.ctypes.data_as(ctypes.POINTER(ctypes.c_double)),
                 int(n_threads),

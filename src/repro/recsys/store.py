@@ -970,7 +970,11 @@ class SparseStore:
 
     @property
     def csr(self) -> sp.csr_matrix:
-        """The underlying CSR matrix of explicit ratings (not a copy)."""
+        """The underlying CSR matrix of explicit ratings (not a copy).
+
+        Write through the store's methods only: :meth:`top_k` relies on
+        every stored value lying on the scale.
+        """
         return self._csr
 
     @property
@@ -1051,7 +1055,13 @@ class SparseStore:
         """Top-``k`` tables of ``rows`` straight from the CSR arrays.
 
         Runs :func:`repro.core.kernels.csr_top_k_table` (no dense canvas),
-        bit-identical to the dense kernels on the densified rows.
+        bit-identical to the dense kernels on the densified rows.  The
+        scale maximum is passed as the kernel's ``ceiling``, so a row's
+        scan stops once its ``k`` best ratings sit at the maximum.  That
+        bound holds because every stored value is checked against the
+        scale: ``__init__`` (which snapshot loads and shared-memory
+        adoption also go through) rejects non-finite and off-scale data,
+        and every write validates its values the same way.
         """
         from repro.core import kernels
 
@@ -1061,7 +1071,9 @@ class SparseStore:
             row_ids = np.arange(*rows.indices(self.n_users), dtype=np.int64)
         else:
             row_ids = np.asarray(rows, dtype=np.int64)
-        return kernels.csr_top_k_table(self._csr, row_ids, k, self.fill_value)
+        return kernels.csr_top_k_table(
+            self._csr, row_ids, k, self.fill_value, self._scale.maximum
+        )
 
     def item_scores(
         self, members: Sequence[int] | np.ndarray, semantics: Semantics

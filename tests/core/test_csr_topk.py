@@ -14,11 +14,17 @@ one process, and must be bit-identical (items, and value *bit patterns*) to
 * a fill above some stored values (the below-fill band ranks last);
 * tie-heavy integer ratings and ``±0.0`` (``-0.0 == +0.0`` ties resolve by
   index, exactly like the dense kernels);
-* int32 and int64 ``indptr``/``indices``, read in place without a copy.
+* int32 and int64 ``indptr``/``indices``, read in place without a copy;
+* a ``ceiling`` that is either the instance's largest stored value or
+  ``+inf``: the compiled kernel stops a row's scan once its ``k`` best sit
+  at the ceiling, and the result must not change (the numpy fallback
+  ignores the argument).
 
 The numpy fallback ranks in row blocks of a fixed entry budget; with the
 budget patched down, one call spans many blocks and still matches the
-dense kernel bit for bit.
+dense kernel bit for bit.  A :class:`~repro.recsys.store.SparseStore`
+passes its scale maximum as the ceiling and ranks like a
+:class:`~repro.recsys.store.DenseStore` over the same ratings.
 
 A process that only forms groups over dense ratings never loads the
 compiled CSR library.
@@ -40,16 +46,20 @@ from hypothesis import strategies as st
 from scipy import sparse as sp
 
 from repro.core import kernels, kernels_cc
+from repro.recsys.matrix import RatingScale
+from repro.recsys.store import DenseStore, SparseStore
 
 #: Few levels (heavy ties), both zero signs and a fractional value.
 LEVELS = (0.0, -0.0, 1.0, 2.0, 3.0, 2.5)
 
 
-def compiled_top_k(data, indices, indptr, rows, n_items, k, fill):
+def compiled_top_k(data, indices, indptr, rows, n_items, k, fill,
+                   ceiling=np.inf):
     backend = kernels_cc.load_csr()
     if backend is None:
         pytest.skip("compiled CSR kernel unavailable (no C compiler)")
-    return backend.top_k(data, indices, indptr, rows, n_items, k, fill, 2)
+    return backend.top_k(data, indices, indptr, rows, n_items, k, fill,
+                         ceiling, 2)
 
 
 IMPLEMENTATIONS = {
@@ -69,7 +79,11 @@ def assert_bit_identical(got, expected):
 
 @st.composite
 def csr_instances(draw):
-    """A canonical CSR matrix, its densified rows, a row selection and k."""
+    """A CSR matrix, its densified rows, a row selection, k, fill, ceiling.
+
+    The ceiling is the largest stored value (the fill for an empty matrix)
+    or ``+inf``: both bound every stored value.
+    """
     n_rows = draw(st.integers(min_value=1, max_value=8))
     n_items = draw(st.integers(min_value=1, max_value=12))
     seed = draw(st.integers(min_value=0, max_value=2**31 - 1))
@@ -91,7 +105,9 @@ def csr_instances(draw):
     csr.indptr = csr.indptr.astype(index_dtype)
     selection = rng.permutation(n_rows)[: draw(st.integers(0, n_rows))]
     k = draw(st.integers(min_value=1, max_value=n_items))
-    return csr, dense, selection.astype(np.int64), k, fill
+    top = float(csr.data.max()) if csr.nnz else fill
+    ceiling = draw(st.sampled_from((top, np.inf)))
+    return csr, dense, selection.astype(np.int64), k, fill, ceiling
 
 
 @pytest.mark.parametrize("implementation", sorted(IMPLEMENTATIONS))
@@ -100,11 +116,12 @@ def csr_instances(draw):
 def test_matches_dense_top_k(implementation, instance, budget):
     # ``budget`` shrinks the numpy fallback's row blocks (the compiled
     # kernel has none), and every selected row is ranked twice.
-    csr, dense, rows, k, fill = instance
+    csr, dense, rows, k, fill, ceiling = instance
     rows = np.concatenate([rows, rows[::-1]])
     with mock.patch.object(kernels, "_CSR_BLOCK_ENTRIES", budget):
         got = IMPLEMENTATIONS[implementation](
-            csr.data, csr.indices, csr.indptr, rows, csr.shape[1], k, fill
+            csr.data, csr.indices, csr.indptr, rows, csr.shape[1], k, fill,
+            ceiling,
         )
     if rows.size:
         expected = kernels.top_k_table(dense[rows], k)
@@ -131,6 +148,74 @@ def test_bands_and_signed_zeros(implementation, fill):
         csr.data, csr.indices, csr.indptr, np.array([0, 1]), 5, 5, fill
     )
     assert_bit_identical(got, kernels.top_k_table(dense, 5))
+
+
+@pytest.mark.parametrize("implementation", sorted(IMPLEMENTATIONS))
+@pytest.mark.parametrize("k", [1, 3, 4])
+def test_entries_at_the_ceiling(implementation, k):
+    # Ceiling 5, fill 1.  Row 0: its first three stored entries sit at the
+    # ceiling, a later 5 at item 6 must not enter (ties keep the lower
+    # index), and a 4 follows.  Row 1: a 4 before three ceiling entries.
+    # Row 2 has fill == ceiling (the band above the fill is empty), read
+    # with its own fill below.
+    csr = sp.csr_matrix(
+        (
+            [5.0, 5.0, 5.0, 2.0, 5.0, 4.0, 4.0, 5.0, 5.0, 5.0],
+            [0, 2, 3, 5, 6, 7, 0, 1, 4, 7],
+            [0, 6, 10],
+        ),
+        shape=(2, 8),
+    )
+    dense = csr.toarray()
+    dense[csr.toarray() == 0] = 1.0
+    got = IMPLEMENTATIONS[implementation](
+        csr.data, csr.indices, csr.indptr, np.array([0, 1, 0]), 8, k, 1.0, 5.0
+    )
+    assert_bit_identical(got, kernels.top_k_table(dense[[0, 1, 0]], k))
+    if k == 3:
+        assert got[0][0].tolist() == [0, 2, 3]
+    at_fill = sp.csr_matrix(([5.0, 2.0], [1, 3], [0, 2]), shape=(1, 5))
+    got = IMPLEMENTATIONS[implementation](
+        at_fill.data, at_fill.indices, at_fill.indptr, np.array([0]), 5, k,
+        5.0, 5.0,
+    )
+    expected = kernels.top_k_table(np.array([[5.0, 5.0, 5.0, 2.0, 5.0]]), k)
+    assert_bit_identical(got, expected)
+
+
+def test_compiled_scan_stops_at_the_ceiling():
+    # The stop itself, seen through a ceiling that is *not* a bound: once
+    # the k best values so far reach it, the row's later stored entries are
+    # never read, so the larger 7.0 does not enter.  Below the ceiling (the
+    # k-th best is 5.0 < 6.0) the scan goes on, as it does with +inf.
+    csr = sp.csr_matrix(([5.0, 6.0, 5.0, 7.0], [0, 1, 2, 3], [0, 4]),
+                        shape=(1, 6))
+    args = (csr.data, csr.indices, csr.indptr, np.array([0]), 6, 2, 1.0)
+    items, values = compiled_top_k(*args, 5.0)
+    assert items.tolist() == [[1, 0]] and values.tolist() == [[6.0, 5.0]]
+    for ceiling in (6.0, np.inf):
+        items, values = compiled_top_k(*args, ceiling)
+        assert items.tolist() == [[3, 1]] and values.tolist() == [[7.0, 6.0]]
+
+
+@pytest.mark.parametrize("k", [1, 5, 12])
+def test_sparse_store_ranks_like_dense_store_at_the_maximum(k):
+    # Most stored ratings sit at the scale maximum (heavy ties where the
+    # scan stops), with explicit fill-valued entries, empty rows and rows
+    # holding fewer than k maximum ratings.
+    rng = np.random.default_rng(11)
+    scale = RatingScale(1.0, 5.0)
+    stored = rng.random((300, 40)) < 0.4
+    stored[[7, 150]] = False
+    values = rng.choice([5.0, 5.0, 5.0, 4.0, 2.5, 1.0], size=stored.shape)
+    store = SparseStore(
+        sp.csr_matrix((values[stored], np.nonzero(stored)), shape=stored.shape),
+        fill_value=1.0, scale=scale,
+    )
+    dense = DenseStore(store.to_dense(), scale=scale)
+    rows = rng.permutation(300)[:200]
+    for selection in (None, slice(13, 290), rows):
+        assert_bit_identical(store.top_k(selection, k), dense.top_k(selection, k))
 
 
 @pytest.mark.parametrize("implementation", sorted(IMPLEMENTATIONS))
