@@ -156,8 +156,8 @@ def test_entries_at_the_ceiling(implementation, k):
     # Ceiling 5, fill 1.  Row 0: its first three stored entries sit at the
     # ceiling, a later 5 at item 6 must not enter (ties keep the lower
     # index), and a 4 follows.  Row 1: a 4 before three ceiling entries.
-    # Row 2 has fill == ceiling (the band above the fill is empty), read
-    # with its own fill below.
+    # Then a row read with fill == ceiling, so no stored value lies above
+    # the fill.
     csr = sp.csr_matrix(
         (
             [5.0, 5.0, 5.0, 2.0, 5.0, 4.0, 4.0, 5.0, 5.0, 5.0],
