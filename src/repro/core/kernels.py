@@ -536,7 +536,6 @@ def _csr_top_k_numpy(
     n_items: int,
     k: int,
     fill: float,
-    ceiling: float = np.inf,
 ) -> tuple[np.ndarray, np.ndarray]:
     """The numpy CSR top-k kernel (used when no C compiler is available).
 
@@ -544,9 +543,7 @@ def _csr_top_k_numpy(
     candidates (a row's stored entries plus its ``k`` fill candidates; a
     heavier row is a block of its own), so the temporaries stay bounded
     however many rows one call ranks.  Rows are independent, so the
-    blocks never change the result.  ``ceiling`` is accepted for parity
-    with the compiled kernel and ignored: a block is ranked by one sort,
-    with no row scan to stop early.
+    blocks never change the result.
     """
     n_rows = rows.size
     items_table = np.empty((n_rows, k), dtype=np.int64)
@@ -624,7 +621,7 @@ def _csr_top_k_block(
 
 
 def csr_top_k_table(
-    csr, rows: np.ndarray, k: int, fill: float, ceiling: float = np.inf
+    csr, rows: np.ndarray, k: int, fill: float, ceiling: float
 ) -> tuple[np.ndarray, np.ndarray]:
     """Per-row top-``k`` of CSR rows read as dense rows filled with ``fill``.
 
@@ -640,7 +637,7 @@ def csr_top_k_table(
     ``k`` best sit at ``ceiling``: a full top-k buffer admits only values
     strictly greater than its worst, so with ``ceiling`` an upper bound of
     every stored value nothing later can enter and the table is unchanged.
-    The default ``+inf`` is a bound for any NaN-free data.
+    The numpy fallback ranks a block by one sort and has no scan to stop.
 
     Parameters
     ----------
@@ -655,8 +652,8 @@ def csr_top_k_table(
         Rating of every unstored cell.
     ceiling:
         Upper bound of every stored value (a validated store's scale
-        maximum).  A bound that some stored value exceeds gives wrong
-        tables.
+        maximum; ``+inf`` bounds any NaN-free data and never stops a
+        scan).  A bound that some stored value exceeds gives wrong tables.
 
     Returns
     -------

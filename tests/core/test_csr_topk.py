@@ -18,7 +18,7 @@ one process, and must be bit-identical (items, and value *bit patterns*) to
 * a ``ceiling`` that is either the instance's largest stored value or
   ``+inf``: the compiled kernel stops a row's scan once its ``k`` best sit
   at the ceiling, and the result must not change (the numpy fallback
-  ignores the argument).
+  takes no ceiling).
 
 The numpy fallback ranks in row blocks of a fixed entry budget; with the
 budget patched down, one call spans many blocks and still matches the
@@ -64,7 +64,9 @@ def compiled_top_k(data, indices, indptr, rows, n_items, k, fill,
 
 IMPLEMENTATIONS = {
     "compiled": compiled_top_k,
-    "numpy": kernels._csr_top_k_numpy,
+    # The fallback ranks a block by one sort, with no scan to stop: it
+    # takes no ceiling, so a passed one is dropped.
+    "numpy": lambda *args: kernels._csr_top_k_numpy(*args[:7]),
 }
 
 
@@ -300,10 +302,10 @@ def test_dense_formation_never_loads_the_csr_library():
 
 def test_public_entry_point_validates_and_dispatches():
     csr = sp.csr_matrix(np.array([[3.0, 1.0, 2.0], [1.0, 1.0, 4.0]]))
-    items, values = kernels.csr_top_k_table(csr, np.array([1, 0]), 2, 1.0)
+    items, values = kernels.csr_top_k_table(csr, np.array([1, 0]), 2, 1.0, np.inf)
     assert items.tolist() == [[2, 0], [0, 2]]
     assert values.tolist() == [[4.0, 1.0], [3.0, 2.0]]
     with pytest.raises(ValueError):
-        kernels.csr_top_k_table(csr, np.array([0]), 4, 1.0)
+        kernels.csr_top_k_table(csr, np.array([0]), 4, 1.0, np.inf)
     with pytest.raises(IndexError):
-        kernels.csr_top_k_table(csr, np.array([2]), 1, 1.0)
+        kernels.csr_top_k_table(csr, np.array([2]), 1, 1.0, np.inf)
