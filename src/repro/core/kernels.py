@@ -47,7 +47,10 @@ column reduce scores the left-over group in place, from a sparse store's
 CSR rows (:func:`csr_item_scores`, numpy fallback) or a dense store's
 array rows (:func:`dense_item_scores`), and :func:`segment_scores`
 reduces every selected group at once over flat ``(member_ids, offsets)``
-segments.
+segments.  A left-over group holding most of a sparse store's rows is
+scored from per-item level counts instead (:func:`csr_level_counts`,
+:func:`level_item_scores`): the whole store's counts minus those of the
+few rows outside the group.
 
 ``tests/core/test_kernels.py``, ``tests/core/test_segment_scoring.py`` and
 ``tests/core/test_dense_scoring.py`` check every path against the
@@ -87,13 +90,17 @@ __all__ = [
     "clear_scratch",
     "csr_cells",
     "csr_item_scores",
+    "csr_level_counts",
     "csr_top_k_table",
     "dense_item_scores",
+    "entry_levels",
     "fingerprint_rows",
     "float_to_ordinal",
     "fused_fingerprint_rows",
     "get_kernel_threads",
     "group_key_rows",
+    "level_item_scores",
+    "level_scores_exact",
     "pack_key_rows",
     "parallel_available",
     "segment_positions",
@@ -129,6 +136,11 @@ _MIN_BLOCK_ROWS = 64
 #: dense blocks: its temporaries take ~100 bytes per candidate, so a block
 #: peaks near 13 MB however many rows one call ranks.
 _CSR_BLOCK_ENTRIES = _SCRATCH_TARGET_BYTES // 64
+
+#: Entries :func:`csr_level_counts` counts per ``bincount``, at least (its
+#: temporaries take ~24 bytes per entry: ~2 MiB here, where 2**20 entries
+#: added ~26 MiB to batch-sparse's peak RSS and ran slower).
+_LEVEL_CHUNK_ENTRIES = 1 << 16
 
 #: Odd 64-bit multiplier (2^64 / golden ratio) for the polynomial row hash.
 _FINGERPRINT_MULTIPLIER = 0x9E3779B97F4A7C15
@@ -885,6 +897,143 @@ def dense_item_scores(
             get_kernel_threads(),
         )
     return None if reduced is None else reduced[1]
+
+
+def entry_levels(
+    values: np.ndarray, lowest: float, n_levels: int
+) -> np.ndarray | None:
+    """Level index (``int64``) of each of ``values`` on the levels ``lowest + j``.
+
+    Returns ``None`` when some value is not on one of the ``n_levels``
+    levels (a fraction, or out of range) or is ``-0.0``, whose bits a
+    level cannot carry.
+    """
+    level = values - lowest
+    on_levels = (level >= 0) & (level < n_levels) & (np.trunc(level) == level)
+    if not on_levels.all() or _has_negative_zero(values):
+        return None
+    return level.astype(np.int64)
+
+
+def csr_level_counts(csr, lowest: float, n_levels: int) -> np.ndarray | None:
+    """Stored entries of ``csr`` per item and integer level.
+
+    One pass over ``data``/``indices``, :data:`_LEVEL_CHUNK_ENTRIES`
+    entries (or the table's size, if larger: each ``bincount`` returns a
+    whole table) per ``bincount``, so the temporaries stay bounded however
+    large the store.
+
+    Parameters
+    ----------
+    csr:
+        ``scipy.sparse`` CSR matrix.
+    lowest:
+        The value of level 0; level ``j`` is ``lowest + j``.
+    n_levels:
+        Number of levels.
+
+    Returns
+    -------
+    numpy.ndarray or None
+        ``(n_items, n_levels)`` int64 counts, or ``None`` when some stored
+        value is not on a level or is ``-0.0`` (see :func:`entry_levels`).
+    """
+    nnz = int(csr.indptr[-1])
+    data, indices = csr.data[:nnz], csr.indices[:nnz]
+    counts = np.zeros(csr.shape[1] * n_levels, dtype=np.int64)
+    step = max(_LEVEL_CHUNK_ENTRIES, counts.size)
+    for start in range(0, nnz, step):
+        stop = start + step
+        levels = entry_levels(data[start:stop], lowest, n_levels)
+        if levels is None:
+            return None
+        levels += indices[start:stop] * np.int64(n_levels)
+        counts += np.bincount(levels, minlength=counts.size)
+    return counts.reshape(csr.shape[1], n_levels)
+
+
+def level_scores_exact(
+    fill: float, lowest: float, n_levels: int, n_members: int, semantics: Semantics
+) -> bool:
+    """Whether :func:`level_item_scores` may score ``n_members`` rows.
+
+    The exactness gate of :func:`csr_item_scores` under ``semantics``,
+    applied to the ``n_levels`` levels from ``lowest`` up: no ``-0.0``
+    fill (the level counts hold no ``-0.0``); for AV also an integer fill
+    and ``max|v| * n_members <= 2**53`` over the fill and every level.
+    Where it holds, the direct reduce's gate holds on every member set of
+    that size too, so both paths give the same bits.
+    """
+    if _has_negative_zero(fill):
+        return False
+    if semantics is Semantics.LEAST_MISERY:
+        return True
+    largest = max(abs(fill), abs(lowest), abs(lowest + n_levels - 1))
+    return float(fill).is_integer() and largest * n_members <= _EXACT_INTEGER_LIMIT
+
+
+def level_item_scores(
+    counts: np.ndarray,
+    csr,
+    complement: np.ndarray,
+    n_members: int,
+    fill: float,
+    lowest: float,
+    semantics: Semantics,
+) -> np.ndarray:
+    """Group score of every item for the rows *outside* ``complement``.
+
+    The members' level counts are the whole matrix's ``counts`` minus the
+    counts of the ``complement`` rows' stored entries, so the cost is the
+    complement's entries plus one pass over the ``(n_items, n_levels)``
+    table, however many members there are.  LM-min is the lowest level
+    with a remaining count, folded with ``fill`` where some member lacks
+    the item; AV-sum is the int64 sum of level x count plus ``fill`` times
+    the members lacking the item.  Both equal :func:`csr_item_scores`
+    bit for bit wherever :func:`level_scores_exact` holds (the caller
+    checks it).
+
+    Parameters
+    ----------
+    counts:
+        ``(n_items, n_levels)`` int64 stored-entry counts of every row of
+        ``csr`` (:func:`csr_level_counts`).
+    csr:
+        The counted ``scipy.sparse`` CSR matrix.
+    complement:
+        ``int64`` ids of the rows that are not members, each once.
+    n_members:
+        Number of member rows (``n_rows - len(complement)``).
+    fill:
+        Rating of every unstored cell.
+    lowest:
+        The value of level 0 of ``counts``.
+    semantics:
+        :class:`~repro.core.semantics.Semantics` to reduce under.
+
+    Returns
+    -------
+    numpy.ndarray
+        ``(n_items,)`` float64 group scores.
+    """
+    with observed("kernel.score", H_KERNEL_SCORE):
+        n_levels = counts.shape[1]
+        _, positions = _csr_row_entries(csr.indptr, complement)
+        keys = csr.indices[positions] * np.int64(n_levels)
+        keys += (csr.data[positions] - lowest).astype(np.int64)
+        remaining = counts - np.bincount(keys, minlength=counts.size).reshape(
+            counts.shape
+        )
+        stored = remaining.sum(axis=1)
+        if semantics is Semantics.LEAST_MISERY:
+            low = lowest + (remaining > 0).argmax(axis=1).astype(np.float64)
+            scores = np.where(stored > 0, low, np.inf)
+            lacking = stored < n_members
+            scores[lacking] = np.minimum(scores[lacking], fill)
+            return scores
+        level_values = np.arange(n_levels, dtype=np.int64) + int(lowest)
+        sums = (remaining @ level_values).astype(np.float64)
+        return sums + fill * (n_members - stored)
 
 
 def segment_scores(

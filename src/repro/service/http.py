@@ -333,10 +333,13 @@ class ServiceServer:
 
     async def start(self) -> None:
         """Bind the listening socket (resolves ``port=0`` to the real port)."""
-        self._server = await asyncio.start_server(
+        server = await asyncio.start_server(
             self._handle_connection, self.host, self.port
         )
-        self.port = self._server.sockets[0].getsockname()[1]
+        # The real port is set before the server is: a thread that waits
+        # for ``_server`` (as the test harness does) then reads ``port``.
+        self.port = server.sockets[0].getsockname()[1]
+        self._server = server
 
     async def run_forever(self) -> None:
         """Start (if needed) and serve until cancelled."""
@@ -409,6 +412,24 @@ class ServiceServer:
     # ------------------------------------------------------------------ #
 
     async def _handle_connection(
+        self, reader: asyncio.StreamReader, writer: asyncio.StreamWriter
+    ) -> None:
+        """Serve one connection; a cancelled handler drops it quietly.
+
+        When the loop closes (after :meth:`shutdown`), handlers still
+        pending — a read parked on its executor future, a client that has
+        not sent its request — are cancelled.  On Python 3.11 the stream
+        protocol's done-callback asks the task for its exception, which a
+        *cancelled* task raises, and the loop logs a traceback.  This is
+        the outermost frame of a task nothing awaits, so the cancellation
+        ends here, with the connection closed, and is not re-raised.
+        """
+        try:
+            await self._serve_connection(reader, writer)
+        except asyncio.CancelledError:
+            writer.close()
+
+    async def _serve_connection(
         self, reader: asyncio.StreamReader, writer: asyncio.StreamWriter
     ) -> None:
         """Parse one HTTP/1.1 request, route it, write the JSON response."""
@@ -911,7 +932,7 @@ class ServiceServer:
                 400, "body must be {\"events\": [...]}", code="validation"
             )
         # IngestError from a malformed event propagates as a structured
-        # 400 via the ReproError handler in _handle_connection.
+        # 400 via the ReproError handler in _serve_connection.
         return [event_from_dict(item) for item in events]
 
     def _apply_events_sync(self, events: list[Event]) -> dict[str, Any]:

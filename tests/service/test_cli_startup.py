@@ -73,3 +73,20 @@ def test_malformed_kernel_threads_env_fails_fast():
         assert lines[0].startswith("repro serve: error:")
         assert "REPRO_KERNEL_THREADS" in lines[0]
         assert "listening" not in result.stdout
+
+
+def test_mmap_threshold_pins_on_glibc():
+    # Run in a child: the setting is process-wide and must not leak into
+    # the test process's allocator.
+    import platform
+
+    env = dict(os.environ)
+    env["PYTHONPATH"] = os.pathsep.join(filter(None, ["src", env.get("PYTHONPATH")]))
+    result = subprocess.run(
+        [sys.executable, "-c",
+         "from repro.service.cli import pin_mmap_threshold as p; print(p())"],
+        capture_output=True, text=True, timeout=60, env=env,
+    )
+    assert result.returncode == 0, result.stderr
+    expected = "True" if platform.libc_ver()[0] == "glibc" else "False"
+    assert result.stdout.strip() == expected

@@ -6,6 +6,7 @@ from __future__ import annotations
 import asyncio
 import json
 import os
+import re
 import signal
 import subprocess
 import sys
@@ -117,8 +118,28 @@ def test_shutdown_flushes_the_open_update_batch(values):
     service.close()
 
 
+def _recommend_until_refused(port: int, first: int, answered: list) -> None:
+    """Post distinct recommend requests (each misses the result memo) until
+    the server stops answering; count the answers in ``answered``."""
+    for max_groups in range(first, first + 10_000, 4):
+        request = urllib.request.Request(
+            f"http://127.0.0.1:{port}/v1/recommend",
+            data=json.dumps({"k": 3, "max_groups": max_groups}).encode(),
+            headers={"Content-Type": "application/json"},
+        )
+        try:
+            with urllib.request.urlopen(request, timeout=15) as resp:
+                resp.read()
+        except OSError:  # HTTPError, URLError, reset, refused: going away
+            return
+        answered.append(max_groups)
+
+
 def test_repro_serve_exits_cleanly_on_signals():
-    """``repro serve`` must shut down with exit code 0 on SIGINT and SIGTERM."""
+    """``repro serve`` must exit 0 on SIGINT and SIGTERM without a
+    traceback while clients keep sending requests through the drain: a
+    handler still pending when the loop closes is cancelled, and must end
+    quietly."""
     for sig in (signal.SIGINT, signal.SIGTERM):
         env = dict(os.environ)
         env["PYTHONPATH"] = os.pathsep.join(
@@ -126,27 +147,43 @@ def test_repro_serve_exits_cleanly_on_signals():
         )
         proc = subprocess.Popen(
             [sys.executable, "-m", "repro.service.cli", "serve",
-             "--users", "40", "--items", "12", "--port", "0"],
+             "--users", "2000", "--items", "100", "--port", "0"],
             stdout=subprocess.PIPE,
             stderr=subprocess.STDOUT,
             text=True,
             env=env,
         )
+        clients: list[threading.Thread] = []
         try:
             deadline = time.time() + 30
-            ready = False
+            port = None
             while time.time() < deadline:
-                line = proc.stdout.readline()
-                if "listening on" in line:
-                    ready = True
+                match = re.search(r"listening on http://[^:]+:(\d+)",
+                                  proc.stdout.readline())
+                if match:
+                    port = int(match.group(1))
                     break
-            assert ready, "server never reported its listening address"
+            assert port is not None, "server never reported its listening address"
+            answered: list[int] = []
+            clients = [
+                threading.Thread(
+                    target=_recommend_until_refused, args=(port, 2 + i, answered)
+                )
+                for i in range(4)
+            ]
+            for client in clients:
+                client.start()
+            while len(answered) < 8 and time.time() < deadline:
+                time.sleep(0.01)
             proc.send_signal(sig)
             out, _ = proc.communicate(timeout=15)
         finally:
             if proc.poll() is None:  # pragma: no cover - hung server
                 proc.kill()
-                proc.communicate()
+                out, _ = proc.communicate()
+            for client in clients:
+                client.join(timeout=30)
+        assert not any(client.is_alive() for client in clients)
         assert proc.returncode == 0, f"{sig!r} exited {proc.returncode}: {out}"
         assert "stopped" in out
         assert "Traceback" not in out
