@@ -71,8 +71,8 @@ def main(argv=None) -> int:
     print(
         f"  generated in {gen_seconds:.1f}s (peak RSS {gen_rss:.2f} GiB): "
         f"nnz={store.csr.nnz:,} "
-        f"({store.nbytes / 2**30:.2f} GiB CSR; dense would be "
-        f"{args.users * args.items * 8 / 2**30:.1f} GiB)"
+        f"({store.nbytes / 2**30:.2f} GiB store: CSR arrays plus level codes; "
+        f"dense would be {args.users * args.items * 8 / 2**30:.1f} GiB)"
     )
 
     engine = FormationEngine("numpy")

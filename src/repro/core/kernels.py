@@ -38,7 +38,10 @@ top-k kernel (:func:`csr_top_k_table`): it selects over each row's stored
 entries and the fill-valued items and never builds a dense block, runs
 compiled (:mod:`repro.core.kernels_cc`) when a C compiler is available,
 and falls back to a numpy kernel otherwise.  It is bit-identical to
-:func:`top_k_table` on the densified rows.
+:func:`top_k_table` on the densified rows.  A store whose values sit on
+integer levels hands it a ``uint8`` level code per stored entry
+(:func:`entry_levels`), and both implementations then rank by level
+instead of comparing float64 values.
 
 **Group scoring** (step 3) has two kernels, both behind an exactness gate
 that admits only inputs whose reduction order cannot change a bit (no
@@ -137,9 +140,11 @@ _MIN_BLOCK_ROWS = 64
 #: peaks near 13 MB however many rows one call ranks.
 _CSR_BLOCK_ENTRIES = _SCRATCH_TARGET_BYTES // 64
 
-#: Entries :func:`csr_level_counts` counts per ``bincount``, at least (its
-#: temporaries take ~24 bytes per entry: ~2 MiB here, where 2**20 entries
-#: added ~26 MiB to batch-sparse's peak RSS and ran slower).
+#: Entries :func:`entry_levels` encodes and :func:`csr_level_counts`
+#: counts per pass, at least (the temporaries take ~24 bytes per entry:
+#: ~2 MiB here, where 2**20 entries added ~26 MiB to batch-sparse's peak
+#: RSS and ran slower; the encode took 11 ms per 5M entries here, 23 ms
+#: at 2**20).
 _LEVEL_CHUNK_ENTRIES = 1 << 16
 
 #: Odd 64-bit multiplier (2^64 / golden ratio) for the polynomial row hash.
@@ -540,6 +545,21 @@ def _lookup_cells(
     return cells
 
 
+def _fill_level(fill: float, lowest: float, n_levels: int) -> tuple[int, int]:
+    """Where ``fill`` sits among the levels ``lowest + j``, by comparison.
+
+    Returns
+    -------
+    (fill_code, above):
+        The fill's own level (``-1`` when it is on none) and the first
+        level above it (``n_levels`` when none is).
+    """
+    levels = lowest + np.arange(n_levels, dtype=np.float64)
+    above = int(np.searchsorted(levels, fill, side="right"))
+    on_level = above > 0 and levels[above - 1] == fill
+    return (above - 1 if on_level else -1), above
+
+
 def _csr_top_k_numpy(
     data: np.ndarray,
     indices: np.ndarray,
@@ -548,6 +568,7 @@ def _csr_top_k_numpy(
     n_items: int,
     k: int,
     fill: float,
+    levels: tuple[np.ndarray, float, int] | None = None,
 ) -> tuple[np.ndarray, np.ndarray]:
     """The numpy CSR top-k kernel (used when no C compiler is available).
 
@@ -555,7 +576,8 @@ def _csr_top_k_numpy(
     candidates (a row's stored entries plus its ``k`` fill candidates; a
     heavier row is a block of its own), so the temporaries stay bounded
     however many rows one call ranks.  Rows are independent, so the
-    blocks never change the result.
+    blocks never change the result.  ``levels`` is as in
+    :func:`csr_top_k_table`.
     """
     n_rows = rows.size
     items_table = np.empty((n_rows, k), dtype=np.int64)
@@ -567,7 +589,7 @@ def _csr_top_k_numpy(
         stop = int(np.searchsorted(cost, spent + _CSR_BLOCK_ENTRIES, side="right"))
         stop = max(stop, start + 1)
         items_table[start:stop], values_table[start:stop] = _csr_top_k_block(
-            data, indices, indptr, rows[start:stop], n_items, k, fill
+            data, indices, indptr, rows[start:stop], n_items, k, fill, levels
         )
         start = stop
     return items_table, values_table
@@ -581,6 +603,7 @@ def _csr_top_k_block(
     n_items: int,
     k: int,
     fill: float,
+    levels: tuple[np.ndarray, float, int] | None = None,
 ) -> tuple[np.ndarray, np.ndarray]:
     """One block of :func:`_csr_top_k_numpy`.
 
@@ -591,18 +614,31 @@ def _csr_top_k_block(
     item of a row is ``m`` plus the number of its other entries ``s_i``
     (the ``i``-th, ascending) with ``s_i - i <= m``: one ``searchsorted``
     over all rows.  The candidates, each row's differing entries then its
-    fill-valued items, both in ascending item order, are lexsorted by (row,
-    rating descending); the sort is stable and equal ratings within a row
-    only occur inside one of the two lists, so ties keep ascending item
-    order.  Comparisons only: ``-0.0`` ties ``+0.0`` exactly as in the
-    dense kernels.
+    fill-valued items, both in ascending item order, are sorted stably by
+    (row, rating descending); equal ratings within a row only occur
+    inside one of the two lists, so ties keep ascending item order.
+
+    Without ``levels`` the sort is a ``lexsort`` of the float64 values
+    (comparisons only: ``-0.0`` ties ``+0.0`` exactly as in the dense
+    kernels).  With them it is one stable ``argsort`` of the integer key
+    ``row * R + (R - rank)``, where a level ``j`` ranks ``2j + 1``, the
+    fill ranks with its level or, off the levels, ``2 * above`` between
+    its neighbours, and ``R = 2 * n_levels + 2`` exceeds every rank.
+    Values are then ``lowest + j``, and ``fill`` for the fill band (the
+    caller never codes a ``-0.0``, so a stored fill-valued entry has the
+    fill's bits).
     """
     n_rows = rows.size
     entry_row, positions = _csr_row_entries(indptr, rows)
     items = indices[positions].astype(np.int64)
-    values = data[positions]
-
-    other = values != fill
+    if levels is None:
+        values = data[positions]
+        other = values != fill
+    else:
+        codes, lowest, n_levels = levels
+        fill_code, above = _fill_level(fill, lowest, n_levels)
+        entry_codes = codes[positions]
+        other = entry_codes != fill_code
     other_row, other_item = entry_row[other], items[other]
     other_first = np.searchsorted(other_row, np.arange(n_rows))
     width = np.int64(n_items + 1)
@@ -618,14 +654,28 @@ def _csr_top_k_block(
     )
     valid = fill_item < n_items
     fill_row, fill_item = fill_row[valid], fill_item[valid]
-    fill_values = _lookup_cells(
-        entry_row, items, values, n_items, fill_row, fill_item, fill
-    )
 
     cand_row = np.concatenate((other_row, fill_row))
     cand_item = np.concatenate((other_item, fill_item))
-    cand_value = np.concatenate((values[other], fill_values))
-    order = np.lexsort((-cand_value, cand_row))
+    if levels is None:
+        fill_values = _lookup_cells(
+            entry_row, items, values, n_items, fill_row, fill_item, fill
+        )
+        cand_value = np.concatenate((values[other], fill_values))
+        order = np.lexsort((-cand_value, cand_row))
+    else:
+        other_codes = entry_codes[other].astype(np.int64)
+        fill_rank = 2 * fill_code + 1 if fill_code >= 0 else 2 * above
+        span = 2 * n_levels + 2
+        key = np.concatenate((
+            other_row * span + (span - 1 - 2 * other_codes),
+            fill_row * span + (span - fill_rank),
+        ))
+        order = np.argsort(key, kind="stable")
+        cand_value = np.concatenate((
+            lowest + other_codes.astype(np.float64),
+            np.full(fill_row.size, fill),
+        ))
     per_row = np.bincount(cand_row, minlength=n_rows)
     position = np.arange(order.size) - np.repeat(np.cumsum(per_row) - per_row, per_row)
     take = order[position < k]
@@ -633,7 +683,12 @@ def _csr_top_k_block(
 
 
 def csr_top_k_table(
-    csr, rows: np.ndarray, k: int, fill: float, ceiling: float
+    csr,
+    rows: np.ndarray,
+    k: int,
+    fill: float,
+    ceiling: float,
+    levels: tuple[np.ndarray, float, int] | None = None,
 ) -> tuple[np.ndarray, np.ndarray]:
     """Per-row top-``k`` of CSR rows read as dense rows filled with ``fill``.
 
@@ -645,11 +700,20 @@ def csr_top_k_table(
     fallback ranks in row blocks of a fixed entry budget, so one call over
     every row of a million-user store keeps its temporaries bounded.
 
-    The compiled kernel stops reading a row's stored entries once its
-    ``k`` best sit at ``ceiling``: a full top-k buffer admits only values
-    strictly greater than its worst, so with ``ceiling`` an upper bound of
-    every stored value nothing later can enter and the table is unchanged.
-    The numpy fallback ranks a block by one sort and has no scan to stop.
+    With ``levels`` both rank the entries' ``uint8`` level codes instead
+    of their float64 values (ROADMAP item 9B).  The compiled kernel keeps,
+    per row, a count and the first ``k`` items of each level, and stops
+    reading a row once its top level holds ``k`` entries above the fill;
+    the numpy fallback sorts one integer key per candidate.  A ``-0.0``
+    fill ranks by value (a stored ``+0.0`` in its band keeps its own bits,
+    which the codes do not carry).
+
+    Without ``levels`` the compiled kernel compares values and stops
+    reading a row's stored entries once its ``k`` best sit at
+    ``ceiling``: a full top-k buffer admits only values strictly greater
+    than its worst, so with ``ceiling`` an upper bound of every stored
+    value nothing later can enter and the table is unchanged.  The numpy
+    fallback ranks a block by one sort and has no scan to stop.
 
     Parameters
     ----------
@@ -666,6 +730,12 @@ def csr_top_k_table(
         Upper bound of every stored value (a validated store's scale
         maximum; ``+inf`` bounds any NaN-free data and never stops a
         scan).  A bound that some stored value exceeds gives wrong tables.
+    levels:
+        ``(codes, lowest, n_levels)``: per stored entry (aligned with
+        ``csr.indices``) the ``uint8`` code ``j`` of its value
+        ``lowest + j`` (:func:`entry_levels`), with ``n_levels`` distinct,
+        exactly representable levels; ``None`` ranks the float64 values.
+        Codes that disagree with ``csr.data`` give wrong tables.
 
     Returns
     -------
@@ -678,15 +748,23 @@ def csr_top_k_table(
         raise ValueError(f"k must be between 1 and n_items ({n_items}), got {k}")
     if rows.size and (rows.min() < 0 or rows.max() >= csr.shape[0]):
         raise IndexError("CSR top-k row id out of range")
+    if levels is not None and _has_negative_zero(fill):
+        levels = None
     with observed("kernel.top_k", H_KERNEL_TOPK, counter=K_KERNEL_TOPK_CALLS):
         backend = _load_csr()
-        if backend is not None:
+        if backend is None:
+            return _csr_top_k_numpy(
+                csr.data, csr.indices, csr.indptr, rows, n_items, k, fill, levels
+            )
+        if levels is None:
             return backend.top_k(
                 csr.data, csr.indices, csr.indptr, rows, n_items, k, fill,
                 ceiling, get_kernel_threads(),
             )
-        return _csr_top_k_numpy(
-            csr.data, csr.indices, csr.indptr, rows, n_items, k, fill
+        codes, lowest, n_levels = levels
+        return backend.level_top_k(
+            codes, csr.indices, csr.indptr, rows, n_items, k, fill, lowest,
+            n_levels, *_fill_level(fill, lowest, n_levels), get_kernel_threads(),
         )
 
 
@@ -902,53 +980,61 @@ def dense_item_scores(
 def entry_levels(
     values: np.ndarray, lowest: float, n_levels: int
 ) -> np.ndarray | None:
-    """Level index (``int64``) of each of ``values`` on the levels ``lowest + j``.
+    """The ``uint8`` code ``j`` of each of ``values`` on the levels ``lowest + j``.
 
-    Returns ``None`` when some value is not on one of the ``n_levels``
-    levels (a fraction, or out of range) or is ``-0.0``, whose bits a
-    level cannot carry.
+    One pass in chunks of :data:`_LEVEL_CHUNK_ENTRIES` values, so the
+    temporaries stay bounded however many values there are.  A value is
+    on a level when it is an integer in ``[lowest, lowest + n_levels)``;
+    ``lowest`` must be an integer with ``|lowest| + n_levels <= 2**53``
+    and ``n_levels <= 256``, so every level is exact and ``value -
+    lowest`` is its code.  The check also proves every value finite.
+
+    Returns ``None`` when some value is not on a level (a fraction, out
+    of range, non-finite) or is ``-0.0``, whose bits a code cannot carry.
     """
-    level = values - lowest
-    on_levels = (level >= 0) & (level < n_levels) & (np.trunc(level) == level)
-    if not on_levels.all() or _has_negative_zero(values):
-        return None
-    return level.astype(np.int64)
+    values = np.asarray(values, dtype=np.float64).ravel()
+    codes = np.empty(values.size, dtype=np.uint8)
+    highest = lowest + (n_levels - 1)
+    for start in range(0, values.size, _LEVEL_CHUNK_ENTRIES):
+        chunk = values[start:start + _LEVEL_CHUNK_ENTRIES]
+        on_levels = (chunk >= lowest) & (chunk <= highest) & (np.trunc(chunk) == chunk)
+        if not on_levels.all() or _has_negative_zero(chunk):
+            return None
+        codes[start:start + chunk.size] = chunk - lowest
+    return codes
 
 
-def csr_level_counts(csr, lowest: float, n_levels: int) -> np.ndarray | None:
-    """Stored entries of ``csr`` per item and integer level.
+def csr_level_counts(csr, codes: np.ndarray, n_levels: int) -> np.ndarray:
+    """Stored entries of ``csr`` per item and level, counted from ``codes``.
 
-    One pass over ``data``/``indices``, :data:`_LEVEL_CHUNK_ENTRIES`
-    entries (or the table's size, if larger: each ``bincount`` returns a
-    whole table) per ``bincount``, so the temporaries stay bounded however
-    large the store.
+    One ``bincount`` of ``indices * n_levels + codes`` per
+    :data:`_LEVEL_CHUNK_ENTRIES` entries (or the table's size, if larger:
+    each ``bincount`` returns a whole table), so the temporaries stay
+    bounded however large the store.
 
     Parameters
     ----------
     csr:
         ``scipy.sparse`` CSR matrix.
-    lowest:
-        The value of level 0; level ``j`` is ``lowest + j``.
+    codes:
+        ``uint8`` level code of every stored entry, aligned with
+        ``csr.indices`` (:func:`entry_levels`).
     n_levels:
-        Number of levels.
+        Number of levels (every code is below it).
 
     Returns
     -------
-    numpy.ndarray or None
-        ``(n_items, n_levels)`` int64 counts, or ``None`` when some stored
-        value is not on a level or is ``-0.0`` (see :func:`entry_levels`).
+    numpy.ndarray
+        ``(n_items, n_levels)`` int64 counts.
     """
     nnz = int(csr.indptr[-1])
-    data, indices = csr.data[:nnz], csr.indices[:nnz]
     counts = np.zeros(csr.shape[1] * n_levels, dtype=np.int64)
     step = max(_LEVEL_CHUNK_ENTRIES, counts.size)
     for start in range(0, nnz, step):
-        stop = start + step
-        levels = entry_levels(data[start:stop], lowest, n_levels)
-        if levels is None:
-            return None
-        levels += indices[start:stop] * np.int64(n_levels)
-        counts += np.bincount(levels, minlength=counts.size)
+        stop = min(start + step, nnz)
+        keys = csr.indices[start:stop] * np.int64(n_levels)
+        keys += codes[start:stop]
+        counts += np.bincount(keys, minlength=counts.size)
     return counts.reshape(csr.shape[1], n_levels)
 
 
@@ -975,6 +1061,7 @@ def level_scores_exact(
 def level_item_scores(
     counts: np.ndarray,
     csr,
+    codes: np.ndarray,
     complement: np.ndarray,
     n_members: int,
     fill: float,
@@ -1000,6 +1087,8 @@ def level_item_scores(
         ``csr`` (:func:`csr_level_counts`).
     csr:
         The counted ``scipy.sparse`` CSR matrix.
+    codes:
+        ``uint8`` level code of every stored entry of ``csr``.
     complement:
         ``int64`` ids of the rows that are not members, each once.
     n_members:
@@ -1020,7 +1109,7 @@ def level_item_scores(
         n_levels = counts.shape[1]
         _, positions = _csr_row_entries(csr.indptr, complement)
         keys = csr.indices[positions] * np.int64(n_levels)
-        keys += (csr.data[positions] - lowest).astype(np.int64)
+        keys += codes[positions]
         remaining = counts - np.bincount(keys, minlength=counts.size).reshape(
             counts.shape
         )

@@ -163,6 +163,18 @@ static void run_rows(row_range_fn fn, void *ctx, int64_t n_rows,
         if (started[i])
             pthread_join(tids[i], NULL);
 }
+
+/* The chunk of run_rows whose rows start at `start`, for a kernel that
+ * keeps per-chunk scratch: chunk i starts at n_rows * i / n_chunks, where
+ * n_chunks = min(n_threads, MAX_THREADS, n_rows) (1 when that is below
+ * 2), and chunks are non-empty, so the start identifies the chunk. */
+static int64_t chunk_of(int64_t start, int64_t n_rows, int64_t n_chunks)
+{
+    int64_t chunk = 0;
+    while (n_rows * chunk / n_chunks != start)
+        ++chunk;
+    return chunk;
+}
 """
 
 #: The column reduce (group scoring), part of both libraries so each store
@@ -330,11 +342,7 @@ static int score_csr_row(const score_ctx *c, int64_t row, int64_t *count,
 static void score_range(void *vctx, int64_t start, int64_t stop)
 {
     score_ctx *c = (score_ctx *)vctx;
-    /* run_rows' chunk i starts at n_rows * i / n_chunks; chunks are
-     * non-empty, so the start identifies the chunk. */
-    int64_t chunk = 0;
-    while (c->n_rows * chunk / c->n_chunks != start)
-        ++chunk;
+    int64_t chunk = chunk_of(start, c->n_rows, c->n_chunks);
     int64_t offset = chunk * c->n_items;
     double *acc = c->acc + offset;
     int64_t r = start;
@@ -628,6 +636,110 @@ void repro_csr_topk_rows(const double *data, const void *indices,
     run_rows(csr_range, &ctx, n_rows, n_threads);
 }
 
+/* Level-bucketed top-k of one CSR row from its entries' uint8 level codes
+ * (level j is the value lowest + j; levels ascend with j).  Items arrive
+ * in ascending index order, so the first k items of a level are its k
+ * best under the tie-break, and a row needs only a count and the first k
+ * items per level: no value is compared or moved.  The fill's own level
+ * (`fill_code`, -1 when the fill is on none) starts "full", so its
+ * entries are skipped by the same test as a full level; they rank in the
+ * fill band.  The same three bands as csr_topk_row follow: levels above
+ * the fill (`above` and up) in descending order, the fill band, then the
+ * levels below the fill.  The scan stops once the top level, if it lies
+ * above the fill, holds k entries: nothing later can rank above them.
+ * Values are written as lowest + level, and the fill band as the fill:
+ * the caller codes no -0.0 and ranks a -0.0 fill by value, so these are
+ * the stored bits.  `count` and `first` are the chunk's scratch
+ * (n_levels and n_levels x (k + 1) entries). */
+typedef struct {
+    const uint8_t *codes;
+    const void *indices, *indptr;
+    int32_t wide, fill_code;
+    const int64_t *rows;
+    int64_t n_rows, n_items, k, n_levels, above, n_chunks;
+    double lowest, fill;
+    int64_t *scratch;   /* n_chunks slices of `stride` >= n_levels x (k + 2) */
+    int64_t stride;
+    int64_t *items_out;
+    double *values_out;
+} level_ctx;
+
+static int64_t emit_levels(const level_ctx *c, int64_t from, int64_t to,
+                           const int64_t *count, const int64_t *first,
+                           int64_t n, int64_t *items_out, double *values_out)
+{
+    for (int64_t level = from; level >= to && n < c->k; --level)
+        for (int64_t i = 0; i < count[level] && n < c->k; ++i) {
+            items_out[n] = first[level * (c->k + 1) + i];
+            values_out[n++] = c->lowest + (double)level;
+        }
+    return n;
+}
+
+static void level_topk_row(const level_ctx *c, int64_t lo, int64_t hi,
+                           int64_t *count, int64_t *first,
+                           int64_t *items_out, double *values_out)
+{
+    const int64_t k = c->k, top = c->n_levels - 1;
+    const int64_t stop_level = top >= c->above ? top : -1;
+    memset(count, 0, (size_t)c->n_levels * sizeof *count);
+    if (c->fill_code >= 0)
+        count[c->fill_code] = k;
+    /* Branch-free on the level: an entry of a full level lands in its
+     * level's spare slot k and leaves the count at k. */
+    for (int64_t p = lo; p < hi; ++p) {
+        int64_t level = c->codes[p], n = count[level];
+        first[level * (k + 1) + n] = csr_index(c->indices, c->wide, p);
+        count[level] = n + (n < k);
+        if (level == stop_level && n + 1 == k)
+            break;
+    }
+    int64_t n = emit_levels(c, top, c->above, count, first, 0, items_out,
+                            values_out);
+    int64_t p = lo;
+    for (int64_t j = 0; n < k && j < c->n_items; ++j) {
+        while (p < hi && csr_index(c->indices, c->wide, p) < j)
+            ++p;
+        if (p < hi && csr_index(c->indices, c->wide, p) == j
+            && c->codes[p] != c->fill_code)
+            continue;
+        items_out[n] = j;
+        values_out[n++] = c->fill;
+    }
+    emit_levels(c, c->above - 1 - (c->fill_code >= 0), 0, count, first, n,
+                items_out, values_out);
+}
+
+static void level_range(void *vctx, int64_t start, int64_t stop)
+{
+    level_ctx *c = (level_ctx *)vctx;
+    int64_t *count = c->scratch
+                     + chunk_of(start, c->n_rows, c->n_chunks) * c->stride;
+    int64_t *first = count + c->n_levels;
+    for (int64_t r = start; r < stop; ++r) {
+        int64_t row = c->rows[r];
+        level_topk_row(c, csr_index(c->indptr, c->wide, row),
+                       csr_index(c->indptr, c->wide, row + 1), count, first,
+                       c->items_out + r * c->k, c->values_out + r * c->k);
+    }
+}
+
+void repro_csr_level_topk_rows(const uint8_t *codes, const void *indices,
+                               const void *indptr, int32_t wide,
+                               const int64_t *rows, int64_t n_rows,
+                               int64_t n_items, int64_t k, double fill,
+                               double lowest, int64_t n_levels,
+                               int32_t fill_code, int64_t above,
+                               int64_t *scratch, int64_t stride,
+                               int64_t *items_out, double *values_out,
+                               int32_t n_chunks)
+{
+    level_ctx ctx = {codes, indices, indptr, wide, fill_code, rows, n_rows,
+                     n_items, k, n_levels, above, n_chunks, lowest, fill,
+                     scratch, stride, items_out, values_out};
+    run_rows(level_range, &ctx, n_rows, n_chunks);
+}
+
 """
 
 def _library_dir() -> Path:
@@ -868,6 +980,12 @@ class CompiledCsrKernels(_ColumnReduce):
             p(f64), ctypes.c_void_p, ctypes.c_void_p, i32, p(i64), i64,
             i64, i64, f64, f64, p(i64), p(f64), i32,
         ]
+        void = ctypes.c_void_p
+        library.repro_csr_level_topk_rows.restype = None
+        library.repro_csr_level_topk_rows.argtypes = [
+            void, void, void, i32, void, i64, i64, i64, f64, f64, i64, i32,
+            i64, void, i64, void, void, i32,
+        ]
 
     def top_k(
         self,
@@ -930,6 +1048,69 @@ class CompiledCsrKernels(_ColumnReduce):
                 items_out.ctypes.data_as(ctypes.POINTER(ctypes.c_int64)),
                 values_out.ctypes.data_as(ctypes.POINTER(ctypes.c_double)),
                 int(n_threads),
+            )
+        return items_out, values_out
+
+    def level_top_k(
+        self,
+        codes: np.ndarray,
+        indices: np.ndarray,
+        indptr: np.ndarray,
+        rows: np.ndarray,
+        n_items: int,
+        k: int,
+        fill: float,
+        lowest: float,
+        n_levels: int,
+        fill_code: int,
+        above: int,
+        n_threads: int,
+    ) -> tuple[np.ndarray, np.ndarray]:
+        """Per-row top-``k`` of CSR rows from their entries' level codes.
+
+        Parameters
+        ----------
+        codes:
+            ``uint8`` level code of every stored entry (level ``j`` is the
+            value ``lowest + j``), aligned with ``indices``.
+        indices, indptr, rows, n_items, k, fill:
+            As in :meth:`top_k`; ``fill`` must not be ``-0.0``.
+        lowest, n_levels:
+            The value of level 0 and the number of levels (every code is
+            below it).
+        fill_code, above:
+            The fill's level (``-1`` when it is on none) and the first
+            level above it (``n_levels`` when none is).
+        n_threads:
+            Thread count for the row loop (results are identical for every
+            value); each thread keeps ``n_levels x (k + 2)`` int64 scratch.
+
+        Returns
+        -------
+        (items, values):
+            As :meth:`top_k` on the values ``lowest + code``.
+        """
+        _check_index_arrays(indices, indptr)
+        codes = np.ascontiguousarray(codes, dtype=np.uint8)
+        indices = np.ascontiguousarray(indices)
+        indptr = np.ascontiguousarray(indptr)
+        rows = np.ascontiguousarray(rows, dtype=np.int64)
+        items_out = np.empty((rows.size, k), dtype=np.int64)
+        values_out = np.empty((rows.size, k), dtype=np.float64)
+        # run_rows' chunk count, so each chunk owns one scratch slice; the
+        # slices sit at least a cache line apart, or the chunks' counters
+        # would share one (false sharing cost ~40% at 2 threads).
+        chunks = max(1, min(int(n_threads), _MAX_THREADS, rows.size))
+        stride = -(-n_levels * (k + 2) // 8) * 8 + 8
+        scratch = np.empty((chunks, stride), dtype=np.int64)
+        if rows.size:
+            self._lib.repro_csr_level_topk_rows(
+                codes.ctypes.data, indices.ctypes.data, indptr.ctypes.data,
+                int(indices.dtype == np.int64), rows.ctypes.data, rows.size,
+                int(n_items), int(k), float(fill), float(lowest),
+                int(n_levels), int(fill_code), int(above),
+                scratch.ctypes.data, stride, items_out.ctypes.data,
+                values_out.ctypes.data, chunks,
             )
         return items_out, values_out
 

@@ -88,8 +88,9 @@ DEFAULT_BLOCK_USERS = 2048
 #: datasets produce).
 _STREAM_TARGET_ELEMENTS = 1 << 25
 
-#: Most integer levels a sparse store counts per item; a store on a wider
-#: scale scores every group with the direct reduce.
+#: Most integer levels a sparse store codes; a store on a wider scale
+#: keeps only float64 values, ranks them by comparison and scores every
+#: group with the direct reduce.
 _MAX_LEVELS = 64
 
 #: Complement-path scores a sparse store reduces directly before it builds
@@ -831,30 +832,45 @@ class SparseStore:
                 f"fill_value {self.fill_value} lies outside the rating scale "
                 f"[{self._scale.minimum}, {self._scale.maximum}]"
             )
-        if csr.nnz and not np.isfinite(csr.data).all():
-            raise RatingDataError("sparse rating store contains non-finite ratings")
-        if csr.nnz and not self._scale.contains(csr.data):
-            raise RatingDataError(
-                "sparse rating store contains values outside the declared scale "
-                f"[{self._scale.minimum}, {self._scale.maximum}]"
-            )
-        # The CSR kernels read each row's stored cells once, in order.
-        self._csr = _canonical_csr(csr)
-        self.user_ids = tuple(user_ids) if user_ids is not None else None
-        self.item_ids = tuple(item_ids) if item_ids is not None else None
         # The scale's integer levels (lowest, count), None when there are
-        # none or more than _MAX_LEVELS.
+        # none, more than _MAX_LEVELS, or some is not an exact float64.
         self._level_range = None
         if self._scale.spread < _MAX_LEVELS:
             lowest = math.ceil(self._scale.minimum)
             n_levels = math.floor(self._scale.maximum) - lowest + 1
-            if n_levels > 0:
+            if n_levels > 0 and abs(lowest) + n_levels <= 2**53:
                 self._level_range = (float(lowest), n_levels)
-        # Stored entries per (item, level), built by _level_table: None
-        # until then, False once some stored value is off the levels (the
-        # direct reduce then scores for good).
-        self._level_counts: np.ndarray | bool | None = None
+        # The uint8 level code of every stored entry, aligned with the CSR
+        # indices; None when some value is off the levels (or -0.0).
+        # Encoding proves the values finite and on the scale, so only a
+        # store without codes runs the two validation passes.
+        self._codes = self._encode_entries(csr)
+        if self._codes is None and csr.nnz:
+            if not np.isfinite(csr.data).all():
+                raise RatingDataError("sparse rating store contains non-finite ratings")
+            if not self._scale.contains(csr.data):
+                raise RatingDataError(
+                    "sparse rating store contains values outside the declared "
+                    f"scale [{self._scale.minimum}, {self._scale.maximum}]"
+                )
+        # The CSR kernels read each row's stored cells once, in order.
+        self._csr = _canonical_csr(csr)
+        if self._csr is not csr and self._codes is not None:
+            self._codes = self._encode_entries(self._csr)  # duplicates dropped
+        self.user_ids = tuple(user_ids) if user_ids is not None else None
+        self.item_ids = tuple(item_ids) if item_ids is not None else None
+        # Stored entries per (item, level), counted from the codes by
+        # _level_table; None until then, and for good without codes.
+        self._level_counts: np.ndarray | None = None
         self._direct_scores = 0
+
+    def _encode_entries(self, csr: sp.csr_matrix) -> np.ndarray | None:
+        """Level codes of ``csr``'s stored entries; ``None`` when off the levels."""
+        if self._level_range is None:
+            return None
+        from repro.core import kernels
+
+        return kernels.entry_levels(csr.data[:csr.nnz], *self._level_range)
 
     # ------------------------------------------------------------------ #
     # Constructors
@@ -1034,10 +1050,14 @@ class SparseStore:
 
     @property
     def nbytes(self) -> int:
-        """Resident size of the CSR arrays in bytes."""
-        return int(
-            self._csr.data.nbytes + self._csr.indices.nbytes + self._csr.indptr.nbytes
-        )
+        """Resident size in bytes: the CSR arrays, the level codes (1 B per
+        stored rating) and the level-count table once built."""
+        csr = self._csr
+        total = csr.data.nbytes + csr.indices.nbytes + csr.indptr.nbytes
+        for extra in (self._codes, self._level_counts):
+            if extra is not None:
+                total += extra.nbytes
+        return int(total)
 
     def _densify(self, csr: sp.csr_matrix) -> np.ndarray:
         """Write ``csr``'s stored ratings over a ``fill_value`` canvas."""
@@ -1085,13 +1105,16 @@ class SparseStore:
         """Top-``k`` tables of ``rows`` straight from the CSR arrays.
 
         Runs :func:`repro.core.kernels.csr_top_k_table` (no dense canvas),
-        bit-identical to the dense kernels on the densified rows.  The
-        scale maximum is passed as the kernel's ``ceiling``, so a row's
-        scan stops once its ``k`` best ratings sit at the maximum.  That
-        bound holds because every stored value is checked against the
-        scale: ``__init__`` (which snapshot loads and shared-memory
-        adoption also go through) rejects non-finite and off-scale data,
-        and every write validates its values the same way.
+        bit-identical to the dense kernels on the densified rows.  A store
+        whose every value sits on an integer level passes its level codes,
+        so the kernel ranks levels and stops a row once its top level
+        holds ``k`` entries above the fill.  Any other store passes the
+        scale maximum as the kernel's ``ceiling``, so a row's scan stops
+        once its ``k`` best ratings sit at the maximum.  Both hold because
+        every stored value is checked: ``__init__`` (which snapshot loads
+        and shared-memory adoption also go through) encodes the values or
+        rejects non-finite and off-scale data, and every write validates
+        its values the same way and keeps the codes current.
         """
         from repro.core import kernels
 
@@ -1101,8 +1124,9 @@ class SparseStore:
             row_ids = np.arange(*rows.indices(self.n_users), dtype=np.int64)
         else:
             row_ids = np.asarray(rows, dtype=np.int64)
+        levels = None if self._codes is None else (self._codes, *self._level_range)
         return kernels.csr_top_k_table(
-            self._csr, row_ids, k, self.fill_value, self._scale.maximum
+            self._csr, row_ids, k, self.fill_value, self._scale.maximum, levels
         )
 
     def item_scores(
@@ -1121,14 +1145,14 @@ class SparseStore:
           lowest level with a remaining count, folded with ``fill_value``
           where some member lacks the item; AV-sum is the int64 sum of
           level x count plus ``fill_value`` times the members lacking it.
-          The table is built lazily, in one pass over the CSR arrays
-          (:func:`repro.core.kernels.csr_level_counts`), once the direct
-          reduce has scored :data:`_DIRECT_SCORES_BEFORE_BUILD` such groups
-          and so cost about one build; a store scored only a few times
-          never pays it.  From then on every write keeps it current in
-          time proportional to the cells it changes.  A store holding a
-          value off the integer levels (or a ``-0.0``), or a scale with
-          more than :data:`_MAX_LEVELS` levels, never has one.
+          The table is built lazily, in one pass over the entries' level
+          codes (:func:`repro.core.kernels.csr_level_counts`), once the
+          direct reduce has scored :data:`_DIRECT_SCORES_BEFORE_BUILD` such
+          groups and so cost about one build; a store scored only a few
+          times never pays it.  From then on every write keeps it current
+          in time proportional to the cells it changes.  A store without
+          codes (a value off the integer levels or a ``-0.0``, or a scale
+          with more than :data:`_MAX_LEVELS` levels) never has one.
         * **Direct.**  Otherwise the members' CSR rows are reduced per item
           in place by :func:`repro.core.kernels.csr_item_scores`, with the
           same folds of ``fill_value``.
@@ -1162,7 +1186,7 @@ class SparseStore:
     ) -> np.ndarray | None:
         """Scores of ``members`` by complement; ``None`` where it may not run.
 
-        It runs when the store has integer levels, the members are more
+        It runs when the store has level codes, the members are more
         than half the rows and unique, the gate
         (:func:`repro.core.kernels.level_scores_exact`) holds and the level
         table is built.  The checks that read no rows come first, so a
@@ -1171,7 +1195,7 @@ class SparseStore:
         from repro.core import kernels
 
         n_members = np.size(members)
-        if self._level_range is None or 2 * n_members <= self.n_users:
+        if self._codes is None or 2 * n_members <= self.n_users:
             return None
         lowest, n_levels = self._level_range
         if not kernels.level_scores_exact(
@@ -1188,12 +1212,12 @@ class SparseStore:
         if complement.size + members.size != self.n_users:
             return None  # duplicate members
         return kernels.level_item_scores(
-            table, self._csr, complement, members.size, self.fill_value,
-            lowest, semantics,
+            table, self._csr, self._codes, complement, members.size,
+            self.fill_value, lowest, semantics,
         )
 
     def _level_table(self) -> np.ndarray | None:
-        """The level-count table; ``None`` when it is not built (yet).
+        """The level-count table of a coded store; ``None`` when not built yet.
 
         The first :data:`_DIRECT_SCORES_BEFORE_BUILD` calls only count,
         and their groups are reduced directly; the next builds the table.
@@ -1205,9 +1229,10 @@ class SparseStore:
             from repro.core import kernels
 
             with observed("store.level_counts"):
-                table = kernels.csr_level_counts(self._csr, *self._level_range)
-            self._level_counts = False if table is None else table
-        return self._level_counts if self._level_counts is not False else None
+                self._level_counts = kernels.csr_level_counts(
+                    self._csr, self._codes, self._level_range[1]
+                )
+        return self._level_counts
 
     def segment_item_scores(
         self,
@@ -1257,7 +1282,9 @@ class SparseStore:
         interleaved with the new cells, and ``indptr`` shifts by the
         cumulative per-row insert counts.  The cost is O(touched rows)
         plus one copy of the arrays, and the result is the sorted,
-        canonical CSR scipy's assignment would build.  The arrays are
+        canonical CSR scipy's assignment would build.  The level codes
+        (and a built level-count table) follow every overwrite and
+        insert, or are dropped for good by an off-level value.  The arrays are
         swapped without a lock: callers serialise writes with reads
         (:class:`~repro.service.FormationService` holds its lock around
         both).
@@ -1275,13 +1302,16 @@ class SparseStore:
             entry_row, csr.indices[positions], self.n_items, cell_row, items
         )
         stored = positions[at[found]]
-        self._recount(items[found], csr.data[stored], values[found])
+        codes = self._encode(values[found])
+        if codes is not None:
+            self._recount(items[found], self._codes[stored], codes)
+            self._codes[stored] = codes
         csr.data[stored] = values[found]
         new = ~found
         if not insert or not new.any():
             return
         users, items, values = users[new], items[new], values[new]
-        self._recount(items, None, values)
+        codes = self._encode(values)
         # A new cell's place is its row's start plus its rank among the
         # row's stored entries (``at`` minus the row's first gathered entry).
         rank = at[new] - np.searchsorted(entry_row, cell_row[new])
@@ -1294,6 +1324,9 @@ class SparseStore:
         csr.data = _splice(csr.data[:nnz], splice_at, values, np.float64)
         csr.indptr = indptr
         csr.has_canonical_format = True  # implies has_sorted_indices
+        if codes is not None:
+            self._recount(items, None, codes)
+            self._codes = _splice(self._codes, splice_at, codes, np.uint8)
 
     def upsert(
         self,
@@ -1372,7 +1405,10 @@ class SparseStore:
             raise RatingDataError("update user index out of range")
         _, positions = kernels._csr_row_entries(self._csr.indptr, np.unique(users))
         fill = np.full(positions.size, self.fill_value)
-        self._recount(self._csr.indices[positions], self._csr.data[positions], fill)
+        codes = self._encode(fill)
+        if codes is not None:
+            self._recount(self._csr.indices[positions], self._codes[positions], codes)
+            self._codes[positions] = codes
         self._csr.data[positions] = fill
 
     def append_users(self, rows: np.ndarray) -> None:
@@ -1395,35 +1431,48 @@ class SparseStore:
         new_csr = sp.csr_matrix(
             (rows[r, c], (r, c)), shape=(rows.shape[0], self.n_items), dtype=np.float64
         )
+        nnz = int(self._csr.indptr[-1])
         self._csr = sp.vstack([self._csr, new_csr], format="csr")
         self._csr.sort_indices()
-        self._recount(new_csr.indices, None, new_csr.data)
+        # The new rows' entries, in their stored order, follow the old ones.
+        added = slice(nnz, int(self._csr.indptr[-1]))
+        codes = self._encode(self._csr.data[added])
+        if codes is not None:
+            self._recount(self._csr.indices[added], None, codes)
+            self._codes = np.concatenate((self._codes, codes))
         self.user_ids = None
+
+    def _encode(self, values: np.ndarray) -> np.ndarray | None:
+        """Level codes of ``values`` about to be stored; ``None`` without.
+
+        A value off the integer levels, or a ``-0.0``, drops the store's
+        codes and level-count table for good: it then ranks by comparing
+        values and scores by the direct reduce.
+        """
+        if self._codes is None:
+            return None
+        from repro.core import kernels
+
+        codes = kernels.entry_levels(values, *self._level_range)
+        if codes is None:
+            self._codes = self._level_counts = None
+        return codes
 
     def _recount(
         self, items: np.ndarray, old: np.ndarray | None, new: np.ndarray
     ) -> None:
         """Move a built level-count table across a write of ``items``' cells.
 
-        ``old`` holds the cells' stored values before the write (``None``
-        when none was stored) and ``new`` the values written.  A new value
-        off the integer levels, or a ``-0.0``, drops the table for good
-        (:meth:`item_scores` then reduces directly).
+        ``old`` holds the cells' level codes before the write (``None``
+        when none was stored) and ``new`` the codes written.
         """
-        if not isinstance(self._level_counts, np.ndarray) or not items.size:
-            return
-        from repro.core import kernels
-
-        lowest, n_levels = self._level_range
-        levels = kernels.entry_levels(new, lowest, n_levels)
-        if levels is None:
-            self._level_counts = False
+        if self._level_counts is None or not items.size:
             return
         counts = self._level_counts.reshape(-1)
-        columns = items.astype(np.int64) * n_levels
-        np.add.at(counts, columns + levels, 1)
-        if old is not None:  # stored values are counted, so on the levels
-            np.subtract.at(counts, columns + (old - lowest).astype(np.int64), 1)
+        columns = items.astype(np.int64) * self._level_range[1]
+        np.add.at(counts, columns + new, 1)
+        if old is not None:
+            np.subtract.at(counts, columns + old, 1)
 
     def __repr__(self) -> str:  # pragma: no cover - cosmetic
         return (

@@ -260,10 +260,12 @@ def test_numpy_row_blocks_match_dense_top_k(budget):
     blocks = []
     block_kernel = kernels._csr_top_k_block
 
-    def spy(data, indices, indptr, block_rows, n_items, k, fill):
+    def spy(data, indices, indptr, block_rows, n_items, k, fill, levels):
         stored = int((indptr[block_rows + 1] - indptr[block_rows]).sum())
         blocks.append((block_rows.size, stored + k * block_rows.size))
-        return block_kernel(data, indices, indptr, block_rows, n_items, k, fill)
+        return block_kernel(
+            data, indices, indptr, block_rows, n_items, k, fill, levels
+        )
 
     with mock.patch.object(kernels, "_CSR_BLOCK_ENTRIES", budget), \
             mock.patch.object(kernels, "_csr_top_k_block", spy):

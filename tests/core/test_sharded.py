@@ -166,10 +166,12 @@ class TestCSRRowBlocks:
         blocks = []
         block_kernel = kernels._csr_top_k_block
 
-        def spy(data, indices, indptr, rows, n_items, k, fill):
+        def spy(data, indices, indptr, rows, n_items, k, fill, levels):
             stored = int((indptr[rows + 1] - indptr[rows]).sum())
             blocks.append((rows.size, stored + k * rows.size))
-            return block_kernel(data, indices, indptr, rows, n_items, k, fill)
+            return block_kernel(
+                data, indices, indptr, rows, n_items, k, fill, levels
+            )
 
         monkeypatch.setattr(kernels, "_csr_top_k_block", spy)
         rng = np.random.default_rng(4)

@@ -8,6 +8,11 @@ and of the dense specification, for both semantics, and the table the
 store keeps current across writes must equal a fresh count.  The store
 builds the table only after the direct reduce has scored
 ``_DIRECT_SCORES_BEFORE_BUILD`` such groups.
+
+The table is counted from the store's ``uint8`` level code per stored
+entry, which the store encodes at construction and keeps current across
+every write; the codes must equal a fresh encode of the stored values
+after writes, a snapshot round trip and a shared-memory attach.
 """
 
 from __future__ import annotations
@@ -21,7 +26,9 @@ from scipy import sparse as sp
 from repro.core import kernels
 from repro.core.engine import FormationEngine
 from repro.core.semantics import Semantics
+from repro.core.errors import RatingDataError
 from repro.core.topk_index import MutableTopKIndex
+from repro.execution.shm import SharedExports, attach_store, detach_all
 from repro.ingest.snapshot import SnapshotManager
 from repro.recsys.matrix import RatingScale
 from repro.recsys.store import _DIRECT_SCORES_BEFORE_BUILD, SparseStore
@@ -60,8 +67,29 @@ def random_store(rng, n_users, n_items, density, pool, fill, scale):
     return SparseStore(csr, fill_value=fill, scale=scale)
 
 
+def fresh_codes(store: SparseStore) -> np.ndarray | None:
+    return kernels.entry_levels(store.csr.data, *store._level_range)
+
+
 def fresh_counts(store: SparseStore) -> np.ndarray | None:
-    return kernels.csr_level_counts(store.csr, *store._level_range)
+    codes = fresh_codes(store)
+    if codes is None:
+        return None
+    return kernels.csr_level_counts(store.csr, codes, store._level_range[1])
+
+
+def assert_codes_current(store: SparseStore) -> None:
+    """Kept codes equal a fresh encode; a store without codes has no table.
+
+    A store drops its codes for good once it stores an off-level value, so
+    it may have none while its values are back on the levels.
+    """
+    __tracebackhide__ = True
+    if store._codes is None:
+        assert store._level_counts is None
+    else:
+        assert store._codes.dtype == np.uint8
+        assert np.array_equal(store._codes, fresh_codes(store))
 
 
 def member_sets(rng, n_users):
@@ -115,8 +143,8 @@ def test_complement_direct_and_dense_agree(seed, n_users, n_items, density, case
             outside = np.setdiff1d(np.arange(n_users), members)
             assert_bits_equal(
                 kernels.level_item_scores(
-                    table, store.csr, outside, members.size, fill,
-                    store._level_range[0], semantics,
+                    table, store.csr, fresh_codes(store), outside, members.size,
+                    fill, store._level_range[0], semantics,
                 ),
                 expected,
             )
@@ -168,11 +196,40 @@ def test_level_counts_match_the_stored_values(chunk, monkeypatch):
     stored = store.csr.toarray()  # unstored cells read 0, no level
     for level in range(5):
         assert np.array_equal(table[:, level], (stored == level + 1).sum(axis=0))
-    # Off-level values and -0.0 cannot be counted.
-    for bad in (2.5, -0.0):
-        csr = store.csr.copy()
-        csr.data[3] = bad
-        assert kernels.csr_level_counts(csr, -2.0, 8) is None
+    # Off-level values, non-finite ones and -0.0 cannot be coded.
+    for bad in (2.5, -0.0, 6.0, -3.0, np.inf, np.nan):
+        data = store.csr.data.copy()
+        data[3] = bad
+        assert kernels.entry_levels(data, -2.0, 8) is None
+
+
+@pytest.mark.parametrize("bad, message", [
+    (np.nan, "non-finite"), (np.inf, "non-finite"), (6.0, "outside"),
+    (0.5, "outside"),
+])
+def test_off_level_data_raises_the_same_error_at_construction(bad, message):
+    # Encoding proves on-level data valid; data it cannot encode runs the
+    # two validation passes, which raise as before.
+    csr = sp.csr_matrix(([1.0, bad, 4.0], [0, 1, 2], [0, 2, 3]), shape=(2, 3))
+    with pytest.raises(RatingDataError, match=message):
+        SparseStore(csr, fill_value=1.0, scale=RatingScale(1.0, 5.0))
+
+
+@pytest.mark.parametrize("values, coded", [
+    ((1.0, 3.0, 5.0), True), ((1.0, 2.5), False), ((-0.0, 1.0), False),
+    ((0.0, 1.0), True),
+])
+def test_codes_at_construction(values, coded):
+    csr = sp.csr_matrix((list(values), [0] * len(values), range(len(values) + 1)),
+                        shape=(len(values), 1))
+    store = SparseStore(csr, fill_value=1.0, scale=RatingScale(-2.0, 5.0))
+    assert (store._codes is not None) == coded == (fresh_codes(store) is not None)
+    assert_codes_current(store)
+    extra = store._codes.nbytes if coded else 0
+    assert store.nbytes == (
+        store.csr.data.nbytes + store.csr.indices.nbytes
+        + store.csr.indptr.nbytes + extra
+    )
 
 
 @settings(max_examples=40, deadline=None)
@@ -191,6 +248,11 @@ def test_maintained_table_equals_a_fresh_count(seed, fill, steps):
     store = random_store(rng, 20, 7, 0.3, levels, fill, RatingScale(1.0, 5.0))
     assert build_table(store)
     assert np.array_equal(store._level_counts, fresh_counts(store))
+    assert store.nbytes == (
+        store.csr.data.nbytes + store.csr.indices.nbytes
+        + store.csr.indptr.nbytes + store._codes.nbytes
+        + store._level_counts.nbytes
+    )
     for step in steps:
         n = int(rng.integers(1, 12))
         users = rng.integers(0, store.n_users, size=n)
@@ -206,10 +268,11 @@ def test_maintained_table_equals_a_fresh_count(seed, fill, steps):
             store.clear_rows(np.append(users[:3], users[0]))  # repeats a user
         else:
             store.append_users(rng.choice(levels, size=(2, store.n_items)))
+        assert_codes_current(store)
         if isinstance(store._level_counts, np.ndarray):
             assert np.array_equal(store._level_counts, fresh_counts(store)), step
         elif built:  # dropped by this write: it stored an off-level value
-            assert fresh_counts(store) is None, step
+            assert fresh_counts(store) is None and store._codes is None, step
         everyone = np.arange(store.n_users)
         for semantics in (LM, AV):
             assert_bits_equal(
@@ -239,10 +302,12 @@ def test_an_off_level_write_drops_the_table_for_good():
     assert build_table(store)  # under LM: AV's gate refuses the 2.5 fill
     row = int(np.flatnonzero(np.diff(store.csr.indptr))[0])
     store.clear_rows([row])  # stores the 2.5 fill
-    assert store._level_counts is False
+    assert store._codes is None and store._level_counts is None
     assert fresh_counts(store) is None
     store.item_scores(np.arange(10), LM)  # never rebuilt
-    assert store._level_counts is False
+    assert store._codes is None and store._level_counts is None
+    store.upsert([0], [0], [5.0])  # an on-level write does not restore them
+    assert store._codes is None
 
 
 def test_table_after_a_snapshot_round_trip_equals_a_fresh_count(tmp_path):
@@ -254,11 +319,27 @@ def test_table_after_a_snapshot_round_trip_equals_a_fresh_count(tmp_path):
     manager = SnapshotManager(tmp_path)
     manager.save(MutableTopKIndex(store, k_max=4), applied_seq=1)
     loaded = manager.load_latest().store
-    assert loaded._level_counts is None  # rebuilt lazily
+    assert loaded._codes is not None
+    assert_codes_current(loaded)
+    assert np.array_equal(loaded._codes, store._codes)
     assert loaded._level_counts is None  # rebuilt lazily
     assert build_table(loaded)
     assert np.array_equal(loaded._level_counts, store._level_counts)
     assert np.array_equal(loaded._level_counts, fresh_counts(store))
+
+
+def test_codes_after_a_shared_memory_attach_equal_a_fresh_encode():
+    rng = np.random.default_rng(12)
+    store = random_store(rng, 30, 9, 0.4, (1.0, 2.0, 4.0, 5.0), 1.0, RatingScale())
+    store.upsert([1, 2, 29], [0, 8, 3], [3.0, 5.0, 2.0])
+    store.delete([1], [0])
+    with SharedExports() as exports:
+        attached = attach_store(exports.export_store(store))
+        assert attached._codes is not None
+        assert_codes_current(attached)
+        assert np.array_equal(attached._codes, store._codes)
+        assert attached._codes is not store._codes
+        detach_all()
 
 
 def test_full_population_scores_read_only_the_complement_once_built(monkeypatch):

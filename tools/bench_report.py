@@ -33,7 +33,7 @@ END = "<!-- bench-trajectory:end -->"
 _CONFIG_KEYS = (
     "backend", "store", "kernels", "threads", "stage", "semantics",
     "metric", "replicas", "clients", "read_ratio", "batch_size", "k",
-    "max_groups", "requests", "ceiling",
+    "max_groups", "requests", "values", "ceiling",
 )
 #: Entry keys folded into the "notes" column (derived figures).
 _NOTE_KEYS = (
