@@ -624,9 +624,9 @@ def _csr_top_k_block(
     ``row * R + (R - rank)``, where a level ``j`` ranks ``2j + 1``, the
     fill ranks with its level or, off the levels, ``2 * above`` between
     its neighbours, and ``R = 2 * n_levels + 2`` exceeds every rank.
-    Values are then ``lowest + j``, and ``fill`` for the fill band (the
-    caller never codes a ``-0.0``, so a stored fill-valued entry has the
-    fill's bits).
+    Values are then ``lowest + j``, and ``fill`` for the fill band: no
+    ``-0.0`` is coded and :func:`csr_top_k_table` ranks a ``-0.0`` fill
+    by value, so a stored fill-valued entry has the fill's bits.
     """
     n_rows = rows.size
     entry_row, positions = _csr_row_entries(indptr, rows)

@@ -163,18 +163,6 @@ static void run_rows(row_range_fn fn, void *ctx, int64_t n_rows,
         if (started[i])
             pthread_join(tids[i], NULL);
 }
-
-/* The chunk of run_rows whose rows start at `start`, for a kernel that
- * keeps per-chunk scratch: chunk i starts at n_rows * i / n_chunks, where
- * n_chunks = min(n_threads, MAX_THREADS, n_rows) (1 when that is below
- * 2), and chunks are non-empty, so the start identifies the chunk. */
-static int64_t chunk_of(int64_t start, int64_t n_rows, int64_t n_chunks)
-{
-    int64_t chunk = 0;
-    while (n_rows * chunk / n_chunks != start)
-        ++chunk;
-    return chunk;
-}
 """
 
 #: The column reduce (group scoring), part of both libraries so each store
@@ -342,7 +330,11 @@ static int score_csr_row(const score_ctx *c, int64_t row, int64_t *count,
 static void score_range(void *vctx, int64_t start, int64_t stop)
 {
     score_ctx *c = (score_ctx *)vctx;
-    int64_t chunk = chunk_of(start, c->n_rows, c->n_chunks);
+    /* run_rows' chunk i starts at n_rows * i / n_chunks; chunks are
+     * non-empty, so the start identifies the chunk. */
+    int64_t chunk = 0;
+    while (c->n_rows * chunk / c->n_chunks != start)
+        ++chunk;
     int64_t offset = chunk * c->n_items;
     double *acc = c->acc + offset;
     int64_t r = start;
@@ -634,6 +626,15 @@ void repro_csr_topk_rows(const double *data, const void *indices,
     csr_ctx ctx = {data, indices, indptr, wide, rows, n_items, k, fill,
                    ceiling, items_out, values_out};
     run_rows(csr_range, &ctx, n_rows, n_threads);
+}
+
+/* The chunk of run_rows whose rows start at `start`, as in score_range. */
+static int64_t chunk_of(int64_t start, int64_t n_rows, int64_t n_chunks)
+{
+    int64_t chunk = 0;
+    while (n_rows * chunk / n_chunks != start)
+        ++chunk;
+    return chunk;
 }
 
 /* Level-bucketed top-k of one CSR row from its entries' uint8 level codes
