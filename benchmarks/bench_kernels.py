@@ -170,15 +170,17 @@ def run_csr_leg(args, entries, failures) -> None:
             continue
         for threads in args.threads:
             timed = {}
-            for label, bound in (("codes", None), ("scale_max", ceiling),
-                                 ("none", np.inf)):
-                if bound is None:  # the production path: the level codes
-                    call = lambda: store.top_k(rows, k)  # noqa: E731
-                    config = {"values": "codes"}
-                else:
-                    call = lambda: kernels.csr_top_k_table(  # noqa: E731
-                        csr, rows, k, fill, bound)
-                    config = {"values": "float64", "ceiling": label}
+            paths = (
+                # The production path: the store ranks its level codes.
+                ("codes", lambda: store.top_k(rows, k), {"values": "codes"}),
+                ("scale_max",
+                 lambda: kernels.csr_top_k_table(csr, rows, k, fill, ceiling),
+                 {"values": "float64", "ceiling": "scale_max"}),
+                ("none",
+                 lambda: kernels.csr_top_k_table(csr, rows, k, fill, np.inf),
+                 {"values": "float64", "ceiling": "none"}),
+            )
+            for label, call, config in paths:
                 with kernels.use_kernel_threads(threads):
                     seconds, tables = best_seconds(call, args.rounds)
                 timed[label] = seconds

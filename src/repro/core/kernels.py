@@ -764,7 +764,7 @@ def csr_top_k_table(
         codes, lowest, n_levels = levels
         return backend.level_top_k(
             codes, csr.indices, csr.indptr, rows, n_items, k, fill, lowest,
-            n_levels, *_fill_level(fill, lowest, n_levels), get_kernel_threads(),
+            n_levels, get_kernel_threads(),
         )
 
 

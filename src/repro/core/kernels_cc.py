@@ -642,11 +642,11 @@ static int64_t chunk_of(int64_t start, int64_t n_rows, int64_t n_chunks)
  * in ascending index order, so the first k items of a level are its k
  * best under the tie-break, and a row needs only a count and the first k
  * items per level: no value is compared or moved.  The fill's own level
- * (`fill_code`, -1 when the fill is on none) starts "full", so its
- * entries are skipped by the same test as a full level; they rank in the
- * fill band.  The same three bands as csr_topk_row follow: levels above
- * the fill (`above` and up) in descending order, the fill band, then the
- * levels below the fill.  The scan stops once the top level, if it lies
+ * (`fill_code`, -1 when the fill is on none) starts full, so its entries
+ * are dropped like those of any full level; they rank in the fill band.
+ * The same three bands as csr_topk_row follow: levels above the fill
+ * (`above` and up) in descending order, the fill band, then the levels
+ * below the fill.  The scan stops once the top level, if it lies
  * above the fill, holds k entries: nothing later can rank above them.
  * Values are written as lowest + level, and the fill band as the fill:
  * the caller codes no -0.0 and ranks a -0.0 fill by value, so these are
@@ -730,11 +730,16 @@ void repro_csr_level_topk_rows(const uint8_t *codes, const void *indices,
                                const int64_t *rows, int64_t n_rows,
                                int64_t n_items, int64_t k, double fill,
                                double lowest, int64_t n_levels,
-                               int32_t fill_code, int64_t above,
                                int64_t *scratch, int64_t stride,
                                int64_t *items_out, double *values_out,
                                int32_t n_chunks)
 {
+    /* Place the fill among the levels by comparison. */
+    int64_t above = 0;
+    while (above < n_levels && lowest + (double)above <= fill)
+        ++above;
+    int32_t fill_code = above > 0 && lowest + (double)(above - 1) == fill
+                        ? (int32_t)(above - 1) : -1;
     level_ctx ctx = {codes, indices, indptr, wide, fill_code, rows, n_rows,
                      n_items, k, n_levels, above, n_chunks, lowest, fill,
                      scratch, stride, items_out, values_out};
@@ -984,8 +989,8 @@ class CompiledCsrKernels(_ColumnReduce):
         void = ctypes.c_void_p
         library.repro_csr_level_topk_rows.restype = None
         library.repro_csr_level_topk_rows.argtypes = [
-            void, void, void, i32, void, i64, i64, i64, f64, f64, i64, i32,
-            i64, void, i64, void, void, i32,
+            void, void, void, i32, void, i64, i64, i64, f64, f64, i64,
+            void, i64, void, void, i32,
         ]
 
     def top_k(
@@ -1063,8 +1068,6 @@ class CompiledCsrKernels(_ColumnReduce):
         fill: float,
         lowest: float,
         n_levels: int,
-        fill_code: int,
-        above: int,
         n_threads: int,
     ) -> tuple[np.ndarray, np.ndarray]:
         """Per-row top-``k`` of CSR rows from their entries' level codes.
@@ -1077,11 +1080,8 @@ class CompiledCsrKernels(_ColumnReduce):
         indices, indptr, rows, n_items, k, fill:
             As in :meth:`top_k`; ``fill`` must not be ``-0.0``.
         lowest, n_levels:
-            The value of level 0 and the number of levels (every code is
-            below it).
-        fill_code, above:
-            The fill's level (``-1`` when it is on none) and the first
-            level above it (``n_levels`` when none is).
+            The value of level 0 and the number of distinct, exactly
+            representable levels (every code is below it).
         n_threads:
             Thread count for the row loop (results are identical for every
             value); each thread keeps ``n_levels x (k + 2)`` int64 scratch.
@@ -1109,9 +1109,8 @@ class CompiledCsrKernels(_ColumnReduce):
                 codes.ctypes.data, indices.ctypes.data, indptr.ctypes.data,
                 int(indices.dtype == np.int64), rows.ctypes.data, rows.size,
                 int(n_items), int(k), float(fill), float(lowest),
-                int(n_levels), int(fill_code), int(above),
-                scratch.ctypes.data, stride, items_out.ctypes.data,
-                values_out.ctypes.data, chunks,
+                int(n_levels), scratch.ctypes.data, stride,
+                items_out.ctypes.data, values_out.ctypes.data, chunks,
             )
         return items_out, values_out
 

@@ -109,8 +109,7 @@ def check_store(store, rows, k):
             assert_bit_identical(
                 backend.level_top_k(
                     store._codes, csr.indices, csr.indptr, rows, n_items, k,
-                    fill, *store._level_range,
-                    *kernels._fill_level(fill, *store._level_range), threads,
+                    fill, *store._level_range, threads,
                 ),
                 expected,
             )
