@@ -8,8 +8,9 @@ kernel and once with the numpy blocked kernel the layer runs without a C
 compiler, asserts both paths are bit-identical (top-k tables, bucket
 partitions, formation results), and records the per-stage timings, the
 compiled/numpy speedup and the compiled thread-scaling curve
-(``--threads`` comma sweep) in ``BENCH_kernels.json``.  Bucketing always
-runs the numpy fingerprint kernel; it is timed on each path's tables.
+(``--threads`` comma sweep) in ``BENCH_kernels.json``.  Bucketing follows
+the top-k: the compiled hash grouping on the compiled path, the numpy
+fingerprint kernel on the numpy path, each on its path's tables.
 
 The default instance is the paper's Figure 4(a) user-sweep shape at its
 largest point: 100,000 users (the paper's scalability default) with the
@@ -29,7 +30,9 @@ store's scale maximum as its ceiling (``ceiling=scale_max``) and without
 one (``ceiling=none``, the full row scan).  Every table must be
 bit-identical to the numpy fallback's on the values, and a sample of
 rows to the dense kernel on the densified rows; without a compiler the
-numpy rows and the sample check run.
+numpy rows and the sample check run.  Step-1 bucketing (GRD-LM-MIN's
+key) is timed on every ``k``'s tables too, numpy and, where it loads,
+compiled; the two must return the same arrays.
 
 Gate semantics: parity failures exit non-zero; the speedup is recorded,
 never gated.  When the compiled backend cannot be built (no C compiler)
@@ -66,15 +69,17 @@ CSR_K = (5, 20)
 
 @contextmanager
 def numpy_top_k():
-    """Run a block with the numpy top-k kernel, as on a box without cc."""
-    with mock.patch.object(kernels, "_load_parallel", lambda: None):
+    """Run a block with the numpy top-k and bucketing kernels, as on a box
+    without cc."""
+    with mock.patch.object(kernels, "_load_parallel", lambda: None), \
+            mock.patch.object(kernels, "_load_csr", lambda: None):
         yield
 
 
-def bucket_partition(inverse, sorted_users, starts):
-    """Canonical (enumeration-order-free) form of a bucketing."""
-    ends = np.append(starts[1:], sorted_users.size)
-    return sorted(tuple(sorted_users[a:b].tolist()) for a, b in zip(starts, ends))
+def buckets_identical(a, b) -> bool:
+    """Whether two bucketings return the same ``(inverse, sorted_users,
+    starts)`` arrays."""
+    return all(np.array_equal(x, y) for x, y in zip(a, b))
 
 
 def parse_threads(text: str) -> list[int]:
@@ -103,7 +108,7 @@ def tables_identical(a, b) -> bool:
 def run_path(store, args):
     """Time both stages and form once on the active top-k path.
 
-    Returns ``(timings, top-k tables, bucket partition, formation result)``.
+    Returns ``(timings, top-k tables, bucketing, formation result)``.
     """
     build_seconds, index = best_seconds(lambda: TopKIndex.build(store, args.k),
                                         args.rounds)
@@ -116,7 +121,7 @@ def run_path(store, args):
         store, args.groups, args.k, "lm", "min", topk=index
     )
     timings = {"index_build": build_seconds, "bucketing": bucket_seconds}
-    return timings, (items_table, scores_table), bucket_partition(*bucketing), result
+    return timings, (items_table, scores_table), bucketing, result
 
 
 def run_csr_leg(args, entries, failures) -> None:
@@ -160,6 +165,7 @@ def run_csr_leg(args, entries, failures) -> None:
                             f"differs from it on the values")
         print(f"  k={k:<3} numpy:    {numpy_seconds * 1000:8.1f} ms on the "
               f"values | {coded_seconds * 1000:8.1f} ms on the codes")
+        time_csr_bucketing(instance, numpy_tables, k, args, entries, failures)
         # The production path (the compiled kernel when it loaded) on a
         # sample of rows against the dense kernel on the densified rows.
         if not tables_identical(store.top_k(sample, k),
@@ -196,6 +202,29 @@ def run_csr_leg(args, entries, failures) -> None:
                   f"codes | {timed['scale_max'] * 1000:8.1f} ms on the values "
                   f"with the scale-maximum stop | {timed['none'] * 1000:8.1f} ms "
                   f"without ({threads}t)")
+
+
+def time_csr_bucketing(instance, tables, k, args, entries, failures) -> None:
+    """Time step-1 bucketing of the CSR leg's tables, numpy and compiled."""
+    def bucket():
+        return kernels.bucketize(*tables, "last")
+
+    with numpy_top_k():
+        numpy_seconds, numpy_buckets = best_seconds(bucket, args.rounds)
+    entries.append(bench_entry(instance, numpy_seconds, backend="numpy",
+                               store="sparse", kernels="numpy",
+                               stage="bucketing", k=k))
+    line = f"  k={k:<3} bucketing: numpy {numpy_seconds * 1000:6.2f} ms"
+    if kernels._load_csr() is not None:
+        seconds, buckets = best_seconds(bucket, args.rounds)
+        entries.append(bench_entry(instance, seconds, backend="numpy",
+                                   store="sparse", kernels="compiled",
+                                   stage="bucketing", k=k))
+        if not buckets_identical(buckets, numpy_buckets):
+            failures.append(f"compiled bucketing of the CSR tables (k={k}) "
+                            f"differs from numpy")
+        line += f" | compiled {seconds * 1000:6.2f} ms"
+    print(line)
 
 
 def main(argv=None) -> int:
@@ -262,9 +291,9 @@ def main(argv=None) -> int:
             if not tables_identical(numpy_tables, tables):
                 failures.append(f"compiled top-k tables at {threads} threads "
                                 f"differ from numpy")
-            if buckets != numpy_buckets:
-                failures.append(f"bucket partition on compiled tables at "
-                                f"{threads} threads differs")
+            if not buckets_identical(buckets, numpy_buckets):
+                failures.append(f"compiled bucketing at {threads} threads "
+                                f"differs from numpy")
             if not results_identical(numpy_result, result):
                 failures.append(f"formation result on the compiled path at "
                                 f"{threads} threads differs")

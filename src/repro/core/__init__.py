@@ -20,7 +20,8 @@ The layering inside this subpackage follows the paper:
 * :mod:`repro.core.kernels` — the low-level ranking/bucketing kernels the
   vectorised hot path runs on: compiled top-k when a C compiler is
   available (threaded, honours ``--kernel-threads``), numpy otherwise, and
-  numpy fingerprint bucketing.
+  bucketing by the same rule (a compiled hash grouping, else numpy
+  fingerprints).
 * :mod:`repro.core.formation` — the :func:`~repro.core.formation.form_groups`
   facade dispatching to greedy, baseline and exact algorithms.
 """

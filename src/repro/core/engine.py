@@ -13,7 +13,7 @@ the three-step skeleton is executed:
 ``"numpy"``
     The vectorised implementation of the same specification, run through
     :mod:`repro.core.sharded`: all users are summarised at once
-    (fingerprint bucketing with :func:`repro.core.kernels.bucketize`,
+    (bucketing with :func:`repro.core.kernels.bucketize`,
     bucket membership as one flat ``member_ids``/``offsets`` segment array,
     heap scores from one ``np.bincount`` in the reference's ascending-user
     order) and selected by :func:`~repro.core.sharded.plan_from_summaries`.
@@ -310,8 +310,8 @@ class NumpyBackend(FormationBackend):
     """Vectorised backend: steps 1–2 through :mod:`repro.core.sharded`.
 
     Steps 1–2 run as one summary of the whole table
-    (:func:`~repro.core.sharded.summarise_tables`: fingerprint bucketing
-    with :func:`repro.core.kernels.bucketize`, flat member segments) fed to
+    (:func:`~repro.core.sharded.summarise_tables`: bucketing with
+    :func:`repro.core.kernels.bucketize`, flat member segments) fed to
     :func:`~repro.core.sharded.plan_from_summaries`, so batch formation and
     the service share one vectorised implementation.  Bit-identical to
     :class:`ReferenceBackend` by construction:
@@ -352,8 +352,7 @@ class NumpyBackend(FormationBackend):
             summary = sharded.summarise_tables(items_table, scores_table, 0, variant)
             if cache is not None:
                 cache[key] = summary
-        plan, _ = sharded.plan_from_summaries(summary, max_groups)
-        return plan
+        return sharded.plan_from_summaries(summary, max_groups)
 
 
 _BACKENDS: dict[str, type[FormationBackend]] = {

@@ -19,18 +19,18 @@ identical for every thread count (:func:`set_kernel_threads`, the
 ``--kernel-threads`` flag and the ``REPRO_KERNEL_THREADS`` environment
 variable).
 
-**Bucketing** always runs in numpy: each bucket key is hashed to one
-64-bit polynomial **fingerprint** in a fused pass over the top-k tables
-(the packed key matrix is never materialised), users are grouped by one
-integer argsort (re-sorted within fingerprint runs only when some run
-holds more than one user), the groups are verified against the exact
-keys, and an exact lexsort over the packed keys takes over only when a
-fingerprint collision is detected.  The partition and the ascending member
-order per bucket equal the lexsort's; only bucket *enumeration order*
-differs, which no consumer depends on (greedy selection totally orders
-buckets by ``(score, representative)``).  **Selection**
-(:func:`select_best_buckets`) finds the ``ℓ - 1`` best buckets in that
-order with one partition and a sort of the few candidates, not a full
+**Bucketing** follows the same rule: the compiled library's one-pass
+hash grouping (:mod:`repro.core.kernels_cc`) when it loads, numpy
+otherwise.  The numpy leg hashes each bucket key to one 64-bit polynomial
+**fingerprint** in a fused pass over the top-k tables (the packed key
+matrix is never materialised), groups users by one integer argsort
+(re-sorted within fingerprint runs only when some run holds more than one
+user), verifies the groups against the exact keys, and runs an exact
+lexsort over the packed keys only when a fingerprint collision is
+detected.  Both legs return the same bytes: buckets numbered by first
+occurrence (ascending representative), members ascending.  **Selection**
+(:func:`select_best_buckets`) finds the ``ℓ - 1`` best buckets by
+``(score, representative)`` with one partition and a sort of the few candidates, not a full
 lexsort.
 
 A :class:`~repro.recsys.store.SparseStore` is ranked by a separate CSR
@@ -55,7 +55,8 @@ scored from per-item level counts instead (:func:`csr_level_counts`,
 :func:`level_item_scores`): the whole store's counts minus those of the
 few rows outside the group.
 
-``tests/core/test_kernels.py``, ``tests/core/test_segment_scoring.py`` and
+``tests/core/test_kernels.py``, ``tests/core/test_bucketing.py``,
+``tests/core/test_segment_scoring.py`` and
 ``tests/core/test_dense_scoring.py`` check every path against the
 specifications.
 
@@ -170,6 +171,17 @@ def _load_csr():
     from repro.core import kernels_cc
 
     return kernels_cc.load_csr()
+
+
+def _load_bucketing():
+    """The compiled library bucketing runs on, or ``None`` (numpy).
+
+    Whichever library the process already loaded, so a CSR-only process
+    never builds the dense one; the dense library otherwise.
+    """
+    from repro.core import kernels_cc
+
+    return _load_csr() if kernels_cc.csr_loaded() else _load_parallel()
 
 
 def parallel_available() -> bool:
@@ -1419,10 +1431,7 @@ def group_key_rows(packed: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
         ``order`` lists all row indices with equal rows contiguous and each
         group's rows in ascending index order; ``new_segment[i]`` marks
         positions in ``order`` where a new group starts.  Groups are
-        enumerated in fingerprint order (key-lexicographic order after a
-        collision); no formation consumer depends on group enumeration
-        order — greedy selection totally orders buckets by ``(score,
-        representative)``.
+        enumerated by first row, as :func:`bucketize` numbers buckets.
 
     Parameters
     ----------
@@ -1432,11 +1441,32 @@ def group_key_rows(packed: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
     if packed.shape[0] == 0:
         empty = np.empty(0, dtype=np.int64)
         return empty, np.empty(0, dtype=bool)
-    return _group_by_fingerprint(
+    return _by_first_row(*_group_by_fingerprint(
         fingerprint_rows(packed),
         lambda: packed,
         lambda a, b: np.any(packed[a] != packed[b], axis=1),
-    )
+    ))
+
+
+def _by_first_row(
+    order: np.ndarray, new_segment: np.ndarray
+) -> tuple[np.ndarray, np.ndarray]:
+    """Re-enumerate a grouping's groups in ascending order of first row.
+
+    Parameters
+    ----------
+    order, new_segment:
+        A grouping as :func:`_group_by_fingerprint` returns it: each
+        group's rows contiguous and ascending, groups in any order.
+    """
+    starts = np.flatnonzero(new_segment)
+    sizes = np.diff(starts, append=order.size)
+    by_first = np.argsort(order[starts])
+    sizes = sizes[by_first]
+    order = order[segment_positions(starts[by_first], sizes)]
+    new_segment = np.zeros(order.size, dtype=bool)
+    new_segment[np.cumsum(sizes) - sizes] = True
+    return order, new_segment
 
 
 def bucketize(
@@ -1444,9 +1474,13 @@ def bucketize(
 ) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
     """Group users with equal bucket keys (step 1 of the greedy skeleton).
 
-    Fingerprints come straight off the top-k tables
-    (:func:`fused_fingerprint_rows`); the packed key matrix is only built
-    when verification goes dense or a collision forces the exact lexsort.
+    Runs the compiled one-pass hash grouping
+    (:meth:`~repro.core.kernels_cc.CompiledKernels.bucket_rows`) when a
+    compiled library is available, the numpy fingerprint grouping
+    otherwise: fingerprints come straight off the top-k tables
+    (:func:`fused_fingerprint_rows`), and the packed key matrix is only
+    built when verification goes dense or a collision forces the exact
+    lexsort.  Both return the same bytes.
 
     Parameters
     ----------
@@ -1462,24 +1496,32 @@ def bucketize(
         ``inverse[u]`` is the bucket id of user ``u``; ``sorted_users``
         lists all users with buckets contiguous and members ascending;
         ``starts`` holds each bucket's first position in ``sorted_users``.
+        Buckets are numbered by first occurrence, i.e. in ascending
+        representative (smallest member) order, the reference backend's
+        dict order.
     """
-    n_users = items_table.shape[0]
+    n_users, k = items_table.shape
     if n_users == 0:
         empty = np.empty(0, dtype=np.int64)
         return empty, empty, empty
     with observed(
         "kernel.bucketize", H_KERNEL_BUCKETIZE, counter=K_KERNEL_BUCKETIZE_CALLS
     ):
-        cols = _key_score_columns(items_table.shape[1], key_scores)
-        sorted_users, new_segment = _group_by_fingerprint(
+        cols = _key_score_columns(k, key_scores)
+        compiled = _load_bucketing() if n_users < 2**31 else None
+        if compiled is not None:
+            return compiled.bucket_rows(
+                items_table, scores_table, cols[0] if cols else 0, len(cols)
+            )
+        order, new_segment = _by_first_row(*_group_by_fingerprint(
             fused_fingerprint_rows(items_table, scores_table, key_scores),
             lambda: pack_key_rows(items_table, scores_table, key_scores),
             lambda a, b: _table_rows_differ(items_table, scores_table, cols, a, b),
-        )
+        ))
         starts = np.flatnonzero(new_segment)
         inverse = np.empty(n_users, dtype=np.int64)
-        inverse[sorted_users] = np.cumsum(new_segment) - 1
-        return inverse, sorted_users, starts
+        inverse[order] = np.cumsum(new_segment) - 1
+        return inverse, order, starts
 
 
 def bucket_reduce(

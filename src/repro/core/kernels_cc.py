@@ -34,16 +34,24 @@ Design constraints the C source honours:
   without the flag; if no compiler works, :func:`load_compiled` reports
   the reason and the caller runs the numpy kernel.
 
-A second, separate library holds the CSR kernels (:func:`load_csr`): the
-top-k of :func:`repro.core.kernels.csr_top_k_table`.  It is built and
-loaded on the first call that ranks or scores a sparse store, so a
-dense-store process never builds or loads it.  It follows the same rules —
-row-parallel on the same thread loop, numpy fallback when no compiler
-works.  Both libraries carry the one column reduce (its C source is
-shared), reading its rows from CSR arrays
-(:func:`repro.core.kernels.csr_item_scores`) or from a dense array
-(:func:`repro.core.kernels.dense_item_scores`), so each store scores its
-left-over group with the library its ranking already loaded at boot.
+Two libraries are built, each carrying its own top-k plus the shared
+kernels (``_SHARED_SOURCE``):
+
+* the **dense** library (:func:`load_compiled`): the per-row top-k of
+  :func:`repro.core.kernels.top_k_table`;
+* the **CSR** library (:func:`load_csr`): the top-k of
+  :func:`repro.core.kernels.csr_top_k_table` on float64 values or
+  ``uint8`` level codes.  It is built and loaded on the first call that
+  ranks or scores a sparse store, so a dense-store process never builds
+  or loads it.  It follows the same rules — row-parallel on the same
+  thread loop, numpy fallback when no compiler works;
+* **shared by both**: the column reduce, reading its rows from CSR arrays
+  (:func:`repro.core.kernels.csr_item_scores`) or from a dense array
+  (:func:`repro.core.kernels.dense_item_scores`), and the single-threaded
+  step-1 hash grouping (:meth:`CompiledKernels.bucket_rows`, behind
+  :func:`repro.core.kernels.bucketize`).  Each store scores its left-over
+  group, and buckets its users, with the library its ranking already
+  loaded at boot, so a sparse-store process never builds the dense one.
 
 Compiled libraries are cached by source hash under
 ``$REPRO_KERNEL_CACHE`` (default: ``~/.cache/repro-kernels``), so a
@@ -68,6 +76,7 @@ import numpy as np
 __all__ = [
     "CompiledCsrKernels",
     "CompiledKernels",
+    "csr_loaded",
     "load_compiled",
     "load_csr",
     "unavailable_reason",
@@ -383,8 +392,104 @@ int32_t repro_column_reduce(const double *data, const void *indices,
 }
 """
 
-#: The dense library: per-row top-k, plus the column reduce over dense rows.
-_SOURCE = _THREADS_SOURCE + _REDUCE_SOURCE + r"""
+#: Step-1 bucketing, part of both libraries like the column reduce, so
+#: bucketing runs on whichever library the process's ranking loaded.
+_BUCKET_SOURCE = r"""
+/* Group rows with equal bucket keys, single threaded.  A key
+ * is the row's k item ids plus its score columns [col, col + n_cols),
+ * the scores compared as uint64 bit patterns (so -0.0 and +0.0, and NaN
+ * payloads, stay distinct, as in byte keys).  Rows are walked in
+ * ascending order; each key is hashed into an open-addressing table of
+ * int32 bucket ids (`mask + 1` slots, a power of two >= 2 * n_rows, every
+ * slot -1) and compared exactly against the first row of the bucket it
+ * finds, so a hash collision only costs another probe.  A miss opens a
+ * new bucket: buckets are numbered by first occurrence, which is
+ * ascending representative order.  `sorted_users` holds each bucket's
+ * first row until the counting pass lays the members out bucket by
+ * bucket, ascending; `starts` holds the counts until then.  Returns the
+ * number of buckets; n_rows must stay below 2**31. */
+#define HASH_MULTIPLIER 0x9E3779B97F4A7C15ULL
+
+static inline uint64_t hash_finish(uint64_t h)   /* MurmurHash3's fmix64 */
+{
+    h ^= h >> 33;
+    h *= 0xff51afd7ed558ccdULL;
+    h ^= h >> 33;
+    h *= 0xc4ceb9fe1a85ec53ULL;
+    return h ^ (h >> 33);
+}
+
+int64_t repro_bucket_rows(const int64_t *items, const uint64_t *score_bits,
+                          int64_t n_rows, int64_t k, int64_t col,
+                          int64_t n_cols, int32_t *table, int64_t mask,
+                          int64_t *inverse, int64_t *sorted_users,
+                          int64_t *starts)
+{
+    /* Every hash first, into `inverse`: without the probe's branches in
+     * the same loop, the multiplies of consecutive rows overlap. */
+    uint64_t *hashes = (uint64_t *)inverse;
+    for (int64_t r = 0; r < n_rows; ++r) {
+        const int64_t *row_items = items + r * k;
+        const uint64_t *row_bits = score_bits + r * k + col;
+        uint64_t h = 0, weight = HASH_MULTIPLIER;
+        for (int64_t j = 0; j < k; ++j, weight *= HASH_MULTIPLIER)
+            h += (uint64_t)row_items[j] * weight;
+        for (int64_t j = 0; j < n_cols; ++j, weight *= HASH_MULTIPLIER)
+            h += row_bits[j] * weight;
+        hashes[r] = hash_finish(h);
+    }
+    int64_t n_buckets = 0;
+    for (int64_t r = 0; r < n_rows; ++r) {
+        const int64_t *row_items = items + r * k;
+        const uint64_t *row_bits = score_bits + r * k + col;
+        int64_t slot = (int64_t)(hashes[r] & (uint64_t)mask), bucket;
+        for (;; slot = (slot + 1) & mask) {
+            int32_t id = table[slot];
+            if (id < 0) {
+                bucket = n_buckets++;
+                table[slot] = (int32_t)bucket;
+                sorted_users[bucket] = r;
+                starts[bucket] = 0;
+                break;
+            }
+            int64_t first = sorted_users[id];
+            const int64_t *first_items = items + first * k;
+            const uint64_t *first_bits = score_bits + first * k + col;
+            int64_t j = 0;
+            while (j < k && first_items[j] == row_items[j])
+                ++j;
+            if (j < k)
+                continue;
+            j = 0;
+            while (j < n_cols && first_bits[j] == row_bits[j])
+                ++j;
+            if (j == n_cols) {
+                bucket = id;
+                break;
+            }
+        }
+        inverse[r] = bucket;
+        ++starts[bucket];
+    }
+    /* Counts to bucket ends, then members placed from the last row down,
+     * which leaves each bucket's members ascending and `starts` at each
+     * bucket's first position. */
+    int64_t total = 0;
+    for (int64_t b = 0; b < n_buckets; ++b) {
+        total += starts[b];
+        starts[b] = total;
+    }
+    for (int64_t r = n_rows - 1; r >= 0; --r)
+        sorted_users[--starts[inverse[r]]] = r;
+    return n_buckets;
+}
+"""
+
+#: The part of the source both libraries share.
+_SHARED_SOURCE = _THREADS_SOURCE + _REDUCE_SOURCE + _BUCKET_SOURCE
+
+#: The dense library: per-row top-k, plus the shared kernels.
+_SOURCE = _SHARED_SOURCE + r"""
 /* Top-k of one row under the library tie-break: rating descending, item
  * index ascending.  The output buffer is kept sorted by (value desc,
  * index asc); a new item is inserted after every incumbent with an equal
@@ -512,9 +617,9 @@ void repro_topk_rows(const double *values, int64_t n_users, int64_t n_items,
 """
 
 #: The CSR library: per-row top-k straight from a SparseStore's arrays, plus
-#: the column reduce over CSR rows.  A separate library, so a dense-store
-#: process never builds or loads it.
-_CSR_SOURCE = _THREADS_SOURCE + _REDUCE_SOURCE + r"""
+#: the shared kernels.  A separate library, so a dense-store process never
+#: builds or loads it.
+_CSR_SOURCE = _SHARED_SOURCE + r"""
 /* Insert (v, idx) into a buffer of `n` entries (capacity `cap`) kept
  * sorted by (value desc, index asc).  Candidates arrive in ascending index
  * order, so an equal value goes after the incumbents and a full buffer
@@ -822,8 +927,8 @@ def _check_index_arrays(indices: np.ndarray, indptr: np.ndarray) -> None:
         )
 
 
-class _ColumnReduce:
-    """The column reduce every compiled library carries (``_REDUCE_SOURCE``).
+class _SharedKernels:
+    """The kernels every compiled library carries (``_SHARED_SOURCE``).
 
     Parameters
     ----------
@@ -842,6 +947,55 @@ class _ColumnReduce:
         library.repro_column_reduce.argtypes = [
             void, void, void, i32, void, i64, i64, i32, void, void, void, i32,
         ]
+        library.repro_bucket_rows.restype = i64
+        library.repro_bucket_rows.argtypes = [
+            void, void, i64, i64, i64, i64, void, i64, void, void, void,
+        ]
+
+    def bucket_rows(
+        self,
+        items_table: np.ndarray,
+        scores_table: np.ndarray,
+        first_col: int,
+        n_cols: int,
+    ) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
+        """Group rows with equal bucket keys, buckets by first occurrence.
+
+        Parameters
+        ----------
+        items_table, scores_table:
+            The ``(n_rows, k)`` ranked top-k tables (any layout and integer
+            / float width; ``n_rows < 2**31``).
+        first_col, n_cols:
+            The score columns ``[first_col, first_col + n_cols)`` that join
+            the key, compared as float64 bit patterns.
+
+        Returns
+        -------
+        (inverse, sorted_users, starts):
+            As :func:`repro.core.kernels.bucketize`: bucket ``b`` is the
+            ``b``-th distinct key in row order, its members ascending.
+        """
+        items = np.ascontiguousarray(items_table, dtype=np.int64)
+        scores = np.ascontiguousarray(scores_table, dtype=np.float64)
+        n_rows, k = items.shape
+        if (scores.shape != items.shape or n_rows >= 2**31
+                or not 0 <= first_col <= first_col + n_cols <= k):
+            raise ValueError(
+                f"cannot bucket {items.shape} items / {scores.shape} scores "
+                f"tables on score columns [{first_col}, {first_col + n_cols})"
+            )
+        # int32 bucket ids in a power-of-two table at most half full.
+        table = np.full(1 << (2 * n_rows - 1).bit_length(), -1, dtype=np.int32)
+        inverse = np.empty(n_rows, dtype=np.int64)
+        sorted_users = np.empty(n_rows, dtype=np.int64)
+        starts = np.empty(n_rows, dtype=np.int64)
+        n_buckets = self._lib.repro_bucket_rows(
+            items.ctypes.data, scores.ctypes.data, n_rows, k, int(first_col),
+            int(n_cols), table.ctypes.data, table.size - 1,
+            inverse.ctypes.data, sorted_users.ctypes.data, starts.ctypes.data,
+        )
+        return inverse, sorted_users, starts[:n_buckets]
 
     def column_reduce(
         self,
@@ -911,7 +1065,7 @@ class _ColumnReduce:
         return (None if dense else counts[0]), reduced[0]
 
 
-class CompiledKernels(_ColumnReduce):
+class CompiledKernels(_SharedKernels):
     """ctypes facade over the compiled top-k library.
 
     Wrapper methods validate/coerce array layouts once and hand raw
@@ -968,7 +1122,7 @@ class CompiledKernels(_ColumnReduce):
             )
         return items_out, values_out
 
-class CompiledCsrKernels(_ColumnReduce):
+class CompiledCsrKernels(_SharedKernels):
     """ctypes facade over the compiled CSR library.
 
     Parameters
@@ -1189,6 +1343,11 @@ def load_csr() -> "CompiledCsrKernels | None":
     only processes that rank a sparse store ever build or load it.
     """
     return _CSR_LIBRARY.load()
+
+
+def csr_loaded() -> bool:
+    """Whether this process has already loaded the compiled CSR kernels."""
+    return _CSR_LIBRARY.backend is not None
 
 
 def unavailable_reason() -> str | None:

@@ -77,14 +77,18 @@ class ShardSummary:
 
     Bucket membership is one flat segment array, not a list per bucket:
     bucket ``b``'s members are ``member_ids[offsets[b]:offsets[b + 1]]``.
+    Buckets are numbered in ascending representative order (the order
+    :func:`repro.core.kernels.bucketize` numbers them in).
 
     Attributes
     ----------
-    items_rows:
-        ``(n_buckets, k)`` shared top-k item sequence of each bucket (the
-        recommended list if the bucket is selected).
-    rep_scores:
-        ``(n_buckets, k)`` top-k scores of each bucket's representative.
+    items_table, scores_table:
+        The shard's ``(shard_size, k)`` ranked top-k tables (row ``i`` is
+        user ``start + i``), kept by reference: the representatives' rows
+        are gathered only on first use of :attr:`items_rows` or
+        :attr:`keys`.
+    start:
+        Global index of the shard's first user.
     key_scores:
         Which score columns join the bucket key (the variant's
         ``key_scores``).
@@ -103,14 +107,24 @@ class ShardSummary:
         shard-local user order.
     """
 
-    items_rows: np.ndarray
-    rep_scores: np.ndarray
+    items_table: np.ndarray
+    scores_table: np.ndarray
+    start: int
     key_scores: str
     reps: np.ndarray
     scores: np.ndarray
     member_ids: np.ndarray
     offsets: np.ndarray
     contributions: np.ndarray
+
+    @cached_property
+    def items_rows(self) -> np.ndarray:
+        """``(n_buckets, k)`` shared top-k item sequence of each bucket.
+
+        Gathered from the representatives' rows on first use; only
+        :func:`merge_summaries` reads it, so no production path does.
+        """
+        return np.take(self.items_table, self.reps - self.start, axis=0)
 
     @cached_property
     def keys(self) -> np.ndarray:
@@ -121,7 +135,8 @@ class ShardSummary:
         Comparing rows for equality is exactly the reference backend's
         byte-key equality.
         """
-        return kernels.pack_key_rows(self.items_rows, self.rep_scores, self.key_scores)
+        rep_scores = np.take(self.scores_table, self.reps - self.start, axis=0)
+        return kernels.pack_key_rows(self.items_rows, rep_scores, self.key_scores)
 
 
 def summarise_store_shard(
@@ -175,9 +190,9 @@ def merge_summaries(
     each merged bucket's constituents in shard order, so its gathered
     members are ascending and its first constituent's representative is
     the global (smallest-index) representative — matching the unsharded
-    engine.  The merged buckets' *enumeration order* is fingerprint order,
-    which no consumer reads (selection totally orders buckets by
-    ``(score, representative)``).
+    engine.  Groups come out in order of their first constituent, so the
+    merged buckets are numbered in ascending representative order, as
+    :func:`summarise_tables` numbers the unsharded table's.
 
     LM merges are bit-identical to summarising the unsharded table, as
     are AV merges of small-integer sums (exact in ``float64`` in any
@@ -243,9 +258,7 @@ def merge_summaries(
     )
 
 
-def plan_from_summaries(
-    summary: ShardSummary, max_groups: int
-) -> tuple[FormationPlan, np.ndarray]:
+def plan_from_summaries(summary: ShardSummary, max_groups: int) -> FormationPlan:
     """Greedily select from one global summary under the group budget.
 
     Step 2 of the algorithm: pick the ``max_groups - 1`` best buckets
@@ -264,11 +277,10 @@ def plan_from_summaries(
 
     Returns
     -------
-    tuple
-        ``(plan, selected_items_rows)`` ready for
-        :func:`~repro.core.engine.finalise_plan`: the plan carries the
-        chosen groups as flat segments in selection order, and
-        ``selected_items_rows`` is their ``(n_selected, k)`` item rows.
+    FormationPlan
+        The chosen groups as flat segments in selection order, ready for
+        :func:`~repro.core.engine.finalise_plan` with their item rows
+        (``items_table[plan.reps]`` of the summarised table).
     """
     n_users = summary.member_ids.size
     offsets = summary.offsets
@@ -285,7 +297,7 @@ def plan_from_summaries(
     selected_mask[selected_ids] = True
 
     remaining = np.flatnonzero(~selected_mask)
-    plan = FormationPlan(
+    return FormationPlan(
         member_ids=selected_ids,
         offsets=selected_offsets,
         reps=summary.reps[chosen],
@@ -294,7 +306,6 @@ def plan_from_summaries(
         n_intermediate_groups=int(summary.scores.size),
         n_users=n_users,
     )
-    return plan, summary.items_rows[chosen]
 
 
 class ShardedFormation(FormationEngine):
@@ -334,7 +345,8 @@ def summarise_tables(
     the serving layer's tables, read straight from its incrementally maintained
     :class:`~repro.core.topk_index.MutableTopKIndex` (bit-identical to
     ranking the store because the index maintains build parity).  The
-    packed key rows a merge needs are left to :attr:`ShardSummary.keys`.
+    representatives' rows and packed key rows a merge needs are left to
+    :attr:`ShardSummary.items_rows` and :attr:`ShardSummary.keys`.
 
     Parameters
     ----------
@@ -359,10 +371,9 @@ def summarise_tables(
         inverse, contributions, starts.size, variant.combine, reps_local
     )
     return ShardSummary(
-        # np.take gathers whole rows several times faster than fancy
-        # indexing does.
-        items_rows=np.take(items_table, reps_local, axis=0),
-        rep_scores=np.take(scores_table, reps_local, axis=0),
+        items_table=items_table,
+        scores_table=scores_table,
+        start=start,
         key_scores=variant.key_scores,
         reps=reps_local + start,
         scores=scores,

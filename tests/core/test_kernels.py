@@ -9,7 +9,8 @@ Four families of guarantees:
   crossover), the compiled one at every thread count;
 * fingerprint bucketing yields the same partition and member order as the
   exact packed-key lexsort (:func:`repro.core.kernels._group_rows_lexsort`)
-  and survives a forced fingerprint collision exactly;
+  and survives a forced fingerprint collision exactly (the compiled hash
+  grouping is checked against it in ``tests/core/test_bucketing.py``);
 * formation results equal the loop-based ``reference`` backend for every
   variant, on dense and sparse stores, under both top-k paths;
 * the :func:`repro.core.kernels.float_to_ordinal` transform is a monotone
@@ -17,7 +18,8 @@ Four families of guarantees:
   ``±0.0``, ``±inf``, subnormals, ``float32`` and ``float64``).
 
 The numpy path is selected in-process by monkeypatching
-``kernels._load_parallel`` to report no compiled backend.
+``kernels._load_parallel`` and ``kernels._load_csr`` to report no compiled
+backend.
 """
 
 from __future__ import annotations
@@ -75,8 +77,9 @@ def run_result_fingerprint(result):
 
 @pytest.fixture
 def numpy_path(monkeypatch):
-    """Route kernels.top_k_table to the numpy blocked kernel."""
+    """Route the top-k and bucketing kernels to their numpy legs."""
     monkeypatch.setattr(kernels, "_load_parallel", lambda: None)
+    monkeypatch.setattr(kernels, "_load_csr", lambda: None)
 
 
 def numpy_top_k(values, k, assume_finite=False):
@@ -92,10 +95,22 @@ def assert_tables_equal(expected, actual):
     assert np.array_equal(expected[1].view(np.uint64), actual[1].view(np.uint64))
 
 
+def by_first_row(order, new_segment):
+    """A grouping's groups renumbered in ascending order of first row."""
+    groups = sorted(
+        np.split(order, np.flatnonzero(new_segment)[1:]), key=lambda g: g[0]
+    )
+    sizes = np.array([g.size for g in groups], dtype=np.int64)
+    new_segment = np.zeros(order.size, dtype=bool)
+    new_segment[np.cumsum(sizes) - sizes] = True
+    return np.concatenate(groups), new_segment
+
+
 def lexsort_buckets(items_table, scores_table, key_scores):
-    """The exact specification of bucketing: lexsort over packed keys."""
+    """The exact specification of bucketing: lexsort over packed keys,
+    buckets renumbered in representative order."""
     packed = kernels.pack_key_rows(items_table, scores_table, key_scores)
-    sorted_users, new_segment = kernels._group_rows_lexsort(packed)
+    sorted_users, new_segment = by_first_row(*kernels._group_rows_lexsort(packed))
     starts = np.flatnonzero(new_segment)
     inverse = np.empty(items_table.shape[0], dtype=np.int64)
     inverse[sorted_users] = np.cumsum(new_segment) - 1
@@ -287,8 +302,9 @@ class TestBucketizeParity:
             groups = np.split(order, np.flatnonzero(new_segment)[1:])
             assert sorted(tuple(g.tolist()) for g in groups) == spec
 
-    def test_collision_fallback_is_exact(self, monkeypatch):
-        """With every fingerprint colliding, grouping degrades to lexsort."""
+    def test_collision_fallback_is_exact(self, monkeypatch, numpy_path):
+        """With every fingerprint colliding, the numpy grouping degrades to
+        the lexsort."""
         rng = np.random.default_rng(1)
         items_table = rng.integers(0, 3, size=(40, 2)).astype(np.int64)
         scores_table = rng.integers(1, 3, size=(40, 2)).astype(float)
@@ -312,11 +328,12 @@ class TestBucketizeParity:
             assert np.array_equal(a, b)
         packed = kernels.pack_key_rows(items_table, scores_table, "all")
         for a, b in zip(
-            kernels._group_rows_lexsort(packed), kernels.group_key_rows(packed)
+            by_first_row(*kernels._group_rows_lexsort(packed)),
+            kernels.group_key_rows(packed),
         ):
             assert np.array_equal(a, b)
 
-    def test_interleaved_collision_detected(self, monkeypatch):
+    def test_interleaved_collision_detected(self, monkeypatch, numpy_path):
         """An A,B,A interleave inside one fingerprint run cannot slip through."""
         items_table = np.array([[0], [1], [0], [1], [0]], dtype=np.int64)
         scores_table = np.ones((5, 1), dtype=float)
@@ -393,13 +410,15 @@ class TestParallelKernels:
         assert np.array_equal(expected, fused)
 
     @requires_parallel
-    def test_collision_fallback_under_threading(self, monkeypatch):
+    def test_collision_fallback_under_threading(self, monkeypatch, request):
         """Tables ranked at 4 compiled threads, then all-colliding
-        fingerprints: bucketing still degrades to the exact lexsort."""
+        fingerprints: the numpy grouping still degrades to the exact
+        lexsort."""
         rng = np.random.default_rng(17)
         values = rng.integers(1, 3, size=(60, 3)).astype(float)
         with kernels.use_kernel_threads(4):
             items_table, scores_table = kernels.top_k_table(values, 2)
+        request.getfixturevalue("numpy_path")
         spec = lexsort_buckets(items_table, scores_table, "all")
         monkeypatch.setattr(
             kernels,
