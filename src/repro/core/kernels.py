@@ -19,19 +19,19 @@ identical for every thread count (:func:`set_kernel_threads`, the
 ``--kernel-threads`` flag and the ``REPRO_KERNEL_THREADS`` environment
 variable).
 
-**Bucketing** follows the same rule: the compiled library's one-pass
-hash grouping (:mod:`repro.core.kernels_cc`) when it loads, numpy
-otherwise.  The numpy leg hashes each bucket key to one 64-bit polynomial
+**Bucketing** follows the same rule: the compiled library's hash
+grouping (:mod:`repro.core.kernels_cc`) when it loads, numpy otherwise.
+The numpy leg hashes each bucket key to one 64-bit polynomial
 **fingerprint** in a fused pass over the top-k tables (the packed key
 matrix is never materialised), groups users by one integer argsort
-(re-sorted within fingerprint runs only when some run holds more than one
-user), verifies the groups against the exact keys, and runs an exact
+(re-sorted within fingerprint runs only when some run holds more than
+one user), verifies the groups against the exact keys, and runs an exact
 lexsort over the packed keys only when a fingerprint collision is
 detected.  Both legs return the same bytes: buckets numbered by first
 occurrence (ascending representative), members ascending.  **Selection**
 (:func:`select_best_buckets`) finds the ``ℓ - 1`` best buckets by
-``(score, representative)`` with one partition and a sort of the few candidates, not a full
-lexsort.
+``(score, representative)`` with one partition and a sort of the few
+candidates, not a full lexsort.
 
 A :class:`~repro.recsys.store.SparseStore` is ranked by a separate CSR
 top-k kernel (:func:`csr_top_k_table`): it selects over each row's stored
@@ -1474,7 +1474,7 @@ def bucketize(
 ) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
     """Group users with equal bucket keys (step 1 of the greedy skeleton).
 
-    Runs the compiled one-pass hash grouping
+    Runs the compiled hash grouping
     (:meth:`~repro.core.kernels_cc.CompiledKernels.bucket_rows`) when a
     compiled library is available, the numpy fingerprint grouping
     otherwise: fingerprints come straight off the top-k tables
