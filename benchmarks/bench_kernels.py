@@ -71,8 +71,7 @@ CSR_K = (5, 20)
 def numpy_top_k():
     """Run a block with the numpy top-k and bucketing kernels, as on a box
     without cc."""
-    with mock.patch.object(kernels, "_load_parallel", lambda: None), \
-            mock.patch.object(kernels, "_load_csr", lambda: None):
+    with mock.patch.object(kernels, "_load_compiled", lambda: None):
         yield
 
 
@@ -172,7 +171,7 @@ def run_csr_leg(args, entries, failures) -> None:
                                 kernels.top_k_table(dense_sample, k)):
             failures.append(f"CSR top-k (k={k}) differs from the dense kernel "
                             f"on the densified sample")
-        if kernels._load_csr() is None:  # no compiler: noted by the dense leg
+        if not kernels.parallel_available():  # noted by the dense leg
             continue
         for threads in args.threads:
             timed = {}
@@ -215,7 +214,7 @@ def time_csr_bucketing(instance, tables, k, args, entries, failures) -> None:
                                store="sparse", kernels="numpy",
                                stage="bucketing", k=k))
     line = f"  k={k:<3} bucketing: numpy {numpy_seconds * 1000:6.2f} ms"
-    if kernels._load_csr() is not None:
+    if kernels.parallel_available():
         seconds, buckets = best_seconds(bucket, args.rounds)
         entries.append(bench_entry(instance, seconds, backend="numpy",
                                    store="sparse", kernels="compiled",

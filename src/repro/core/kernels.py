@@ -6,9 +6,12 @@ single-core kernels: ranking every user's top-``k`` items (the
 top-``k`` key rows are identical (step 1 bucketing).  This module owns both,
 with one path per stage:
 
-**Top-k** runs the compiled C kernel of :mod:`repro.core.kernels_cc`
-(built on first use with the system compiler, threaded over rows) whenever
-it loads.  Without a C compiler — or with ``REPRO_KERNEL_CC=none`` — it runs
+Every compiled kernel lives in the one C library of
+:mod:`repro.core.kernels_cc`, built on first use with the system compiler
+and loaded once per process; each stage runs it whenever it loads.
+
+**Top-k** runs the library's compiled kernel (threaded over rows).
+Without a C compiler — or with ``REPRO_KERNEL_CC=none`` — it runs
 the numpy blocked kernel: bounded **row blocks** over reusable thread-local
 scratch, an argmax peel while ``k`` is small and a partition-select with a
 deterministic tail re-sort once ``k`` grows.  Both reproduce the
@@ -19,8 +22,8 @@ identical for every thread count (:func:`set_kernel_threads`, the
 ``--kernel-threads`` flag and the ``REPRO_KERNEL_THREADS`` environment
 variable).
 
-**Bucketing** follows the same rule: the compiled library's hash
-grouping (:mod:`repro.core.kernels_cc`) when it loads, numpy otherwise.
+**Bucketing** follows the same rule: the library's hash grouping when it
+loads, numpy otherwise.
 The numpy leg hashes each bucket key to one 64-bit polynomial
 **fingerprint** in a fused pass over the top-k tables (the packed key
 matrix is never materialised), groups users by one integer argsort
@@ -36,12 +39,11 @@ candidates, not a full lexsort.
 A :class:`~repro.recsys.store.SparseStore` is ranked by a separate CSR
 top-k kernel (:func:`csr_top_k_table`): it selects over each row's stored
 entries and the fill-valued items and never builds a dense block, runs
-compiled (:mod:`repro.core.kernels_cc`) when a C compiler is available,
-and falls back to a numpy kernel otherwise.  It is bit-identical to
-:func:`top_k_table` on the densified rows.  A store whose values sit on
-integer levels hands it a ``uint8`` level code per stored entry
-(:func:`entry_levels`), and both implementations then rank by level
-instead of comparing float64 values.
+compiled when the library loads, and falls back to a numpy kernel
+otherwise.  It is bit-identical to :func:`top_k_table` on the densified
+rows.  A store whose values sit on integer levels hands it a ``uint8``
+level code per stored entry (:func:`entry_levels`), and both
+implementations then rank by level instead of comparing float64 values.
 
 **Group scoring** (step 3) has two kernels, both behind an exactness gate
 that admits only inputs whose reduction order cannot change a bit (no
@@ -159,40 +161,22 @@ _NEGATIVE_ZERO_BITS = np.uint64(1 << 63)
 _EXACT_INTEGER_LIMIT = float(2**53)
 
 
-def _load_parallel():
-    """The compiled top-k backend, or ``None`` when it cannot be built/loaded."""
+def _load_compiled():
+    """The compiled kernels, or ``None`` when they cannot be built/loaded."""
     from repro.core import kernels_cc
 
     return kernels_cc.load_compiled()
 
 
-def _load_csr():
-    """The compiled CSR kernels, or ``None`` when they cannot be built/loaded."""
-    from repro.core import kernels_cc
-
-    return kernels_cc.load_csr()
-
-
-def _load_bucketing():
-    """The compiled library bucketing runs on, or ``None`` (numpy).
-
-    Whichever library the process already loaded, so a CSR-only process
-    never builds the dense one; the dense library otherwise.
-    """
-    from repro.core import kernels_cc
-
-    return _load_csr() if kernels_cc.csr_loaded() else _load_parallel()
-
-
 def parallel_available() -> bool:
-    """Whether the compiled top-k kernel can run in this process.
+    """Whether the compiled kernels can run in this process.
 
     Building/loading the compiled library happens (once) on the first
     call; a box without a C compiler — or with the backend disabled via
     ``REPRO_KERNEL_CC=none`` — reports ``False`` and :func:`top_k_table`
     runs the numpy kernel instead.
     """
-    return _load_parallel() is not None
+    return _load_compiled() is not None
 
 
 def get_kernel_threads() -> int:
@@ -468,7 +452,7 @@ def top_k_table(
     if not 1 <= k <= n_items:
         raise ValueError(f"k must be between 1 and n_items ({n_items}), got {k}")
     with observed("kernel.top_k", H_KERNEL_TOPK, counter=K_KERNEL_TOPK_CALLS):
-        backend = _load_parallel()
+        backend = _load_compiled()
         if backend is not None:
             return backend.top_k(values, k, get_kernel_threads())
         if not assume_finite and np.isneginf(values).any():
@@ -763,13 +747,13 @@ def csr_top_k_table(
     if levels is not None and _has_negative_zero(fill):
         levels = None
     with observed("kernel.top_k", H_KERNEL_TOPK, counter=K_KERNEL_TOPK_CALLS):
-        backend = _load_csr()
+        backend = _load_compiled()
         if backend is None:
             return _csr_top_k_numpy(
                 csr.data, csr.indices, csr.indptr, rows, n_items, k, fill, levels
             )
         if levels is None:
-            return backend.top_k(
+            return backend.csr_top_k(
                 csr.data, csr.indices, csr.indptr, rows, n_items, k, fill,
                 ceiling, get_kernel_threads(),
             )
@@ -830,7 +814,7 @@ def _csr_column_reduce_numpy(
 
     Gathers the members' rows and reduces them per item with ``bincount``
     / ``np.minimum.at``; same contract as
-    :meth:`repro.core.kernels_cc.CompiledCsrKernels.column_reduce`.
+    :meth:`repro.core.kernels_cc.CompiledKernels.column_reduce`.
     """
     gathered = csr[members]
     values, items = gathered.data, gathered.indices
@@ -920,7 +904,7 @@ def csr_item_scores(
     ):
         return None
     with observed("kernel.score", H_KERNEL_SCORE):
-        backend = _load_csr()
+        backend = _load_compiled()
         if backend is not None:
             reduced = backend.column_reduce(
                 csr.data, csr.indices, csr.indptr, members, csr.shape[1],
@@ -973,7 +957,7 @@ def dense_item_scores(
         When ``members`` is empty or holds an id outside ``[0, n_users)``.
     """
     members = _score_members(members, values.shape[0])
-    backend = _load_parallel()
+    backend = _load_compiled()
     if (
         backend is None
         or values.dtype != np.float64
@@ -1475,9 +1459,8 @@ def bucketize(
     """Group users with equal bucket keys (step 1 of the greedy skeleton).
 
     Runs the compiled hash grouping
-    (:meth:`~repro.core.kernels_cc.CompiledKernels.bucket_rows`) when a
-    compiled library is available, the numpy fingerprint grouping
-    otherwise: fingerprints come straight off the top-k tables
+    (:meth:`~repro.core.kernels_cc.CompiledKernels.bucket_rows`) when the
+    compiled library loads, the numpy fingerprint grouping otherwise: fingerprints come straight off the top-k tables
     (:func:`fused_fingerprint_rows`), and the packed key matrix is only
     built when verification goes dense or a collision forces the exact
     lexsort.  Both return the same bytes.
@@ -1508,7 +1491,7 @@ def bucketize(
         "kernel.bucketize", H_KERNEL_BUCKETIZE, counter=K_KERNEL_BUCKETIZE_CALLS
     ):
         cols = _key_score_columns(k, key_scores)
-        compiled = _load_bucketing() if n_users < 2**31 else None
+        compiled = _load_compiled() if n_users < 2**31 else None
         if compiled is not None:
             return compiled.bucket_rows(
                 items_table, scores_table, cols[0] if cols else 0, len(cols)

@@ -1,4 +1,4 @@
-"""Build and load the compiled kernel libraries.
+"""Build and load the compiled kernel library.
 
 :func:`repro.core.kernels.top_k_table` runs its per-row top-k selection
 in a small C library compiled **on first use** with the system C compiler
@@ -34,36 +34,33 @@ Design constraints the C source honours:
   without the flag; if no compiler works, :func:`load_compiled` reports
   the reason and the caller runs the numpy kernel.
 
-Two libraries are built, each carrying its own top-k plus the shared
-kernels (``_SHARED_SOURCE``):
+One library is built from one source (``_SOURCE``), behind one facade
+(:class:`CompiledKernels`):
 
-* the **dense** library (:func:`load_compiled`): the per-row top-k of
-  :func:`repro.core.kernels.top_k_table`;
-* the **CSR** library (:func:`load_csr`): the top-k of
-  :func:`repro.core.kernels.csr_top_k_table` on float64 values or
-  ``uint8`` level codes.  It is built and loaded on the first call that
-  ranks or scores a sparse store, so a dense-store process never builds
-  or loads it.  It follows the same rules — row-parallel on the same
-  thread loop, numpy fallback when no compiler works;
-* **shared by both**: the column reduce, reading its rows from CSR arrays
+* the per-row top-k of :func:`repro.core.kernels.top_k_table` on a dense
+  array;
+* the CSR top-k of :func:`repro.core.kernels.csr_top_k_table` on float64
+  values or ``uint8`` level codes, row-parallel on the same thread loop;
+* the column reduce, reading its rows from CSR arrays
   (:func:`repro.core.kernels.csr_item_scores`) or from a dense array
-  (:func:`repro.core.kernels.dense_item_scores`), and the single-threaded
-  step-1 hash grouping (:meth:`CompiledKernels.bucket_rows`, behind
-  :func:`repro.core.kernels.bucketize`).  Each store scores its left-over
-  group, and buckets its users, with the library its ranking already
-  loaded at boot, so a sparse-store process never builds the dense one.
+  (:func:`repro.core.kernels.dense_item_scores`);
+* the single-threaded step-1 hash grouping
+  (:meth:`CompiledKernels.bucket_rows`, behind
+  :func:`repro.core.kernels.bucketize`).
 
-Compiled libraries are cached by source hash under
+The compiled library is cached by source hash under
 ``$REPRO_KERNEL_CACHE`` (default: ``~/.cache/repro-kernels``), so a
 process pays the ~1 s compile at most once per source revision per
 machine.  Set ``REPRO_KERNEL_CC`` to a compiler executable to override
-discovery, or to ``none``/``off``/``0`` to disable the compiled backend
-entirely (CI uses this to exercise the numpy leg).
+discovery (an empty value discovers it too), or to ``none``/``off``/``0``
+to disable the compiled backend entirely (CI uses this to exercise the
+numpy leg).
 """
 
 from __future__ import annotations
 
 import ctypes
+import functools
 import hashlib
 import os
 import shutil
@@ -74,11 +71,8 @@ from pathlib import Path
 import numpy as np
 
 __all__ = [
-    "CompiledCsrKernels",
     "CompiledKernels",
-    "csr_loaded",
     "load_compiled",
-    "load_csr",
     "unavailable_reason",
 ]
 
@@ -174,10 +168,7 @@ static void run_rows(row_range_fn fn, void *ctx, int64_t n_rows,
 }
 """
 
-#: The column reduce (group scoring), part of both libraries so each store
-#: scores its left-over group with the library its ranking already loaded:
-#: a dense-store process never builds the CSR library, and a sparse-store
-#: process never builds the dense one.
+#: The column reduce (group scoring) of dense and CSR rows.
 _REDUCE_SOURCE = r"""
 /* CSR index arrays are int32 or int64 (scipy picks per matrix); `wide`
  * selects the width, so neither array is ever copied or converted. */
@@ -392,8 +383,7 @@ int32_t repro_column_reduce(const double *data, const void *indices,
 }
 """
 
-#: Step-1 bucketing, part of both libraries like the column reduce, so
-#: bucketing runs on whichever library the process's ranking loaded.
+#: Step-1 bucketing.
 _BUCKET_SOURCE = r"""
 /* Group rows with equal bucket keys, single threaded.  A key
  * is the row's k item ids plus its score columns [col, col + n_cols),
@@ -485,11 +475,9 @@ int64_t repro_bucket_rows(const int64_t *items, const uint64_t *score_bits,
 }
 """
 
-#: The part of the source both libraries share.
-_SHARED_SOURCE = _THREADS_SOURCE + _REDUCE_SOURCE + _BUCKET_SOURCE
-
-#: The dense library: per-row top-k, plus the shared kernels.
-_SOURCE = _SHARED_SOURCE + r"""
+#: The library: the thread loop, column reduce, bucketing and dense top-k
+#: first, in that order, then the CSR top-k kernels appended after them.
+_SOURCE = _THREADS_SOURCE + _REDUCE_SOURCE + _BUCKET_SOURCE + r"""
 /* Top-k of one row under the library tie-break: rating descending, item
  * index ascending.  The output buffer is kept sorted by (value desc,
  * index asc); a new item is inserted after every incumbent with an equal
@@ -614,12 +602,6 @@ void repro_topk_rows(const double *values, int64_t n_users, int64_t n_items,
     run_rows(topk_range, &ctx, n_users, n_threads);
 }
 
-"""
-
-#: The CSR library: per-row top-k straight from a SparseStore's arrays, plus
-#: the shared kernels.  A separate library, so a dense-store process never
-#: builds or loads it.
-_CSR_SOURCE = _SHARED_SOURCE + r"""
 /* Insert (v, idx) into a buffer of `n` entries (capacity `cap`) kept
  * sorted by (value desc, index asc).  Candidates arrive in ascending index
  * order, so an equal value goes after the incumbents and a full buffer
@@ -854,7 +836,7 @@ void repro_csr_level_topk_rows(const uint8_t *codes, const void *indices,
 """
 
 def _library_dir() -> Path:
-    """The directory compiled libraries are cached in (created on demand)."""
+    """The directory the compiled library is cached in (created on demand)."""
     override = os.environ.get(CACHE_ENV)
     if override:
         return Path(override)
@@ -864,11 +846,13 @@ def _library_dir() -> Path:
 
 
 def _find_compiler() -> str | None:
-    """The C compiler to use, or ``None`` when disabled/not found."""
-    requested = os.environ.get(CC_ENV)
-    if requested is not None:
-        if requested.strip().lower() in _DISABLE_VALUES:
-            return None
+    """The C compiler ``REPRO_KERNEL_CC`` names, else the first one found.
+
+    An unset, empty or blank ``REPRO_KERNEL_CC`` discovers ``cc``, ``gcc``
+    or ``clang``; ``None`` when no compiler is found.
+    """
+    requested = os.environ.get(CC_ENV, "").strip()
+    if requested:
         return shutil.which(requested)
     for candidate in ("cc", "gcc", "clang"):
         found = shutil.which(candidate)
@@ -927,8 +911,12 @@ def _check_index_arrays(indices: np.ndarray, indptr: np.ndarray) -> None:
         )
 
 
-class _SharedKernels:
-    """The kernels every compiled library carries (``_SHARED_SOURCE``).
+class CompiledKernels:
+    """ctypes facade over the compiled kernel library.
+
+    Wrapper methods validate/coerce array layouts once and hand raw
+    pointers to C; the ctypes calls release the GIL, so the library's
+    worker threads and any Python-side threads genuinely overlap.
 
     Parameters
     ----------
@@ -938,11 +926,26 @@ class _SharedKernels:
 
     def __init__(self, library: ctypes.CDLL) -> None:
         self._lib = library
-        i64, i32 = ctypes.c_int64, ctypes.c_int32
-        # Raw addresses (``ndarray.ctypes.data``) for every array: a call
-        # scores one group per read, where building typed pointers would
-        # cost more than a small group's reduce.
+        i64, f64, i32 = ctypes.c_int64, ctypes.c_double, ctypes.c_int32
+        p = ctypes.POINTER
+        library.repro_topk_rows.restype = None
+        library.repro_topk_rows.argtypes = [
+            p(f64), i64, i64, i64, p(i64), p(f64), i32,
+        ]
+        library.repro_csr_topk_rows.restype = None
+        library.repro_csr_topk_rows.argtypes = [
+            p(f64), ctypes.c_void_p, ctypes.c_void_p, i32, p(i64), i64,
+            i64, i64, f64, f64, p(i64), p(f64), i32,
+        ]
+        # Raw addresses (``ndarray.ctypes.data``) for the other kernels: a
+        # read scores one group, where building typed pointers would cost
+        # more than a small group's reduce.
         void = ctypes.c_void_p
+        library.repro_csr_level_topk_rows.restype = None
+        library.repro_csr_level_topk_rows.argtypes = [
+            void, void, void, i32, void, i64, i64, i64, f64, f64, i64,
+            void, i64, void, void, i32,
+        ]
         library.repro_column_reduce.restype = i32
         library.repro_column_reduce.argtypes = [
             void, void, void, i32, void, i64, i64, i32, void, void, void, i32,
@@ -1012,7 +1015,7 @@ class _SharedKernels:
         Parameters
         ----------
         data, indices, indptr:
-            Arrays of a CSR matrix (as in :meth:`CompiledCsrKernels.top_k`),
+            Arrays of a CSR matrix (as in :meth:`csr_top_k`),
             or a dense row source: a C-contiguous ``(n_rows, n_items)``
             float64 matrix as ``data`` with ``indices`` and ``indptr``
             ``None``, whose every cell is stored.
@@ -1064,29 +1067,6 @@ class _SharedKernels:
             return None
         return (None if dense else counts[0]), reduced[0]
 
-
-class CompiledKernels(_SharedKernels):
-    """ctypes facade over the compiled top-k library.
-
-    Wrapper methods validate/coerce array layouts once and hand raw
-    pointers to C; the ctypes calls release the GIL, so the library's
-    worker threads and any Python-side threads genuinely overlap.
-
-    Parameters
-    ----------
-    library:
-        The loaded :class:`ctypes.CDLL`.
-    """
-
-    def __init__(self, library: ctypes.CDLL) -> None:
-        super().__init__(library)
-        i64, f64, i32 = ctypes.c_int64, ctypes.c_double, ctypes.c_int32
-        p = ctypes.POINTER
-        library.repro_topk_rows.restype = None
-        library.repro_topk_rows.argtypes = [
-            p(f64), i64, i64, i64, p(i64), p(f64), i32,
-        ]
-
     def top_k(
         self, values: np.ndarray, k: int, n_threads: int
     ) -> tuple[np.ndarray, np.ndarray]:
@@ -1122,32 +1102,7 @@ class CompiledKernels(_SharedKernels):
             )
         return items_out, values_out
 
-class CompiledCsrKernels(_SharedKernels):
-    """ctypes facade over the compiled CSR library.
-
-    Parameters
-    ----------
-    library:
-        The loaded :class:`ctypes.CDLL`.
-    """
-
-    def __init__(self, library: ctypes.CDLL) -> None:
-        super().__init__(library)
-        i64, f64, i32 = ctypes.c_int64, ctypes.c_double, ctypes.c_int32
-        p = ctypes.POINTER
-        library.repro_csr_topk_rows.restype = None
-        library.repro_csr_topk_rows.argtypes = [
-            p(f64), ctypes.c_void_p, ctypes.c_void_p, i32, p(i64), i64,
-            i64, i64, f64, f64, p(i64), p(f64), i32,
-        ]
-        void = ctypes.c_void_p
-        library.repro_csr_level_topk_rows.restype = None
-        library.repro_csr_level_topk_rows.argtypes = [
-            void, void, void, i32, void, i64, i64, i64, f64, f64, i64,
-            void, i64, void, void, i32,
-        ]
-
-    def top_k(
+    def csr_top_k(
         self,
         data: np.ndarray,
         indices: np.ndarray,
@@ -1232,7 +1187,7 @@ class CompiledCsrKernels(_SharedKernels):
             ``uint8`` level code of every stored entry (level ``j`` is the
             value ``lowest + j``), aligned with ``indices``.
         indices, indptr, rows, n_items, k, fill:
-            As in :meth:`top_k`; ``fill`` must not be ``-0.0``.
+            As in :meth:`csr_top_k`; ``fill`` must not be ``-0.0``.
         lowest, n_levels:
             The value of level 0 and the number of distinct, exactly
             representable levels (every code is below it).
@@ -1243,7 +1198,7 @@ class CompiledCsrKernels(_SharedKernels):
         Returns
         -------
         (items, values):
-            As :meth:`top_k` on the values ``lowest + code``.
+            As :meth:`csr_top_k` on the values ``lowest + code``.
         """
         _check_index_arrays(indices, indptr)
         codes = np.ascontiguousarray(codes, dtype=np.uint8)
@@ -1269,87 +1224,43 @@ class CompiledCsrKernels(_SharedKernels):
         return items_out, values_out
 
 
-class _LazyLibrary:
-    """One compiled library, built and loaded on the first :meth:`load`.
+@functools.cache
+def _load() -> tuple[CompiledKernels | None, str | None]:
+    """Build (on a cold cache) and load the library, once per process.
 
-    The outcome is cached: a failed load is not retried within the process
-    and its reason stays available as :attr:`reason`.
-
-    Parameters
-    ----------
-    source:
-        C source of the library (its hash names the cached ``.so``).
-    stem:
-        File-name stem of the cached library.
-    facade:
-        Class wrapping the loaded :class:`ctypes.CDLL`.
+    Returns the facade and ``None``, or ``None`` and the reason the
+    library is unavailable; a failed load is not retried.
     """
-
-    def __init__(self, source: str, stem: str, facade: type) -> None:
-        self.source = source
-        self.stem = stem
-        self.facade = facade
-        self.backend = None
-        self.attempted = False
-        self.reason: str | None = None
-
-    def load(self):
-        """The library's facade, or ``None`` when it cannot be built/loaded."""
-        if self.attempted:
-            return self.backend
-        self.attempted = True
-        try:
-            requested = os.environ.get(CC_ENV, "").strip().lower()
-            if requested in _DISABLE_VALUES:
-                self.reason = f"disabled via {CC_ENV}={os.environ[CC_ENV]!r}"
-                return None
-            compiler = _find_compiler()
-            if compiler is None:
-                self.reason = (
-                    f"no C compiler found (set {CC_ENV} to a compiler, or install "
-                    f"cc/gcc/clang)"
-                )
-                return None
-            digest = hashlib.sha256(self.source.encode("utf-8")).hexdigest()[:16]
-            library_path = _library_dir() / f"{self.stem}_{digest}.so"
-            if not library_path.exists():
-                _compile(compiler, self.source, library_path)
-            self.backend = self.facade(ctypes.CDLL(str(library_path)))
-        except Exception as exc:  # noqa: BLE001 - any failure means "unavailable"
-            self.reason = str(exc)
-            self.backend = None
-        return self.backend
+    requested = os.environ.get(CC_ENV, "").strip().lower()
+    if requested in _DISABLE_VALUES:
+        return None, f"disabled via {CC_ENV}={os.environ[CC_ENV]!r}"
+    compiler = _find_compiler()
+    if compiler is None:
+        return None, (
+            f"no C compiler found (set {CC_ENV} to a compiler, or install "
+            f"cc/gcc/clang)"
+        )
+    try:
+        digest = hashlib.sha256(_SOURCE.encode("utf-8")).hexdigest()[:16]
+        library_path = _library_dir() / f"repro_kernels_{digest}.so"
+        if not library_path.exists():
+            _compile(compiler, _SOURCE, library_path)
+        return CompiledKernels(ctypes.CDLL(str(library_path))), None
+    except Exception as exc:  # noqa: BLE001 - any failure means "unavailable"
+        return None, str(exc)
 
 
-_DENSE_LIBRARY = _LazyLibrary(_SOURCE, "repro_kernels", CompiledKernels)
-_CSR_LIBRARY = _LazyLibrary(_CSR_SOURCE, "repro_csr_kernels", CompiledCsrKernels)
-
-
-def load_compiled() -> "CompiledKernels | None":
-    """The process-wide compiled backend, building/loading it on first call.
+def load_compiled() -> CompiledKernels | None:
+    """The process-wide compiled kernels, building/loading them on first call.
 
     Returns ``None`` when the backend is disabled (``REPRO_KERNEL_CC=none``),
     no C compiler is available, or the build/load fails — the reason is
     then available from :func:`unavailable_reason`.  The outcome is cached:
     a failed load is not retried within the process.
     """
-    return _DENSE_LIBRARY.load()
-
-
-def load_csr() -> "CompiledCsrKernels | None":
-    """The compiled CSR kernels, building/loading them on first call.
-
-    Same contract as :func:`load_compiled`, for the separate CSR library:
-    only processes that rank a sparse store ever build or load it.
-    """
-    return _CSR_LIBRARY.load()
-
-
-def csr_loaded() -> bool:
-    """Whether this process has already loaded the compiled CSR kernels."""
-    return _CSR_LIBRARY.backend is not None
+    return _load()[0]
 
 
 def unavailable_reason() -> str | None:
-    """Why the compiled backend is unavailable (``None`` when it loaded)."""
-    return _DENSE_LIBRARY.reason
+    """Why the compiled kernels are unavailable (``None`` when they load)."""
+    return _load()[1]

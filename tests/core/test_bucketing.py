@@ -1,7 +1,7 @@
 """Step-1 bucketing: the compiled hash grouping equals the numpy one.
 
 :func:`repro.core.kernels.bucketize` runs the compiled one-pass hash
-grouping when a compiled library loads and the numpy fingerprint grouping
+grouping when the compiled library loads and the numpy fingerprint grouping
 otherwise.  Both must return the same bytes, and both must equal the
 reference backend's partition: users grouped by their byte keys
 (:func:`repro.core.greedy_framework._key_fn_for`) in dict order, which
@@ -12,11 +12,6 @@ checked against the reference.
 """
 
 from __future__ import annotations
-
-import os
-import subprocess
-import sys
-from pathlib import Path
 
 import numpy as np
 import pytest
@@ -29,8 +24,6 @@ from repro.core.greedy_framework import _key_fn_for
 from repro.core.preferences import top_k_table
 
 KEY_SCORES = ("none", "first", "last", "all")
-
-ROOT = Path(__file__).resolve().parents[2]
 
 requires_compiled = pytest.mark.skipif(
     not kernels.parallel_available(),
@@ -51,8 +44,7 @@ BIT_TWINS = [
 def numpy_bucketize(items_table, scores_table, key_scores):
     """kernels.bucketize on the numpy leg, whatever the box offers."""
     with pytest.MonkeyPatch.context() as patch:
-        patch.setattr(kernels, "_load_parallel", lambda: None)
-        patch.setattr(kernels, "_load_csr", lambda: None)
+        patch.setattr(kernels, "_load_compiled", lambda: None)
         return kernels.bucketize(items_table, scores_table, key_scores)
 
 
@@ -158,38 +150,8 @@ class TestBucketizeLegs:
 
 
 @requires_compiled
-class TestCompiledLibraries:
-    def test_both_libraries_group_alike(self):
-        """The dense and the CSR library's kernels return the same bytes."""
-        rng = np.random.default_rng(9)
-        items_table = rng.integers(0, 3, size=(300, 3)).astype(np.int64)
-        scores_table = rng.integers(1, 3, size=(300, 3)).astype(float)
-        dense, csr = kernels_cc.load_compiled(), kernels_cc.load_csr()
-        for first_col, n_cols in ((0, 0), (0, 1), (2, 1), (0, 3)):
-            assert_same_bytes(
-                dense.bucket_rows(items_table, scores_table, first_col, n_cols),
-                csr.bucket_rows(items_table, scores_table, first_col, n_cols),
-            )
-
-    @pytest.mark.parametrize("first_col, n_cols", [(-1, 1), (2, 2), (3, 1)])
-    def test_columns_outside_the_table_rejected(self, first_col, n_cols):
-        tables = np.zeros((4, 3), dtype=np.int64), np.zeros((4, 3))
-        with pytest.raises(ValueError):
-            kernels_cc.load_compiled().bucket_rows(*tables, first_col, n_cols)
-
-    def test_sparse_process_never_builds_the_dense_library(self):
-        """A process forming groups on a sparse store loads only the CSR
-        library, and buckets on it."""
-        script = (
-            "from repro.core import FormationEngine, kernels, kernels_cc\n"
-            "from repro.datasets import synthetic_sparse_store\n"
-            "store = synthetic_sparse_store(300, 40, density=0.2, rng=1)\n"
-            "FormationEngine('numpy').run(store, 5, 3, 'lm', 'min')\n"
-            "assert kernels_cc.csr_loaded()\n"
-            "assert kernels._load_bucketing() is kernels_cc.load_csr()\n"
-            "assert not kernels_cc._DENSE_LIBRARY.attempted\n"
-        )
-        subprocess.run(
-            [sys.executable, "-c", script], cwd=ROOT, check=True, timeout=120,
-            env={**os.environ, "PYTHONPATH": str(ROOT / "src")},
-        )
+@pytest.mark.parametrize("first_col, n_cols", [(-1, 1), (2, 2), (3, 1)])
+def test_columns_outside_the_table_rejected(first_col, n_cols):
+    tables = np.zeros((4, 3), dtype=np.int64), np.zeros((4, 3))
+    with pytest.raises(ValueError):
+        kernels_cc.load_compiled().bucket_rows(*tables, first_col, n_cols)

@@ -25,18 +25,11 @@ budget patched down, one call spans many blocks and still matches the
 dense kernel bit for bit.  A :class:`~repro.recsys.store.SparseStore`
 passes its scale maximum as the ceiling and ranks like a
 :class:`~repro.recsys.store.DenseStore` over the same ratings.
-
-A process that only forms groups over dense ratings never loads the
-compiled CSR library.
 """
 
 from __future__ import annotations
 
-import os
-import subprocess
-import sys
 import tracemalloc
-from pathlib import Path
 from unittest import mock
 
 import numpy as np
@@ -55,10 +48,10 @@ LEVELS = (0.0, -0.0, 1.0, 2.0, 3.0, 2.5)
 
 def compiled_top_k(data, indices, indptr, rows, n_items, k, fill,
                    ceiling=np.inf):
-    backend = kernels_cc.load_csr()
+    backend = kernels_cc.load_compiled()
     if backend is None:
         pytest.skip("compiled CSR kernel unavailable (no C compiler)")
-    return backend.top_k(data, indices, indptr, rows, n_items, k, fill,
+    return backend.csr_top_k(data, indices, indptr, rows, n_items, k, fill,
                          ceiling, 2)
 
 
@@ -281,25 +274,6 @@ def test_numpy_row_blocks_match_dense_top_k(budget):
             assert all(size == 1 or cost <= budget for size, cost in blocks)
             if budget == 16:
                 assert any(size == 1 and cost > budget for size, cost in blocks)
-
-
-def test_dense_formation_never_loads_the_csr_library():
-    # A dense-store process ranks with the dense kernels only, so it must
-    # not pay the CSR library's build or load (checked in a fresh process:
-    # this one may already have loaded it).
-    script = (
-        "import numpy as np\n"
-        "from repro.core import FormationEngine, kernels_cc\n"
-        "values = np.random.default_rng(0).integers(1, 6, (60, 12)).astype(float)\n"
-        "FormationEngine('numpy').run(values, 4, 3, 'av', 'sum')\n"
-        "FormationEngine('numpy').run(values, 4, 3, 'lm', 'min')\n"
-        "assert not kernels_cc._CSR_LIBRARY.attempted\n"
-    )
-    env = dict(os.environ)
-    env["PYTHONPATH"] = os.pathsep.join(
-        [str(Path(kernels.__file__).parents[2]), env.get("PYTHONPATH", "")]
-    )
-    subprocess.run([sys.executable, "-c", script], env=env, check=True)
 
 
 def test_public_entry_point_validates_and_dispatches():

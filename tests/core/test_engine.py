@@ -217,7 +217,7 @@ class TestTopKTableFast:
 
     def test_negative_infinity_falls_back_to_sort(self, monkeypatch):
         # The numpy path's peel masks with -inf, so such rows take the sort.
-        monkeypatch.setattr(kernels, "_load_parallel", lambda: None)
+        monkeypatch.setattr(kernels, "_load_compiled", lambda: None)
         values = np.array([[-np.inf, 1.0, 2.0], [-np.inf, -np.inf, -np.inf]])
         expected_items, expected_scores = top_k_table(values, 2)
         items, scores = kernels.top_k_table(values, 2)

@@ -18,13 +18,16 @@ Four families of guarantees:
   ``±0.0``, ``±inf``, subnormals, ``float32`` and ``float64``).
 
 The numpy path is selected in-process by monkeypatching
-``kernels._load_parallel`` and ``kernels._load_csr`` to report no compiled
-backend.
+``kernels._load_compiled`` to report no compiled library.
 """
 
 from __future__ import annotations
 
+import os
+import subprocess
+import sys
 import warnings
+from pathlib import Path
 
 import numpy as np
 import pytest
@@ -32,7 +35,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 from hypothesis.extra import numpy as hnp
 
-from repro.core import kernels
+from repro.core import kernels, kernels_cc
 from repro.core.engine import FormationEngine
 from repro.core.preferences import top_k_table
 from repro.recsys.store import SparseStore
@@ -78,14 +81,13 @@ def run_result_fingerprint(result):
 @pytest.fixture
 def numpy_path(monkeypatch):
     """Route the top-k and bucketing kernels to their numpy legs."""
-    monkeypatch.setattr(kernels, "_load_parallel", lambda: None)
-    monkeypatch.setattr(kernels, "_load_csr", lambda: None)
+    monkeypatch.setattr(kernels, "_load_compiled", lambda: None)
 
 
 def numpy_top_k(values, k, assume_finite=False):
     """kernels.top_k_table on the numpy path, whatever the box offers."""
     with pytest.MonkeyPatch.context() as patch:
-        patch.setattr(kernels, "_load_parallel", lambda: None)
+        patch.setattr(kernels, "_load_compiled", lambda: None)
         return kernels.top_k_table(values, k, assume_finite=assume_finite)
 
 
@@ -441,6 +443,79 @@ class TestParallelKernels:
         assert_tables_equal(top_k_table(values, 3), tables)
 
 
+#: Forms groups on a dense and on two sparse stores (one on the scale's
+#: integer levels, one off them) and prints the compiled kernels that ran.
+ONE_LIBRARY_SCRIPT = """
+import numpy as np
+from scipy import sparse as sp
+from repro.core import FormationEngine, kernels_cc
+from repro.recsys.matrix import RatingScale
+from repro.recsys.store import SparseStore
+
+ran = set()
+
+def spy(name):
+    method = getattr(kernels_cc.CompiledKernels, name)
+    def call(self, *args):
+        ran.add(name)
+        return method(self, *args)
+    return call
+
+for name in ("top_k", "csr_top_k", "level_top_k", "column_reduce", "bucket_rows"):
+    setattr(kernels_cc.CompiledKernels, name, spy(name))
+values = np.random.default_rng(0).integers(1, 6, (60, 12)).astype(float)
+off_levels = values.copy()
+off_levels[0, 0] = 2.5
+engine = FormationEngine("numpy")
+engine.run(values, 4, 3, "av", "sum")
+for ratings in (values, off_levels):
+    store = SparseStore(sp.csr_matrix(ratings), scale=RatingScale(1.0, 5.0))
+    engine.run(store, 4, 3, "lm", "min")
+print(" ".join(sorted(ran)))
+"""
+
+
+class TestCompiledLibrary:
+    """One library, loaded once, and the compiler switch."""
+
+    @pytest.mark.parametrize("value", ["none", "off", " OFF "])
+    def test_disable_values_turn_the_library_off(self, monkeypatch, value):
+        monkeypatch.setenv(kernels_cc.CC_ENV, value)
+        backend, reason = kernels_cc._load.__wrapped__()
+        assert backend is None
+        assert reason.startswith(f"disabled via {kernels_cc.CC_ENV}=")
+
+    @pytest.mark.parametrize("value", ["", "   "])
+    def test_empty_compiler_name_discovers_the_compiler(self, monkeypatch, value):
+        monkeypatch.delenv(kernels_cc.CC_ENV, raising=False)
+        discovered = kernels_cc._find_compiler()
+        monkeypatch.setenv(kernels_cc.CC_ENV, value)
+        assert kernels_cc._find_compiler() == discovered
+        backend, reason = kernels_cc._load.__wrapped__()
+        if discovered is None:
+            assert backend is None and reason.startswith("no C compiler found")
+        else:
+            assert backend is not None and reason is None
+
+    @requires_parallel
+    def test_dense_and_sparse_formation_share_one_library(self, tmp_path):
+        """A fresh process ranking both store kinds builds one ``.so`` into
+        an empty cache, and every kernel runs compiled."""
+        env = dict(os.environ)
+        env[kernels_cc.CACHE_ENV] = str(tmp_path)
+        env["PYTHONPATH"] = os.pathsep.join(
+            [str(Path(kernels.__file__).parents[2]), env.get("PYTHONPATH", "")]
+        )
+        ran = subprocess.run(
+            [sys.executable, "-c", ONE_LIBRARY_SCRIPT], env=env, check=True,
+            capture_output=True, text=True, timeout=120,
+        ).stdout.split()
+        assert ran == [
+            "bucket_rows", "column_reduce", "csr_top_k", "level_top_k", "top_k",
+        ]
+        assert [path.suffix for path in tmp_path.iterdir()] == [".so"]
+
+
 class TestKernelThreads:
     """The --kernel-threads / REPRO_KERNEL_THREADS switch."""
 
@@ -507,8 +582,7 @@ class TestFormationParity:
     def test_full_matrix(self, monkeypatch, semantics, aggregation, store_kind, path):
         """semantics x aggregation x dense/sparse x k sweep vs the reference."""
         if path == "numpy":
-            monkeypatch.setattr(kernels, "_load_parallel", lambda: None)
-            monkeypatch.setattr(kernels, "_load_csr", lambda: None)
+            monkeypatch.setattr(kernels, "_load_compiled", lambda: None)
         rng = np.random.default_rng(abs(hash((semantics, aggregation))) % 2**32)
         values = rng.integers(1, 6, size=(120, 24)).astype(float)
         if store_kind == "sparse":
@@ -548,7 +622,7 @@ class TestFormationParity:
         )
         numpy_run = FormationEngine("numpy")
         with pytest.MonkeyPatch.context() as patch:
-            patch.setattr(kernels, "_load_parallel", lambda: None)
+            patch.setattr(kernels, "_load_compiled", lambda: None)
             on_numpy = numpy_run.run(values, max_groups, k, semantics, aggregation)
         on_default = numpy_run.run(values, max_groups, k, semantics, aggregation)
         assert run_result_fingerprint(reference) == run_result_fingerprint(on_numpy)

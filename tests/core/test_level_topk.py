@@ -89,7 +89,7 @@ def check_store(store, rows, k):
         assert_bit_identical(
             kernels._csr_top_k_numpy(*float_args, levels), expected
         )
-    backend = kernels_cc.load_csr()
+    backend = kernels_cc.load_compiled()
     for threads in THREADS:
         with kernels.use_kernel_threads(threads):
             assert_bit_identical(store.top_k(rows, k), expected)
@@ -103,7 +103,7 @@ def check_store(store, rows, k):
         if backend is None:
             continue
         assert_bit_identical(
-            backend.top_k(*float_args, store.scale.maximum, threads), expected
+            backend.csr_top_k(*float_args, store.scale.maximum, threads), expected
         )
         if coded:
             assert_bit_identical(

@@ -160,7 +160,7 @@ class TestCSRRowBlocks:
     def test_formation_bit_identical_to_reference(self, monkeypatch, budget):
         from repro.core import kernels
 
-        monkeypatch.setattr(kernels, "_load_csr", lambda: None)
+        monkeypatch.setattr(kernels, "_load_compiled", lambda: None)
         if budget is not None:
             monkeypatch.setattr(kernels, "_CSR_BLOCK_ENTRIES", budget)
         blocks = []
